@@ -7,6 +7,8 @@ anywhere.
 
 from __future__ import annotations
 
+import heapq
+
 
 # ---------------------------------------------------------------------------
 # dense integer matrices (lists of rows)
@@ -100,10 +102,6 @@ def kernel_basis(mat, ncols):
         if not any(row[:r]):
             out.append(row[r:])
     return out
-
-
-def transpose(mat, nrows, ncols):
-    return [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
 
 
 def mat_mul(a, b):
@@ -246,15 +244,6 @@ def smith_normal_form(mat, transforms=False):
             negate_row(t)
         diag.append(a[t][t])
         t += 1
-
-    # enforce the divisibility chain (pivot choice above already gives it,
-    # but keep this as a safety net for equal-magnitude ties)
-    for i in range(len(diag) - 1):
-        if diag[i + 1] % diag[i]:
-            from math import gcd
-            g = gcd(diag[i], diag[i + 1])
-            l = diag[i] * diag[i + 1] // g
-            diag[i], diag[i + 1] = g, l
     return diag, U, V
 
 
@@ -262,10 +251,19 @@ def rank_and_invariants(entries, nrows, ncols):
     """Rank and nonzero invariant factors of a sparse integer matrix.
 
     ``entries`` is an iterable of ``(i, j, v)`` triples with v != 0.  Unit
-    (+-1) pivots are eliminated first with Markowitz-style pivot selection,
-    which keeps fill-in and coefficient growth small on the very sparse
-    boundary matrices this package produces; whatever remains is handed to
-    the dense SNF.
+    (+-1) pivots are eliminated first, which keeps fill-in and coefficient
+    growth small on the very sparse boundary matrices this package
+    produces; whatever remains is handed to the dense SNF.
+
+    Pivot rows come from a heap of ``(row length, row id)``, so the
+    shortest live row is tried first and ties go to the smaller row id.
+    The heap is updated lazily: an entry is stale, and skipped, when its
+    row is gone or no longer has that length.  Within the chosen row the
+    pivot is the unit entry whose column has the fewest nonzeros (ties to
+    the smaller column id); a row with no unit entry is dropped from the
+    heap.  Every row an elimination step changes is pushed again with its
+    new length, so a row that fill turns into one with a unit entry is a
+    candidate again.
     """
     rows = {}
     cols = {}
@@ -273,46 +271,49 @@ def rank_and_invariants(entries, nrows, ncols):
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
     ones = 0
-    while True:
-        # pick a unit entry with minimal fill estimate
+    while heap:
+        li, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != li:
+            continue
         best = None
-        for i, row in rows.items():
-            li = len(row)
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    cost = (li - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j, v)
-                        if cost == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
+        for j, v in prow.items():
+            if v == 1 or v == -1:
+                key = (len(cols[j]), j)
+                if best is None or key < best:
+                    best = key
         if best is None:
-            break
-        _, pi, pj, pv = best
-        prow = rows.pop(pi)
+            continue
+        pj = best[1]
+        pv = prow[pj]
+        del rows[pi]
         for j in prow:
-            cols[j].discard(pi)
-            if not cols[j]:
+            col = cols[j]
+            col.discard(pi)
+            if not col:
                 del cols[j]
-        targets = list(cols.get(pj, ()))
-        for i in targets:
-            q = rows[i][pj] * pv
+        for i in cols.pop(pj, ()):
             row = rows[i]
+            q = row[pj] * pv
             for j, v in prow.items():
                 nv = row.get(j, 0) - q * v
                 if nv:
                     if j not in row:
                         cols.setdefault(j, set()).add(i)
                     row[j] = nv
-                else:
-                    if j in row:
-                        del row[j]
-                        cols[j].discard(i)
-                        if not cols[j]:
+                elif j in row:
+                    del row[j]
+                    if j != pj:
+                        col = cols[j]
+                        col.discard(i)
+                        if not col:
                             del cols[j]
-            if not row:
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
                 del rows[i]
         ones += 1
     if not rows:

@@ -88,6 +88,7 @@ class ChainComplex:
         if len(bs) != len(self.dims):
             raise ValueError("boundary count inconsistent with dims")
         self.boundaries = [None] + [[list(r) for r in b] for b in bs[1:]]
+        self._eliminated = {}   # boundary index -> (rank, invariants)
         if check:
             self._validate()
 
@@ -111,14 +112,20 @@ class ChainComplex:
         return degree - self.min_degree
 
     def _rank_inv(self, i):
-        """(rank, invariant factors) of boundaries[i]; zero map if absent."""
+        """(rank, invariant factors) of boundaries[i]; zero map if absent.
+
+        Each boundary is eliminated at most once per instance; homology,
+        cohomology and homology_mod all read the same result.
+        """
         if i < 1 or i >= len(self.dims):
             return 0, []
         b = self.boundaries[i]
         if not b or not b[0]:
             return 0, []
-        entries = dense_to_entries(b)
-        return rank_and_invariants(entries, len(b), len(b[0]))
+        if i not in self._eliminated:
+            self._eliminated[i] = rank_and_invariants(
+                dense_to_entries(b), len(b), len(b[0]))
+        return self._eliminated[i]
 
     def homology(self):
         out = {}

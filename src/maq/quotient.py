@@ -64,6 +64,7 @@ class KoszulComplex:
                 raise ValueError("linear form length != m")
         self.l = len(self.forms)
         self.max_degree = max_degree
+        self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
         self._build(cell_cap)
         if check:
             self._check_dd()
@@ -96,9 +97,18 @@ class KoszulComplex:
             self.index[n] = {c: i for i, c in enumerate(cells)}
 
     def differential(self, n):
-        """Sparse entries {(row, col): value} of d: C^n -> C^{n+1}."""
+        """Sparse entries {(row, col): value} of d: C^n -> C^{n+1}.
+
+        Built once per degree and shared by the dd-check and cohomology(),
+        so callers must not mutate it.
+        """
         if n < 0 or n + 1 > self.max_degree + 1:
             return {}
+        if n not in self._differentials:
+            self._differentials[n] = self._assemble(n)
+        return self._differentials[n]
+
+    def _assemble(self, n):
         tgt = self.index.get(n + 1, {})
         out = {}
         for col, (S, mu) in enumerate(self.basis.get(n, [])):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+from maq import exact
 from maq.exact import (dense_to_entries, f2_annihilator, f2_in_span, f2_rank,
                        f2_rref, hnf_solve, kernel_basis, mat_mul,
                        matrix_rank, rank_and_invariants, row_hnf,
@@ -55,6 +58,30 @@ def test_smith_normal_form_basics():
     assert prod == [[2, 0], [0, 2]]
 
 
+def _random_sparse(rng, n, m, density, unit_rows=True):
+    """n x m matrix with about density * n * m nonzeros, mostly +-1.
+
+    Without unit_rows a third of the rows carry only +-2/+-3 entries; a
+    row like that only gets a unit entry from fill.
+    """
+    mat = [[0] * m for _ in range(n)]
+    for i in range(n):
+        units = unit_rows or rng.random() < 0.67
+        for j in range(m):
+            if rng.random() < density:
+                if units:
+                    mat[i][j] = rng.choice((1, -1, 1, -1, 1, -1, 2, -3))
+                else:
+                    mat[i][j] = rng.choice((2, -2, 3, -3))
+    return mat
+
+
+def _dense_invariants(mat):
+    if not any(any(row) for row in mat):
+        return []
+    return smith_normal_form([row[:] for row in mat])[0]
+
+
 def test_sparse_matches_dense():
     rng = seeded("sparse")
     for _ in range(150):
@@ -62,13 +89,83 @@ def test_sparse_matches_dense():
         mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(m)]
                for _ in range(n)]
         r, inv = rank_and_invariants(dense_to_entries(mat), n, m)
-        if any(any(row) for row in mat):
-            diag, _, _ = smith_normal_form([row[:] for row in mat])
-        else:
-            diag = []
+        diag = _dense_invariants(mat)
         assert r == len(diag)
         assert inv == diag
         assert matrix_rank([row[:] for row in mat]) == r
+
+
+def test_sparse_matches_dense_at_realistic_size():
+    rng = seeded("sparse-large")
+    for k in range(40):
+        n, m = rng.randint(10, 40), rng.randint(10, 60)
+        mat = _random_sparse(rng, n, m, rng.choice((0.05, 0.1, 0.2)),
+                             unit_rows=k % 2 == 0)
+        r, inv = rank_and_invariants(dense_to_entries(mat), n, m)
+        diag = _dense_invariants(mat)
+        assert r == len(diag)
+        assert inv == diag
+
+
+def test_sparse_elimination_permutation_invariant():
+    rng = seeded("sparse-perm")
+    for k in range(20):
+        n, m = rng.randint(10, 40), rng.randint(10, 60)
+        mat = _random_sparse(rng, n, m, 0.1, unit_rows=k % 2 == 0)
+        entries = list(dense_to_entries(mat))
+        expect = rank_and_invariants(entries, n, m)
+        pr, pc = list(range(n)), list(range(m))
+        rng.shuffle(pr)
+        rng.shuffle(pc)
+        moved = [(pr[i], pc[j], v) for i, j, v in entries]
+        rng.shuffle(moved)
+        assert rank_and_invariants(moved, n, m) == expect
+
+
+def test_fill_makes_a_unit_row_a_candidate_again(monkeypatch):
+    # row 0 is shortest but has no unit entry, so it leaves the heap; the
+    # pivot on row 1 turns it into [0, -1, -4], which must be pushed again
+    # and eliminated sparsely rather than left for the dense residue
+    def no_residue(mat, transforms=False):
+        raise AssertionError("dense residue %r" % (mat,))
+
+    monkeypatch.setattr(exact, "smith_normal_form", no_residue)
+    assert rank_and_invariants(dense_to_entries([[2, 3, 0], [1, 2, 2]]),
+                               2, 3) == (2, [1, 1])
+
+
+def _det(mat):
+    """Exact determinant by elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n, det = len(a), Fraction(1)
+    for t in range(n):
+        p = next((i for i in range(t, n) if a[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            q = a[i][t] / a[t][t]
+            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+    return det
+
+
+def test_smith_normal_form_certificate():
+    rng = seeded("snf-certificate")
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(m)]
+               for _ in range(n)]
+        diag, U, V = smith_normal_form(mat, transforms=True)
+        assert _det(U) in (1, -1)
+        assert _det(V) in (1, -1)
+        D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
+             for i in range(n)]
+        assert mat_mul(mat_mul(U, mat), V) == D
+        assert all(d > 0 for d in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
 
 def test_f2_rref_canonical():

@@ -88,6 +88,29 @@ def test_koszul_basis_independence():
         assert c1 == c2
 
 
+def test_koszul_dd_check_fires(monkeypatch):
+    # S^5 / diagonal circle; plant one extra entry in d^2, in a column that
+    # some row of d^1 hits, so d^2 d^1 != 0 while d^1 stays intact
+    K = boundary_simplex(3)
+    forms = [[1, -1, 0], [0, 1, -1]]
+    built = KoszulComplex(K, forms, 4)
+    assert built.differential(2) is built.differential(2)
+    assemble = KoszulComplex._assemble
+
+    def planted(self, n):
+        d = assemble(self, n)
+        if n == 2:
+            row = next(r for r, _ in self.differential(1))
+            d[(0, row)] = d.get((0, row), 0) + 1
+        return d
+
+    monkeypatch.setattr(KoszulComplex, "_assemble", planted)
+    with pytest.raises(AssertionError, match="dd != 0 in degree 1"):
+        KoszulComplex(K, forms, 4)
+    unchecked = KoszulComplex(K, forms, 4, check=False)
+    assert unchecked.differential(2) != built.differential(2)
+
+
 def test_cubical_circle():
     # real moment-angle complex of two points is a circle
     g = cubical_quotient_cohomology(TWO_POINTS, TorusSubgroup.trivial(1, 2))
