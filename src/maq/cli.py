@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -413,8 +412,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    # accepted for interface stability; computations are sequential
-    jobs = os.environ.get("MAQ_JOBS")
     try:
         report = args.fn(args)
     except (ParseError, OSError) as exc:
@@ -438,9 +435,6 @@ def main(argv=None):
         print(json.dumps({"error": "bound", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_BOUND
-    if jobs:
-        report.setdefault("config", {})["jobs"] = \
-            int(jobs) if jobs.isdigit() else jobs
     _emit(report, args)
     return EXIT_OK
 

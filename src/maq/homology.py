@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import dense_to_entries, rank_and_invariants, hnf_solve, kernel_basis, row_hnf
+from .exact import (hnf_solve, kernel_basis, mat_mul, rank_and_invariants,
+                    row_hnf)
 from .intlattice import FinAbGroup
 
 
@@ -73,9 +74,12 @@ class ChainComplex:
     """Bounded complex of free abelian groups.
 
     ``dims[i]`` is the rank in degree ``min_degree + i`` and
-    ``boundaries[i]`` is the matrix of d: C_{min_degree+i} -> C_{min_degree+i-1}
-    (dense rows, shape dims[i-1] x dims[i]; boundaries[0] maps out of the
-    complex and is empty).
+    ``boundaries[i]`` is d: C_{min_degree+i} -> C_{min_degree+i-1} as a
+    dict ``{(row, col): value}`` of its nonzero entries.  Rows are the cells
+    of degree min_degree+i-1 (0 <= row < dims[i-1]) and columns those of
+    degree min_degree+i (0 <= col < dims[i]); boundaries[0] maps out of the
+    complex and is None.  The dicts are stored as given, not copied, so
+    they must not be mutated afterwards.
     """
 
     def __init__(self, dims, boundaries, min_degree=0, check=True):
@@ -87,7 +91,7 @@ class ChainComplex:
             bs = [None] + bs
         if len(bs) != len(self.dims):
             raise ValueError("boundary count inconsistent with dims")
-        self.boundaries = [None] + [[list(r) for r in b] for b in bs[1:]]
+        self.boundaries = [None] + bs[1:]
         self._eliminated = {}   # boundary index -> (rank, invariants)
         if check:
             self._validate()
@@ -95,18 +99,17 @@ class ChainComplex:
     def _validate(self):
         n = len(self.dims)
         for i in range(1, n):
-            b = self.boundaries[i]
             rows, cols = self.dims[i - 1], self.dims[i]
-            if len(b) != rows or any(len(r) != cols for r in b):
-                raise ValueError("boundary %d has wrong shape" % i)
+            for (r, c), v in self.boundaries[i].items():
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError("boundary %d has entry (%d, %d) outside "
+                                     "its %d x %d shape" % (i, r, c, rows, cols))
+                if not v:
+                    raise ValueError("boundary %d stores a zero at (%d, %d)"
+                                     % (i, r, c))
         for i in range(1, n - 1):
-            a, b = self.boundaries[i], self.boundaries[i + 1]
-            if not a or not b or not self.dims[i - 1] or not self.dims[i + 1]:
-                continue
-            for r in range(self.dims[i - 1]):
-                for c in range(self.dims[i + 1]):
-                    if sum(a[r][k] * b[k][c] for k in range(self.dims[i])):
-                        raise ValueError("dd != 0 at degree index %d" % i)
+            if not product_vanishes(self.boundaries[i], self.boundaries[i + 1]):
+                raise ValueError("dd != 0 at degree index %d" % i)
 
     def degree_index(self, degree):
         return degree - self.min_degree
@@ -120,11 +123,12 @@ class ChainComplex:
         if i < 1 or i >= len(self.dims):
             return 0, []
         b = self.boundaries[i]
-        if not b or not b[0]:
+        if not b:
             return 0, []
         if i not in self._eliminated:
             self._eliminated[i] = rank_and_invariants(
-                dense_to_entries(b), len(b), len(b[0]))
+                ((r, c, v) for (r, c), v in b.items()),
+                self.dims[i - 1], self.dims[i])
         return self._eliminated[i]
 
     def homology(self):
@@ -164,6 +168,18 @@ class ChainComplex:
         return sum(1 for d in inv if d % p)
 
 
+def product_vanishes(a, b):
+    """Whether a @ b == 0 for sparse matrices {(row, col): value}."""
+    by_col = {}
+    for (r, k), v in a.items():
+        by_col.setdefault(k, []).append((r, v))
+    acc = {}
+    for (k, c), v in b.items():
+        for r, w in by_col.get(k, ()):
+            acc[r, c] = acc.get((r, c), 0) + w * v
+    return not any(acc.values())
+
+
 def simplicial_chain_complex(K, reduced=True):
     """(Reduced) simplicial chain complex of K over Z.
 
@@ -186,14 +202,14 @@ def simplicial_chain_complex(K, reduced=True):
     for d in range(min_deg, top + 1):
         dims.append(len(by_dim.get(d, [])))
     for d in range(min_deg + 1, top + 1):
-        rows, cols = dims[d - 1 - min_deg], dims[d - min_deg]
-        mat = [[0] * cols for _ in range(rows)]
+        rows = index[d - 1]
+        b = {}
         for f, j in index[d].items():
             for k in range(len(f)):
-                g = f[:k] + f[k + 1:]
-                if g in index[d - 1]:
-                    mat[index[d - 1][g]][j] = (-1) ** k
-        boundaries.append(mat)
+                i = rows.get(f[:k] + f[k + 1:])
+                if i is not None:
+                    b[i, j] = -1 if k % 2 else 1
+        boundaries.append(b)
     return ChainComplex(dims, boundaries, min_degree=min_deg, check=False)
 
 
@@ -212,14 +228,6 @@ def reduced_homology(K):
 # ---------------------------------------------------------------------------
 # diagrams of presented groups over the face poset
 # ---------------------------------------------------------------------------
-
-def _compose_mod(A, B):
-    """Matrix product A @ B (A: k x n rows, B: n x l)."""
-    k, n = len(A), len(B)
-    l = len(B[0]) if B else 0
-    return [[sum(A[r][t] * B[t][c] for t in range(n)) for c in range(l)]
-            for r in range(k)]
-
 
 def _congruent(M, N, orders):
     """Whether M = N modulo the relations diag(orders) of the target."""
@@ -274,10 +282,15 @@ class PosetDiagram:
             return self._composites[key]
         # walk down one vertex at a time
         v = min(J - I)
-        mid = J - {v}
-        out = _compose_mod(self.arrow(I, mid, n), self.arrow(mid, J, n))
+        out = self._through(I, J - {v}, J, n)
         self._composites[key] = out
         return out
+
+    def _through(self, I, mid, J, n):
+        """Composite I <= mid <= J, shaped gens(I) x gens(J) even when the
+        value at mid is zero."""
+        return (mat_mul(self.arrow(I, mid, n), self.arrow(mid, J, n))
+                or [[0] * len(self.gens(J, n)) for _ in self.gens(I, n)])
 
     def covering_pairs(self):
         face_set = set(self.faces)
@@ -331,8 +344,7 @@ class PosetDiagram:
                 for v in sorted(J - I):
                     mid = J - {v}
                     if mid in face_set:
-                        paths.append(_compose_mod(self.arrow(I, mid, n),
-                                                  self.arrow(mid, J, n)))
+                        paths.append(self._through(I, mid, J, n))
                 if (I, J, n) in self.arrows:
                     paths.append(self.arrows[(I, J, n)])
                 for other in paths[1:]:

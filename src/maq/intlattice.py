@@ -458,22 +458,3 @@ def exact_row_check(H, I):
     dim_s = len(s_space_f2(H, I)) if I else 0
     q = join_coordinate(H, I)
     return dim_s + len(q.torsion) == dim_l
-
-
-def hnf(m, gens):
-    """Lattice in canonical Hermite form from arbitrary generators."""
-    return Lattice.from_generators(m, gens)
-
-
-def snf(mat):
-    """Smith normal form with transform certificates.
-
-    Returns (group, diag, U, V) where group presents coker of the row span
-    in the ambient Z^ncols.
-    """
-    mat = [list(r) for r in mat]
-    if not mat:
-        raise ValueError("empty matrix")
-    diag, U, V = smith_normal_form(mat, transforms=True)
-    group = FinAbGroup.make(len(mat[0]) - len(diag), diag)
-    return group, diag, U, V

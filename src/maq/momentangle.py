@@ -58,10 +58,6 @@ class SRRing:
         if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
 
-    @property
-    def coefficients(self):
-        return "F2" if self.d == 1 else "Z"
-
 
 def sr_dimension(R, n):
     """Number of monomials of total degree n whose support is a face."""

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import rank_and_invariants
-from .homology import ChainComplex, GradedAbGroup
-from .intlattice import FinAbGroup, TorusSubgroup, join_coordinate
+from .homology import ChainComplex, GradedAbGroup, product_vanishes
+from .intlattice import TorusSubgroup, join_coordinate
 from .equivariant import PreconditionFailed, check_condition1, check_free
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
@@ -67,7 +66,10 @@ class KoszulComplex:
         self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
         self._build(cell_cap)
         if check:
-            self._check_dd()
+            for n in range(self.max_degree):
+                if not product_vanishes(self.differential(n + 1),
+                                        self.differential(n)):
+                    raise AssertionError("dd != 0 in degree %d" % n)
 
     def _build(self, cell_cap):
         top = self.max_degree + 1
@@ -126,39 +128,18 @@ class KoszulComplex:
                     out[(row, col)] = out.get((row, col), 0) + sign * c
         return {k: v for k, v in out.items() if v}
 
-    def _check_dd(self):
-        for n in range(self.max_degree):
-            d0 = self.differential(n)
-            d1 = self.differential(n + 1)
-            by_col = {}
-            for (r, c), v in d1.items():
-                by_col.setdefault(c, []).append((r, v))
-            acc = {}
-            for (r, c), v in d0.items():
-                for r2, v2 in by_col.get(r, []):
-                    key = (r2, c)
-                    acc[key] = acc.get(key, 0) + v * v2
-            if any(acc.values()):
-                raise AssertionError("dd != 0 in degree %d" % n)
-
     def cohomology(self):
-        out = {}
-        ranks, invs = {}, {}
-        for n in range(self.max_degree + 1):
-            d = self.differential(n)
-            rows = len(self.basis.get(n + 1, []))
-            cols = len(self.basis.get(n, []))
-            if d:
-                triples = [(i, j, v) for (i, j), v in d.items()]
-                r, inv = rank_and_invariants(triples, rows, cols)
-            else:
-                r, inv = 0, []
-            ranks[n], invs[n] = r, inv
-        for n in range(self.max_degree + 1):
-            dim = len(self.basis.get(n, []))
-            rank = dim - ranks[n] - ranks.get(n - 1, 0)
-            out[n] = FinAbGroup.make(rank, invs.get(n - 1, []))
-        return GradedAbGroup.make(out)
+        """H^n for n = 0..max_degree, as the homology of the chain complex
+        with C^n in degree -n, so each d^n keeps its orientation (rows in
+        C^{n+1}).  Degree max_degree+1 is cut off by the truncation and not
+        reported."""
+        top = self.max_degree + 1
+        C = ChainComplex(
+            [len(self.basis[n]) for n in range(top, -1, -1)],
+            [self.differential(n) for n in range(top - 1, -1, -1)],
+            min_degree=-top, check=False)
+        return GradedAbGroup.make({-d: g for d, g in C.homology().groups
+                                   if -d <= self.max_degree})
 
 
 def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000,
@@ -292,7 +273,7 @@ class CubicalQuotient:
         dims = [len(cells.get(d, [])) for d in range(top + 1)]
         boundaries = []
         for d in range(1, top + 1):
-            mat = [[0] * dims[d] for _ in range(dims[d - 1])]
+            b = {}
             for col, (fm, eps) in enumerate(cells.get(d, [])):
                 verts = [i for i in range(m) if (fm >> i) & 1]
                 for t, i in enumerate(verts):
@@ -303,9 +284,11 @@ class CubicalQuotient:
                         rep = self._orbit_rep(fm2, eps2)
                         h = self._transporter(fm2, eps2, rep)
                         osign = -1 if bin(h & fm2).count("1") % 2 else 1
-                        row = index[d - 1][(fm2, rep)]
-                        mat[row][col] += sign * psign * osign
-            boundaries.append(mat)
+                        key = (index[d - 1][(fm2, rep)], col)
+                        v = b.pop(key, 0) + sign * psign * osign
+                        if v:
+                            b[key] = v
+            boundaries.append(b)
         self.dims = dims
         self.complex = ChainComplex(dims, boundaries, min_degree=0,
                                     check=False)

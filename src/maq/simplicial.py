@@ -142,28 +142,9 @@ class SimplicialComplex:
         return "SimplicialComplex(m=%d, facets=[%s])" % (self.m, fs)
 
 
-@dataclass(frozen=True)
-class FaceChain:
-    """Strictly decreasing chain I0 > I1 > ... > Is of faces (last may be empty)."""
-
-    faces: tuple
-
-    def __post_init__(self):
-        for a, b in zip(self.faces, self.faces[1:]):
-            if not (b < a):
-                raise ValueError("chain must be strictly decreasing")
-
-    def __len__(self):
-        return len(self.faces)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def is_face(K, I):
-    return K.is_face(I)
-
 
 def minimal_non_faces(K):
     """All inclusion-minimal non-faces of K."""

@@ -181,10 +181,3 @@ def test_cli_output_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["operation"] == "hochster"
-
-
-def test_cli_jobs_env_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("MAQ_JOBS", "4")
-    code, out, _ = run_cli(capsys, "hochster", "builtin:boundary_simplex(3)")
-    assert code == 0
-    assert json.loads(out)["config"]["jobs"] == 4

@@ -1,5 +1,8 @@
+import pytest
+
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
-                          limit_graded, reduced_cohomology, reduced_homology)
+                          limit_graded, reduced_cohomology, reduced_homology,
+                          simplicial_chain_complex)
 from maq.intlattice import FinAbGroup
 from maq.simplicial import boundary_simplex, cone, skeleton
 
@@ -17,10 +20,34 @@ def test_graded_group_algebra():
 
 
 def test_chain_complex_validation():
-    import pytest
     with pytest.raises(ValueError):
         # d.d != 0
-        ChainComplex([1, 1, 1], [[[1]], [[1]]])
+        ChainComplex([1, 1, 1], [{(0, 0): 1}, {(0, 0): 1}])
+
+
+def test_chain_complex_rejects_malformed_boundaries():
+    with pytest.raises(ValueError, match="outside"):
+        ChainComplex([1, 2], [{(0, 2): 1}])
+    with pytest.raises(ValueError, match="outside"):
+        ChainComplex([1, 2], [{(1, 0): 1}])
+    with pytest.raises(ValueError, match="zero"):
+        ChainComplex([1, 2], [{(0, 0): 1, (0, 1): 0}])
+    # the same data without the zero is a valid complex, stored uncopied
+    b = {(0, 0): 1, (0, 1): -1}
+    C = ChainComplex([1, 2], [b])
+    assert C.boundaries[1] is b
+    assert C.homology().group(1) == FinAbGroup.free(1)
+
+
+def test_simplicial_boundaries_revalidate():
+    rng = seeded("sparse-simplicial")
+    for _ in range(30):
+        K = random_complex(rng, rng.randint(2, 6))
+        for reduced in (True, False):
+            C = simplicial_chain_complex(K, reduced=reduced)
+            again = ChainComplex(C.dims, C.boundaries, C.min_degree,
+                                 check=True)
+            assert again.homology() == C.homology()
 
 
 def test_sphere_homology():
@@ -120,7 +147,6 @@ def test_limit_invariant_under_relabeling():
 
 
 def test_diagram_functoriality_rejected():
-    import pytest
     faces = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
     orders = {(f, 0): (0,) for f in faces}
     arrows = {(I, J, 0): [[1]] for I in faces for J in faces
@@ -129,6 +155,23 @@ def test_diagram_functoriality_rejected():
     arrows[(frozenset({2}), frozenset({1, 2}), 0)] = [[2]]
     with pytest.raises(ValueError):
         PosetDiagram(tuple(faces), orders, arrows, 0)
+
+
+def test_diagram_composes_through_a_zero_value():
+    # value(I) = Z except at {1}, where it is 0 in degree 0: the square
+    # (empty, {1, 2}) has one composite through a zero group
+    e, a, b, ab = (frozenset(), frozenset({1}), frozenset({2}),
+                   frozenset({1, 2}))
+    orders = {(f, 0): (0,) for f in (e, b, ab)}
+
+    def diagram(to_b):
+        arrows = {(e, a, 0): [[]], (a, ab, 0): [],
+                  (e, b, 0): to_b, (b, ab, 0): [[1]]}
+        return PosetDiagram((e, a, b, ab), orders, arrows, 0)
+
+    with pytest.raises(ValueError, match="not functorial"):
+        diagram([[1]])
+    assert diagram([[0]]).arrow(e, ab, 0) == [[0]]
 
 
 def test_homology_matches_bruteforce_ranks():
