@@ -119,6 +119,17 @@ def check_condition1(K, H, all_pairs=False):
     return True, None
 
 
+def require_condition1(K, H):
+    """Raise PreconditionFailed at the first covering pair where projection
+    compatibility fails."""
+    ok, witness = check_condition1(K, H)
+    if not ok:
+        raise PreconditionFailed(
+            "projection compatibility fails at the covering pair "
+            "(%s, %s)" % (sorted(witness[0]), sorted(witness[1])),
+            witness=witness)
+
+
 def action_report(K, H):
     free, fw = check_free(K, H)
     cond, cw = check_condition1(K, H)
@@ -311,12 +322,7 @@ def equivariant_limit(K, H, max_degree):
     Enforces the projection-compatibility condition and reports the first
     failing covering pair on violation.
     """
-    ok, witness = check_condition1(K, H)
-    if not ok:
-        raise PreconditionFailed(
-            "projection compatibility fails at the covering pair "
-            "(%s, %s)" % (sorted(witness[0]), sorted(witness[1])),
-            witness=witness)
+    require_condition1(K, H)
     D = build_classifying_diagram(K, H, max_degree)
     return limit_graded(D, max_degree)
 

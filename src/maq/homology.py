@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (hnf_solve, kernel_basis, mat_mul, rank_and_invariants,
-                    row_hnf)
+from .exact import identity, mat_mul, rank_and_invariants
 from .intlattice import FinAbGroup
 
 
@@ -270,11 +269,14 @@ class PosetDiagram:
 
     def arrow(self, I, J, n):
         """Structure matrix for I subset of J in degree n (composite of
-        covering arrows when not stored directly)."""
+        covering arrows when not stored directly; the zero map when either
+        value is zero)."""
         I, J = frozenset(I), frozenset(J)
+        gi, gj = self.gens(I, n), self.gens(J, n)
+        if not gi or not gj:
+            return [[0] * len(gj) for _ in gi]
         if I == J:
-            k = len(self.gens(I, n))
-            return [[1 if a == b else 0 for b in range(k)] for a in range(k)]
+            return identity(len(gi))
         key = (I, J, n)
         if key in self.arrows:
             return self.arrows[key]
@@ -320,10 +322,18 @@ class PosetDiagram:
                     x = oj * M[r][c]
                     if (oi == 0 and x) or (oi and x % oi):
                         raise ValueError("arrow incompatible with torsion")
+        # a covering arrow between nonzero values has no composite to
+        # fall back on
+        degrees = sorted({n for (_, n) in self.orders})
+        for I, J in self.covering_pairs():
+            for n in degrees:
+                if (self.gens(I, n) and self.gens(J, n)
+                        and (I, J, n) not in self.arrows):
+                    raise ValueError("missing arrow at %s <= %s, degree %d"
+                                     % (sorted(I), sorted(J), n))
         # functoriality: diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows; stored longer
         # arrows are compared against the cover composites as well
-        face_set = set(self.faces)
         checks = set()
         for J in self.faces:
             for a in sorted(J):
@@ -354,88 +364,59 @@ class PosetDiagram:
                             % (sorted(I), sorted(J), n))
 
 
-def _presented_kernel(ngens_src, rel_src, ngens_tgt, rel_tgt, psi):
-    """Kernel of a map of presented groups as a FinAbGroup.
-
-    Source = Z^ngens_src / rows(rel_src), target likewise; psi is the
-    integer matrix of the map on generators (ngens_tgt x ngens_src).
-    """
-    if ngens_src == 0:
-        return FinAbGroup.trivial()
-    if ngens_tgt == 0:
-        return FinAbGroup.from_presentation(ngens_src, rel_src)
-    # lattice P = { x : psi x in rowspan(rel_tgt) }
-    ncols = ngens_src + len(rel_tgt)
-    mat = []
-    for r in range(ngens_tgt):
-        row = [psi[r][c] for c in range(ngens_src)]
-        row += [-rel_tgt[t][r] for t in range(len(rel_tgt))]
-        mat.append(row)
-    P = [k[:ngens_src] for k in kernel_basis(mat, ncols)]
-    P = row_hnf([list(v) for v in P])
-    if not P:
-        return FinAbGroup.trivial()
-    # kernel = P / (rowspan(rel_src), which sits inside P)
-    rels = []
-    for r in rel_src:
-        coeff = hnf_solve(P, list(r))
-        if coeff is None:
-            raise ValueError("relations do not map to relations")
-        rels.append(coeff)
-    return FinAbGroup.from_presentation(len(P), rels)
-
-
 def limit_graded(D, max_degree=None):
     """Degreewise inverse limit of a PosetDiagram over its face poset.
 
-    Computed as the kernel of the difference map from the product of the
-    values into the product over covering pairs, using integer
-    presentations throughout so that torsion survives.
+    In degree n, let A = Z^a / R_A be the product of the values and
+    B = Z^b / R_B the product over the covering pairs I < J with
+    value(I) nonzero.  Both presentations are diagonal, one relation o e_j
+    per generator of order o > 0, so R_B is injective.  Let psi lift the
+    difference map x -> (arrow(I, J) x_J - x_I).  The limit ker(A -> B)
+    is then H_1 of the sparse three-term complex
+
+        Z^|R_A| --(R_A, chi)--> Z^a + Z^|R_B| --(psi, R_B)--> Z^b
+
+    with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
+    of A and the t-th relation o_t e_{r_t} of B, so that
+    R_B chi = -psi R_A and d^2 = 0.  The division is exact because
+    validate() rejects arrows incompatible with torsion.
     """
     if max_degree is None:
         max_degree = D.max_degree
     covers = D.covering_pairs()
     out = {}
-    degrees = sorted({n for (_, n) in D.orders})
-    for n in degrees:
-        if n > max_degree:
-            continue
-        src_faces = [I for I in D.faces if D.gens(I, n)]
-        offs, total = {}, 0
-        for I in src_faces:
-            offs[I] = total
-            total += len(D.gens(I, n))
-        if total == 0:
-            continue
-        rel_src = []
-        for I in src_faces:
-            for j, o in enumerate(D.gens(I, n)):
+    for n in sorted({n for (_, n) in D.orders if n <= max_degree}):
+        col, rel_a, d2 = {}, {}, {}
+        for I in D.faces:
+            for k, o in enumerate(D.gens(I, n)):
+                j = col[I, k] = len(col)
                 if o:
-                    row = [0] * total
-                    row[offs[I] + j] = o
-                    rel_src.append(row)
-        # difference map into the product over covering pairs
-        toffs, ttotal, tgt_rel, rows = {}, 0, [], []
-        live = [(I, J) for (I, J) in covers if D.gens(I, n)]
-        for (I, J) in live:
-            toffs[(I, J)] = ttotal
-            ttotal += len(D.gens(I, n))
-        for (I, J) in live:
-            for j, o in enumerate(D.gens(I, n)):
-                if o:
-                    row = [0] * ttotal
-                    row[toffs[(I, J)] + j] = o
-                    tgt_rel.append(row)
-        psi = [[0] * total for _ in range(ttotal)]
-        for (I, J) in live:
+                    d2[j, len(rel_a)] = o
+                    rel_a[j] = (len(rel_a), o)
+        a = len(col)
+        if not a:
+            continue
+        d1, b, nb = {}, 0, 0
+        for I, J in covers:
+            gi = D.gens(I, n)
+            if not gi:
+                continue
             M = D.arrow(I, J, n)
-            base = toffs[(I, J)]
-            for r in range(len(D.gens(I, n))):
-                if J in offs:
-                    for c in range(len(D.gens(J, n))):
-                        psi[base + r][offs[J] + c] += M[r][c]
-                psi[base + r][offs[I] + r] -= 1
-        g = _presented_kernel(total, rel_src, ttotal, tgt_rel, psi)
-        if not g.is_trivial():
-            out[n] = g
+            for r, ot in enumerate(gi):
+                y = a + nb
+                if ot:
+                    d1[b, y] = ot
+                    nb += 1
+                row = [(col[J, c], v) for c, v in enumerate(M[r]) if v]
+                for j, v in row + [(col[I, r], -1)]:
+                    d1[b, j] = v
+                    if j in rel_a:
+                        k, oj = rel_a[j]
+                        if not ot or oj * v % ot:
+                            raise ValueError(
+                                "relations do not map to relations")
+                        d2[y, k] = -oj * v // ot
+                b += 1
+        C = ChainComplex([b, a + nb, len(rel_a)], [d1, d2], check=False)
+        out[n] = C.homology().group(1)
     return GradedAbGroup.make(out)

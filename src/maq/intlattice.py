@@ -309,12 +309,6 @@ class TorusSubgroup:
             return self.ann.cokernel()
         return FinAbGroup.make(0, (2,) * len(self.span))
 
-    def splits(self):
-        """Whether 1 -> H -> G^m -> G^m/H -> 1 splits (d=1 or H connected)."""
-        if self.d == 1:
-            return True
-        return not self.ann.cokernel().torsion
-
     def to_json(self):
         if self.d == 2:
             return {"d": 2, "m": self.m,

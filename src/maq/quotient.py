@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .homology import ChainComplex, GradedAbGroup, product_vanishes
 from .intlattice import TorusSubgroup, join_coordinate
-from .equivariant import PreconditionFailed, check_condition1, check_free
+from .equivariant import PreconditionFailed, check_free, require_condition1
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
 
@@ -142,8 +142,7 @@ class KoszulComplex:
                                    if -d <= self.max_degree})
 
 
-def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000,
-                      check_dd=True):
+def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000):
     """Associated graded of the integral cohomology of the quotient of the
     moment-angle complex of K by the d=2 subgroup H, by total degree.
 
@@ -155,16 +154,11 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000,
         raise ValueError("koszul pathway needs a d=2 subgroup")
     if H.m != K.m:
         raise ValueError("subgroup and complex live on different vertex sets")
-    ok, witness = check_condition1(K, H)
-    if not ok:
-        raise PreconditionFailed(
-            "projection compatibility fails at the covering pair "
-            "(%s, %s)" % (sorted(witness[0]), sorted(witness[1])),
-            witness=witness)
+    require_condition1(K, H)
     if max_degree is None:
         max_degree = K.m + K.dim() + 1
     koszul = KoszulComplex(K, [list(b) for b in H.ann.basis], max_degree,
-                           cell_cap=cell_cap, check=check_dd)
+                           cell_cap=cell_cap)
     return koszul.cohomology()
 
 

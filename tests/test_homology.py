@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import product
+from math import gcd, lcm
+
 import pytest
 
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
@@ -172,6 +176,73 @@ def test_diagram_composes_through_a_zero_value():
     with pytest.raises(ValueError, match="not functorial"):
         diagram([[1]])
     assert diagram([[0]]).arrow(e, ab, 0) == [[0]]
+
+
+def test_diagram_validate_rejects_malformed_arrows():
+    e, a, b = frozenset(), frozenset({1}), frozenset({2})
+
+    def diagram(arrow, src=(0,), tgt=(0,), key=(e, a, 0)):
+        # one arrow value(a) -> value(e), source order src, target tgt
+        return PosetDiagram((e, a), {(e, 0): tgt, (a, 0): src},
+                            {key: arrow}, 0)
+
+    with pytest.raises(ValueError, match="not in the poset"):
+        diagram([[1]], key=(e, b, 0))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        diagram([[1, 0]])
+    with pytest.raises(ValueError, match="incompatible with torsion"):
+        diagram([[1]], src=(2,), tgt=(0,))
+    with pytest.raises(ValueError, match="incompatible with torsion"):
+        diagram([[1]], src=(4,), tgt=(8,))
+    # Z/4 -> Z/8 by 2 is defined, and its limit is the source
+    D = diagram([[2]], src=(4,), tgt=(8,))
+    assert limit_graded(D).group(0) == FinAbGroup.cyclic(4)
+
+
+def test_limit_missing_covering_arrow():
+    # a cover with a zero end needs no stored arrow: the limit of
+    # value({1}) = 0 -> value(empty) = Z/2 is trivial; between two nonzero
+    # values a missing covering arrow is rejected, naming the pair
+    e, a = frozenset(), frozenset({1})
+    D = PosetDiagram((e, a), {(e, 0): (2,)}, {}, 0)
+    assert limit_graded(D).is_trivial()
+    with pytest.raises(ValueError, match=r"missing arrow at \[\] <= \[1\]"):
+        PosetDiagram((e, a), {(e, 0): (0,), (a, 0): (0,)}, {}, 0)
+
+
+def test_limit_torsion_matches_bruteforce():
+    # cyclic values over the poset {empty, {1}, {2}, {3}}: it has no
+    # diamonds, so every torsion-compatible choice of arrows is functorial,
+    # and the limit is the set of families x with c_v x_v = x_empty for
+    # each leaf v.  A finite abelian group with invariant factors d_i has
+    # prod gcd(k, d_i) elements killed by k; k <= 24 covers every divisor
+    # of the exponent, which divides lcm(2, 3, 4, 6, 8)
+    rng = seeded("torsion-limit")
+    e = frozenset()
+    leaves = [frozenset({v}) for v in (1, 2, 3)]
+    for _ in range(300):
+        order = {F: rng.choice((2, 3, 4, 6, 8)) for F in [e] + leaves}
+        o = order[e]
+        # x -> c x from Z/order[F] to Z/o is defined iff o | order[F] c
+        mult = [rng.choice([c for c in range(o) if order[F] * c % o == 0])
+                for F in leaves]
+        D = PosetDiagram((e, *leaves),
+                         {(F, 0): (n,) for F, n in order.items()},
+                         {(e, F, 0): [[c]] for F, c in zip(leaves, mult)}, 0)
+        lim = limit_graded(D).group(0)
+        assert lim.free_rank == 0
+        element_orders = Counter()
+        for x in product(*(range(order[F]) for F in leaves)):
+            images = {c * xv % o for c, xv in zip(mult, x)}
+            if len(images) == 1:
+                element_orders[lcm(*(order[F] // gcd(xv, order[F])
+                                     for F, xv in zip(leaves, x)))] += 1
+        for k in range(1, 25):
+            killed = sum(n for t, n in element_orders.items() if k % t == 0)
+            expected = 1
+            for d in lim.torsion:
+                expected *= gcd(k, d)
+            assert killed == expected, (order, mult, lim, k)
 
 
 def test_homology_matches_bruteforce_ranks():
