@@ -197,12 +197,12 @@ def _monomials(r, k):
 
 
 def _sym_power(M, rows, cols, k, mod=None):
-    """Matrix of the k-th symmetric power of the linear map with matrix M
-    (rows x cols) on the monomial bases from _monomials."""
+    """k-th symmetric power of the linear map with dense matrix M
+    (rows x cols) on the monomial bases from _monomials, as a dict
+    {(row, col): value} of its nonzero entries."""
     src = _monomials(cols, k)
-    tgt = _monomials(rows, k)
-    tgt_index = {mono: i for i, mono in enumerate(tgt)}
-    out = [[0] * len(src) for _ in range(len(tgt))]
+    tgt_index = {mono: i for i, mono in enumerate(_monomials(rows, k))}
+    out = {}
     for j, alpha in enumerate(src):
         # expand the product over variables of (column image)^exponent
         poly = {(0,) * rows: 1}
@@ -221,7 +221,7 @@ def _sym_power(M, rows, cols, k, mod=None):
             if mod:
                 c %= mod
             if c:
-                out[tgt_index[mono]][j] = c
+                out[tgt_index[mono], j] = c
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import identity, mat_mul, rank_and_invariants
+from .exact import rank_and_invariants
 from .intlattice import FinAbGroup
 
 
@@ -107,7 +107,7 @@ class ChainComplex:
                     raise ValueError("boundary %d stores a zero at (%d, %d)"
                                      % (i, r, c))
         for i in range(1, n - 1):
-            if not product_vanishes(self.boundaries[i], self.boundaries[i + 1]):
+            if sparse_product(self.boundaries[i], self.boundaries[i + 1]):
                 raise ValueError("dd != 0 at degree index %d" % i)
 
     def degree_index(self, degree):
@@ -167,8 +167,8 @@ class ChainComplex:
         return sum(1 for d in inv if d % p)
 
 
-def product_vanishes(a, b):
-    """Whether a @ b == 0 for sparse matrices {(row, col): value}."""
+def sparse_product(a, b):
+    """a @ b for sparse matrices {(row, col): value}, zeros dropped."""
     by_col = {}
     for (r, k), v in a.items():
         by_col.setdefault(k, []).append((r, v))
@@ -176,7 +176,7 @@ def product_vanishes(a, b):
     for (k, c), v in b.items():
         for r, w in by_col.get(k, ()):
             acc[r, c] = acc.get((r, c), 0) + w * v
-    return not any(acc.values())
+    return {key: v for key, v in acc.items() if v}
 
 
 def simplicial_chain_complex(K, reduced=True):
@@ -230,14 +230,11 @@ def reduced_homology(K):
 
 def _congruent(M, N, orders):
     """Whether M = N modulo the relations diag(orders) of the target."""
-    for r, o in enumerate(orders):
-        for c in range(len(M[r]) if M else 0):
-            diff = M[r][c] - N[r][c]
-            if o == 0:
-                if diff:
-                    return False
-            elif diff % o:
-                return False
+    for key in M.keys() | N.keys():
+        diff = M.get(key, 0) - N.get(key, 0)
+        o = orders[key[0]]
+        if diff % o if o else diff:
+            return False
     return True
 
 
@@ -247,10 +244,11 @@ class PosetDiagram:
 
     ``orders[(I, n)]`` lists generator orders (0 for a free generator) of
     the value at face I in degree n; missing keys mean the zero group.
-    ``arrows[(I, J, n)]`` for I subset of J is the matrix of the structure
-    map value(J) -> value(I) in degree n, with one row per generator of
-    value(I) and one column per generator of value(J).  Functoriality is
-    checked on construction via validate().
+    ``arrows[(I, J, n)]`` for I subset of J is the structure map
+    value(J) -> value(I) in degree n as a dict ``{(row, col): value}`` of
+    its nonzero entries, one row per generator of value(I) and one column
+    per generator of value(J); ``{}`` is the zero map.  Functoriality is
+    checked on construction via validate(), in every degree of ``orders``.
     """
 
     faces: tuple
@@ -268,31 +266,28 @@ class PosetDiagram:
         return self.orders.get((frozenset(I), n), ())
 
     def arrow(self, I, J, n):
-        """Structure matrix for I subset of J in degree n (composite of
-        covering arrows when not stored directly; the zero map when either
-        value is zero)."""
+        """Structure map for I subset of J in degree n (composite of
+        covering arrows when not stored directly; ``{}`` when either value
+        is zero)."""
         I, J = frozenset(I), frozenset(J)
-        gi, gj = self.gens(I, n), self.gens(J, n)
-        if not gi or not gj:
-            return [[0] * len(gj) for _ in gi]
+        if not I <= J:
+            raise ValueError("no arrow from %s to %s: not a subset"
+                             % (sorted(I), sorted(J)))
+        gi = self.gens(I, n)
+        if not gi or not self.gens(J, n):
+            return {}
         if I == J:
-            return identity(len(gi))
+            return {(k, k): 1 for k in range(len(gi))}
         key = (I, J, n)
         if key in self.arrows:
             return self.arrows[key]
         if key in self._composites:
             return self._composites[key]
         # walk down one vertex at a time
-        v = min(J - I)
-        out = self._through(I, J - {v}, J, n)
+        mid = J - {min(J - I)}
+        out = sparse_product(self.arrow(I, mid, n), self.arrow(mid, J, n))
         self._composites[key] = out
         return out
-
-    def _through(self, I, mid, J, n):
-        """Composite I <= mid <= J, shaped gens(I) x gens(J) even when the
-        value at mid is zero."""
-        return (mat_mul(self.arrow(I, mid, n), self.arrow(mid, J, n))
-                or [[0] * len(self.gens(J, n)) for _ in self.gens(I, n)])
 
     def covering_pairs(self):
         face_set = set(self.faces)
@@ -310,18 +305,16 @@ class PosetDiagram:
             if I not in face_set or J not in face_set or not I <= J:
                 raise ValueError("arrow between objects not in the poset")
             gi, gj = self.gens(I, n), self.gens(J, n)
-            if len(M) != len(gi) or any(len(r) != len(gj) for r in M):
-                raise ValueError("arrow shape mismatch at %s <= %s, degree %d"
-                                 % (sorted(I), sorted(J), n))
-            # torsion orders must be respected: o_j * column_j lands in
-            # the relation lattice of the target
-            for c, oj in enumerate(gj):
-                if oj == 0:
-                    continue
-                for r, oi in enumerate(gi):
-                    x = oj * M[r][c]
-                    if (oi == 0 and x) or (oi and x % oi):
-                        raise ValueError("arrow incompatible with torsion")
+            for (r, c), x in M.items():
+                if not (0 <= r < len(gi) and 0 <= c < len(gj) and x):
+                    raise ValueError(
+                        "arrow shape mismatch at %s <= %s, degree %d: %s"
+                        % (sorted(I), sorted(J), n, {(r, c): x}))
+                # torsion orders must be respected: o_j * column_j lands
+                # in the relation lattice of the target
+                oi, oj = gi[r], gj[c]
+                if oj and (not oi or oj * x % oi):
+                    raise ValueError("arrow incompatible with torsion")
         # a covering arrow between nonzero values has no composite to
         # fall back on
         degrees = sorted({n for (_, n) in self.orders})
@@ -347,14 +340,15 @@ class PosetDiagram:
             if len(J - I) >= 2:
                 checks.add((I, J))
         for (I, J) in checks:
-            for n in range(0, self.max_degree + 1):
+            for n in degrees:
                 if not self.gens(I, n) or not self.gens(J, n):
                     continue
                 paths = []
                 for v in sorted(J - I):
                     mid = J - {v}
                     if mid in face_set:
-                        paths.append(self._through(I, mid, J, n))
+                        paths.append(sparse_product(self.arrow(I, mid, n),
+                                                    self.arrow(mid, J, n)))
                 if (I, J, n) in self.arrows:
                     paths.append(self.arrows[(I, J, n)])
                 for other in paths[1:]:
@@ -379,7 +373,8 @@ def limit_graded(D, max_degree=None):
     with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
     of A and the t-th relation o_t e_{r_t} of B, so that
     R_B chi = -psi R_A and d^2 = 0.  The division is exact because
-    validate() rejects arrows incompatible with torsion.
+    validate() rejects arrows incompatible with torsion.  Both boundaries
+    are written straight from the stored entries of the covering arrows.
     """
     if max_degree is None:
         max_degree = D.max_degree
@@ -399,24 +394,24 @@ def limit_graded(D, max_degree=None):
         d1, b, nb = {}, 0, 0
         for I, J in covers:
             gi = D.gens(I, n)
-            if not gi:
-                continue
-            M = D.arrow(I, J, n)
+            y = {}   # row of psi -> its relation column in Z^|R_B|
             for r, ot in enumerate(gi):
-                y = a + nb
                 if ot:
-                    d1[b, y] = ot
+                    y[r] = a + nb
+                    d1[b + r, a + nb] = ot
                     nb += 1
-                row = [(col[J, c], v) for c, v in enumerate(M[r]) if v]
-                for j, v in row + [(col[I, r], -1)]:
-                    d1[b, j] = v
-                    if j in rel_a:
-                        k, oj = rel_a[j]
-                        if not ot or oj * v % ot:
-                            raise ValueError(
-                                "relations do not map to relations")
-                        d2[y, k] = -oj * v // ot
-                b += 1
+            psi = [((r, col[I, r]), -1) for r in range(len(gi))]
+            psi += [((r, col[J, c]), v)
+                    for (r, c), v in D.arrow(I, J, n).items()]
+            for (r, j), v in psi:
+                d1[b + r, j] = v
+                if j in rel_a:
+                    k, oj = rel_a[j]
+                    ot = gi[r]
+                    if not ot or oj * v % ot:
+                        raise ValueError("relations do not map to relations")
+                    d2[y[r], k] = -oj * v // ot
+            b += len(gi)
         C = ChainComplex([b, a + nb, len(rel_a)], [d1, d2], check=False)
         out[n] = C.homology().group(1)
     return GradedAbGroup.make(out)

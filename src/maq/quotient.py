@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .homology import ChainComplex, GradedAbGroup, product_vanishes
+from .homology import ChainComplex, GradedAbGroup, sparse_product
 from .intlattice import TorusSubgroup, join_coordinate
 from .equivariant import PreconditionFailed, check_free, require_condition1
 from .momentangle import BoundExceeded
@@ -67,8 +67,8 @@ class KoszulComplex:
         self._build(cell_cap)
         if check:
             for n in range(self.max_degree):
-                if not product_vanishes(self.differential(n + 1),
-                                        self.differential(n)):
+                if sparse_product(self.differential(n + 1),
+                                  self.differential(n)):
                     raise AssertionError("dd != 0 in degree %d" % n)
 
     def _build(self, cell_cap):

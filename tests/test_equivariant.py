@@ -1,11 +1,13 @@
 import pytest
 
-from maq.equivariant import (PreconditionFailed, action_report,
-                             build_classifying_diagram, check_condition1,
-                             check_free, classifying_cohomology,
+from maq.equivariant import (PreconditionFailed, _monomials, _sym_power,
+                             action_report, build_classifying_diagram,
+                             check_condition1, check_free,
+                             classifying_cohomology,
                              coordinate_quotient_check, equivariant_limit,
                              graded_dimensions, graded_kunneth)
-from maq.homology import GradedAbGroup, limit_graded
+from maq.exact import mat_mul
+from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import SRRing, sr_dimension
 from maq.simplicial import SimplicialComplex, boundary_simplex
@@ -134,3 +136,24 @@ def test_diagram_limit_agrees_with_direct_call():
     H = TorusSubgroup.trivial(2, 3)
     D = build_classifying_diagram(K, H, 6)
     assert limit_graded(D, 6) == equivariant_limit(K, H, 6)
+
+
+def test_sym_power_is_functorial():
+    # Sym^k(AB) = Sym^k(A) Sym^k(B) and Sym^k(1) = 1, integrally and mod 2
+    rng = seeded("sym-power")
+    for _ in range(60):
+        p, q, r = (rng.randint(1, 3) for _ in range(3))
+        A = [[rng.randint(-2, 2) for _ in range(q)] for _ in range(p)]
+        B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(q)]
+        AB = mat_mul(A, B)
+        for k in range(4):
+            for mod in (None, 2):
+                prod = sparse_product(_sym_power(A, p, q, k, mod),
+                                      _sym_power(B, q, r, k, mod))
+                if mod:
+                    prod = {key: v % mod for key, v in prod.items()
+                            if v % mod}
+                assert prod == _sym_power(AB, p, r, k, mod)
+                one = [[int(i == j) for j in range(p)] for i in range(p)]
+                assert _sym_power(one, p, p, k, mod) == {
+                    (i, i): 1 for i in range(len(_monomials(p, k)))}

@@ -4,9 +4,10 @@ from math import gcd, lcm
 
 import pytest
 
+from maq.exact import mat_mul
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                           limit_graded, reduced_cohomology, reduced_homology,
-                          simplicial_chain_complex)
+                          simplicial_chain_complex, sparse_product)
 from maq.intlattice import FinAbGroup
 from maq.simplicial import boundary_simplex, cone, skeleton
 
@@ -41,6 +42,32 @@ def test_chain_complex_rejects_malformed_boundaries():
     C = ChainComplex([1, 2], [b])
     assert C.boundaries[1] is b
     assert C.homology().group(1) == FinAbGroup.free(1)
+
+
+def _entries(mat):
+    return {(r, c): v for r, row in enumerate(mat)
+            for c, v in enumerate(row) if v}
+
+
+def test_sparse_product_matches_dense():
+    # entries in {-1, 0, 1} with many zeros, so that products cancel
+    rng = seeded("sparse-product")
+    cancelled = 0
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        a = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(k)]
+             for _ in range(n)]
+        b = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(m)]
+             for _ in range(k)]
+        dense = mat_mul(a, b)
+        assert sparse_product(_entries(a), _entries(b)) == _entries(dense)
+        cancelled += sum(1 for r in range(n) for c in range(m)
+                         if not dense[r][c]
+                         and any(a[r][t] * b[t][c] for t in range(k)))
+    assert cancelled
+    assert sparse_product({(0, 0): 1, (0, 1): 1},
+                          {(0, 0): 1, (1, 0): -1}) == {}
+    assert sparse_product({}, {(0, 0): 1}) == {}
 
 
 def test_simplicial_boundaries_revalidate():
@@ -99,7 +126,7 @@ def test_limit_constant_diagram():
     # constant diagram Z over the face poset of a simplex: limit is Z
     faces = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
     orders = {(f, 0): (0,) for f in faces}
-    arrows = {(I, J, 0): [[1]] for I in faces for J in faces
+    arrows = {(I, J, 0): {(0, 0): 1} for I in faces for J in faces
               if I < J and len(J - I) == 1}
     D = PosetDiagram(tuple(faces), orders, arrows, 0)
     lim = limit_graded(D)
@@ -120,7 +147,7 @@ def test_limit_equalizer_with_torsion():
     # Z -> Z/2 twice, one map the reduction and one zero: limit is 2Z + Z/2
     e, a, b = frozenset(), frozenset({1}), frozenset({2})
     orders = {(a, 0): (0,), (b, 0): (0,), (e, 0): (2,)}
-    arrows = {(e, a, 0): [[1]], (e, b, 0): [[0]]}
+    arrows = {(e, a, 0): {(0, 0): 1}, (e, b, 0): {}}
     D = PosetDiagram((e, a, b), orders, arrows, 0)
     lim = limit_graded(D)
     # compatible pairs (x, y) with x mod 2 == 0, y free
@@ -134,10 +161,10 @@ def test_limit_invariant_under_relabeling():
     orders = {(frozenset(), 0): (0,), (frozenset({1}), 0): (0, 0),
               (frozenset({2}), 0): (0,), (frozenset({1, 2}), 0): (0,)}
     arrows = {
-        (frozenset(), frozenset({1}), 0): [[1, 1]],
-        (frozenset(), frozenset({2}), 0): [[1]],
-        (frozenset({1}), frozenset({1, 2}), 0): [[1], [0]],
-        (frozenset({2}), frozenset({1, 2}), 0): [[1]],
+        (frozenset(), frozenset({1}), 0): {(0, 0): 1, (0, 1): 1},
+        (frozenset(), frozenset({2}), 0): {(0, 0): 1},
+        (frozenset({1}), frozenset({1, 2}), 0): {(0, 0): 1},
+        (frozenset({2}), frozenset({1, 2}), 0): {(0, 0): 1},
     }
     D = PosetDiagram(tuple(faces), orders, arrows, 0)
     base = limit_graded(D)
@@ -153,12 +180,62 @@ def test_limit_invariant_under_relabeling():
 def test_diagram_functoriality_rejected():
     faces = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
     orders = {(f, 0): (0,) for f in faces}
-    arrows = {(I, J, 0): [[1]] for I in faces for J in faces
+    arrows = {(I, J, 0): {(0, 0): 1} for I in faces for J in faces
               if I < J and len(J - I) == 1}
     # break one square: composite through {1} gives 1, through {2} gives 2
-    arrows[(frozenset({2}), frozenset({1, 2}), 0)] = [[2]]
+    arrows[(frozenset({2}), frozenset({1, 2}), 0)] = {(0, 0): 2}
     with pytest.raises(ValueError):
         PosetDiagram(tuple(faces), orders, arrows, 0)
+
+
+def _square(n, arrows, order_e=0):
+    # the face poset of an edge, Z in degree n at every face except the
+    # empty one, which carries Z/order_e (Z for 0)
+    e, a, b, ab = (frozenset(), frozenset({1}), frozenset({2}),
+                   frozenset({1, 2}))
+    orders = {(f, n): (0,) for f in (a, b, ab)}
+    orders[e, n] = (order_e,)
+    covers = {(e, a, n): 1, (e, b, n): 1, (a, ab, n): 1, (b, ab, n): 1}
+    covers.update(arrows)
+    return PosetDiagram((e, a, b, ab), orders,
+                        {key: {(0, 0): v} for key, v in covers.items()}, 2)
+
+
+def test_diagram_functoriality_checked_in_every_degree():
+    # a broken square above max_degree or in a negative degree is
+    # rejected like one in degree 0
+    b, ab = frozenset({2}), frozenset({1, 2})
+    for n in (0, 4, -2):
+        _square(n, {})
+        with pytest.raises(ValueError, match="not functorial.*degree %d" % n):
+            _square(n, {(b, ab, n): 2})
+
+
+def test_diagram_functoriality_modulo_torsion():
+    # into Z/4 the two composites 1 and 5 agree; 1 and 3 do not
+    b, ab = frozenset({2}), frozenset({1, 2})
+    D = _square(0, {(b, ab, 0): 5}, order_e=4)
+    assert limit_graded(D).group(0) == FinAbGroup.free(1)
+    with pytest.raises(ValueError, match="not functorial"):
+        _square(0, {(b, ab, 0): 3}, order_e=4)
+
+
+def test_diagram_stored_long_arrow_checked():
+    # a stored arrow across a diamond must equal the cover composites
+    e, ab = frozenset(), frozenset({1, 2})
+    D = _square(0, {(e, ab, 0): 1})
+    assert D.arrow(e, ab, 0) == {(0, 0): 1}
+    with pytest.raises(ValueError, match="not functorial"):
+        _square(0, {(e, ab, 0): 2})
+
+
+def test_diagram_arrow_requires_a_subset():
+    D = _square(0, {})
+    with pytest.raises(ValueError, match=r"\[1\] to \[2\]"):
+        D.arrow(frozenset({1}), frozenset({2}), 0)
+    with pytest.raises(ValueError, match=r"\[1, 2\] to \[1\]"):
+        D.arrow(frozenset({1, 2}), frozenset({1}), 0)
+    assert D.arrow(frozenset({1}), frozenset({1}), 0) == {(0, 0): 1}
 
 
 def test_diagram_composes_through_a_zero_value():
@@ -169,13 +246,13 @@ def test_diagram_composes_through_a_zero_value():
     orders = {(f, 0): (0,) for f in (e, b, ab)}
 
     def diagram(to_b):
-        arrows = {(e, a, 0): [[]], (a, ab, 0): [],
-                  (e, b, 0): to_b, (b, ab, 0): [[1]]}
+        arrows = {(e, a, 0): {}, (a, ab, 0): {},
+                  (e, b, 0): to_b, (b, ab, 0): {(0, 0): 1}}
         return PosetDiagram((e, a, b, ab), orders, arrows, 0)
 
     with pytest.raises(ValueError, match="not functorial"):
-        diagram([[1]])
-    assert diagram([[0]]).arrow(e, ab, 0) == [[0]]
+        diagram({(0, 0): 1})
+    assert diagram({}).arrow(e, ab, 0) == {}
 
 
 def test_diagram_validate_rejects_malformed_arrows():
@@ -187,15 +264,17 @@ def test_diagram_validate_rejects_malformed_arrows():
                             {key: arrow}, 0)
 
     with pytest.raises(ValueError, match="not in the poset"):
-        diagram([[1]], key=(e, b, 0))
+        diagram({(0, 0): 1}, key=(e, b, 0))
     with pytest.raises(ValueError, match="shape mismatch"):
-        diagram([[1, 0]])
+        diagram({(0, 1): 1})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        diagram({(0, 0): 0})
     with pytest.raises(ValueError, match="incompatible with torsion"):
-        diagram([[1]], src=(2,), tgt=(0,))
+        diagram({(0, 0): 1}, src=(2,), tgt=(0,))
     with pytest.raises(ValueError, match="incompatible with torsion"):
-        diagram([[1]], src=(4,), tgt=(8,))
+        diagram({(0, 0): 1}, src=(4,), tgt=(8,))
     # Z/4 -> Z/8 by 2 is defined, and its limit is the source
-    D = diagram([[2]], src=(4,), tgt=(8,))
+    D = diagram({(0, 0): 2}, src=(4,), tgt=(8,))
     assert limit_graded(D).group(0) == FinAbGroup.cyclic(4)
 
 
@@ -228,7 +307,8 @@ def test_limit_torsion_matches_bruteforce():
                 for F in leaves]
         D = PosetDiagram((e, *leaves),
                          {(F, 0): (n,) for F, n in order.items()},
-                         {(e, F, 0): [[c]] for F, c in zip(leaves, mult)}, 0)
+                         {(e, F, 0): {(0, 0): c} if c else {}
+                          for F, c in zip(leaves, mult)}, 0)
         lim = limit_graded(D).group(0)
         assert lim.free_rank == 0
         element_orders = Counter()
