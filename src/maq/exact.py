@@ -331,20 +331,6 @@ def rank_and_invariants(entries, nrows, ncols):
     return ones + len(diag), [1] * ones + diag
 
 
-def dense_to_entries(mat):
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if v:
-                yield i, j, v
-
-
-def matrix_rank(mat):
-    if not mat:
-        return 0
-    r, _ = rank_and_invariants(dense_to_entries(mat), len(mat), len(mat[0]))
-    return r
-
-
 # ---------------------------------------------------------------------------
 # F2 linear algebra on int bitmasks (bit i = coordinate i)
 # ---------------------------------------------------------------------------

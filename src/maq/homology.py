@@ -179,37 +179,42 @@ def sparse_product(a, b):
     return {key: v for key, v in acc.items() if v}
 
 
+def face_chain_complex(masks, reduced=True):
+    """Chain complex over Z of a closed family of face bitmasks.
+
+    Degree d holds the masks with d + 1 set bits, in the order given.  The
+    boundary of a face drops each set bit, lowest first, with sign (-1)^k
+    for the k-th lowest.  Reduced complexes include the empty face in
+    degree -1; an empty family gives the zero complex either way.
+    """
+    by_dim = {}
+    for f in masks:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    min_deg = -1 if reduced else 0
+    index = [{f: i for i, f in enumerate(by_dim.get(d, ()))}
+             for d in range(min_deg, max([min_deg, *by_dim]) + 1)]
+    boundaries = []
+    for rows, cols in zip(index, index[1:]):
+        b = {}
+        for f, j in cols.items():
+            s, sign = f, 1
+            while s:
+                low = s & -s
+                b[rows[f ^ low], j] = sign
+                s ^= low
+                sign = -sign
+        boundaries.append(b)
+    return ChainComplex([len(ix) for ix in index], boundaries,
+                        min_degree=min_deg, check=False)
+
+
 def simplicial_chain_complex(K, reduced=True):
     """(Reduced) simplicial chain complex of K over Z.
 
     Reduced complexes include the empty face in degree -1; the void
     complex gives the zero complex either way.
     """
-    if K.is_void():
-        return ChainComplex([0], [], min_degree=0)
-    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
-    by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    min_deg = -1 if reduced else 0
-    if not reduced:
-        by_dim.pop(-1, None)
-    top = max(by_dim) if by_dim else min_deg
-    dims, boundaries = [], []
-    index = {d: {f: i for i, f in enumerate(by_dim.get(d, []))}
-             for d in range(min_deg, top + 1)}
-    for d in range(min_deg, top + 1):
-        dims.append(len(by_dim.get(d, [])))
-    for d in range(min_deg + 1, top + 1):
-        rows = index[d - 1]
-        b = {}
-        for f, j in index[d].items():
-            for k in range(len(f)):
-                i = rows.get(f[:k] + f[k + 1:])
-                if i is not None:
-                    b[i, j] = -1 if k % 2 else 1
-        boundaries.append(b)
-    return ChainComplex(dims, boundaries, min_degree=min_deg, check=False)
+    return face_chain_complex(K.face_masks, reduced)
 
 
 def reduced_cohomology(K, p=None):
@@ -304,6 +309,10 @@ class PosetDiagram:
         for (I, J, n), M in self.arrows.items():
             if I not in face_set or J not in face_set or not I <= J:
                 raise ValueError("arrow between objects not in the poset")
+            if not isinstance(M, dict):
+                raise ValueError("arrow at %s <= %s, degree %d is not a "
+                                 "{(row, col): value} dict"
+                                 % (sorted(I), sorted(J), n))
             gi, gj = self.gens(I, n), self.gens(J, n)
             for (r, c), x in M.items():
                 if not (0 <= r < len(gi) and 0 <= c < len(gj) and x):

@@ -9,12 +9,11 @@ reconciled against it where both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .homology import GradedAbGroup, reduced_cohomology
+from .homology import GradedAbGroup, face_chain_complex
 from .intlattice import FinAbGroup
-from .simplicial import SimplicialComplex, full_subcomplex, skeleton
+from .simplicial import SimplicialComplex
 
 
 class BoundExceeded(Exception):
@@ -69,8 +68,8 @@ def sr_dimension(R, n):
     if k == 0:
         return 0 if R.K.is_void() else 1
     total = 0
-    for f in R.K.faces():
-        s = len(f)
+    for f in R.K.face_masks:
+        s = f.bit_count()
         if 1 <= s <= k:
             total += comb(k - 1, s - 1)
     return total
@@ -80,20 +79,19 @@ def hochster(K, max_degree=None, m_bound=14):
     """Integral cohomology of the moment-angle complex of K (d=2).
 
     Degree p collects H-tilde^{p-|I|-1} of the full subcomplex on I over
-    all vertex subsets I.
+    all vertex subsets I.  The faces of that full subcomplex are the face
+    masks of K inside I, kept on K's own vertex labels.
     """
     if K.m > m_bound:
         raise BoundExceeded("m=%d exceeds bound %d" % (K.m, m_bound))
     out = {}
-    verts = range(1, K.m + 1)
-    for size in range(K.m + 1):
-        for I in combinations(verts, size):
-            KI = full_subcomplex(K, frozenset(I))
-            for j, g in reduced_cohomology(KI).groups:
-                p = j + size + 1
-                if max_degree is not None and p > max_degree:
-                    continue
-                out[p] = out.get(p, FinAbGroup.trivial()).direct_sum(g)
+    for I in range(1 << K.m):
+        faces = [f for f in K.face_masks if f & I == f]
+        for j, g in face_chain_complex(faces).cohomology().groups:
+            p = j + I.bit_count() + 1
+            if max_degree is not None and p > max_degree:
+                continue
+            out[p] = out.get(p, FinAbGroup.trivial()).direct_sum(g)
     return GradedAbGroup.make(out)
 
 
@@ -162,14 +160,8 @@ def buchstaber_real(K, m_bound=12):
     if K.is_void() or K.dim() < 0:
         raise ValueError("need a complex with at least one vertex")
     m = K.m
-    facets = list(K.facet_masks)
-    upper = m - max(bin(f).count("1") for f in facets)
-    forbidden = set()
-    for f in facets:
-        s = f
-        while s:
-            forbidden.add(s)
-            s = (s - 1) & f
+    upper = m - max(f.bit_count() for f in K.facet_masks)
+    forbidden = set(K.face_masks)
 
     best = 0
 

@@ -1,8 +1,11 @@
 """Finite simplicial complexes on the vertex set {1..m}.
 
 Faces are stored as int bitmasks (bit i-1 set means vertex i belongs to the
-face), so subset tests are single AND operations.  The public API speaks in
-``frozenset`` of vertex labels.
+face), so subset tests are single AND operations.  Engine internals (chain
+assembly, Hochster's sum, the cubical builder) read
+``SimplicialComplex.face_masks`` directly.  ``frozenset`` of vertex labels
+is the API boundary; it stays only where the result is keyed by faces
+(``PosetDiagram`` values, census chains, Koszul monomials, JSON witnesses).
 
 Two degenerate complexes are distinguished: the *void* complex (no faces at
 all) and the complex ``{()}`` whose only face is the empty one.
@@ -103,13 +106,14 @@ class SimplicialComplex:
 
     @cached_property
     def face_masks(self):
-        """All faces (incl. the empty one when the complex is nonvoid)."""
-        seen = set()
+        """All faces (incl. the empty one when the complex is nonvoid),
+        sorted, each once: the submasks of every facet."""
+        seen = {0} if self.facet_masks else set()
         for f in self.facet_masks:
-            vs = [b for b in range(self.m) if (f >> b) & 1]
-            for r in range(len(vs) + 1):
-                for c in itertools.combinations(vs, r):
-                    seen.add(_mask(v + 1 for v in c))
+            s = f
+            while s:
+                seen.add(s)
+                s = (s - 1) & f
         return sorted(seen)
 
     def faces(self):

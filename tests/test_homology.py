@@ -269,6 +269,8 @@ def test_diagram_validate_rejects_malformed_arrows():
         diagram({(0, 1): 1})
     with pytest.raises(ValueError, match="shape mismatch"):
         diagram({(0, 0): 0})
+    with pytest.raises(ValueError, match=r"\[\] <= \[1\], degree 0 is not a"):
+        diagram([[1]])
     with pytest.raises(ValueError, match="incompatible with torsion"):
         diagram({(0, 0): 1}, src=(2,), tgt=(0,))
     with pytest.raises(ValueError, match="incompatible with torsion"):

@@ -1,6 +1,7 @@
 import pytest
 
-from maq.homology import reduced_cohomology
+from maq.constructions import rp2_6
+from maq.homology import GradedAbGroup, reduced_cohomology
 from maq.intlattice import FinAbGroup
 from maq.momentangle import (BoundExceeded, PoincareSeries, SRRing,
                              buchstaber_real, hochster, skeleton_quotient_hrk,
@@ -31,20 +32,21 @@ def test_hochster_spheres():
 
 
 def test_hochster_matches_subcomplex_sum():
-    # spot check the degree-by-degree assembly on a small complex
-    K = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4)])
-    h = hochster(K)
-    total = {}
-    for I in _all_subsets(K.m):
-        if not I:
-            continue
-        sub = full_subcomplex(K, I)
-        hh = reduced_cohomology(sub)
-        for d, g in hh.groups:
-            n = d + len(I) + 1
-            total[n] = total.get(n, 0) + g.free_rank
-    for n, r in total.items():
-        assert h.group(n).free_rank == r
+    # the sum rebuilt through re-indexed full subcomplexes, the empty one
+    # included, compared as whole groups, torsion included
+    rng = seeded("hochster-sum")
+    cases = [random_complex(rng, rng.randint(2, 6)) for _ in range(12)]
+    cases += [SimplicialComplex(5, [(1, 2), (2, 3), (3, 4)]),  # 5 is a ghost
+              SimplicialComplex.empty_face_only(3), rp2_6()]
+    for K in cases:
+        total = {}
+        for I in _all_subsets(K.m):
+            for d, g in reduced_cohomology(full_subcomplex(K, I)).groups:
+                n = d + len(I) + 1
+                total[n] = total.get(n, FinAbGroup.trivial()).direct_sum(g)
+        assert hochster(K) == GradedAbGroup.make(total)
+    # H^2(RP^2) = Z/2 on all six vertices lands in degree 2 + 6 + 1
+    assert hochster(rp2_6()).group(9) == FinAbGroup.cyclic(2)
 
 
 def _all_subsets(m):

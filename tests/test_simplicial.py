@@ -95,14 +95,13 @@ def test_sphere_sanity():
 
 def test_face_enumeration_matches_bruteforce():
     rng = seeded("simp-faces")
-    for _ in range(25):
-        K = random_complex(rng, rng.randint(2, 5))
+    cases = [random_complex(rng, rng.randint(2, 5)) for _ in range(25)]
+    cases += [SimplicialComplex.void(3), SimplicialComplex.empty_face_only(3),
+              SimplicialComplex(4, [(1, 2), (2, 3)])]   # 4 is a ghost vertex
+    for K in cases:
+        assert K.face_masks == sorted(set(K.face_masks))
         faces = set(K.faces())
         for r in range(K.m + 1):
             for combo in itertools.combinations(range(1, K.m + 1), r):
                 F = frozenset(combo)
-                in_faces = any(F <= G for G in K.facet_masks_sets()) \
-                    if hasattr(K, "facet_masks_sets") \
-                    else any(F <= G for G in K.facets)
-                if not K.is_void():
-                    assert (F in faces) == in_faces
+                assert (F in faces) == any(F <= G for G in K.facets)
