@@ -126,7 +126,10 @@ def _cmd_check(args):
 
 def _cmd_contract(args):
     K = load_complex(args.complex)
-    I0 = frozenset(int(t) for t in args.i0.replace(",", " ").split())
+    try:
+        I0 = frozenset(int(t) for t in args.i0.replace(",", " ").split())
+    except ValueError:
+        raise ParseError("--i0 expects vertex numbers, got %r" % args.i0)
     Kc = contraction(K, I0)
     return {
         "operation": "contract",
@@ -316,6 +319,8 @@ def oracle_suite(seed=0, max_m=5, cases=25):
 
 
 def _cmd_oracle_suite(args):
+    if args.max_m < 2:
+        raise ParseError("--max-m must be at least 2, got %d" % args.max_m)
     summary = oracle_suite(seed=args.seed, max_m=args.max_m,
                            cases=args.cases)
     summary["operation"] = "oracle-suite"

@@ -11,12 +11,13 @@ the compatibility condition below holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
-from .exact import f2_in_span, hnf_solve
+from .exact import hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
-from .intlattice import (FinAbGroup, TorusSubgroup, _f2_meet_basis,
-                         meet_coordinate, s_lattice, s_space_f2)
+from .intlattice import (FinAbGroup, TorusSubgroup, meet_coordinate,
+                         s_lattice, s_space_f2)
 from .momentangle import SRRing, sr_dimension
 from .simplicial import contraction
 
@@ -67,55 +68,75 @@ def check_free(K, H):
     return True, None
 
 
-def _cond1_pair_d2(H, I, J):
-    # the projection of H meet G^J to the I coordinates lands in H meet G^I
-    # iff every generator of proj_I(annihilator) extends by zero into
-    # proj_J(annihilator)
-    AI = s_lattice(H, I)
-    AJ = s_lattice(H, J)
-    Is, Js = sorted(I), sorted(J)
-    pos = {v: i for i, v in enumerate(Js)}
-    for a in AI.basis:
-        ext = [0] * len(Js)
-        for v, x in zip(Is, a):
-            ext[pos[v]] = x
-        if not AJ.contains(ext):
-            return False
-    return True
+def _face_characters(H, faces):
+    """Character basis of S(I) for each face I, in the coordinates of
+    sorted(I): the HNF rows of proj_I(ann H) for d=2, the F2 echelon
+    bitmasks of s_space_f2 for d=1."""
+    if H.d == 2:
+        return {I: [list(b) for b in s_lattice(H, I).basis] for I in faces}
+    return {I: s_space_f2(H, I) for I in faces}
 
 
-def _cond1_pair_d1(H, I, J):
-    maskJ = 0
-    for v in J:
-        maskJ |= 1 << (v - 1)
-    maskI = 0
-    for v in I:
-        maskI |= 1 << (v - 1)
-    inJ = _f2_meet_basis(H.span, maskJ)
-    inI = _f2_meet_basis(H.span, maskI)
-    return all(f2_in_span(inI, w & maskI) for w in inJ)
+def _reindex(d, x, pairs, width):
+    """Character x moved along (source, target) coordinate positions, zero
+    elsewhere: a list of ``width`` entries for d=2, a bitmask for d=1."""
+    if d == 2:
+        out = [0] * width
+        for s, t in pairs:
+            out[t] = x[s]
+        return out
+    return sum(((x >> s) & 1) << t for s, t in pairs)
+
+
+def _f2_coords(basis, vec):
+    """Coordinates of vec in the F2 basis (bitmask rows), or None."""
+    coeffs = [0] * len(basis)
+    v = vec
+    for i, b in enumerate(basis):
+        p = b.bit_length() - 1
+        if (v >> p) & 1:
+            v ^= b
+            coeffs[i] = 1
+    return coeffs if v == 0 else None
+
+
+def _solve(d, basis, x):
+    """Coordinates of the character x in a face's character basis, or None
+    when x is not a character of that face."""
+    return hnf_solve(basis, x) if d == 2 else _f2_coords(basis, x)
+
+
+def _positions(I, J):
+    """(position in sorted(I), position in sorted(J)) for each vertex of I."""
+    Js = sorted(J)
+    return [(t, Js.index(v)) for t, v in enumerate(sorted(I))]
 
 
 def check_condition1(K, H, all_pairs=False):
     """Projection compatibility over the face poset.
 
     For each covering pair I < J of faces, the image of H meet G^J under
-    the coordinate projection to I must lie in H meet G^I.  Covering pairs
-    generate all constraints; ``all_pairs`` rechecks every inclusion.
+    the coordinate projection to I must lie in H meet G^I.  Dually, since
+    the annihilator of H meet G^J is proj_J(ann H) for both d: every
+    character of S(I), extended by zero, is a character of S(J).  That one
+    predicate is checked for d=1 and d=2 alike.  Covering pairs generate
+    all constraints; ``all_pairs`` rechecks every inclusion.
 
     Returns (ok, witness) with witness the first failing pair.
     """
-    pair = _cond1_pair_d2 if H.d == 2 else _cond1_pair_d1
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
-    face_set = set(faces)
+    chars = _face_characters(H, faces)
     for J in faces:
         if all_pairs:
             smaller = [I for I in faces if I < J]
         else:
-            smaller = [J - {v} for v in sorted(J) if J - {v} in face_set]
+            smaller = [J - {v} for v in sorted(J) if J - {v} in chars]
         for I in smaller:
-            if not pair(H, I, J):
-                return False, (I, J)
+            pairs = _positions(I, J)
+            for a in chars[I]:
+                if _solve(H.d, chars[J],
+                          _reindex(H.d, a, pairs, len(J))) is None:
+                    return False, (I, J)
     return True, None
 
 
@@ -179,62 +200,38 @@ def graded_kunneth(A, B, max_degree):
 # the diagram I -> H*(BS(I)) and its limit
 # ---------------------------------------------------------------------------
 
-def _monomials(r, k):
-    """Exponent tuples of total degree k in r variables, in a fixed order."""
-    if r == 0:
-        return [()] if k == 0 else []
-    out = []
+def _sym_powers(columns, rows, top_k, mod=None):
+    """Symmetric powers 0..top_k of the linear map whose j-th column is the
+    sparse dict ``columns[j]`` ({row: value}) with ``rows`` rows.
 
-    def rec(prefix, rem, vars_left):
-        if vars_left == 1:
-            out.append(prefix + (rem,))
-            return
-        for e in range(rem, -1, -1):
-            rec(prefix + (e,), rem - e, vars_left - 1)
-
-    rec((), k, r)
-    return out
-
-
-def _sym_power(M, rows, cols, k, mod=None):
-    """k-th symmetric power of the linear map with dense matrix M
-    (rows x cols) on the monomial bases from _monomials, as a dict
-    {(row, col): value} of its nonzero entries."""
-    src = _monomials(cols, k)
-    tgt_index = {mono: i for i, mono in enumerate(_monomials(rows, k))}
-    out = {}
-    for j, alpha in enumerate(src):
-        # expand the product over variables of (column image)^exponent
-        poly = {(0,) * rows: 1}
-        for var, e in enumerate(alpha):
-            col = [M[r][var] for r in range(rows)]
-            for _ in range(e):
-                nxt = {}
-                for mono, c in poly.items():
-                    for r in range(rows):
-                        if not col[r]:
-                            continue
-                        mono2 = mono[:r] + (mono[r] + 1,) + mono[r + 1:]
-                        nxt[mono2] = nxt.get(mono2, 0) + c * col[r]
-                poly = nxt
-        for mono, c in poly.items():
+    Degree k uses the monomial basis combinations_with_replacement(range(n),
+    k) on both sides.  Each power is a dict {(row, col): value} of its
+    nonzero entries, reduced mod ``mod`` when given.  Degree k is built from
+    degree k-1: a monomial's image is the image of its first k-1 factors
+    times the column of its last factor.
+    """
+    images = {(): {(): 1}}
+    powers = [{(0, 0): 1}]
+    for k in range(1, top_k + 1):
+        index = {mono: i for i, mono in
+                 enumerate(combinations_with_replacement(range(rows), k))}
+        nxt = {}
+        arrow = {}
+        for j, mono in enumerate(
+                combinations_with_replacement(range(len(columns)), k)):
+            image = {}
+            for tgt, c in images[mono[:-1]].items():
+                for r, x in columns[mono[-1]].items():
+                    key = tuple(sorted(tgt + (r,)))
+                    image[key] = image.get(key, 0) + c * x
             if mod:
-                c %= mod
-            if c:
-                out[tgt_index[mono], j] = c
-    return out
-
-
-def _f2_coords(basis, vec):
-    """Coordinates of vec in the F2 basis (bitmask rows), or None."""
-    coeffs = [0] * len(basis)
-    v = vec
-    for i, b in enumerate(basis):
-        p = b.bit_length() - 1
-        if (v >> p) & 1:
-            v ^= b
-            coeffs[i] = 1
-    return coeffs if v == 0 else None
+                image = {t: c % mod for t, c in image.items()}
+            nxt[mono] = image = {t: c for t, c in image.items() if c}
+            for tgt, c in image.items():
+                arrow[index[tgt], j] = c
+        images = nxt
+        powers.append(arrow)
+    return powers
 
 
 def build_classifying_diagram(K, H, max_degree):
@@ -247,72 +244,42 @@ def build_classifying_diagram(K, H, max_degree):
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     step = 2 if H.d == 2 else 1
     top_k = max_degree // step
-    bases = {}
-    ranks = {}
+    chars = _face_characters(H, faces)
+    orders = {}
     for I in faces:
-        if H.d == 2:
-            bases[I] = [list(b) for b in s_lattice(H, I).basis]
-        else:
-            bases[I] = s_space_f2(H, I)
-        ranks[I] = len(bases[I])
-    # character map A_J -> A_I for each covering pair
-    char_maps = {}
-    face_set = set(faces)
+        r = len(chars[I])
+        for k in range(top_k + 1 if r else 1):
+            n = comb(r + k - 1, k) if k else 1
+            orders[(I, k * step)] = (0,) * n if H.d == 2 else (2,) * n
+    arrows = {}
     for J in faces:
         for v in sorted(J):
             I = J - {v}
-            if I not in face_set:
+            if I not in chars:
                 continue
-            char_maps[(I, J)] = _char_map(H, I, J, bases)
-    orders = {}
-    arrows = {}
-    for I in faces:
-        for k in range(top_k + 1):
-            n = len(_monomials(ranks[I], k))
-            if n:
-                orders[(I, k * step)] = ((0,) * n if H.d == 2 else (2,) * n)
-    for (I, J), M in char_maps.items():
-        for k in range(top_k + 1):
-            if (I, k * step) not in orders or (J, k * step) not in orders:
-                continue
-            arrows[(I, J, k * step)] = _sym_power(
-                M, ranks[I], ranks[J], k, mod=2 if H.d == 1 else None)
+            powers = _sym_powers(_char_map(H, I, J, chars), len(chars[I]),
+                                 top_k, mod=2 if H.d == 1 else None)
+            for k, arrow in enumerate(powers):
+                if (I, k * step) in orders and (J, k * step) in orders:
+                    arrows[(I, J, k * step)] = arrow
     return PosetDiagram(faces=tuple(faces), orders=orders, arrows=arrows,
                         max_degree=max_degree)
 
 
-def _char_map(H, I, J, bases):
-    """Matrix of restriction of characters from S(J) to S(I) in the chosen
-    bases: columns are the J-basis characters written in the I-basis."""
-    Is, Js = sorted(I), sorted(J)
-    if H.d == 2:
-        picked = [Js.index(v) for v in Is]
-        rows = len(bases[I])
-        out = [[0] * len(bases[J]) for _ in range(rows)]
-        for j, b in enumerate(bases[J]):
-            restricted = [b[t] for t in picked]
-            coeff = hnf_solve([list(a) for a in bases[I]], restricted)
-            if coeff is None:
-                raise PreconditionFailed(
-                    "character restriction not integral", witness=(I, J))
-            for i in range(rows):
-                out[i][j] = coeff[i]
-        return out
-    pos = {v: t for t, v in enumerate(Js)}
-    rows = len(bases[I])
-    out = [[0] * len(bases[J]) for _ in range(rows)]
-    for j, b in enumerate(bases[J]):
-        restricted = 0
-        for t, v in enumerate(Is):
-            if (b >> pos[v]) & 1:
-                restricted |= 1 << t
-        coeff = _f2_coords(bases[I], restricted)
+def _char_map(H, I, J, chars):
+    """Restriction of characters from S(J) to S(I) in the chosen bases, as
+    sparse columns: column j is the j-th J-basis character written in the
+    I-basis, a dict {row: value} of its nonzero coordinates."""
+    pairs = [(t, s) for s, t in _positions(I, J)]
+    columns = []
+    for b in chars[J]:
+        coeff = _solve(H.d, chars[I], _reindex(H.d, b, pairs, len(I)))
         if coeff is None:
-            raise PreconditionFailed(
-                "character restriction not defined", witness=(I, J))
-        for i in range(rows):
-            out[i][j] = coeff[i]
-    return out
+            # proj_J(ann H) restricted to I is proj_I(ann H)
+            raise AssertionError("character restriction not defined at "
+                                 "(%s, %s)" % (sorted(I), sorted(J)))
+        columns.append({i: c for i, c in enumerate(coeff) if c})
+    return columns
 
 
 def equivariant_limit(K, H, max_degree):

@@ -67,6 +67,15 @@ def test_cli_parse_error_exit_code(capsys):
     assert json.loads(err)["error"] == "parse"
 
 
+def test_cli_argument_errors_exit_as_parse_errors(capsys):
+    for args in (("contract", "--complex", "builtin:boundary_simplex(3)",
+                  "--i0", "a"),
+                 ("oracle-suite", "--max-m", "1")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "parse"
+
+
 def test_cli_quotient_cohomology(capsys, tmp_path):
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"
