@@ -3,7 +3,8 @@
 Every subcommand prints a single JSON report with a provenance block
 describing the computation that produced the result.  Exit codes: 0 on
 success, 2 for parse errors, 3 for failed preconditions (with a witness
-in the report), 4 for exceeded size bounds.
+in the report), 4 for exceeded size bounds, 5 for an internal consistency
+check that failed (a bug in maq, never a property of the input).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BOUND = 4
+EXIT_INTERNAL = 5
 
 
 def _provenance(method, statement):
@@ -440,6 +442,10 @@ def main(argv=None):
         print(json.dumps({"error": "bound", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_BOUND
+    except AssertionError as exc:
+        print(json.dumps({"error": "internal", "message": str(exc)}),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(report, args)
     return EXIT_OK
 

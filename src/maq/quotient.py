@@ -10,7 +10,8 @@ finite complex with no algebra in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb
 
 from .homology import ChainComplex, GradedAbGroup, sparse_product
 from .intlattice import TorusSubgroup, join_coordinate
@@ -23,24 +24,40 @@ from .simplicial import SimplicialComplex
 # Koszul pathway (d=2)
 # ---------------------------------------------------------------------------
 
-def _face_monomials(K, k):
-    """Exponent tuples (length m) of total v-degree k with face support."""
+def _unit_coordinates(forms):
+    """{k: j} for every unit coordinate k: form j is exactly +-e_k and no
+    other form touches coordinate k."""
+    unit = {}
+    for j, f in enumerate(forms):
+        support = [i for i, c in enumerate(f) if c]
+        if len(support) == 1 and abs(f[support[0]]) == 1:
+            k = support[0]
+            if sum(1 for g in forms if g[k]) == 1:
+                unit[k] = j
+    return unit
+
+
+def _face_monomials(K, k, unit):
+    """Exponent tuples (length m) of total v-degree k with face support and
+    exponent exactly 1 at every coordinate of the support in ``unit``."""
     if k == 0:
         return [(0,) * K.m]
     out = []
-    for F in K.faces():
-        if not (1 <= len(F) <= k):
+    for F in K.face_masks:
+        vs = [i for i in range(K.m) if F >> i & 1]
+        free = [i for i in vs if i not in unit]
+        # unit vertices take exponent 1, the rest of k goes to ``free``
+        rest = k - len(vs) + len(free)
+        if not vs or rest < len(free) or (rest and not free):
             continue
-        vs = sorted(F)
-        for cut in combinations(range(1, k), len(vs) - 1):
-            parts = []
+        mono = [0] * K.m
+        for i in vs:
+            mono[i] = 1
+        for cut in combinations(range(1, rest), max(len(free) - 1, 0)):
             prev = 0
-            for c in list(cut) + [k]:
-                parts.append(c - prev)
+            for i, c in zip(free, cut + (rest,)):
+                mono[i] = c - prev
                 prev = c
-            mono = [0] * K.m
-            for v, e in zip(vs, parts):
-                mono[v - 1] = e
             out.append(tuple(mono))
     return out
 
@@ -52,6 +69,22 @@ class KoszulComplex:
     corresponding linear combination of the degree-2 generators v_i,
     truncated by the face relations.  u-degree 1, v-degree 2, d of total
     degree +1 and d^2 = 0 (checked on construction degreewise).
+
+    Only the cells that can carry cohomology are built.  Call k a unit
+    coordinate when some form u_j is exactly +-e_k and no other form
+    touches k.  Then d preserves a_k = mu_k + [j in S] on a cell
+    (S, v^mu), so the complex splits by the values of a.  Where a_k >= 2,
+    the block is the cone of multiplication by +-v_k from its cells with
+    j in S onto its cells with j not in S: since mu_k >= 1 on both sides,
+    the face support is the same, so that map is a bijection on cells and
+    the block is acyclic over Z.  The basis therefore keeps mu_k <= 1 at
+    every unit coordinate and drops u_j from S where mu_k = 1.  The kept
+    cells span a subcomplex that is a direct summand, with the same
+    cohomology in degrees 0..max_degree.  A form 2e_k, or +-e_k beside
+    another form touching k, makes k no unit coordinate.
+
+    ``cell_cap`` bounds the number of cells built, counted cumulatively
+    over the degrees, and is checked as cells are appended.
     """
 
     def __init__(self, K, linear_forms, max_degree, cell_cap=2_000_000,
@@ -73,30 +106,31 @@ class KoszulComplex:
 
     def _build(self, cell_cap):
         top = self.max_degree + 1
+        unit = _unit_coordinates(self.forms)
+        # each monomial with the forms that S may contain beside it
         monos = {}
         for k in range(top // 2 + 1):
-            monos[k] = _face_monomials(self.K, k)
+            monos[k] = []
+            for mu in _face_monomials(self.K, k, unit):
+                banned = {j for i, j in unit.items() if mu[i]}
+                monos[k].append(
+                    (mu, tuple(j for j in range(self.l) if j not in banned)))
         self.basis = {}
-        self.index = {}
         total_cells = 0
         for n in range(top + 1):
             cells = []
             for p in range(min(self.l, n) + 1):
                 if (n - p) % 2:
                     continue
-                k = (n - p) // 2
-                if k not in monos:
-                    continue
-                for S in combinations(range(self.l), p):
-                    for mu in monos[k]:
-                        cells.append((S, mu))
-            total_cells += len(cells)
-            if total_cells > cell_cap:
-                raise BoundExceeded(
-                    "koszul slice size %d exceeds cap %d" %
-                    (total_cells, cell_cap))
+                for mu, allowed in monos[(n - p) // 2]:
+                    total_cells += comb(len(allowed), p)
+                    if total_cells > cell_cap:
+                        raise BoundExceeded(
+                            "koszul: cell count %d in degrees 0..%d "
+                            "(cumulative) exceeds cap %d" %
+                            (total_cells, n, cell_cap))
+                    cells.extend(zip(combinations(allowed, p), repeat(mu)))
             self.basis[n] = cells
-            self.index[n] = {c: i for i, c in enumerate(cells)}
 
     def differential(self, n):
         """Sparse entries {(row, col): value} of d: C^n -> C^{n+1}.
@@ -111,7 +145,8 @@ class KoszulComplex:
         return self._differentials[n]
 
     def _assemble(self, n):
-        tgt = self.index.get(n + 1, {})
+        cells = self.basis.get(n + 1, [])
+        tgt = dict(zip(cells, range(len(cells))))
         out = {}
         for col, (S, mu) in enumerate(self.basis.get(n, [])):
             for t, j in enumerate(S):

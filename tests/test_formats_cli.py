@@ -5,6 +5,7 @@ import pytest
 from maq.cli import main
 from maq.formats import (ParseError, builtin_complex, complex_to_text,
                          parse_complex, parse_subgroup)
+from maq.quotient import KoszulComplex
 from maq.simplicial import boundary_simplex
 
 
@@ -112,6 +113,31 @@ def test_cli_bound_exit_code(capsys, tmp_path):
                            "--cell-cap", "10")
     assert code == 4
     assert json.loads(err)["error"] == "bound"
+
+
+def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
+    # a planted entry in d^2 breaks the Koszul dd-check; the CLI reports
+    # an internal error, not a precondition failure or a traceback
+    assemble = KoszulComplex._assemble
+
+    def planted(self, n):
+        d = assemble(self, n)
+        if n == 2:
+            row = next(r for r, _ in self.differential(1))
+            d[(0, row)] = d.get((0, row), 0) + 1
+        return d
+
+    monkeypatch.setattr(KoszulComplex, "_assemble", planted)
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n1 -1 0\n0 1 -1\n")
+    code, out, err = run_cli(capsys, "quotient-cohomology", "--complex",
+                             "builtin:boundary_simplex(3)",
+                             "--subgroup", str(spath))
+    assert code == 5
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert "dd != 0" in doc["message"]
 
 
 def test_cli_check(capsys, tmp_path):

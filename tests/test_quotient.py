@@ -1,8 +1,11 @@
+from itertools import combinations, product
+from math import gcd
+
 import pytest
 
 from maq.equivariant import PreconditionFailed, check_free
 from maq.exact import mat_mul
-from maq.homology import ChainComplex
+from maq.homology import ChainComplex, GradedAbGroup
 from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import BoundExceeded, hochster
 from maq.quotient import (CubicalQuotient, KoszulComplex,
@@ -71,9 +74,133 @@ def test_koszul_requires_condition1():
 
 
 def test_koszul_cell_cap():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded) as exc:
         koszul_cohomology(boundary_simplex(4),
                           TorusSubgroup.trivial(2, 4), cell_cap=10)
+    message = str(exc.value)
+    assert message.startswith("koszul:")
+    assert "degrees 0..2" in message
+    assert "cumulative" in message
+    assert "cap 10" in message
+    # checked as cells are appended: four points without forms have one
+    # cell per monomial, so the count stops one past the cap in degree 6
+    # (degrees 0, 2, 4 and 6 hold 1, 4, 4 and 4 cells)
+    with pytest.raises(BoundExceeded, match="cell count 11 in degrees 0..6"):
+        KoszulComplex(SimplicialComplex.points(4), [], 7, cell_cap=10)
+
+
+def unpruned_koszul_cohomology(K, forms, max_degree):
+    """Koszul cohomology from every cell (S, v^mu) with face-supported mu,
+    none pruned: the reference for the basis KoszulComplex builds."""
+    top = max_degree + 1
+    l = len(forms)
+    monos = {k: [mu for mu in product(range(k + 1), repeat=K.m)
+                 if sum(mu) == k
+                 and K.is_face([i + 1 for i, e in enumerate(mu) if e])]
+             for k in range(top // 2 + 1)}
+    basis = [[(S, mu) for p in range(min(l, n) + 1) if (n - p) % 2 == 0
+              for S in combinations(range(l), p)
+              for mu in monos[(n - p) // 2]]
+             for n in range(top + 1)]
+    ds = []
+    for n in range(top):
+        index = {c: i for i, c in enumerate(basis[n + 1])}
+        d = {}
+        for col, (S, mu) in enumerate(basis[n]):
+            for t, j in enumerate(S):
+                for i, c in enumerate(forms[j]):
+                    key = (S[:t] + S[t + 1:],
+                           mu[:i] + (mu[i] + 1,) + mu[i + 1:])
+                    if c and key in index:
+                        e = (index[key], col)
+                        d[e] = d.get(e, 0) + (-1) ** t * c
+        ds.append({e: v for e, v in d.items() if v})
+    C = ChainComplex([len(b) for b in reversed(basis)], ds[::-1],
+                     min_degree=-top)
+    return GradedAbGroup.make({-d: g for d, g in C.homology().groups
+                               if -d <= max_degree})
+
+
+def _unit_row(m, k, sign=1):
+    return [sign * int(i == k) for i in range(m)]
+
+
+def _pruning_rows(rng, family, m):
+    """Linear forms on m coordinates for one family of pruning cases."""
+    coords = list(range(m))
+    rng.shuffle(coords)
+
+    def sign():
+        return rng.choice((1, -1))
+
+    if family == "trivial":
+        return [_unit_row(m, k) for k in range(m)]
+    if family == "mixed":
+        # unit forms on some coordinates, coupled forms on the others
+        cut = rng.randint(0, m - 2)
+        rows = [_unit_row(m, k, sign()) for k in coords[:cut]]
+        for _ in range(rng.randint(1, 2)):
+            row = [0] * m
+            for k in coords[cut:]:
+                row[k] = rng.choice((-2, -1, 1, 2))
+            rows.append(row)
+        return rows
+    if family == "double":
+        # c e_k with |c| >= 2 beside unit forms: k is no unit coordinate
+        k = coords[0]
+        rows = [_unit_row(m, i, sign()) for i in coords[1:]]
+        rows.insert(rng.randrange(len(rows) + 1),
+                    _unit_row(m, k, rng.choice((2, -2, 3))))
+        return rows
+    if family == "shared":
+        # +-e_k while another form also touches k
+        k, other = coords[0], coords[1]
+        row = [0] * m
+        row[k], row[other] = rng.choice((-2, -1, 1, 2)), sign()
+        rows = [_unit_row(m, k, sign()), row]
+        rows += [_unit_row(m, i, sign()) for i in coords[2:]
+                 if rng.random() < 0.5]
+        return rows
+    if family == "lens":
+        # annihilator of Z/n acting with weights w: n e_1 and e_i - w_i e_1
+        n = rng.randint(2, 5)
+        rows = [[n] + [0] * (m - 1)]
+        for i in range(1, m):
+            row = _unit_row(m, i)
+            row[0] = -rng.choice([w for w in range(1, n) if gcd(w, n) == 1])
+            rows.append(row)
+        return rows
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("family",
+                         ["trivial", "mixed", "double", "shared", "lens"])
+def test_koszul_pruning_matches_unpruned_reference(family):
+    rng = seeded("koszul-pruning-" + family)
+    done = 0
+    while done < 8:
+        m = rng.randint(2, 5)
+        K = (boundary_simplex(m) if family == "lens" and done % 2
+             else random_complex(rng, m))
+        if K.is_void() or K.dim() < 0:
+            continue
+        done += 1
+        rows = _pruning_rows(rng, family, m)
+        max_degree = m + K.dim() + 1
+        kc = KoszulComplex(K, rows, max_degree)
+        assert kc.cohomology() == \
+            unpruned_koszul_cohomology(K, rows, max_degree)
+        # the kept cells span a subcomplex: d leaves the basis only
+        # through the face relations
+        for n in range(max_degree + 1):
+            kept = set(kc.basis[n + 1])
+            for S, mu in kc.basis[n]:
+                for t, j in enumerate(S):
+                    for i, c in enumerate(rows[j]):
+                        mu2 = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
+                        if c and K.is_face(
+                                [v + 1 for v, e in enumerate(mu2) if e]):
+                            assert (S[:t] + S[t + 1:], mu2) in kept
 
 
 def test_koszul_basis_independence():
