@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exact import hnf_solve
+from .exact import f2_solve, hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
 from .intlattice import (FinAbGroup, TorusSubgroup, meet_coordinate,
                          s_lattice, s_space_f2)
@@ -88,22 +88,13 @@ def _reindex(d, x, pairs, width):
     return sum(((x >> s) & 1) << t for s, t in pairs)
 
 
-def _f2_coords(basis, vec):
-    """Coordinates of vec in the F2 basis (bitmask rows), or None."""
-    coeffs = [0] * len(basis)
-    v = vec
-    for i, b in enumerate(basis):
-        p = b.bit_length() - 1
-        if (v >> p) & 1:
-            v ^= b
-            coeffs[i] = 1
-    return coeffs if v == 0 else None
-
-
 def _solve(d, basis, x):
     """Coordinates of the character x in a face's character basis, or None
     when x is not a character of that face."""
-    return hnf_solve(basis, x) if d == 2 else _f2_coords(basis, x)
+    if d == 2:
+        return hnf_solve(basis, x)
+    residue, tag = f2_solve([(b, 1 << i) for i, b in enumerate(basis)], x)
+    return None if residue else [(tag >> i) & 1 for i in range(len(basis))]
 
 
 def _positions(I, J):
@@ -262,8 +253,13 @@ def build_classifying_diagram(K, H, max_degree):
             for k, arrow in enumerate(powers):
                 if (I, k * step) in orders and (J, k * step) in orders:
                     arrows[(I, J, k * step)] = arrow
-    return PosetDiagram(faces=tuple(faces), orders=orders, arrows=arrows,
-                        max_degree=max_degree)
+    try:
+        return PosetDiagram(faces=tuple(faces), orders=orders, arrows=arrows,
+                            max_degree=max_degree)
+    except ValueError as exc:
+        # every arrow is a restriction of characters, so the diagram is
+        # functorial by construction; a failure here is a bug, not input
+        raise AssertionError("classifying diagram: %s" % exc) from exc
 
 
 def _char_map(H, I, J, chars):

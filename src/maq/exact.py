@@ -3,6 +3,14 @@
 Everything here works with plain Python ints (arbitrary precision), lists of
 lists for dense matrices, and int bitmasks for F2 vectors.  No floating point
 anywhere.
+
+Over F2 there is one row reduction, ``f2_echelon``, whose rows carry tags
+recording the input combination that produced them, and one way to reduce
+a vector against its result, ``f2_solve``.  ``f2_rref``, ``f2_in_span`` and
+``f2_annihilator`` are thin readings of the two, and so is every d=1
+computation elsewhere: coordinate meets in ``intlattice``, character
+coordinates in ``equivariant``, and cubical orbit representatives and
+transporters in ``quotient``.
 """
 
 from __future__ import annotations
@@ -335,62 +343,79 @@ def rank_and_invariants(entries, nrows, ncols):
 # F2 linear algebra on int bitmasks (bit i = coordinate i)
 # ---------------------------------------------------------------------------
 
-def f2_rref(vectors):
-    """Reduced row echelon basis (canonical) of the span of bitmask vectors.
+def f2_echelon(pairs):
+    """Reduced echelon form of bitmask rows that carry tags.
 
-    Pivot of each row is its highest set bit; every pivot occurs in exactly
-    one row, so equal subspaces give identical bases.
+    ``pairs`` yields ``(vector, tag)``; each tag is XORed along with its
+    row, so a tag records which input rows were combined (tag each input
+    with ``1 << i`` to read that off, or with its own original vector).
+    Returns ``(basis, kernel)``: ``basis`` lists ``(row, tag)`` with the
+    pivot of each row its highest set bit, every pivot set in its own row
+    only, sorted by pivot descending, so equal spans give identical rows;
+    ``kernel`` lists the tags of the input rows that reduced to zero.
     """
-    pivot = {}   # pivot bit -> row
-    for v in vectors:
+    pivot = {}   # pivot bit -> (row, tag)
+    kernel = []
+    for v, t in pairs:
         while v:
             p = v.bit_length() - 1
-            if p in pivot:
-                v ^= pivot[p]
-            else:
-                pivot[p] = v
+            if p not in pivot:
+                pivot[p] = (v, t)
                 break
+            pv, pt = pivot[p]
+            v ^= pv
+            t ^= pt
+        else:
+            kernel.append(t)
     # back-substitute so each pivot appears only in its own row
     for p in sorted(pivot):
-        row = pivot[p]
-        for q in pivot:
-            if q > p and (pivot[q] >> p) & 1:
-                pivot[q] ^= row
-    return [pivot[p] for p in sorted(pivot, reverse=True)]
+        row, tag = pivot[p]
+        for q, (qv, qt) in pivot.items():
+            if q > p and (qv >> p) & 1:
+                pivot[q] = (qv ^ row, qt ^ tag)
+    return [pivot[p] for p in sorted(pivot, reverse=True)], kernel
 
 
-def f2_reduce(basis, v):
-    """Reduce v against an RREF basis; zero iff v is in the span."""
-    for b in basis:
-        if v ^ b < v:
-            v ^= b
-    return v
+def f2_solve(basis, v):
+    """``(residue, tag)`` of v reduced against an ``f2_echelon`` basis.
+
+    The residue is zero on every pivot, which makes it the least element of
+    the coset v + span; ``v ^ residue`` is the XOR of the basis rows used
+    and ``tag`` the XOR of their tags.
+    """
+    tag = 0
+    for row, t in basis:
+        if (v >> (row.bit_length() - 1)) & 1:
+            v ^= row
+            tag ^= t
+    return v, tag
+
+
+def f2_rref(vectors):
+    """Reduced row echelon basis (canonical) of the span of bitmask vectors,
+    pivots (highest set bits) descending."""
+    return [row for row, _ in f2_echelon((v, 0) for v in vectors)[0]]
 
 
 def f2_in_span(basis, v):
-    return f2_reduce(basis, v) == 0
+    return f2_solve([(b, 0) for b in basis], v)[0] == 0
 
 
 def f2_rank(vectors):
     return len(f2_rref(vectors))
 
 
-def f2_dot(a, b):
-    return bin(a & b).count("1") & 1
-
-
 def f2_annihilator(vectors, width):
-    """Basis of {x in F2^width : x . v = 0 for all v} as bitmasks."""
-    basis = f2_rref(vectors)
-    pivots = [b.bit_length() - 1 for b in basis]
-    free = [j for j in range(width) if j not in pivots]
-    out = []
-    for j in free:
-        x = 1 << j
-        # solve for pivot coordinates
-        for b, p in zip(basis, pivots):
-            # after setting free coords, coordinate p must fix parity with b
-            if f2_dot(x, b):
-                x ^= 1 << p
-        out.append(x)
-    return f2_rref(out)
+    """Basis of {x in F2^width : x . v = 0 for all v} as bitmasks.
+
+    x annihilates every v exactly when the columns (coordinate j as a mask
+    over the vectors) selected by x sum to zero, so the annihilator is the
+    kernel of those columns.
+    """
+    columns = []
+    for j in range(width):
+        col = 0
+        for i, v in enumerate(vectors):
+            col |= ((v >> j) & 1) << i
+        columns.append((col, 1 << j))
+    return f2_rref(f2_echelon(columns)[1])

@@ -110,9 +110,6 @@ class ChainComplex:
             if sparse_product(self.boundaries[i], self.boundaries[i + 1]):
                 raise ValueError("dd != 0 at degree index %d" % i)
 
-    def degree_index(self, degree):
-        return degree - self.min_degree
-
     def _rank_inv(self, i):
         """(rank, invariant factors) of boundaries[i]; zero map if absent.
 
@@ -418,7 +415,9 @@ def limit_graded(D, max_degree=None):
                     k, oj = rel_a[j]
                     ot = gi[r]
                     if not ot or oj * v % ot:
-                        raise ValueError("relations do not map to relations")
+                        # validate() rejects such arrows
+                        raise AssertionError(
+                            "relations do not map to relations")
                     d2[y[r], k] = -oj * v // ot
             b += len(gi)
         C = ChainComplex([b, a + nb, len(rel_a)], [d1, d2], check=False)

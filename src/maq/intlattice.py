@@ -14,6 +14,7 @@ from math import gcd
 
 from .exact import (
     f2_annihilator,
+    f2_echelon,
     f2_rank,
     f2_rref,
     hnf_solve,
@@ -341,40 +342,14 @@ def meet_coordinate(H, I):
         inter = (FinAbGroup.free(len(I)) if not A.basis
                  else FinAbGroup.from_presentation(len(I), [list(b) for b in A.basis]))
         return MeetResult(inter, FinAbGroup.free(A.rank()))
-    # d=1: H cap F2^I = vectors of H supported inside I
+    # d=1: H cap F2^I has a basis of the combinations of the basis H.span
+    # whose projections outside I cancel, one kernel tag each
     mask = 0
     for v in I:
         mask |= 1 << (v - 1)
-    inside = _f2_meet_basis(H.span, mask)
-    k = len(inside)
+    k = len(f2_echelon((v & ~mask, v) for v in H.span)[1])
     return MeetResult(FinAbGroup.make(0, (2,) * k),
                       FinAbGroup.make(0, (2,) * (len(I) - k)))
-
-
-def _f2_meet_basis(span, mask):
-    """Basis of the subspace of span(vectors) supported inside mask."""
-    downs = f2_rref([v for v in span])
-    # intersect with the coordinate subspace: kernel of projection to the
-    # complement coordinates, computed by RREF on (outside | inside) split
-    if not downs:
-        return []
-    out = []
-    pivot = {}
-    for v in downs:
-        oo, vv = v & ~mask, v
-        while oo:
-            p = oo.bit_length() - 1
-            if p in pivot:
-                po, pv = pivot[p]
-                oo ^= po
-                vv ^= pv
-            else:
-                pivot[p] = (oo, vv)
-                break
-        else:
-            if vv:
-                out.append(vv)
-    return f2_rref(out)
 
 
 def join_coordinate(H, I):

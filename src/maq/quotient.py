@@ -15,6 +15,7 @@ from math import comb
 
 from .homology import ChainComplex, GradedAbGroup, sparse_product
 from .intlattice import TorusSubgroup, join_coordinate
+from .exact import f2_echelon, f2_solve
 from .equivariant import PreconditionFailed, check_free, require_condition1
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
@@ -230,72 +231,29 @@ class CubicalQuotient:
                 witness=witness)
         self._build()
 
-    def _orbit_rep(self, cmask, eps):
-        best = eps
-        for h in self._group:
-            cand = eps ^ (h & ~cmask)
-            if cand < best:
-                best = cand
-        return best
-
-    def _transporter(self, cmask, src, dst):
-        """The group element with outside-of-C projection src ^ dst.
-
-        Unique by freeness (two candidates would differ by an element
-        supported inside the face C).
-        """
-        coeffs = 0
-        v = src ^ dst
-        for proj, orig in self._solvers[cmask]:
-            p = proj.bit_length() - 1
-            if (v >> p) & 1:
-                v ^= proj
-                coeffs ^= orig
-        if v:
-            raise AssertionError("cells not in the same orbit")
-        return coeffs
-
     def _build(self):
         K, H, m = self.K, self.H, self.K.m
-        self._group = [0]
-        for b in H.span:
-            self._group += [g ^ b for g in self._group]
-        # per-face solvers: echelonized outside-projections of the span,
-        # carrying the original group elements along
-        self._solvers = {}
-        for fm in K.face_masks:
-            pivot = {}
-            for b in H.span:
-                proj, orig = b & ~fm, b
-                while proj:
-                    p = proj.bit_length() - 1
-                    if p in pivot:
-                        pp, po = pivot[p]
-                        proj ^= pp
-                        orig ^= po
-                    else:
-                        pivot[p] = (proj, orig)
-                        break
-            self._solvers[fm] = sorted(pivot.values(),
-                                       key=lambda t: -t[0].bit_length())
-        # orbit representatives per face
+        # per face C: the echelon of the outside-of-C projections of the
+        # span, each row tagged with its group element.  Reducing eps
+        # against it gives the least element of the orbit of eps and the
+        # group element carrying eps there (unique by freeness)
+        solvers = {fm: f2_echelon((h & ~fm, h) for h in H.span)[0]
+                   for fm in K.face_masks}
+        # orbit representatives per face: the sign vectors outside C that
+        # are zero on every pivot, in increasing order
+        full = (1 << m) - 1
         cells = {}
         for fm in K.face_masks:
-            dim = bin(fm).count("1")
-            reps = []
-            seen = set()
-            outside = [i for i in range(m) if not (fm >> i) & 1]
-            for combo in range(1 << len(outside)):
-                eps = 0
-                for t, i in enumerate(outside):
-                    if (combo >> t) & 1:
-                        eps |= 1 << i
-                if eps in seen:
-                    continue
-                orbit = {eps ^ (h & ~fm) for h in self._group}
-                seen |= orbit
-                reps.append(min(orbit))
-            cells.setdefault(dim, []).extend((fm, r) for r in reps)
+            free = full & ~fm
+            for row, _ in solvers[fm]:
+                free &= ~(1 << (row.bit_length() - 1))
+            level = cells.setdefault(bin(fm).count("1"), [])
+            eps = 0   # (eps - free) & free is the next submask of free
+            while True:
+                level.append((fm, eps))
+                if eps == free:
+                    break
+                eps = (eps - free) & free
         top = max(cells)
         index = {d: {c: i for i, c in enumerate(cells.get(d, []))}
                  for d in range(top + 1)}
@@ -310,8 +268,7 @@ class CubicalQuotient:
                     fm2 = fm & ~(1 << i)
                     for point, psign in ((0, 1), (1 << i, -1)):
                         eps2 = eps | point
-                        rep = self._orbit_rep(fm2, eps2)
-                        h = self._transporter(fm2, eps2, rep)
+                        rep, h = f2_solve(solvers[fm2], eps2)
                         osign = -1 if bin(h & fm2).count("1") % 2 else 1
                         key = (index[d - 1][(fm2, rep)], col)
                         v = b.pop(key, 0) + sign * psign * osign

@@ -310,31 +310,20 @@ def sphere_sanity(K):
 
     euler_ok = K.euler_characteristic() == 1 + (-1) ** d
 
+    # connected vertex links: the link of v is covered by the facets
+    # containing v with v removed; merge the ones whose masks overlap
     links_ok = True
     if d >= 2:
-        for v in range(1, K.m + 1):
-            if not K.is_face([v]):
-                continue
-            lk = [f for f in link(K, [v]) if f]
-            if not lk:
-                links_ok = False
-                continue
-            vs = set()
-            for f in lk:
-                vs.update(_unmask(f))
-            # union-find on vertices through shared faces
-            parent = {x: x for x in vs}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for f in lk:
-                fv = sorted(_unmask(f))
-                for a, b in zip(fv, fv[1:]):
-                    parent[find(a)] = find(b)
-            if len({find(x) for x in vs}) > 1:
+        for b in range(K.m):
+            vm = 1 << b
+            parts = []
+            for f in K.facet_masks:
+                if f & vm and f != vm:
+                    f &= ~vm
+                    for p in [p for p in parts if p & f]:
+                        parts.remove(p)
+                        f |= p
+                    parts.append(f)
+            if len(parts) > 1 or (not parts and K.is_face_mask(vm)):
                 links_ok = False
     return SphereSanityReport(d, pure, pm, euler_ok, links_ok)

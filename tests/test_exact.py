@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 from maq import exact
-from maq.exact import (f2_annihilator, f2_in_span, f2_rank, f2_rref,
-                       hnf_solve, kernel_basis, mat_mul, rank_and_invariants,
+from maq.exact import (f2_annihilator, f2_echelon, f2_in_span, f2_rank,
+                       f2_rref, f2_solve, hnf_solve, kernel_basis, mat_mul, rank_and_invariants,
                        row_hnf, smith_normal_form)
 
 from conftest import random_unimodular, seeded
@@ -212,3 +212,50 @@ def test_f2_annihilator():
             assert bin(v & w).count("1") % 2 == 0
     # double annihilator returns the span
     assert f2_rref(f2_annihilator(ann, 3)) == f2_rref(vecs)
+
+
+def _xor_tagged(vecs, tag):
+    out = 0
+    for i, v in enumerate(vecs):
+        if (tag >> i) & 1:
+            out ^= v
+    return out
+
+
+def test_f2_echelon_and_solve_bruteforce():
+    # width <= 6, so every span and coset can be listed: the basis is the
+    # canonical RREF, each tag names the inputs its row combines, kernel
+    # tags combine inputs to zero, and f2_solve lands on the coset minimum
+    rng = seeded("f2-echelon")
+    for _ in range(300):
+        w = rng.randint(1, 6)
+        vecs = [rng.randrange(1 << w) for _ in range(rng.randint(0, 6))]
+        basis, kernel = f2_echelon((v, 1 << i) for i, v in enumerate(vecs))
+        rows = [row for row, _ in basis]
+        assert rows == f2_rref(vecs)
+        pivots = [row.bit_length() - 1 for row in rows]
+        assert pivots == sorted(set(pivots), reverse=True)
+        for p in pivots:
+            assert sum((row >> p) & 1 for row in rows) == 1
+        for row, tag in basis:
+            assert _xor_tagged(vecs, tag) == row
+        assert len(kernel) == len(vecs) - len(basis)
+        assert f2_rank(kernel) == len(kernel)
+        for tag in kernel:
+            assert _xor_tagged(vecs, tag) == 0
+        span = {_xor_tagged(vecs, t) for t in range(1 << len(vecs))}
+        for v in range(1 << w):
+            residue, tag = f2_solve(basis, v)
+            assert residue == min(v ^ x for x in span)
+            assert v ^ residue == _xor_tagged(vecs, tag)
+            assert f2_in_span(rows, v) == (v in span)
+
+
+def test_f2_annihilator_bruteforce():
+    rng = seeded("f2-annihilator")
+    for _ in range(100):
+        w = rng.randint(0, 6)
+        vecs = [rng.randrange(1 << w) for _ in range(rng.randint(0, 5))]
+        want = [x for x in range(1 << w)
+                if all(bin(x & v).count("1") % 2 == 0 for v in vecs)]
+        assert f2_annihilator(vecs, w) == f2_rref(want)

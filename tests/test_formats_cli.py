@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from maq import equivariant
 from maq.cli import main
 from maq.formats import (ParseError, builtin_complex, complex_to_text,
                          parse_complex, parse_subgroup)
@@ -138,6 +139,31 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
     doc = json.loads(err)
     assert doc["error"] == "internal"
     assert "dd != 0" in doc["message"]
+
+
+def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
+                                                     tmp_path):
+    # a non-functorial arrow in the diagram the engine builds itself is a
+    # bug, not a failed precondition: exit 5, not 3
+    real = equivariant.PosetDiagram
+
+    def planted(faces, orders, arrows, max_degree):
+        arrows[(frozenset({1}), frozenset({1, 2}), 2)] = {(0, 0): 2}
+        return real(faces=faces, orders=orders, arrows=arrows,
+                    max_degree=max_degree)
+
+    monkeypatch.setattr(equivariant, "PosetDiagram", planted)
+    cpath = tmp_path / "k.txt"
+    spath = tmp_path / "h.txt"
+    cpath.write_text("m=3\n1 2 3\n")
+    spath.write_text("d=2\nannihilator:\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run_cli(capsys, "equivariant", "--complex", str(cpath),
+                             "--subgroup", str(spath), "--max-degree", "2")
+    assert code == 5
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert "not functorial" in doc["message"]
 
 
 def test_cli_check(capsys, tmp_path):

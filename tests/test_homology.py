@@ -291,6 +291,17 @@ def test_limit_missing_covering_arrow():
         PosetDiagram((e, a), {(e, 0): (0,), (a, 0): (0,)}, {}, 0)
 
 
+def test_limit_rejects_torsion_incompatible_arrow_as_internal():
+    # validate() rejects an arrow from Z/2 to Z; one slipped in after
+    # construction reaches limit_graded, which reports a bug
+    e, a = frozenset(), frozenset({1})
+    D = PosetDiagram((e, a), {(e, 0): (0,), (a, 0): (2,)},
+                     {(e, a, 0): {}}, 0)
+    D.arrows[(e, a, 0)] = {(0, 0): 1}
+    with pytest.raises(AssertionError, match="relations do not map"):
+        limit_graded(D)
+
+
 def test_limit_torsion_matches_bruteforce():
     # cyclic values over the poset {empty, {1}, {2}, {3}}: it has no
     # diamonds, so every torsion-compatible choice of arrows is functorial,

@@ -303,6 +303,81 @@ def test_cubical_boundaries_revalidate():
         assert again.cohomology() == C.cohomology()
 
 
+def reference_cubical(K, H):
+    """(dims, boundaries) of the cubical quotient built by brute force:
+    the whole group is listed, each orbit is written out, its least element
+    is the representative and the group element reaching it is looked up
+    in the orbit.  Cells come face by face, representatives increasing."""
+    group = [0]
+    for b in H.span:
+        group += [g ^ b for g in group]
+
+    def orbit(C, eps):   # {element of the orbit: the h that reaches it}
+        return {eps ^ (h & ~C): h for h in group}
+
+    cells = {}
+    for C in K.face_masks:
+        outside = [i for i in range(K.m) if not (C >> i) & 1]
+        signs = [sum(1 << i for t, i in enumerate(outside) if (s >> t) & 1)
+                 for s in range(1 << len(outside))]
+        reps = sorted({min(orbit(C, eps)) for eps in signs})
+        cells.setdefault(bin(C).count("1"), []).extend((C, r) for r in reps)
+    top = max(cells)
+    index = {d: {c: i for i, c in enumerate(cells.get(d, []))}
+             for d in range(top + 1)}
+    boundaries = []
+    for d in range(1, top + 1):
+        b = {}
+        for col, (C, eps) in enumerate(cells.get(d, [])):
+            verts = [i for i in range(K.m) if (C >> i) & 1]
+            for t, i in enumerate(verts):
+                C2 = C & ~(1 << i)
+                for point, psign in ((0, 1), (1 << i, -1)):
+                    o = orbit(C2, eps | point)
+                    rep = min(o)
+                    osign = -1 if bin(o[rep] & C2).count("1") % 2 else 1
+                    key = (index[d - 1][(C2, rep)], col)
+                    b[key] = b.get(key, 0) + (-1) ** t * psign * osign
+        boundaries.append({k: v for k, v in b.items() if v})
+    return [len(cells.get(d, [])) for d in range(top + 1)], boundaries
+
+
+def test_cubical_matches_reference_builder():
+    # the echelon-based orbit representatives and transporters give the
+    # same cells in the same order and the same boundary entries as the
+    # brute-force orbit minima
+    rng = seeded("cubical-reference")
+    checked = 0
+    while checked < 200:
+        m = rng.randint(2, 7)
+        K = random_complex(rng, m)
+        if K.is_void() or K.dim() < 0:
+            continue
+        vecs = [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, m))]
+        W = TorusSubgroup.from_f2_span(m, vecs)
+        if not check_free(K, W)[0]:
+            continue
+        checked += 1
+        cq = CubicalQuotient(K, W)
+        dims, boundaries = reference_cubical(K, W)
+        assert cq.dims == dims
+        assert cq.complex.boundaries[1:] == boundaries
+
+
+def test_cubical_antipodal_sphere_is_projective_space():
+    # the real moment-angle complex of the boundary of the (m-1)-simplex is
+    # the sphere S^(m-1), and the diagonal Z/2 acts antipodally: RP^(m-1)
+    for m in range(3, 8):
+        n = m - 1
+        W = TorusSubgroup.from_f2_span(m, [(1 << m) - 1])
+        want = {0: FinAbGroup.free(1)}
+        want.update({k: FinAbGroup.cyclic(2) for k in range(2, n + 1, 2)})
+        if n % 2:
+            want[n] = FinAbGroup.free(1)
+        g = cubical_quotient_cohomology(boundary_simplex(m), W)
+        assert g == GradedAbGroup.make(want)
+
+
 def test_trc_report_four_points():
     r = trc_report(SimplicialComplex.points(4), TorusSubgroup.trivial(2, 4))
     assert r.hrk == 18

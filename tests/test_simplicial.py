@@ -93,6 +93,17 @@ def test_sphere_sanity():
     assert j["passed"] is True
 
 
+def test_sphere_sanity_disconnected_link():
+    # two tetrahedron boundaries sharing vertex 1: a pure pseudomanifold
+    # whose link at 1 is two disjoint circles
+    first = list(itertools.combinations((1, 2, 3, 4), 3))
+    second = list(itertools.combinations((1, 5, 6, 7), 3))
+    rep = sphere_sanity(SimplicialComplex(7, first + second))
+    assert rep.pure and rep.pseudomanifold
+    assert rep.links_connected is False
+    assert not rep.passed
+
+
 def test_face_enumeration_matches_bruteforce():
     rng = seeded("simp-faces")
     cases = [random_complex(rng, rng.randint(2, 5)) for _ in range(25)]
