@@ -16,8 +16,7 @@ from math import comb
 
 from .exact import f2_solve, hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
-from .intlattice import (FinAbGroup, TorusSubgroup, meet_coordinate,
-                         s_lattice, s_space_f2)
+from .intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from .momentangle import SRRing, sr_dimension
 from .simplicial import contraction
 
@@ -68,15 +67,6 @@ def check_free(K, H):
     return True, None
 
 
-def _face_characters(H, faces):
-    """Character basis of S(I) for each face I, in the coordinates of
-    sorted(I): the HNF rows of proj_I(ann H) for d=2, the F2 echelon
-    bitmasks of s_space_f2 for d=1."""
-    if H.d == 2:
-        return {I: [list(b) for b in s_lattice(H, I).basis] for I in faces}
-    return {I: s_space_f2(H, I) for I in faces}
-
-
 def _reindex(d, x, pairs, width):
     """Character x moved along (source, target) coordinate positions, zero
     elsewhere: a list of ``width`` entries for d=2, a bitmask for d=1."""
@@ -116,7 +106,7 @@ def check_condition1(K, H, all_pairs=False):
     Returns (ok, witness) with witness the first failing pair.
     """
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
-    chars = _face_characters(H, faces)
+    chars = {I: H.characters(I) for I in faces}
     for J in faces:
         if all_pairs:
             smaller = [I for I in faces if I < J]
@@ -235,7 +225,7 @@ def build_classifying_diagram(K, H, max_degree):
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     step = 2 if H.d == 2 else 1
     top_k = max_degree // step
-    chars = _face_characters(H, faces)
+    chars = {I: H.characters(I) for I in faces}
     orders = {}
     for I in faces:
         r = len(chars[I])

@@ -11,6 +11,13 @@ a vector against its result, ``f2_solve``.  ``f2_rref``, ``f2_in_span`` and
 computation elsewhere: coordinate meets in ``intlattice``, character
 coordinates in ``equivariant``, and cubical orbit representatives and
 transporters in ``quotient``.
+
+Over Z every presentation, chain complex boundary and Koszul differential
+is reduced by ``rank_and_invariants``, sparse unit pivots first.  The dense
+``smith_normal_form`` has two callers: the residue inside
+``rank_and_invariants``, and ``intlattice.Lattice.saturate_dual``, which
+needs the transforms; those come from the same elimination steps run on
+the block matrix [[A, I], [I, 0]].
 """
 
 from __future__ import annotations
@@ -120,10 +127,6 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -135,29 +138,19 @@ def smith_normal_form(mat, transforms=False):
     factors d1 | d2 | ... and, if ``transforms`` is set, U (rows x rows) and
     V (cols x cols) are unimodular with U @ mat @ V diagonal; otherwise U and
     V are None.
+
+    With ``transforms`` the same steps run on the block matrix
+    [[mat, I], [I, 0]]: row operations touch its first ``rows`` rows and
+    column operations its first ``cols`` columns, so U is read off the
+    top-right block and V off the bottom-left one.
     """
+    n = len(mat)
+    m = len(mat[0]) if n else 0
     a = [list(r) for r in mat]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    U = identity(n) if transforms else None
-    V = identity(m) if transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def addmul_row(i, j, q):   # row_i += q * row_j
-        _addmul(a[i], a[j], q)
-        if U is not None:
-            _addmul(U[i], U[j], q)
+    if transforms:
+        for i, row in enumerate(a):
+            row += [int(i == k) for k in range(n)]
+        a += [[int(j == k) for k in range(m)] + [0] * n for j in range(m)]
 
     def row_bezout(t, i):
         # unimodular 2x2 transform putting gcd(a[t][t], a[i][t]) at (t, t)
@@ -170,10 +163,6 @@ def smith_normal_form(mat, transforms=False):
         rt, ri = a[t], a[i]
         a[t] = [s * p + u * q for p, q in zip(rt, ri)]
         a[i] = [xg * q - yg * p for p, q in zip(rt, ri)]
-        if U is not None:
-            rt, ri = U[t], U[i]
-            U[t] = [s * p + u * q for p, q in zip(rt, ri)]
-            U[i] = [xg * q - yg * p for p, q in zip(rt, ri)]
 
     def col_bezout(t, j):
         x, y = a[t][t], a[t][j]
@@ -183,21 +172,11 @@ def smith_normal_form(mat, transforms=False):
             p, q = row[t], row[j]
             row[t] = s * p + u * q
             row[j] = xg * q - yg * p
-        if V is not None:
-            for row in V:
-                p, q = row[t], row[j]
-                row[t] = s * p + u * q
-                row[j] = xg * q - yg * p
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     diag = []
     t = 0
     while True:
-        # find a pivot in the submatrix a[t:, t:]
+        # find a pivot in the submatrix a[t:n, t:m]
         best = None
         for i in range(t, n):
             for j in range(t, m):
@@ -206,8 +185,9 @@ def smith_normal_form(mat, transforms=False):
         if best is None:
             break
         _, pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
         while True:
             # clear column t, then row t; column transforms can refill the
             # column, so iterate (the pivot gcd strictly divides each time)
@@ -215,7 +195,7 @@ def smith_normal_form(mat, transforms=False):
             for i in range(t + 1, n):
                 if a[i][t]:
                     if a[i][t] % a[t][t] == 0:
-                        addmul_row(i, t, -(a[i][t] // a[t][t]))
+                        _addmul(a[i], a[t], -(a[i][t] // a[t][t]))
                     else:
                         row_bezout(t, i)
                         done = False
@@ -225,9 +205,6 @@ def smith_normal_form(mat, transforms=False):
                         q = a[t][j] // a[t][t]
                         for row in a:
                             row[j] -= q * row[t]
-                        if V is not None:
-                            for row in V:
-                                row[j] -= q * row[t]
                     else:
                         col_bezout(t, j)
                         done = False
@@ -246,16 +223,18 @@ def smith_normal_form(mat, transforms=False):
             if fix is not None:
                 break
         if fix is not None:
-            addmul_row(t, fix, 1)
+            _addmul(a[t], a[fix], 1)
             continue
         if p < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         diag.append(a[t][t])
         t += 1
-    return diag, U, V
+    if not transforms:
+        return diag, None, None
+    return diag, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
 
 
-def rank_and_invariants(entries, nrows, ncols):
+def rank_and_invariants(entries):
     """Rank and nonzero invariant factors of a sparse integer matrix.
 
     ``entries`` is an iterable of ``(i, j, v)`` triples with v != 0.  Unit

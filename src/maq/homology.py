@@ -123,8 +123,7 @@ class ChainComplex:
             return 0, []
         if i not in self._eliminated:
             self._eliminated[i] = rank_and_invariants(
-                ((r, c, v) for (r, c), v in b.items()),
-                self.dims[i - 1], self.dims[i])
+                (r, c, v) for (r, c), v in b.items())
         return self._eliminated[i]
 
     def homology(self):

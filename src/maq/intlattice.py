@@ -5,21 +5,29 @@ Z^m of characters vanishing on H (its annihilator).  For d=1 the ambient
 group is (Z/2)^m and H is stored directly as an F2 subspace in reduced
 echelon form.  All quotient data is reported as finitely generated abelian
 groups in invariant-factor form.
+
+Every face-wise question goes through one projection per face:
+``TorusSubgroup.characters(I)`` is the canonical basis of proj_I(ann H),
+the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
+is their span and the meet H meet G^I their cokernel.  Presentations are
+reduced by ``exact.rank_and_invariants``; the dense Smith form is called
+here only by ``Lattice.saturate_dual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .exact import (
     f2_annihilator,
-    f2_echelon,
     f2_rank,
     f2_rref,
     hnf_solve,
     kernel_basis,
     mat_mul,
+    rank_and_invariants,
     row_hnf,
     smith_normal_form,
 )
@@ -67,13 +75,10 @@ class FinAbGroup:
     @staticmethod
     def from_presentation(ngens, relations):
         """Z^ngens modulo the subgroup generated by the relation vectors."""
-        if ngens == 0:
-            return FinAbGroup.trivial()
-        rels = [r for r in relations if any(r)]
-        if not rels:
-            return FinAbGroup.free(ngens)
-        diag, _, _ = smith_normal_form(rels)
-        return FinAbGroup.make(ngens - len(diag), diag)
+        rank, invariants = rank_and_invariants(
+            (i, j, v) for i, r in enumerate(relations)
+            for j, v in enumerate(r) if v)
+        return FinAbGroup.make(ngens - rank, invariants)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -175,9 +180,7 @@ class Lattice:
 
     def cokernel(self):
         """Z^m / L as a FinAbGroup."""
-        if not self.basis:
-            return FinAbGroup.free(self.m)
-        return FinAbGroup.from_presentation(self.m, [list(b) for b in self.basis])
+        return FinAbGroup.from_presentation(self.m, self.basis)
 
     def project(self, coords):
         """Image under projection of Z^m onto the given sorted coordinates
@@ -299,6 +302,21 @@ class TorusSubgroup:
             return self.m - self.ann.rank()
         return 0
 
+    @cached_property
+    def _f2_perp(self):
+        """The F2 annihilator of H (d=1), computed once per subgroup."""
+        return f2_annihilator(list(self.span), self.m)
+
+    def characters(self, I):
+        """Canonical basis of proj_I(ann H), the characters of
+        S(I) = G^I/(H meet G^I), in the coordinates of sorted(I): HNF rows
+        for d=2, F2 echelon bitmasks for d=1."""
+        I = sorted(_check_subset(I, self.m))
+        if self.d == 2:
+            return [list(b) for b in self.ann.project(I).basis]
+        return f2_rref(sum(((w >> (v - 1)) & 1) << t for t, v in enumerate(I))
+                       for w in self._f2_perp)
+
     def f2_dim(self):
         if self.d != 1:
             raise ValueError("f2_dim only for d=1")
@@ -333,23 +351,17 @@ def _check_subset(I, m):
 
 
 def meet_coordinate(H, I):
-    """Character groups of H  intersect G^I and of S(I) = G^I/(H intersect G^I)."""
+    """Character groups of H meet G^I and of S(I) = G^I/(H meet G^I).
+
+    For both d, S(I) has the characters proj_I(ann H) and H meet G^I those
+    of G^I modulo them."""
     I = _check_subset(I, H.m)
+    chars = H.characters(I)
     if H.d == 2:
-        if not I:
-            return MeetResult(FinAbGroup.trivial(), FinAbGroup.trivial())
-        A = H.ann.project(sorted(I))
-        inter = (FinAbGroup.free(len(I)) if not A.basis
-                 else FinAbGroup.from_presentation(len(I), [list(b) for b in A.basis]))
-        return MeetResult(inter, FinAbGroup.free(A.rank()))
-    # d=1: H cap F2^I has a basis of the combinations of the basis H.span
-    # whose projections outside I cancel, one kernel tag each
-    mask = 0
-    for v in I:
-        mask |= 1 << (v - 1)
-    k = len(f2_echelon((v & ~mask, v) for v in H.span)[1])
-    return MeetResult(FinAbGroup.make(0, (2,) * k),
-                      FinAbGroup.make(0, (2,) * (len(I) - k)))
+        return MeetResult(FinAbGroup.from_presentation(len(I), chars),
+                          FinAbGroup.free(len(chars)))
+    return MeetResult(FinAbGroup.make(0, (2,) * (len(I) - len(chars))),
+                      FinAbGroup.make(0, (2,) * len(chars)))
 
 
 def join_coordinate(H, I):
@@ -361,9 +373,6 @@ def join_coordinate(H, I):
             H.m, [[1 if j + 1 == v else 0 for j in range(H.m)] for v in comp])
         inter = H.ann.intersection(coord)
         return FinAbGroup.free(inter.rank())
-    mask = 0
-    for v in I:
-        mask |= 1 << (v - 1)
     gens = list(H.span) + [1 << (v - 1) for v in I]
     dim_join = f2_rank(gens)
     return FinAbGroup.make(0, (2,) * (H.m - dim_join))
@@ -373,10 +382,8 @@ def s_lattice(H, I):
     """Character lattice of S(I) inside Z^I (d=2): proj_I(H_perp)."""
     if H.d != 2:
         raise ValueError("s_lattice is a d=2 notion")
-    I = sorted(_check_subset(I, H.m))
-    if not I:
-        return Lattice.zero(0)
-    return H.ann.project(I)
+    I = _check_subset(I, H.m)
+    return Lattice(len(I), tuple(tuple(b) for b in H.characters(I)))
 
 
 def s_space_f2(H, I):
@@ -384,26 +391,15 @@ def s_space_f2(H, I):
     as bitmasks over the positions of sorted(I)."""
     if H.d != 1:
         raise ValueError("s_space_f2 is a d=1 notion")
-    I = sorted(_check_subset(I, H.m))
-    perp = f2_annihilator(list(H.span), H.m) if H.span else \
-        [1 << i for i in range(H.m)]
-    pos = {v: i for i, v in enumerate(I)}
-    projected = []
-    for w in perp:
-        x = 0
-        for v in I:
-            if (w >> (v - 1)) & 1:
-                x |= 1 << pos[v]
-        projected.append(x)
-    return f2_rref(projected)
+    return H.characters(I)
 
 
 def exact_row_check(H, I):
     """Bookkeeping for exactness of 1 -> S(I) -> L -> Q(I) -> 1."""
     I = _check_subset(I, H.m)
+    r_s = len(H.characters(I))
     if H.d == 2:
         r_l = H.ann.rank()
-        r_s = s_lattice(H, I).rank() if I else 0
         r_q = join_coordinate(H, I).free_rank
         if r_s + r_q != r_l:
             return False
@@ -418,12 +414,11 @@ def exact_row_check(H, I):
         if inter.basis:
             # quotient H_perp / inter is torsion-free of rank r_s
             coords = [hnf_solve(list(H.ann.basis), list(b)) for b in inter.basis]
-            q = FinAbGroup.from_presentation(r_l, [c for c in coords if c])
+            q = FinAbGroup.from_presentation(r_l, coords)
             if q.torsion or q.free_rank != r_s:
                 return False
         return True
     # d=1: F2 dimension additivity
     dim_l = H.m - len(H.span)
-    dim_s = len(s_space_f2(H, I)) if I else 0
     q = join_coordinate(H, I)
-    return dim_s + len(q.torsion) == dim_l
+    return r_s + len(q.torsion) == dim_l

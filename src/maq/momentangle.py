@@ -83,7 +83,8 @@ def hochster(K, max_degree=None, m_bound=14):
     masks of K inside I, kept on K's own vertex labels.
     """
     if K.m > m_bound:
-        raise BoundExceeded("m=%d exceeds bound %d" % (K.m, m_bound))
+        raise BoundExceeded("hochster: m=%d exceeds bound %d"
+                            % (K.m, m_bound))
     out = {}
     for I in range(1 << K.m):
         faces = [f for f in K.face_masks if f & I == f]
@@ -118,8 +119,11 @@ def _hrk_z(m, k):
 
 
 def skeleton_quotient_hrk(m, k):
-    """Recursion value for hrk of the quotient of the skeleton family by a
-    generically chosen diagonal-free circle, with the 2^{m-k-1} bound.
+    """Recursion value for hrk of the quotient of the moment-angle complex
+    over the k-skeleton of the (m-1)-simplex by the diagonal circle
+    {(t, ..., t)}, whose annihilator is spanned by e_i - e_(i+1), with the
+    2^{m-k-1} bound.  The value equals the total rank of the computed
+    Koszul cohomology for every 3 <= m <= 6, and for m = 7 with k <= 3.
 
     Returns (hrk, bound, verdict).
     """
@@ -156,7 +160,8 @@ def buchstaber_real(K, m_bound=12):
     moment-angle complex.
     """
     if K.m > m_bound:
-        raise BoundExceeded("m=%d exceeds bound %d" % (K.m, m_bound))
+        raise BoundExceeded("buchstaber-real: m=%d exceeds bound %d"
+                            % (K.m, m_bound))
     if K.is_void() or K.dim() < 0:
         raise ValueError("need a complex with at least one vertex")
     m = K.m

@@ -210,10 +210,15 @@ class CubicalQuotient:
     vector on the remaining coordinates (bit set = -1).  The subgroup acts
     by flipping signs; a free action permutes cells freely and the
     quotient complex has one cell per orbit.
+
+    ``cell_cap`` bounds the number of quotient cells.  It is checked once
+    the action is known to be free, when each face C carries exactly
+    2^(m - |C|) / |H| cells, and before any cell is built.
     """
 
     K: SimplicialComplex
     H: TorusSubgroup
+    cell_cap: int = 2_000_000
     dims: list = None
     complex: ChainComplex = None
 
@@ -229,6 +234,11 @@ class CubicalQuotient:
                 "the action is not free (witness facet %s); the quotient "
                 "has no induced cell structure" % sorted(witness),
                 witness=witness)
+        count = sum(1 << (self.K.m - bin(fm).count("1"))
+                    for fm in self.K.face_masks) >> len(self.H.span)
+        if count > self.cell_cap:
+            raise BoundExceeded("cubical: cell count %d exceeds cap %d"
+                                % (count, self.cell_cap))
         self._build()
 
     def _build(self):
@@ -286,10 +296,7 @@ class CubicalQuotient:
 def cubical_quotient_cohomology(K, H, cell_cap=2_000_000):
     """Integral cellular cohomology of the quotient of the real polyhedral
     product by a freely acting d=1 subgroup."""
-    count = sum(1 << (K.m - bin(fm).count("1")) for fm in K.face_masks)
-    if count > cell_cap:
-        raise BoundExceeded("cell count %d exceeds cap %d" % (count, cell_cap))
-    return CubicalQuotient(K, H).complex.cohomology()
+    return CubicalQuotient(K, H, cell_cap).complex.cohomology()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from maq.intlattice import FinAbGroup, Lattice, TorusSubgroup
 from maq.momentangle import (SRRing, hochster, skeleton_quotient_hrk,
                              skeleton_wedge, sr_dimension)
 from maq.quotient import (KoszulComplex, cubical_quotient_cohomology,
-                          cw_census, koszul_cohomology)
+                          cw_census, koszul_cohomology, trc_report)
 from maq.constructions import rp2_6, torsion_pipeline, truncate_face
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
                             contraction, minimal_non_faces, skeleton)
@@ -177,6 +177,21 @@ def test_09_skeleton_quotient_rank_verdicts():
             hrk, bound, verdict = skeleton_quotient_hrk(m, k)
             assert verdict, (m, k, hrk, bound)
     assert time.time() - start < 1.0
+
+
+def test_09b_skeleton_quotient_rank_computed():
+    # the recursion for hrk of the skeleton quotients against the total
+    # rank of the Koszul cohomology maq computes, for the diagonal circle
+    # (annihilator rows e_i - e_(i+1)); none of these quotients has torsion
+    cases = [(m, k) for m in range(3, 7) for k in range(m - 1)]
+    cases += [(7, k) for k in range(4)]
+    for m, k in cases:
+        H = TorusSubgroup.from_annihilator(
+            m, [[(j == i) - (j == i + 1) for j in range(m)]
+                for i in range(m - 1)])
+        rep = trc_report(skeleton(m, k), H)
+        assert rep.hrk == skeleton_quotient_hrk(m, k)[0], (m, k)
+        assert all(not g.torsion for _, g in rep.groups.groups), (m, k)
 
 
 def test_10_torsion_pipeline_projective_plane():

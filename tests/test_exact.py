@@ -110,7 +110,7 @@ def test_sparse_matches_dense():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(m)]
                for _ in range(n)]
-        r, inv = rank_and_invariants(dense_to_entries(mat), n, m)
+        r, inv = rank_and_invariants(dense_to_entries(mat))
         diag = _dense_invariants(mat)
         assert r == len(diag)
         assert inv == diag
@@ -123,7 +123,7 @@ def test_sparse_matches_dense_at_realistic_size():
         n, m = rng.randint(10, 40), rng.randint(10, 60)
         mat = _random_sparse(rng, n, m, rng.choice((0.05, 0.1, 0.2)),
                              unit_rows=k % 2 == 0)
-        r, inv = rank_and_invariants(dense_to_entries(mat), n, m)
+        r, inv = rank_and_invariants(dense_to_entries(mat))
         diag = _dense_invariants(mat)
         assert r == len(diag)
         assert inv == diag
@@ -135,13 +135,13 @@ def test_sparse_elimination_permutation_invariant():
         n, m = rng.randint(10, 40), rng.randint(10, 60)
         mat = _random_sparse(rng, n, m, 0.1, unit_rows=k % 2 == 0)
         entries = list(dense_to_entries(mat))
-        expect = rank_and_invariants(entries, n, m)
+        expect = rank_and_invariants(entries)
         pr, pc = list(range(n)), list(range(m))
         rng.shuffle(pr)
         rng.shuffle(pc)
         moved = [(pr[i], pc[j], v) for i, j, v in entries]
         rng.shuffle(moved)
-        assert rank_and_invariants(moved, n, m) == expect
+        assert rank_and_invariants(moved) == expect
 
 
 def test_fill_makes_a_unit_row_a_candidate_again(monkeypatch):
@@ -152,8 +152,8 @@ def test_fill_makes_a_unit_row_a_candidate_again(monkeypatch):
         raise AssertionError("dense residue %r" % (mat,))
 
     monkeypatch.setattr(exact, "smith_normal_form", no_residue)
-    assert rank_and_invariants(dense_to_entries([[2, 3, 0], [1, 2, 2]]),
-                               2, 3) == (2, [1, 1])
+    assert rank_and_invariants(
+        dense_to_entries([[2, 3, 0], [1, 2, 2]])) == (2, [1, 1])
 
 
 def _det(mat):

@@ -1,4 +1,6 @@
-from maq.exact import mat_mul, row_hnf
+from itertools import combinations
+
+from maq.exact import f2_rref, mat_mul, row_hnf
 from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
                             exact_row_check, join_coordinate, meet_coordinate,
                             s_lattice, s_space_f2)
@@ -103,6 +105,32 @@ def test_meet_join_d1():
         FinAbGroup.make(0, (2,))
     assert s_space_f2(W, frozenset({1})) == [0b1]
     assert exact_row_check(W, frozenset({1}))
+
+
+def test_d1_meet_and_characters_bruteforce():
+    # the d=1 meet and S(I) both read the projection of the annihilator;
+    # check each against enumeration of H and of its annihilator
+    rng = seeded("d1-projection")
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        W = TorusSubgroup.from_f2_span(
+            m, [rng.randrange(1 << m) for _ in range(rng.randint(0, m))])
+        elements = {0}
+        for g in W.span:
+            elements |= {h ^ g for h in elements}
+        perp = [x for x in range(1 << m)
+                if all(bin(x & h).count("1") % 2 == 0 for h in W.span)]
+        for r in range(m + 1):
+            for I in combinations(range(1, m + 1), r):
+                mask = sum(1 << (v - 1) for v in I)
+                inside = sum(1 for h in elements if h & ~mask == 0)
+                k = inside.bit_length() - 1
+                meet = meet_coordinate(W, I)
+                assert meet.intersection == FinAbGroup.make(0, (2,) * k)
+                assert meet.quotient == FinAbGroup.make(0, (2,) * (r - k))
+                projected = [sum(((x >> (v - 1)) & 1) << t
+                                 for t, v in enumerate(I)) for x in perp]
+                assert s_space_f2(W, I) == f2_rref(projected)
 
 
 def test_subgroup_json():

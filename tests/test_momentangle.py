@@ -59,7 +59,8 @@ def _all_subsets(m):
 
 
 def test_hochster_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded,
+                       match="hochster: m=4 exceeds bound 3"):
         hochster(SimplicialComplex.points(4), m_bound=3)
 
 
@@ -108,7 +109,8 @@ def test_buchstaber_real():
     assert buchstaber_real(SimplicialComplex.points(5)) == 4
     assert buchstaber_real(boundary_simplex(4)) == 1
     assert buchstaber_real(SimplicialComplex.simplex(3)) == 0
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded,
+                       match="buchstaber-real: m=4 exceeds bound 3"):
         buchstaber_real(SimplicialComplex.points(4), m_bound=3)
 
 

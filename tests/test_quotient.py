@@ -263,6 +263,22 @@ def test_cubical_requires_free_action():
     assert exc.value.witness == frozenset({1, 2})
 
 
+def test_cubical_cell_cap_counts_quotient_cells():
+    # the 242 cubes of the real moment-angle complex of the boundary of the
+    # 4-simplex (the sphere S^4) fall into 121 antipodal orbits: the cap
+    # is checked against the cells of the quotient RP^4, not the cubes
+    K = boundary_simplex(5)
+    W = TorusSubgroup.from_f2_span(5, [0b11111])
+    g = cubical_quotient_cohomology(K, W, cell_cap=121)
+    assert g == GradedAbGroup.make({0: FinAbGroup.free(1),
+                                    2: FinAbGroup.cyclic(2),
+                                    4: FinAbGroup.cyclic(2)})
+    assert sum(CubicalQuotient(K, W).dims) == 121
+    with pytest.raises(BoundExceeded, match="cubical: cell count 121 "
+                                            "exceeds cap 120"):
+        cubical_quotient_cohomology(K, W, cell_cap=120)
+
+
 def test_cw_census_euler_characteristic():
     rng = seeded("census")
     checked = 0
