@@ -10,6 +10,7 @@ check that failed (a bug in maq, never a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -335,7 +336,10 @@ def _cmd_oracle_suite(args):
 
 # -- argument plumbing -------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     top = argparse.ArgumentParser(
         prog="maq",
         description="exact cohomology of moment-angle complexes and their "

@@ -364,15 +364,19 @@ def meet_coordinate(H, I):
                       FinAbGroup.make(0, (2,) * len(chars)))
 
 
+def _complement_meet(H, I):
+    """H_perp cap Z^{[m] \\ I} (d=2), the character lattice of Q(I)."""
+    comp = [v for v in range(1, H.m + 1) if v not in I]
+    coord = Lattice.from_generators(
+        H.m, [[1 if j + 1 == v else 0 for j in range(H.m)] for v in comp])
+    return H.ann.intersection(coord)
+
+
 def join_coordinate(H, I):
     """Character group of Q(I) = G^m/(H . G^I)."""
     I = _check_subset(I, H.m)
     if H.d == 2:
-        comp = [v for v in range(1, H.m + 1) if v not in I]
-        coord = Lattice.from_generators(
-            H.m, [[1 if j + 1 == v else 0 for j in range(H.m)] for v in comp])
-        inter = H.ann.intersection(coord)
-        return FinAbGroup.free(inter.rank())
+        return FinAbGroup.free(_complement_meet(H, I).rank())
     gens = list(H.span) + [1 << (v - 1) for v in I]
     dim_join = f2_rank(gens)
     return FinAbGroup.make(0, (2,) * (H.m - dim_join))
@@ -400,15 +404,11 @@ def exact_row_check(H, I):
     r_s = len(H.characters(I))
     if H.d == 2:
         r_l = H.ann.rank()
-        r_q = join_coordinate(H, I).free_rank
-        if r_s + r_q != r_l:
-            return False
         # char Q = H_perp cap Z^{[m]\I} must inject into char L = H_perp
         # with torsion-free quotient isomorphic to proj_I(H_perp)
-        comp = [v for v in range(1, H.m + 1) if v not in I]
-        coord = Lattice.from_generators(
-            H.m, [[1 if j + 1 == v else 0 for j in range(H.m)] for v in comp])
-        inter = H.ann.intersection(coord)
+        inter = _complement_meet(H, I)
+        if r_s + inter.rank() != r_l:
+            return False
         if not all(H.ann.contains(list(b)) for b in inter.basis):
             return False
         if inter.basis:

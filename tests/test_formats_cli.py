@@ -78,6 +78,41 @@ def test_cli_argument_errors_exit_as_parse_errors(capsys):
         assert json.loads(err)["error"] == "parse"
 
 
+def test_cli_parser_reuse_leaks_no_state(capsys):
+    # main reuses one parser per process; a sequence of calls must print
+    # what each call prints through a freshly built parser
+    from maq import cli
+
+    calls = [("--pretty", "hochster", "builtin:boundary_simplex(3)"),
+             ("hochster", "builtin:boundary_simplex(3)"),
+             ("skeleton-report", "4", "1"),
+             ("hochster", "--max-degree", "3", "builtin:skeleton(4,0)"),
+             ("contract", "--complex", "builtin:boundary_simplex(4)",
+              "--no-such-flag"),
+             ("contract", "--complex", "builtin:boundary_simplex(4)",
+              "--i0", "1"),
+             ("hochster", "builtin:boundary_simplex(3)")]
+
+    def run(args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    reused = [run(args) for args in calls]
+    fresh = []
+    for args in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(args))
+    assert reused == fresh
+    assert reused[4][0] == ("exit", 2)
+    assert reused[0][1] != reused[1][1]   # --pretty did not stick
+    assert json.loads(reused[0][1]) == json.loads(reused[1][1])
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_quotient_cohomology(capsys, tmp_path):
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"

@@ -97,6 +97,35 @@ def test_meet_coordinate_torsion():
     assert exact_row_check(H, frozenset({1, 2}))
 
 
+def test_exact_row_check_intersects_once(monkeypatch):
+    # one H_perp cap Z^([m] - I) per d=2 call, shared with the rank count;
+    # the verdict stays True, as it is for every I and every H
+    calls = []
+    original = Lattice.intersection
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Lattice, "intersection", counted)
+    rng = seeded("row-check")
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        H = TorusSubgroup.from_annihilator(
+            m, [[rng.randint(-3, 3) for _ in range(m)]
+                for _ in range(rng.randint(1, m))])
+        for r in range(m + 1):
+            for I in combinations(range(1, m + 1), r):
+                before = len(calls)
+                assert exact_row_check(H, I)
+                assert len(calls) - before == 1
+    before = len(calls)
+    H = TorusSubgroup.from_annihilator(3, [[1, -1, 0]])
+    assert exact_row_check(H, frozenset({1}))
+    assert join_coordinate(H, frozenset({1})) == FinAbGroup.free(0)
+    assert len(calls) - before == 2
+
+
 def test_meet_join_d1():
     # Z/2 diagonal inside (Z/2)^2
     W = TorusSubgroup.from_f2_span(2, [0b11])

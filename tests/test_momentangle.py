@@ -1,5 +1,6 @@
 import pytest
 
+from maq import momentangle
 from maq.constructions import rp2_6
 from maq.homology import GradedAbGroup, reduced_cohomology
 from maq.intlattice import FinAbGroup
@@ -7,7 +8,7 @@ from maq.momentangle import (BoundExceeded, PoincareSeries, SRRing,
                              buchstaber_real, hochster, skeleton_quotient_hrk,
                              skeleton_wedge, sr_dimension, trc_verdict,
                              trk_moment_angle)
-from maq.simplicial import (SimplicialComplex, boundary_simplex,
+from maq.simplicial import (SimplicialComplex, boundary_simplex, cone,
                             full_subcomplex, skeleton)
 
 from conftest import random_complex, seeded
@@ -38,6 +39,18 @@ def test_hochster_matches_subcomplex_sum():
     cases = [random_complex(rng, rng.randint(2, 6)) for _ in range(12)]
     cases += [SimplicialComplex(5, [(1, 2), (2, 3), (3, 4)]),  # 5 is a ghost
               SimplicialComplex.empty_face_only(3), rp2_6()]
+    # joins (one carrying the Z/2 of rp2_6), cones, ghosts, and complexes
+    # with a dominated vertex that are not cones: a circle and rp2_6, each
+    # with a whisker
+    cases += [_join(rp2_6(), SimplicialComplex.points(2)),
+              _join(boundary_simplex(3), SimplicialComplex.points(2))]
+    cases += [_join(random_complex(rng, rng.randint(1, 3)),
+                    random_complex(rng, rng.randint(1, 3))) for _ in range(4)]
+    cases += [cone(rp2_6()), cone(boundary_simplex(4)),
+              cone(random_complex(rng, 4)),
+              SimplicialComplex(8, rp2_6().facets),  # 7 and 8 are ghosts
+              SimplicialComplex(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+              SimplicialComplex(7, rp2_6().facets + [(1, 7)])]
     for K in cases:
         total = {}
         for I in _all_subsets(K.m):
@@ -47,6 +60,81 @@ def test_hochster_matches_subcomplex_sum():
         assert hochster(K) == GradedAbGroup.make(total)
     # H^2(RP^2) = Z/2 on all six vertices lands in degree 2 + 6 + 1
     assert hochster(rp2_6()).group(9) == FinAbGroup.cyclic(2)
+
+
+def _join(A, B):
+    return SimplicialComplex(A.m + B.m, [f | {v + A.m for v in g}
+                                         for f in A.facets
+                                         for g in B.facets])
+
+
+def test_hochster_reuse_is_exercised():
+    # the whiskered complexes are not cones, yet their whisker vertex is
+    # dominated on the full vertex set, so K_[m] is never built
+    for K, v in ((SimplicialComplex(4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 4),
+                 (SimplicialComplex(7, rp2_6().facets + [(1, 7)]), 7)):
+        assert not any(all(w in F for F in K.facets)
+                       for w in range(1, K.m + 1))
+        ghosts, up = momentangle._vertex_tables(K)
+        full = (1 << K.m) - 1
+        assert momentangle._removable_vertex(
+            full, ghosts, K.facet_masks, up) == 1 << (v - 1)
+    # the Z/2 of K_[7] in degree 2 + 7 + 1 is copied from K_[6] = rp2_6
+    assert hochster(SimplicialComplex(7, rp2_6().facets + [(1, 7)])) \
+        .group(10) == FinAbGroup.cyclic(2)
+
+
+def test_hochster_builds_only_the_undominated_full_subcomplexes(monkeypatch):
+    # on the boundary of a simplex every proper K_I with |I| >= 2 is a full
+    # simplex: only the empty set, the m singletons and [m] are built
+    built = []
+    original = momentangle.face_chain_complex
+
+    def counted(masks, *args):
+        built.append(masks)
+        return original(masks, *args)
+
+    monkeypatch.setattr(momentangle, "face_chain_complex", counted)
+    for m in range(3, 9):
+        built.clear()
+        h = hochster(boundary_simplex(m))
+        assert len(built) == m + 2
+        assert h == GradedAbGroup.make({0: FinAbGroup.free(1),
+                                        2 * m - 1: FinAbGroup.free(1)})
+
+
+def test_domination_test_matches_bruteforce():
+    # _removable_vertex finds a vertex of I exactly when I holds a ghost
+    # or a vertex dominated in K_I, and the one it finds is such a vertex;
+    # the brute force reads the facets of the re-indexed full subcomplex
+    rng = seeded("domination")
+    checked = dominated = 0
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        K = random_complex(rng, m)
+        if rng.random() < 0.3:
+            K = SimplicialComplex(m + 1, K.facets)   # vertex m + 1 a ghost
+        ghosts, up = momentangle._vertex_tables(K)
+        for I in _all_subsets(K.m):
+            labels = sorted(I)
+            sub = full_subcomplex(K, I)
+            facets = [frozenset(labels[i - 1] for i in F)
+                      for F in sub.facets]
+            removable = {v for v in I if not K.is_face([v])}
+            for v in I:
+                through = [F for F in facets if v in F]
+                if through and frozenset.intersection(*through) - {v}:
+                    removable.add(v)
+            mask = sum(1 << (v - 1) for v in I)
+            got = momentangle._removable_vertex(mask, ghosts, K.facet_masks,
+                                                up)
+            if removable:
+                assert got.bit_length() in removable, (K, I)
+            else:
+                assert got == 0, (K, I)
+            checked += 1
+            dominated += bool(removable)
+    assert dominated and checked - dominated
 
 
 def _all_subsets(m):
