@@ -249,7 +249,12 @@ class PosetDiagram:
     value(J) -> value(I) in degree n as a dict ``{(row, col): value}`` of
     its nonzero entries, one row per generator of value(I) and one column
     per generator of value(J); ``{}`` is the zero map.  Functoriality is
-    checked on construction via validate(), in every degree of ``orders``.
+    checked on construction via validate(), in every degree of ``orders``,
+    together with the torsion compatibility of every stored arrow.
+    limit_graded relies on both: it solves for the facet values alone and
+    drops the constraints that functoriality makes zero, so a diagram
+    changed after construction is not checked again there, apart from the
+    torsion of its stored arrows.
     """
 
     faces: tuple
@@ -366,30 +371,57 @@ class PosetDiagram:
 def limit_graded(D, max_degree=None):
     """Degreewise inverse limit of a PosetDiagram over its face poset.
 
-    In degree n, let A = Z^a / R_A be the product of the values and
-    B = Z^b / R_B the product over the covering pairs I < J with
-    value(I) nonzero.  Both presentations are diagonal, one relation o e_j
-    per generator of order o > 0, so R_B is injective.  Let psi lift the
-    difference map x -> (arrow(I, J) x_J - x_I).  The limit ker(A -> B)
-    is then H_1 of the sparse three-term complex
+    A compatible family (x_I) is determined by its values at the facets.
+    Give each face I the parent facet P(I), the first facet in ``D.faces``
+    order that contains I.  Following the covers from I up to P(I) gives
+    x_I = arrow(I, P(I)) x_{P(I)}, so the unknowns are the facet values
+    alone.  A covering pair I < J asks x_I = arrow(I, J) x_J, which by
+    functoriality reads
+
+        arrow(I, P(J)) x_{P(J)} - arrow(I, P(I)) x_{P(I)} = 0.
+
+    When P(I) = P(J) these rows are zero, because every path from I to
+    P(I) composes to the same map modulo the relations of value(I): that
+    is what validate() checks on construction, and why only the covering
+    pairs with P(I) != P(J) carry rows.  The rows kept are a subset of one
+    block per covering pair and the unknowns a subset of one block per
+    face, so no diagram gets a larger presentation than the one over
+    every face and every cover.  The argument needs every set between two
+    faces to be a face, as in the face poset of a simplicial complex; a
+    diagram without that property is rejected with ValueError.
+
+    In degree n, let A = Z^a / R_A be the product of the facet values and
+    B = Z^b / R_B the product of value(I) over the kept pairs.  Both
+    presentations are diagonal, one relation o e_j per generator of order
+    o > 0, so R_B is injective.  Let psi lift the constraint map above.
+    The limit ker(A -> B) is then H_1 of the sparse three-term complex
 
         Z^|R_A| --(R_A, chi)--> Z^a + Z^|R_B| --(psi, R_B)--> Z^b
 
     with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
     of A and the t-th relation o_t e_{r_t} of B, so that
-    R_B chi = -psi R_A and d^2 = 0.  The division is exact because
-    validate() rejects arrows incompatible with torsion.  Both boundaries
-    are written straight from the stored entries of the covering arrows.
+    R_B chi = -psi R_A and d^2 = 0.  The division is exact when every
+    arrow respects torsion, which validate() checks on construction; the
+    stored arrows are scanned again here, since the presentation need
+    not read each of them.  Entries of psi in a row of order o_t > 0 are
+    reduced modulo o_t.
     """
     if max_degree is None:
         max_degree = D.max_degree
-    covers = D.covering_pairs()
+    degrees = sorted({n for (_, n) in D.orders if n <= max_degree})
+    for (I, J, n), M in D.arrows.items():
+        if n <= max_degree:
+            gi, gj = D.gens(I, n), D.gens(J, n)
+            for (r, c), v in M.items():
+                _relation_image(gj[c], v, gi[r])
+    facets, parent = _facet_parents(D)
+    kept = [(I, J) for I, J in D.covering_pairs() if parent[I] != parent[J]]
     out = {}
-    for n in sorted({n for (_, n) in D.orders if n <= max_degree}):
+    for n in degrees:
         col, rel_a, d2 = {}, {}, {}
-        for I in D.faces:
-            for k, o in enumerate(D.gens(I, n)):
-                j = col[I, k] = len(col)
+        for F in facets:
+            for k, o in enumerate(D.gens(F, n)):
+                j = col[F, k] = len(col)
                 if o:
                     d2[j, len(rel_a)] = o
                     rel_a[j] = (len(rel_a), o)
@@ -397,7 +429,7 @@ def limit_graded(D, max_degree=None):
         if not a:
             continue
         d1, b, nb = {}, 0, 0
-        for I, J in covers:
+        for I, J in kept:
             gi = D.gens(I, n)
             y = {}   # row of psi -> its relation column in Z^|R_B|
             for r, ot in enumerate(gi):
@@ -405,20 +437,52 @@ def limit_graded(D, max_degree=None):
                     y[r] = a + nb
                     d1[b + r, a + nb] = ot
                     nb += 1
-            psi = [((r, col[I, r]), -1) for r in range(len(gi))]
-            psi += [((r, col[J, c]), v)
-                    for (r, c), v in D.arrow(I, J, n).items()]
-            for (r, j), v in psi:
-                d1[b + r, j] = v
-                if j in rel_a:
-                    k, oj = rel_a[j]
+            for sign, P in ((1, parent[J]), (-1, parent[I])):
+                for (r, c), v in D.arrow(I, P, n).items():
                     ot = gi[r]
-                    if not ot or oj * v % ot:
-                        # validate() rejects such arrows
-                        raise AssertionError(
-                            "relations do not map to relations")
-                    d2[y[r], k] = -oj * v // ot
+                    v = sign * v % ot if ot else sign * v
+                    if not v:
+                        continue
+                    j = col[P, c]
+                    d1[b + r, j] = v
+                    if j in rel_a:
+                        k, oj = rel_a[j]
+                        d2[y[r], k] = _relation_image(oj, v, ot)
             b += len(gi)
         C = ChainComplex([b, a + nb, len(rel_a)], [d1, d2], check=False)
         out[n] = C.homology().group(1)
     return GradedAbGroup.make(out)
+
+
+def _relation_image(oj, v, ot):
+    """-oj v / ot, the chi entry for an entry v of psi from a column of
+    order oj to a row of order ot (0 for free); oj v must lie in ot Z."""
+    if oj and (not ot or oj * v % ot):
+        # validate() rejects such arrows
+        raise AssertionError("relations do not map to relations")
+    return -oj * v // ot if oj else 0
+
+
+def _facet_parents(D):
+    """(facets, parent) for the faces of D: the maximal faces in
+    ``D.faces`` order, and for each face I the first facet containing I.
+
+    Every face strictly inside another lies below one of its covers, so
+    the facets are the faces with no cover above them, and P(I) is the
+    first of the parents of the covers of I.
+    """
+    face_set = set(D.faces)
+    for J in D.faces:
+        for v in J:
+            I = J - {v}
+            if I not in face_set and any(F <= I for F in D.faces):
+                raise ValueError("%s lies between two faces but is not one"
+                                 % sorted(I))
+    position = {I: t for t, I in enumerate(D.faces)}
+    parent = {}
+    for I, J in reversed(D.covering_pairs()):
+        P = parent.setdefault(J, J)
+        if I not in parent or position[P] < position[parent[I]]:
+            parent[I] = P
+    facets = [F for F in D.faces if parent.setdefault(F, F) == F]
+    return facets, parent

@@ -99,6 +99,11 @@ def hochster(K, max_degree=None, m_bound=14):
     and F & I is maximal exactly when no vertex of I \\ (F & I) extends
     it to a face of K, which one table ``up`` answers.  The test costs
     O(#facets of K + |I| #facets of K_I) per I.
+
+    With ``max_degree`` = d, a subset with |I| > d is skipped: its lowest
+    degree is |I|, reached by H-tilde^{-1} = Z when K_I = {empty face}
+    (I all ghosts).  Each I \\ v read from the memo has |I| - 1 vertices,
+    so it was visited.
     """
     if K.m > m_bound:
         raise BoundExceeded("hochster: m=%d exceeds bound %d"
@@ -109,6 +114,9 @@ def hochster(K, max_degree=None, m_bound=14):
     memo = []
     out = {}
     for I in range(1 << K.m):
+        if max_degree is not None and I.bit_count() > max_degree:
+            memo.append(None)   # read only by supersets, skipped too
+            continue
         v = _removable_vertex(I, ghosts, facets, up)
         if v:
             groups = memo[I ^ v]

@@ -1,5 +1,6 @@
 import random
 
+from maq import homology
 from maq.simplicial import SimplicialComplex
 
 
@@ -79,3 +80,51 @@ def complexes_isomorphic(K1, K2):
         return False
 
     return extend(0, {}, set())
+
+
+def reference_limit(D, max_degree=None):
+    """Limit of a PosetDiagram over every face and every covering pair.
+
+    One unknown block per face and one constraint block
+    arrow(I, J) x_J - x_I per covering pair I < J, presented as the
+    three-term complex that ``homology.limit_graded`` documents; the
+    reference that the facet presentation is checked against.
+    """
+    if max_degree is None:
+        max_degree = D.max_degree
+    covers = D.covering_pairs()
+    out = {}
+    for n in sorted({n for (_, n) in D.orders if n <= max_degree}):
+        col, rel_a, d2 = {}, {}, {}
+        for I in D.faces:
+            for k, o in enumerate(D.gens(I, n)):
+                j = col[I, k] = len(col)
+                if o:
+                    d2[j, len(rel_a)] = o
+                    rel_a[j] = (len(rel_a), o)
+        a = len(col)
+        if not a:
+            continue
+        d1, b, nb = {}, 0, 0
+        for I, J in covers:
+            gi = D.gens(I, n)
+            y = {}
+            for r, ot in enumerate(gi):
+                if ot:
+                    y[r] = a + nb
+                    d1[b + r, a + nb] = ot
+                    nb += 1
+            psi = [((r, col[I, r]), -1) for r in range(len(gi))]
+            psi += [((r, col[J, c]), v)
+                    for (r, c), v in D.arrow(I, J, n).items()]
+            for (r, j), v in psi:
+                d1[b + r, j] = v
+                if j in rel_a:
+                    k, oj = rel_a[j]
+                    assert gi[r] and oj * v % gi[r] == 0
+                    d2[y[r], k] = -oj * v // gi[r]
+            b += len(gi)
+        C = homology.ChainComplex([b, a + nb, len(rel_a)], [d1, d2],
+                                  check=False)
+        out[n] = C.homology().group(1)
+    return homology.GradedAbGroup.make(out)

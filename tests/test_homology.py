@@ -4,14 +4,16 @@ from math import gcd, lcm
 
 import pytest
 
+from maq import homology
+from maq.equivariant import build_classifying_diagram, check_condition1
 from maq.exact import mat_mul
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                           limit_graded, reduced_cohomology, reduced_homology,
                           simplicial_chain_complex, sparse_product)
-from maq.intlattice import FinAbGroup
-from maq.simplicial import boundary_simplex, cone, skeleton
+from maq.intlattice import FinAbGroup, TorusSubgroup
+from maq.simplicial import SimplicialComplex, boundary_simplex, cone, skeleton
 
-from conftest import random_complex, seeded
+from conftest import random_complex, reference_limit, seeded
 
 
 def test_graded_group_algebra():
@@ -336,6 +338,184 @@ def test_limit_torsion_matches_bruteforce():
             for d in lim.torsion:
                 expected *= gcd(k, d)
             assert killed == expected, (order, mult, lim, k)
+
+
+def _classifying_diagrams(d, count, name):
+    """Classifying diagrams of ``count`` seeded compatible (K, H), m <= 6:
+    random annihilators (d=2) or F2 spans (d=1), the trivial subgroup
+    among them.  d=1 diagrams with more than 150 generators in their top
+    degree are passed over: the reference's dense Smith residue takes
+    seconds on them."""
+    rng = seeded(name)
+    top = 6 if d == 2 else 2
+    while count:
+        m = rng.randint(2, 6)
+        K = random_complex(rng, m)
+        if K.dim() < 0:
+            continue
+        if d == 2:
+            rows = [[rng.randint(-2, 2) for _ in range(m)]
+                    for _ in range(rng.randint(0, m))]
+            H = (TorusSubgroup.from_annihilator(m, rows)
+                 if any(map(any, rows)) else TorusSubgroup.trivial(2, m))
+        else:
+            H = TorusSubgroup.from_f2_span(
+                m, [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, 2))])
+        if not check_condition1(K, H)[0]:
+            continue
+        D = build_classifying_diagram(K, H, top)
+        if d == 1 and sum(len(D.gens(I, top)) for I in D.faces) > 150:
+            continue
+        count -= 1
+        yield D
+
+
+def _torsion_diagram(rng, K):
+    """A functorial diagram of cyclic groups over the faces of K, in
+    degrees 0 and 1.  Generator g of value(I) has order
+    base_g * prod(c_v for v in I), or is free when I meets the free
+    vertices, so orders divide along inclusions; the cover I < I + v is
+    multiplication by s_v on each generator, so every diamond commutes.
+    In degree 1 the faces below a size threshold carry the zero group."""
+    vertices = range(1, K.m + 1)
+    free = set(rng.sample(vertices, rng.randint(0, 1)))
+    c = {v: rng.choice((1, 2, 3)) for v in vertices}
+    s = {v: rng.choice((1, 1, -1, 2, 3)) for v in vertices}
+    base = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2))]
+    low = rng.randint(0, 2)
+    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
+    orders, arrows = {}, {}
+    for I in faces:
+        scale = 1
+        for v in I:
+            scale *= c[v]
+        for n in (0, 1):
+            if n == 0 or len(I) >= low:
+                orders[I, n] = tuple(0 if I & free else b * scale
+                                     for b in base)
+    for J in faces:
+        for v in J:
+            I = J - {v}
+            for n in (0, 1):
+                if (I, n) in orders:
+                    arrows[I, J, n] = {(k, k): s[v] for k in range(len(base))}
+    return PosetDiagram(tuple(faces), orders, arrows, 1)
+
+
+def _torsion_diagrams(count, name):
+    """``count`` seeded torsion diagrams over complexes with two or more
+    facets, m <= 4: at m = 5 the reference's dense Smith residue can run
+    for minutes."""
+    rng = seeded(name)
+    while count:
+        K = random_complex(rng, rng.randint(2, 4))
+        if len(K.facets) >= 2 and K.dim() >= 1:
+            count -= 1
+            yield _torsion_diagram(rng, K)
+
+
+def test_limit_matches_reference_on_classifying_diagrams():
+    # the facet presentation against the one over every face and cover,
+    # as whole groups, torsion included (d=1 values are 2-torsion)
+    for d in (2, 1):
+        for D in _classifying_diagrams(d, 200, "limit-reference-%d" % d):
+            assert limit_graded(D) == reference_limit(D), (d, D.faces)
+
+
+def test_limit_matches_reference_with_torsion():
+    # cyclic values of several orders over complexes with two or more
+    # facets, so that covers meet in diamonds
+    seen = set()
+    for D in _torsion_diagrams(150, "limit-reference-torsion"):
+        lim = limit_graded(D)
+        assert lim == reference_limit(D), (D.faces, D.orders)
+        seen.update(t for _, g in lim.groups for t in g.torsion)
+    assert len(seen) >= 3
+
+
+def _presentation_shapes(monkeypatch, limit, D):
+    """(rows, columns) of the middle term that ``limit`` presents D by in
+    each degree of D, (0, 0) where it builds nothing."""
+    out = []
+    shapes = []
+    real = homology.ChainComplex
+
+    def recorded(dims, *args, **kwargs):
+        shapes.append((dims[0], dims[1]))
+        return real(dims, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "ChainComplex", recorded)
+    for n in sorted({n for (_, n) in D.orders}):
+        shapes.clear()
+        limit(_in_degree(D, n))
+        assert len(shapes) <= 1
+        out.append(shapes[0] if shapes else (0, 0))
+    monkeypatch.setattr(homology, "ChainComplex", real)
+    return out
+
+
+def _in_degree(D, n):
+    return PosetDiagram(
+        D.faces, {key: o for key, o in D.orders.items() if key[1] == n},
+        {key: M for key, M in D.arrows.items() if key[2] == n}, n)
+
+
+def test_limit_presentation_never_exceeds_the_reference(monkeypatch):
+    diagrams = [*_classifying_diagrams(2, 40, "limit-shape-2"),
+                *_classifying_diagrams(1, 40, "limit-shape-1"),
+                *_torsion_diagrams(40, "limit-shape-torsion")]
+    smaller = 0
+    for D in diagrams:
+        new = _presentation_shapes(monkeypatch, limit_graded, D)
+        old = _presentation_shapes(monkeypatch, reference_limit, D)
+        for (rows, cols), (ref_rows, ref_cols) in zip(new, old):
+            assert rows <= ref_rows and cols <= ref_cols, D.faces
+        smaller += new != old
+    assert smaller
+
+
+def test_limit_over_one_facet_is_its_value(monkeypatch):
+    # the full simplex has one facet, every face's parent: no constraint
+    # rows, and the limit is the facet's value in every degree
+    rng = seeded("limit-one-facet")
+    top = SimplicialComplex.simplex(3)
+    H = TorusSubgroup.from_annihilator(3, [[1, 2, 0], [0, 1, -1]])
+    diagrams = [build_classifying_diagram(top, H, 6),
+                build_classifying_diagram(
+                    top, TorusSubgroup.from_f2_span(3, [0b011]), 3)]
+    diagrams += [_torsion_diagram(rng, top) for _ in range(10)]
+    facet = frozenset({1, 2, 3})
+    for D in diagrams:
+        rows = [r for r, _ in _presentation_shapes(monkeypatch,
+                                                   limit_graded, D)]
+        assert rows == [0] * len(rows)
+        lim = limit_graded(D)
+        for n in {n for (_, n) in D.orders}:
+            gens = D.gens(facet, n)
+            assert lim.group(n) == FinAbGroup.make(
+                gens.count(0), [o for o in gens if o]), (D.orders, n)
+
+
+def test_facet_parents_are_the_first_facets_containing_each_face():
+    rng = seeded("facet-parents")
+    for _ in range(40):
+        K = random_complex(rng, rng.randint(1, 6))
+        D = _torsion_diagram(rng, K)
+        facets, parent = homology._facet_parents(D)
+        assert facets == [F for F in D.faces
+                          if not any(F < J for J in D.faces)]
+        for I in D.faces:
+            assert parent[I] == next(F for F in facets if I <= F), (K, I)
+
+
+def test_limit_rejects_a_poset_with_a_gap():
+    # {1} and {2} lie between the faces {} and {1, 2} but are not faces:
+    # the facet presentation needs every such set to be one
+    e, ab = frozenset(), frozenset({1, 2})
+    D = PosetDiagram((e, ab), {(e, 0): (0,), (ab, 0): (0,)},
+                     {(e, ab, 0): {(0, 0): 1}}, 0)
+    with pytest.raises(ValueError, match=r"\[[12]\] lies between two faces"):
+        limit_graded(D)
 
 
 def test_homology_matches_bruteforce_ranks():

@@ -103,6 +103,53 @@ def test_hochster_builds_only_the_undominated_full_subcomplexes(monkeypatch):
                                         2 * m - 1: FinAbGroup.free(1)})
 
 
+def test_hochster_max_degree_skips_subsets_above_it(monkeypatch):
+    # |I| > max_degree cannot reach max_degree: on skeleton(9, 2) with
+    # max_degree 4, no K_I on five or more vertices is built
+    built = []
+    original = momentangle.face_chain_complex
+
+    def counted(masks, *args):
+        built.append(masks)
+        return original(masks, *args)
+
+    monkeypatch.setattr(momentangle, "face_chain_complex", counted)
+    K = skeleton(9, 2)
+    h = hochster(K, max_degree=4)
+    assert built and max(_union(masks).bit_count() for masks in built) <= 4
+    assert h == _truncated(hochster(K), 4)
+    # a ghost vertex alone gives K_I = {empty face}, whose H-tilde^{-1}
+    # lands in degree |I| = max_degree
+    ghost = SimplicialComplex(3, [{1, 2}])
+    assert hochster(ghost, max_degree=1).group(1) == FinAbGroup.free(1)
+
+
+def test_hochster_max_degree_is_a_truncation():
+    rng = seeded("hochster-truncation")
+    cases = [rp2_6(), SimplicialComplex(8, rp2_6().facets),
+             SimplicialComplex(3, [{1, 2}]),
+             SimplicialComplex.empty_face_only(2)]
+    for _ in range(20):
+        K = random_complex(rng, rng.randint(2, 6))
+        ghosts = rng.choice((0, 0, 1, 2))
+        cases.append(SimplicialComplex(K.m + ghosts, K.facets))
+    for K in cases:
+        full = hochster(K)
+        for d in range(-1, 2 * K.m + 2):
+            assert hochster(K, max_degree=d) == _truncated(full, d), (K, d)
+
+
+def _union(masks):
+    out = 0
+    for f in masks:
+        out |= f
+    return out
+
+
+def _truncated(G, d):
+    return GradedAbGroup.make({n: g for n, g in G.groups if n <= d})
+
+
 def test_domination_test_matches_bruteforce():
     # _removable_vertex finds a vertex of I exactly when I holds a ghost
     # or a vertex dominated in K_I, and the one it finds is such a vertex;
