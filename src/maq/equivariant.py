@@ -221,6 +221,13 @@ def build_classifying_diagram(K, H, max_degree):
     d=2: integral polynomial rings on the character lattices, even degrees.
     d=1: mod-2 polynomial rings on degree-one classes, stored as order-2
     generators in every degree.
+
+    Covers with the same character map share one table of symmetric
+    powers: the tables are memoized for the call under the key
+    ``(len(chars[I]), columns)``, with ``columns`` the sparse columns of
+    _char_map as tuples of sorted ``(row, value)`` items.  The row count
+    belongs to the key because it fixes the monomial index of the target;
+    ``top_k`` and the modulus are fixed within the call.
     """
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     step = 2 if H.d == 2 else 1
@@ -232,14 +239,21 @@ def build_classifying_diagram(K, H, max_degree):
         for k in range(top_k + 1 if r else 1):
             n = comb(r + k - 1, k) if k else 1
             orders[(I, k * step)] = (0,) * n if H.d == 2 else (2,) * n
+    mod = 2 if H.d == 1 else None
+    tables = {}
     arrows = {}
     for J in faces:
         for v in sorted(J):
             I = J - {v}
             if I not in chars:
                 continue
-            powers = _sym_powers(_char_map(H, I, J, chars), len(chars[I]),
-                                 top_k, mod=2 if H.d == 1 else None)
+            columns = _char_map(H, I, J, chars)
+            key = (len(chars[I]),
+                   tuple(tuple(sorted(col.items())) for col in columns))
+            powers = tables.get(key)
+            if powers is None:
+                powers = tables[key] = _sym_powers(columns, len(chars[I]),
+                                                   top_k, mod)
             for k, arrow in enumerate(powers):
                 if (I, k * step) in orders and (J, k * step) in orders:
                     arrows[(I, J, k * step)] = arrow

@@ -255,6 +255,13 @@ class PosetDiagram:
     drops the constraints that functoriality makes zero, so a diagram
     changed after construction is not checked again there, apart from the
     torsion of its stored arrows.
+
+    One arrow dict may be stored under several keys, as
+    build_classifying_diagram does for covers with the same character map.
+    Products of arrows, in validate()'s diamonds and in arrow()'s
+    composites, are memoized by the identity of their two factors, so a
+    pair of shared dicts is multiplied once.  Stored dicts, and the dicts
+    arrow() returns, must therefore not be mutated.
     """
 
     faces: tuple
@@ -266,10 +273,25 @@ class PosetDiagram:
         self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
                                   key=lambda f: (len(f), sorted(f))))
         self._composites = {}
+        self._products = {}
         self.validate()
 
     def gens(self, I, n):
-        return self.orders.get((frozenset(I), n), ())
+        """Generator orders of the value at the frozenset face I in degree
+        n; ``()`` for the zero group."""
+        return self.orders.get((I, n), ())
+
+    def _product(self, a, b):
+        """a @ b, memoized by (id(a), id(b)).  The memo keeps both factors
+        alive next to their product, so neither id can be reused by
+        another dict while the memo holds it."""
+        if not a or not b:
+            return {}
+        key = id(a), id(b)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = (a, b, sparse_product(a, b))
+        return hit[2]
 
     def arrow(self, I, J, n):
         """Structure map for I subset of J in degree n (composite of
@@ -291,7 +313,7 @@ class PosetDiagram:
             return self._composites[key]
         # walk down one vertex at a time
         mid = J - {min(J - I)}
-        out = sparse_product(self.arrow(I, mid, n), self.arrow(mid, J, n))
+        out = self._product(self.arrow(I, mid, n), self.arrow(mid, J, n))
         self._composites[key] = out
         return out
 
@@ -357,8 +379,8 @@ class PosetDiagram:
                 for v in sorted(J - I):
                     mid = J - {v}
                     if mid in face_set:
-                        paths.append(sparse_product(self.arrow(I, mid, n),
-                                                    self.arrow(mid, J, n)))
+                        paths.append(self._product(self.arrow(I, mid, n),
+                                                   self.arrow(mid, J, n)))
                 if (I, J, n) in self.arrows:
                     paths.append(self.arrows[(I, J, n)])
                 for other in paths[1:]:

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from maq.equivariant import (PreconditionFailed, _sym_powers,
+from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
                              action_report, build_classifying_diagram,
                              check_condition1, check_free,
                              classifying_cohomology,
@@ -208,6 +208,96 @@ def test_sym_powers_match_polynomial_expansion():
             for k in range(5):
                 assert powers[k] == _sym_power_reference(M, rows, cols, k,
                                                          mod)
+
+
+def _assert_fresh_sym_powers(K, H, max_degree):
+    """Every stored arrow of the classifying diagram equals a symmetric
+    power built afresh for its own cover; returns the diagram."""
+    D = build_classifying_diagram(K, H, max_degree)
+    step = 2 if H.d == 2 else 1
+    chars = {I: H.characters(I) for I in D.faces}
+    for (I, J, n), arrow in D.arrows.items():
+        fresh = _sym_powers(_char_map(H, I, J, chars), len(chars[I]),
+                            max_degree // step, 2 if H.d == 1 else None)
+        assert arrow == fresh[n // step], (sorted(I), sorted(J), n)
+    return D
+
+
+def test_shared_sym_powers_match_fresh_ones():
+    # the tables shared between covers with the same character map are
+    # the tables each cover would build on its own, for d = 2 and d = 1
+    rng = seeded("shared-sym-powers")
+    shared = 0
+    for d, top in ((2, 6), (1, 4)):
+        count = 40
+        while count:
+            m = rng.randint(2, 6)
+            K = random_complex(rng, m)
+            if K.dim() < 0:
+                continue
+            if d == 2:
+                rows = [[rng.randint(-2, 2) for _ in range(m)]
+                        for _ in range(rng.randint(0, m))]
+                H = (TorusSubgroup.from_annihilator(m, rows)
+                     if any(map(any, rows)) else TorusSubgroup.trivial(2, m))
+            else:
+                H = TorusSubgroup.from_f2_span(
+                    m, [rng.randrange(1, 1 << m)
+                        for _ in range(rng.randint(0, 2))])
+            if not check_condition1(K, H)[0]:
+                continue
+            count -= 1
+            D = _assert_fresh_sym_powers(K, H, top)
+            shared += len(D.arrows) - len({id(a) for a in D.arrows.values()})
+    assert shared
+
+
+class _ChosenLattices:
+    """Stand-in for a subgroup whose character lattice at a face is chosen
+    by hand: Z^I (d=2) or F2^I (d=1, as bitmasks) unless ``given`` names a
+    basis.  Restricting characters along coordinate projections keeps the
+    diagram functorial whenever every restriction lies in the smaller
+    lattice."""
+
+    def __init__(self, d, given):
+        self.d, self.given = d, given
+
+    def characters(self, I):
+        n = len(I)
+        if frozenset(I) in self.given:
+            return self.given[frozenset(I)]
+        if self.d == 1:
+            return [1 << t for t in range(n)]
+        return [[int(s == t) for t in range(n)] for s in range(n)]
+
+
+def test_shared_sym_powers_keyed_on_row_count():
+    # {1,2} < {1,2,4} and {1,2,3} < {1,2,3,4} both send the one character
+    # e_2 of the larger face to the second character of the smaller one,
+    # so their columns agree, but the smaller faces have 2 and 3
+    # characters: x_2^k sits at a different monomial index in each
+    H = _ChosenLattices(2, {frozenset({1, 2, 4}): [[0, 1, 0]],
+                            frozenset({1, 2, 3, 4}): [[0, 1, 0, 0]]})
+    K = SimplicialComplex(4, [(1, 2, 3, 4)])
+    D = _assert_fresh_sym_powers(K, H, 6)
+    low = D.arrows[frozenset({1, 2}), frozenset({1, 2, 4}), 4]
+    high = D.arrows[frozenset({1, 2, 3}), frozenset({1, 2, 3, 4}), 4]
+    assert low == {(2, 0): 1} and high == {(3, 0): 1}
+
+
+def test_shared_sym_powers_reduced_mod_2():
+    # F2 characters x_1 + x_3 and x_2 + x_3 on {1,2,3}: dropping vertex 1
+    # sends the second to x_2 + x_3 = e_0 + e_1 on {2,3}, whose square
+    # has the even cross term 2 x_2 x_3, zero mod 2.  Compatible d=1
+    # subgroups give one-entry columns only, so this needs lattices
+    # chosen by hand.
+    I, J = frozenset({2, 3}), frozenset({1, 2, 3})
+    H = _ChosenLattices(1, {J: [0b101, 0b110]})
+    D = _assert_fresh_sym_powers(SimplicialComplex(3, [(1, 2, 3)]), H, 2)
+    integral = _sym_powers([{1: 1}, {0: 1, 1: 1}], 2, 2)[2]
+    assert integral[1, 2] == 2
+    assert D.arrows[I, J, 2] == {key: v for key, v in integral.items()
+                                 if v % 2}
 
 
 def _condition1_bruteforce(K, H, all_pairs):

@@ -257,6 +257,68 @@ def test_diagram_composes_through_a_zero_value():
     assert diagram({}).arrow(e, ab, 0) == {}
 
 
+def _edge_square(ea, a_ab, eb, b_ab, rank=2):
+    # Z^rank at every face of an edge, with the four covers given
+    e, a, b, ab = (frozenset(), frozenset({1}), frozenset({2}),
+                   frozenset({1, 2}))
+    arrows = {(e, a, 0): ea, (a, ab, 0): a_ab, (e, b, 0): eb,
+              (b, ab, 0): b_ab}
+    return PosetDiagram((e, a, b, ab), {(f, 0): (0,) * rank
+                                        for f in (e, a, b, ab)}, arrows, 0)
+
+
+def test_diagram_shared_arrows_still_checked():
+    # S and T do not commute: with S stored at e < a and b < ab and T at
+    # a < ab and e < b, the two paths are ST and TS, built from the same
+    # two dict objects in either order
+    S = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
+    T = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    assert sparse_product(S, T) != sparse_product(T, S)
+    with pytest.raises(ValueError, match="not functorial"):
+        _edge_square(S, T, T, S)
+    # one object at all four covers is functorial
+    D = _edge_square(S, S, S, S)
+    assert D.arrow(frozenset(), frozenset({1, 2}), 0) == sparse_product(S, S)
+    # one object at three covers, a different map at the fourth
+    with pytest.raises(ValueError, match="not functorial"):
+        _edge_square(S, S, S, T)
+
+
+def _diagonal_diagram(rng, K):
+    """Z^r at every face of K, the cover I < I + v multiplying generator g
+    by s[v][g]; diagonal maps commute, so the diagram is functorial.  Every
+    arrow is a dict made here and referenced only by the diagram."""
+    r = rng.randint(1, 3)
+    s = {v: [rng.choice((-3, -2, -1, 2, 3)) for _ in range(r)]
+         for v in range(1, K.m + 1)}
+    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
+    arrows = {(J - {v}, J, 0): {(g, g): s[v][g] for g in range(r)}
+              for J in faces for v in J}
+    return PosetDiagram(tuple(faces), {(f, 0): (0,) * r for f in faces},
+                        arrows, 0)
+
+
+def test_diagram_composites_match_fresh_products():
+    # diagrams come and go in the loop, so the ids of their arrow dicts
+    # are reused; every composite must still be the chain of covers
+    # multiplied afresh
+    rng = seeded("fresh-composites")
+    for _ in range(60):
+        K = skeleton(5, rng.randint(2, 3))
+        D = _diagonal_diagram(rng, K)
+        for J in D.faces:
+            for I in D.faces:
+                if I < J and len(J - I) >= 2:
+                    chain = sorted(J - I)
+                    expect = D.arrows[J - {chain[0]}, J, 0]
+                    top = J - {chain[0]}
+                    for v in chain[1:]:
+                        expect = sparse_product(D.arrows[top - {v}, top, 0],
+                                                expect)
+                        top = top - {v}
+                    assert D.arrow(I, J, 0) == expect, (sorted(I), sorted(J))
+
+
 def test_diagram_validate_rejects_malformed_arrows():
     e, a, b = frozenset(), frozenset({1}), frozenset({2})
 
