@@ -5,9 +5,8 @@ from .simplicial import (SimplicialComplex, boundary_simplex, cone,
                          contraction, full_subcomplex, link,
                          minimal_non_faces, order_complex, skeleton,
                          sphere_sanity, stellar_subdivision)
-from .intlattice import (FinAbGroup, Lattice, TorusSubgroup,
-                         exact_row_check, join_coordinate, meet_coordinate,
-                         s_lattice)
+from .intlattice import (FinAbGroup, Lattice, TorusSubgroup, join_coordinate,
+                         meet_coordinate)
 from .homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                        limit_graded, reduced_cohomology, reduced_homology,
                        simplicial_chain_complex)

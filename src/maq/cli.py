@@ -131,9 +131,10 @@ def _cmd_contract(args):
     K = load_complex(args.complex)
     try:
         I0 = frozenset(int(t) for t in args.i0.replace(",", " ").split())
+        Kc = contraction(K, I0)
     except ValueError:
-        raise ParseError("--i0 expects vertex numbers, got %r" % args.i0)
-    Kc = contraction(K, I0)
+        raise ParseError("--i0 expects vertex numbers in 1..%d, got %r"
+                         % (K.m, args.i0))
     return {
         "operation": "contract",
         "input": {"m": K.m, "i0": sorted(I0)},
@@ -150,6 +151,8 @@ def _cmd_contract(args):
 
 
 def _cmd_skeleton_report(args):
+    if args.m < 2 or not 0 <= args.k <= args.m - 2:
+        raise ParseError("skeleton-report needs m >= 2 and 0 <= k <= m-2")
     wedge = skeleton_wedge(args.m, args.k)
     hrk, bound, verdict = skeleton_quotient_hrk(args.m, args.k)
     return {

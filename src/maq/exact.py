@@ -104,21 +104,6 @@ def hnf_solve(hnf_rows, target):
     return coeffs
 
 
-def kernel_basis(mat, ncols):
-    """Basis of {x in Z^ncols : mat @ x = 0} as a list of vectors."""
-    r = len(mat)
-    aug = []
-    for j in range(ncols):
-        head = [mat[i][j] for i in range(r)]
-        tail = [1 if t == j else 0 for t in range(ncols)]
-        aug.append(head + tail)
-    out = []
-    for row in row_hnf(aug):
-        if not any(row[:r]):
-            out.append(row[r:])
-    return out
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -378,10 +363,6 @@ def f2_rref(vectors):
 
 def f2_in_span(basis, v):
     return f2_solve([(b, 0) for b in basis], v)[0] == 0
-
-
-def f2_rank(vectors):
-    return len(f2_rref(vectors))
 
 
 def f2_annihilator(vectors, width):

@@ -52,12 +52,17 @@ def builtin_complex(name):
     if kind == "skeleton":
         if len(nums) != 2:
             raise ParseError("skeleton needs (m, k)")
-        return skeleton(*nums)
-    if kind == "boundary_simplex":
+        build = skeleton
+    elif kind == "boundary_simplex":
         if len(nums) != 1:
             raise ParseError("boundary_simplex needs (m)")
-        return boundary_simplex(nums[0])
-    raise ParseError("unknown builtin %r" % kind)
+        build = boundary_simplex
+    else:
+        raise ParseError("unknown builtin %r" % kind)
+    try:
+        return build(*nums)
+    except ValueError as exc:
+        raise ParseError("%s: %s" % (name, exc))
 
 
 def parse_complex(text):

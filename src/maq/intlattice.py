@@ -9,9 +9,10 @@ groups in invariant-factor form.
 Every face-wise question goes through one projection per face:
 ``TorusSubgroup.characters(I)`` is the canonical basis of proj_I(ann H),
 the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
-is their span and the meet H meet G^I their cokernel.  Presentations are
-reduced by ``exact.rank_and_invariants``; the dense Smith form is called
-here only by ``Lattice.saturate_dual``.
+is their span, the meet H meet G^I their cokernel, and the orbit group
+Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  Presentations
+are reduced by ``exact.rank_and_invariants``; the dense Smith form is
+called here only by ``Lattice.saturate_dual``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from math import gcd
 
 from .exact import (
     f2_annihilator,
-    f2_rank,
     f2_rref,
     hnf_solve,
-    kernel_basis,
     mat_mul,
     rank_and_invariants,
     row_hnf,
@@ -156,27 +155,6 @@ class Lattice:
 
     def contains(self, vec):
         return hnf_solve(list(self.basis), vec) is not None
-
-    def sum(self, other):
-        if self.m != other.m:
-            raise ValueError("ambient rank mismatch")
-        return Lattice.from_generators(self.m, list(self.basis) + list(other.basis))
-
-    def intersection(self, other):
-        if self.m != other.m:
-            raise ValueError("ambient rank mismatch")
-        if not self.basis or not other.basis:
-            return Lattice.zero(self.m)
-        # solve sum x_i a_i = sum y_j b_j
-        cols = list(self.basis) + [tuple(-x for x in b) for b in other.basis]
-        mat = [[cols[t][i] for t in range(len(cols))] for i in range(self.m)]
-        gens = []
-        for k in kernel_basis(mat, len(cols)):
-            x = k[:len(self.basis)]
-            v = [sum(x[t] * self.basis[t][i] for t in range(len(x)))
-                 for i in range(self.m)]
-            gens.append(v)
-        return Lattice.from_generators(self.m, gens)
 
     def cokernel(self):
         """Z^m / L as a FinAbGroup."""
@@ -364,61 +342,15 @@ def meet_coordinate(H, I):
                       FinAbGroup.make(0, (2,) * len(chars)))
 
 
-def _complement_meet(H, I):
-    """H_perp cap Z^{[m] \\ I} (d=2), the character lattice of Q(I)."""
-    comp = [v for v in range(1, H.m + 1) if v not in I]
-    coord = Lattice.from_generators(
-        H.m, [[1 if j + 1 == v else 0 for j in range(H.m)] for v in comp])
-    return H.ann.intersection(coord)
-
-
 def join_coordinate(H, I):
-    """Character group of Q(I) = G^m/(H . G^I)."""
-    I = _check_subset(I, H.m)
+    """Character group of Q(I) = G^m/(H . G^I).
+
+    Its characters are those of L = G^m/H that vanish on G^I: the kernel
+    of proj_I on the characters of L.  The image is characters(I), the
+    characters of S(I), so 1 -> S(I) -> L -> Q(I) -> 1 is exact and
+    rank Q(I) = rank L - len(characters(I)), with rank L = rank(ann H)
+    for d=2 (a sublattice of Z^m, so free) and m - dim H for d=1."""
     if H.d == 2:
-        return FinAbGroup.free(_complement_meet(H, I).rank())
-    gens = list(H.span) + [1 << (v - 1) for v in I]
-    dim_join = f2_rank(gens)
-    return FinAbGroup.make(0, (2,) * (H.m - dim_join))
-
-
-def s_lattice(H, I):
-    """Character lattice of S(I) inside Z^I (d=2): proj_I(H_perp)."""
-    if H.d != 2:
-        raise ValueError("s_lattice is a d=2 notion")
-    I = _check_subset(I, H.m)
-    return Lattice(len(I), tuple(tuple(b) for b in H.characters(I)))
-
-
-def s_space_f2(H, I):
-    """Dual-space basis of S(I) for d=1: proj_I of the F2 annihilator of H,
-    as bitmasks over the positions of sorted(I)."""
-    if H.d != 1:
-        raise ValueError("s_space_f2 is a d=1 notion")
-    return H.characters(I)
-
-
-def exact_row_check(H, I):
-    """Bookkeeping for exactness of 1 -> S(I) -> L -> Q(I) -> 1."""
-    I = _check_subset(I, H.m)
-    r_s = len(H.characters(I))
-    if H.d == 2:
-        r_l = H.ann.rank()
-        # char Q = H_perp cap Z^{[m]\I} must inject into char L = H_perp
-        # with torsion-free quotient isomorphic to proj_I(H_perp)
-        inter = _complement_meet(H, I)
-        if r_s + inter.rank() != r_l:
-            return False
-        if not all(H.ann.contains(list(b)) for b in inter.basis):
-            return False
-        if inter.basis:
-            # quotient H_perp / inter is torsion-free of rank r_s
-            coords = [hnf_solve(list(H.ann.basis), list(b)) for b in inter.basis]
-            q = FinAbGroup.from_presentation(r_l, coords)
-            if q.torsion or q.free_rank != r_s:
-                return False
-        return True
-    # d=1: F2 dimension additivity
-    dim_l = H.m - len(H.span)
-    q = join_coordinate(H, I)
-    return r_s + len(q.torsion) == dim_l
+        return FinAbGroup.free(H.ann.rank() - len(H.characters(I)))
+    rank = H.m - len(H.span) - len(H.characters(I))
+    return FinAbGroup.make(0, (2,) * rank)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from maq import homology
 from maq.simplicial import SimplicialComplex
@@ -29,6 +30,24 @@ def random_unimodular(rng, n, steps=8):
         if rng.random() < 0.3:
             U[i] = [-x for x in U[i]]
     return U
+
+
+def rational_rref(mat):
+    """Nonzero rows of the reduced row echelon form over Q, by exact
+    Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                q = rows[i][j] / rows[rank][j]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rows[:rank]
 
 
 def seeded(name, seed=0):

@@ -72,7 +72,11 @@ def test_cli_parse_error_exit_code(capsys):
 def test_cli_argument_errors_exit_as_parse_errors(capsys):
     for args in (("contract", "--complex", "builtin:boundary_simplex(3)",
                   "--i0", "a"),
-                 ("oracle-suite", "--max-m", "1")):
+                 ("oracle-suite", "--max-m", "1"),
+                 ("hochster", "builtin:skeleton(3,5)"),
+                 ("hochster", "builtin:boundary_simplex(1)"),
+                 ("skeleton-report", "3", "5"),
+                 ("contract", "--complex", "builtin:rp2_6", "--i0", "9")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and not out
         assert json.loads(err)["error"] == "parse"

@@ -1,11 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
 from maq.exact import f2_rref, mat_mul, row_hnf
 from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
-                            exact_row_check, join_coordinate, meet_coordinate,
-                            s_lattice, s_space_f2)
+                            join_coordinate, meet_coordinate)
 
-from conftest import random_unimodular, seeded
+from conftest import random_unimodular, rational_rref, seeded
 
 
 def test_finabgroup_normalization():
@@ -41,10 +41,6 @@ def test_lattice_basics():
     assert L.rank() == 2
     assert L.contains([3, 5, 0])
     assert not L.contains([0, 0, 1])
-    assert L.sum(Lattice.from_generators(3, [[0, 0, 1]])).rank() == 3
-    mid = L.intersection(Lattice.from_generators(3, [[1, 0, 0]]))
-    assert mid.rank() == 1
-    assert mid.contains([2, 0, 0])
 
 
 def test_lattice_cokernel_and_project():
@@ -85,7 +81,7 @@ def test_meet_join_coordinate_d2():
     assert one.intersection.is_trivial()
     # H together with the first coordinate circle generates all of T^2
     assert join_coordinate(H, frozenset({1})).is_trivial()
-    assert s_lattice(H, frozenset({1})).basis == ((1,),)
+    assert H.characters(frozenset({1})) == [[1]]
 
 
 def test_meet_coordinate_torsion():
@@ -93,37 +89,9 @@ def test_meet_coordinate_torsion():
     H = TorusSubgroup.from_annihilator(2, [[2, -1]])
     r = meet_coordinate(H, frozenset({1}))
     assert r.intersection == FinAbGroup.make(0, (2,))
-    assert exact_row_check(H, frozenset({1}))
-    assert exact_row_check(H, frozenset({1, 2}))
-
-
-def test_exact_row_check_intersects_once(monkeypatch):
-    # one H_perp cap Z^([m] - I) per d=2 call, shared with the rank count;
-    # the verdict stays True, as it is for every I and every H
-    calls = []
-    original = Lattice.intersection
-
-    def counted(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(Lattice, "intersection", counted)
-    rng = seeded("row-check")
-    for _ in range(30):
-        m = rng.randint(1, 5)
-        H = TorusSubgroup.from_annihilator(
-            m, [[rng.randint(-3, 3) for _ in range(m)]
-                for _ in range(rng.randint(1, m))])
-        for r in range(m + 1):
-            for I in combinations(range(1, m + 1), r):
-                before = len(calls)
-                assert exact_row_check(H, I)
-                assert len(calls) - before == 1
-    before = len(calls)
-    H = TorusSubgroup.from_annihilator(3, [[1, -1, 0]])
-    assert exact_row_check(H, frozenset({1}))
-    assert join_coordinate(H, frozenset({1})) == FinAbGroup.free(0)
-    assert len(calls) - before == 2
+    # t -> t^2 is onto, so H . G^I is all of T^2
+    assert join_coordinate(H, frozenset({1})).is_trivial()
+    assert join_coordinate(H, frozenset({1, 2})).is_trivial()
 
 
 def test_meet_join_d1():
@@ -132,13 +100,14 @@ def test_meet_join_d1():
     assert meet_coordinate(W, frozenset({1})).intersection.is_trivial()
     assert meet_coordinate(W, frozenset({1, 2})).intersection == \
         FinAbGroup.make(0, (2,))
-    assert s_space_f2(W, frozenset({1})) == [0b1]
-    assert exact_row_check(W, frozenset({1}))
+    assert W.characters(frozenset({1})) == [0b1]
+    assert join_coordinate(W, frozenset({1})).is_trivial()
 
 
 def test_d1_meet_and_characters_bruteforce():
-    # the d=1 meet and S(I) both read the projection of the annihilator;
-    # check each against enumeration of H and of its annihilator
+    # the d=1 meet, S(I) and Q(I) all read the projection of the
+    # annihilator; check each against enumeration of H and of its
+    # annihilator
     rng = seeded("d1-projection")
     for _ in range(60):
         m = rng.randint(1, 6)
@@ -159,7 +128,41 @@ def test_d1_meet_and_characters_bruteforce():
                 assert meet.quotient == FinAbGroup.make(0, (2,) * (r - k))
                 projected = [sum(((x >> (v - 1)) & 1) << t
                                  for t, v in enumerate(I)) for x in perp]
-                assert s_space_f2(W, I) == f2_rref(projected)
+                assert W.characters(I) == f2_rref(projected)
+                join = {h ^ s for h in elements for s in range(1 << m)
+                        if s & ~mask == 0}
+                assert join_coordinate(W, I).order() == (1 << m) // len(join)
+
+
+def _kernel_q(rows, m):
+    """Basis of {x in Q^m : r . x = 0 for every row r}."""
+    red = rational_rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    basis = []
+    for free in (j for j in range(m) if j not in pivots):
+        x = [Fraction(0)] * m
+        x[free] = Fraction(1)
+        for r, p in zip(red, pivots):
+            x[p] = -r[free] / r[p]
+        basis.append(x)
+    return basis
+
+
+def test_d2_join_coordinate_bruteforce():
+    # Q(I) = T^m/(H . T^I) is a torus of dimension m minus that of
+    # Lie(H) + R^I, and Lie(H) is the rational kernel of ann H
+    rng = seeded("d2-join")
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(m)]
+                for _ in range(rng.randint(0, m))]
+        H = TorusSubgroup.from_annihilator(m, rows)
+        lie = _kernel_q(rows, m)
+        for r in range(m + 1):
+            for I in combinations(range(1, m + 1), r):
+                units = [[int(j + 1 == v) for j in range(m)] for v in I]
+                dim = m - len(rational_rref(lie + units))
+                assert join_coordinate(H, I) == FinAbGroup.free(dim)
 
 
 def test_subgroup_json():
