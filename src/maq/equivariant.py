@@ -93,6 +93,14 @@ def _positions(I, J):
     return [(t, Js.index(v)) for t, v in enumerate(sorted(I))]
 
 
+def _is_full(d, chars, n):
+    """Whether a face with n vertices sees all of G^n: its character basis
+    spans Z^n (rank n, every HNF pivot 1) for d=2, F2^n (rank n) for d=1."""
+    if len(chars) != n:
+        return False
+    return d == 1 or all(next(x for x in row if x) == 1 for row in chars)
+
+
 def check_condition1(K, H, all_pairs=False):
     """Projection compatibility over the face poset.
 
@@ -103,19 +111,36 @@ def check_condition1(K, H, all_pairs=False):
     predicate is checked for d=1 and d=2 alike.  Covering pairs generate
     all constraints; ``all_pairs`` rechecks every inclusion.
 
+    A face J inside a facet F with proj_F(ann H) all of Z^F (F2^F for
+    d=1) has proj_J(ann H) all of Z^J, so no pair (I, J) can fail there.
+    The facets' characters are computed first, every J below a full facet
+    is skipped, and the other faces' characters are computed as the pairs
+    reach them.  The skipped pairs cannot fail, so the first failing pair
+    is the same as over all pairs.
+
     Returns (ok, witness) with witness the first failing pair.
     """
+    chars = {F: H.characters(F) for F in K.facets}
+    full = [F for F, c in chars.items() if _is_full(H.d, c, len(F))]
+
+    def characters(I):
+        if I not in chars:
+            chars[I] = H.characters(I)
+        return chars[I]
+
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
-    chars = {I: H.characters(I) for I in faces}
+    is_face = set(faces)
     for J in faces:
+        if any(J <= F for F in full):
+            continue
         if all_pairs:
             smaller = [I for I in faces if I < J]
         else:
-            smaller = [J - {v} for v in sorted(J) if J - {v} in chars]
+            smaller = [J - {v} for v in sorted(J) if J - {v} in is_face]
         for I in smaller:
             pairs = _positions(I, J)
-            for a in chars[I]:
-                if _solve(H.d, chars[J],
+            for a in characters(I):
+                if _solve(H.d, characters(J),
                           _reindex(H.d, a, pairs, len(J))) is None:
                     return False, (I, J)
     return True, None

@@ -6,7 +6,7 @@ anywhere.
 
 Over F2 there is one row reduction, ``f2_echelon``, whose rows carry tags
 recording the input combination that produced them, and one way to reduce
-a vector against its result, ``f2_solve``.  ``f2_rref``, ``f2_in_span`` and
+a vector against its result, ``f2_solve``.  ``f2_rref`` and
 ``f2_annihilator`` are thin readings of the two, and so is every d=1
 computation elsewhere: coordinate meets in ``intlattice``, character
 coordinates in ``equivariant``, and cubical orbit representatives and
@@ -359,10 +359,6 @@ def f2_rref(vectors):
     """Reduced row echelon basis (canonical) of the span of bitmask vectors,
     pivots (highest set bits) descending."""
     return [row for row, _ in f2_echelon((v, 0) for v in vectors)[0]]
-
-
-def f2_in_span(basis, v):
-    return f2_solve([(b, 0) for b in basis], v)[0] == 0
 
 
 def f2_annihilator(vectors, width):

@@ -24,7 +24,6 @@ from math import gcd
 from .exact import (
     f2_annihilator,
     f2_rref,
-    hnf_solve,
     mat_mul,
     rank_and_invariants,
     row_hnf,
@@ -152,9 +151,6 @@ class Lattice:
 
     def rank(self):
         return len(self.basis)
-
-    def contains(self, vec):
-        return hnf_solve(list(self.basis), vec) is not None
 
     def cokernel(self):
         """Z^m / L as a FinAbGroup."""
@@ -294,17 +290,6 @@ class TorusSubgroup:
             return [list(b) for b in self.ann.project(I).basis]
         return f2_rref(sum(((w >> (v - 1)) & 1) << t for t, v in enumerate(I))
                        for w in self._f2_perp)
-
-    def f2_dim(self):
-        if self.d != 1:
-            raise ValueError("f2_dim only for d=1")
-        return len(self.span)
-
-    def character_group(self):
-        """Character group of H itself (as abstract FinAbGroup)."""
-        if self.d == 2:
-            return self.ann.cokernel()
-        return FinAbGroup.make(0, (2,) * len(self.span))
 
     def to_json(self):
         if self.d == 2:

@@ -17,7 +17,20 @@ from .simplicial import SimplicialComplex
 
 
 class BoundExceeded(Exception):
-    """Input size beyond the configured enumeration bound."""
+    """Input size beyond the configured enumeration bound.
+
+    ``layer`` names where the bound was crossed (koszul, cubical, hochster
+    or buchstaber-real), ``size`` is the size that crossed it and ``cap``
+    the bound; ``degree`` is the degree reached when the size is counted
+    degree by degree (koszul), else None.
+    """
+
+    def __init__(self, message, layer, size, cap, degree=None):
+        super().__init__(message)
+        self.layer = layer
+        self.size = size
+        self.cap = cap
+        self.degree = degree
 
 
 @dataclass(frozen=True)
@@ -107,7 +120,7 @@ def hochster(K, max_degree=None, m_bound=14):
     """
     if K.m > m_bound:
         raise BoundExceeded("hochster: m=%d exceeds bound %d"
-                            % (K.m, m_bound))
+                            % (K.m, m_bound), "hochster", K.m, m_bound)
     faces = K.face_masks
     facets = K.facet_masks
     ghosts, up = _vertex_tables(K)
@@ -234,7 +247,8 @@ def buchstaber_real(K, m_bound=12):
     """
     if K.m > m_bound:
         raise BoundExceeded("buchstaber-real: m=%d exceeds bound %d"
-                            % (K.m, m_bound))
+                            % (K.m, m_bound), "buchstaber-real", K.m,
+                            m_bound)
     if K.is_void() or K.dim() < 0:
         raise ValueError("need a complex with at least one vertex")
     m = K.m

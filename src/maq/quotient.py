@@ -26,15 +26,15 @@ from .simplicial import SimplicialComplex
 # ---------------------------------------------------------------------------
 
 def _unit_coordinates(forms):
-    """{k: j} for every unit coordinate k: form j is exactly +-e_k and no
-    other form touches coordinate k."""
+    """{k: j} for every unit coordinate k: form j is the only form that
+    touches coordinate k, with coefficient +-1 there.  Each form serves at
+    most one coordinate, its lowest such k."""
     unit = {}
     for j, f in enumerate(forms):
-        support = [i for i, c in enumerate(f) if c]
-        if len(support) == 1 and abs(f[support[0]]) == 1:
-            k = support[0]
-            if sum(1 for g in forms if g[k]) == 1:
+        for k, c in enumerate(f):
+            if abs(c) == 1 and sum(1 for g in forms if g[k]) == 1:
                 unit[k] = j
+                break
     return unit
 
 
@@ -72,17 +72,24 @@ class KoszulComplex:
     degree +1 and d^2 = 0 (checked on construction degreewise).
 
     Only the cells that can carry cohomology are built.  Call k a unit
-    coordinate when some form u_j is exactly +-e_k and no other form
-    touches k.  Then d preserves a_k = mu_k + [j in S] on a cell
-    (S, v^mu), so the complex splits by the values of a.  Where a_k >= 2,
-    the block is the cone of multiplication by +-v_k from its cells with
-    j in S onto its cells with j not in S: since mu_k >= 1 on both sides,
-    the face support is the same, so that map is a bijection on cells and
-    the block is acyclic over Z.  The basis therefore keeps mu_k <= 1 at
-    every unit coordinate and drops u_j from S where mu_k = 1.  The kept
-    cells span a subcomplex that is a direct summand, with the same
-    cohomology in degrees 0..max_degree.  A form 2e_k, or +-e_k beside
-    another form touching k, makes k no unit coordinate.
+    coordinate of form u_j when u_j is the only form that touches k and
+    its coefficient there is +-1; u_j may touch other coordinates too.
+    Write a_k = mu_k + [j in S] on a cell (S, v^mu).  Every term of d
+    preserves a_k or lowers it by one, and it lowers it only through the
+    terms of u_j away from k.  So the cells with a_k <= 1 span a
+    subcomplex F.  Filter C/F by a_k: on each graded piece with a_k >= 2,
+    the differential is the cone of multiplication by +-v_k from the cells
+    with j in S onto those with j not in S.  Since mu_k >= 1 on both
+    sides, the face support is the same, so that map is a bijection on
+    cells and the piece is acyclic over Z.  Hence C/F is acyclic and F has
+    the cohomology of C in degrees 0..max_degree; repeating this for each
+    unit coordinate prunes them all.  The basis therefore keeps mu_k <= 1
+    at every unit coordinate and drops u_j from S where mu_k = 1.  Each form
+    serves at most one coordinate: were u_j to serve k and k', then after
+    pruning k its cells with j in S have mu_k = 0 while those without j
+    may have mu_k = 1, and the cone for k' is no longer a bijection.  A
+    coefficient 2 at k, or a second form touching k, makes k no unit
+    coordinate.
 
     ``cell_cap`` bounds the number of cells built, counted cumulatively
     over the degrees, and is checked as cells are appended.
@@ -129,7 +136,8 @@ class KoszulComplex:
                         raise BoundExceeded(
                             "koszul: cell count %d in degrees 0..%d "
                             "(cumulative) exceeds cap %d" %
-                            (total_cells, n, cell_cap))
+                            (total_cells, n, cell_cap),
+                            "koszul", total_cells, cell_cap, degree=n)
                     cells.extend(zip(combinations(allowed, p), repeat(mu)))
             self.basis[n] = cells
 
@@ -238,7 +246,8 @@ class CubicalQuotient:
                     for fm in self.K.face_masks) >> len(self.H.span)
         if count > self.cell_cap:
             raise BoundExceeded("cubical: cell count %d exceeds cap %d"
-                                % (count, self.cell_cap))
+                                % (count, self.cell_cap), "cubical", count,
+                                self.cell_cap)
         self._build()
 
     def _build(self):

@@ -1,5 +1,5 @@
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -339,3 +339,63 @@ def test_condition1_d1_matches_bruteforce():
         failing += not got[0]
     # both outcomes occur, so the witnesses are compared too
     assert 30 < failing < 270
+
+
+def _condition1_bruteforce_d2(K, H, all_pairs):
+    """d=2 projection compatibility without Hermite forms: for each pair
+    I < J, every annihilator generator restricted to I and extended by
+    zero lies in L = proj_J(ann H).  Z^J/L maps onto Z^J/(L + x) with
+    kernel (L + x)/L, so x lies in L exactly when the two quotients have
+    equal rank and equal torsion order."""
+    def invariants(n, rows):
+        g = FinAbGroup.from_presentation(n, rows)
+        return g.free_rank, prod(g.torsion)
+
+    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
+    for J in faces:
+        if all_pairs:
+            smaller = [I for I in faces if I < J]
+        else:
+            smaller = [J - {v} for v in sorted(J) if J - {v} in faces]
+        Js = sorted(J)
+        L = [[b[v - 1] for v in Js] for b in H.ann.basis]
+        base = invariants(len(J), L)
+        for I in smaller:
+            for b in H.ann.basis:
+                x = [b[v - 1] if v in I else 0 for v in Js]
+                if invariants(len(J), L + [x]) != base:
+                    return False, (I, J)
+    return True, None
+
+
+def _full_rank_facet_of_index_above_1(K, H):
+    return any(g.free_rank == 0 and g.torsion
+               for g in (FinAbGroup.from_presentation(
+                   len(F), [[b[v - 1] for v in sorted(F)]
+                            for b in H.ann.basis])
+                   for F in K.facets))
+
+
+def test_condition1_d2_matches_bruteforce():
+    rng = seeded("c1-d2-bruteforce")
+    failing = index_above_1 = 0
+    for _ in range(300):
+        m = rng.randint(2, 6)
+        K = random_complex(rng, m)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(m)]
+                for _ in range(rng.randint(1, m))]
+        if rng.random() < 0.5:
+            # most coordinates pinned by unit rows: many facets see all of
+            # Z^F, or a full-rank sublattice of index above 1
+            rows += [[int(i == k) for i in range(m)]
+                     for k in rng.sample(range(m), rng.randint(0, m - 1))]
+        H = TorusSubgroup.from_annihilator(m, rows)
+        for all_pairs in (False, True):
+            got = check_condition1(K, H, all_pairs=all_pairs)
+            assert got == _condition1_bruteforce_d2(K, H, all_pairs)
+        failing += not got[0]
+        index_above_1 += _full_rank_facet_of_index_above_1(K, H)
+    # both outcomes occur, and some facet has full rank but is not all of
+    # Z^F, which the facet skip must not take for a full facet
+    assert 30 < failing < 270
+    assert index_above_1

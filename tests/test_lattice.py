@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
-from maq.exact import f2_rref, mat_mul, row_hnf
+from maq.exact import f2_rref, hnf_solve, mat_mul, row_hnf
 from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
                             join_coordinate, meet_coordinate)
 
@@ -39,8 +39,8 @@ def test_tensor_and_tor():
 def test_lattice_basics():
     L = Lattice.from_generators(3, [[2, 4, 0], [1, 1, 0]])
     assert L.rank() == 2
-    assert L.contains([3, 5, 0])
-    assert not L.contains([0, 0, 1])
+    assert hnf_solve(L.basis, [3, 5, 0]) is not None
+    assert hnf_solve(L.basis, [0, 0, 1]) is None
 
 
 def test_lattice_cokernel_and_project():
@@ -64,12 +64,9 @@ def test_saturate_dual_roundtrip():
 def test_torus_subgroup_ranks():
     H = TorusSubgroup.from_annihilator(3, [[1, 1, 1]])
     assert H.torus_rank() == 2
-    assert H.character_group() == FinAbGroup.free(2)
     assert TorusSubgroup.trivial(2, 4).torus_rank() == 0
     assert TorusSubgroup.full(2, 4).torus_rank() == 4
     assert TorusSubgroup.coordinate(2, 4, frozenset({1, 3})).torus_rank() == 2
-    W = TorusSubgroup.from_f2_span(3, [0b011])
-    assert W.f2_dim() == 1
 
 
 def test_meet_join_coordinate_d2():

@@ -7,10 +7,10 @@ from maq.equivariant import PreconditionFailed, check_free
 from maq.exact import mat_mul
 from maq.homology import ChainComplex, GradedAbGroup
 from maq.intlattice import FinAbGroup, TorusSubgroup
-from maq.momentangle import BoundExceeded, hochster
+from maq.momentangle import BoundExceeded, buchstaber_real, hochster
 from maq.quotient import (CubicalQuotient, KoszulComplex,
-                          cubical_quotient_cohomology, cw_census,
-                          koszul_cohomology, trc_report)
+                          _unit_coordinates, cubical_quotient_cohomology,
+                          cw_census, koszul_cohomology, trc_report)
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
 from conftest import random_complex, random_unimodular, seeded
@@ -89,6 +89,27 @@ def test_koszul_cell_cap():
         KoszulComplex(SimplicialComplex.points(4), [], 7, cell_cap=10)
 
 
+def test_bound_errors_carry_layer_size_and_cap():
+    antipodal = TorusSubgroup.from_f2_span(5, [0b11111])
+    cases = [
+        (lambda: KoszulComplex(SimplicialComplex.points(4), [], 7,
+                               cell_cap=10), ("koszul", 11, 10, 6)),
+        (lambda: cubical_quotient_cohomology(boundary_simplex(5), antipodal,
+                                             cell_cap=120),
+         ("cubical", 121, 120, None)),
+        (lambda: hochster(SimplicialComplex.points(4), m_bound=3),
+         ("hochster", 4, 3, None)),
+        (lambda: buchstaber_real(SimplicialComplex.points(4), m_bound=3),
+         ("buchstaber-real", 4, 3, None)),
+    ]
+    for run, fields in cases:
+        with pytest.raises(BoundExceeded) as exc:
+            run()
+        e = exc.value
+        assert (e.layer, e.size, e.cap, e.degree) == fields
+        assert str(e).startswith(e.layer + ": ")
+
+
 def unpruned_koszul_cohomology(K, forms, max_degree):
     """Koszul cohomology from every cell (S, v^mu) with face-supported mu,
     none pruned: the reference for the basis KoszulComplex builds."""
@@ -161,6 +182,29 @@ def _pruning_rows(rng, family, m):
         rows += [_unit_row(m, i, sign()) for i in coords[2:]
                  if rng.random() < 0.5]
         return rows
+    if family == "pivot":
+        # unit forms that touch other coordinates too: the HNF basis of a
+        # random lattice (every pivot-1 column), or e_k + c e_i beside
+        # forms on the remaining coordinates
+        if rng.random() < 0.5:
+            gens = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(m)]
+                    for _ in range(rng.randint(1, m))]
+            rows = TorusSubgroup.from_annihilator(m, gens).ann.basis
+            if rows:
+                return [list(b) for b in rows]
+        k, i = coords[0], coords[1]
+        row = _unit_row(m, k, sign())
+        row[i] = rng.choice((-2, -1, 1, 2))
+        rows = [row]
+        for j in coords[2:]:
+            r = rng.random()
+            if r < 0.4:
+                rows.append(_unit_row(m, j, sign()))
+            elif r < 0.7:
+                rows.append(_unit_row(m, j, 2) if rng.random() < 0.5
+                            else [c + (t == j) for t, c in enumerate(row)])
+        rng.shuffle(rows)
+        return rows
     if family == "lens":
         # annihilator of Z/n acting with weights w: n e_1 and e_i - w_i e_1
         n = rng.randint(2, 5)
@@ -173,11 +217,11 @@ def _pruning_rows(rng, family, m):
     raise ValueError(family)
 
 
-@pytest.mark.parametrize("family",
-                         ["trivial", "mixed", "double", "shared", "lens"])
+@pytest.mark.parametrize("family", ["trivial", "mixed", "double", "shared",
+                                    "pivot", "lens"])
 def test_koszul_pruning_matches_unpruned_reference(family):
     rng = seeded("koszul-pruning-" + family)
-    done = 0
+    done = wide = 0
     while done < 8:
         m = rng.randint(2, 5)
         K = (boundary_simplex(m) if family == "lens" and done % 2
@@ -186,6 +230,8 @@ def test_koszul_pruning_matches_unpruned_reference(family):
             continue
         done += 1
         rows = _pruning_rows(rng, family, m)
+        wide += any(sum(map(bool, rows[j])) > 1
+                    for j in _unit_coordinates(rows).values())
         max_degree = m + K.dim() + 1
         kc = KoszulComplex(K, rows, max_degree)
         assert kc.cohomology() == \
@@ -201,6 +247,26 @@ def test_koszul_pruning_matches_unpruned_reference(family):
                         if c and K.is_face(
                                 [v + 1 for v, e in enumerate(mu2) if e]):
                             assert (S[:t] + S[t + 1:], mu2) in kept
+    if family == "pivot":
+        # some unit form touches coordinates besides its own
+        assert wide
+
+
+def test_unit_form_with_wider_support():
+    # e_1 + e_2 serves coordinate 0 only
+    assert _unit_coordinates([[1, 1]]) == {0: 0}
+    assert _unit_coordinates([[1, 1, 0], [0, 0, 1]]) == {0: 0, 2: 1}
+    # a second form touching k, or a coefficient 2, disqualifies k
+    assert _unit_coordinates([[1, 1], [0, 1]]) == {0: 0}
+    assert _unit_coordinates([[2, 1], [0, 2]]) == {}
+    # on the full 2-simplex, letting e_1 + e_2 serve both of its
+    # coordinates would lose the Z in degree 6
+    for K, rows in ((TWO_POINTS, [[1, 1]]),
+                    (boundary_simplex(3), [[1, 1, 0], [0, 0, 1]]),
+                    (SimplicialComplex.simplex(3), [[1, 1, 0], [0, 0, 1]])):
+        max_degree = K.m + K.dim() + 1
+        assert KoszulComplex(K, rows, max_degree).cohomology() == \
+            unpruned_koszul_cohomology(K, rows, max_degree)
 
 
 def test_koszul_basis_independence():
