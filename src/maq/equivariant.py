@@ -113,15 +113,22 @@ def check_condition1(K, H, all_pairs=False):
 
     A face J inside a facet F with proj_F(ann H) all of Z^F (F2^F for
     d=1) has proj_J(ann H) all of Z^J, so no pair (I, J) can fail there.
-    The facets' characters are computed first, every J below a full facet
-    is skipped, and the other faces' characters are computed as the pairs
-    reach them.  The skipped pairs cannot fail, so the first failing pair
-    is the same as over all pairs.
+    The facets' characters are computed first, the faces below a full
+    facet are collected by walking down from those facets, each face
+    once, and skipped; the other faces' characters are computed as the
+    pairs reach them.  The skipped pairs cannot fail, so the first
+    failing pair is the same as over all pairs.
 
     Returns (ok, witness) with witness the first failing pair.
     """
     chars = {F: H.characters(F) for F in K.facets}
-    full = [F for F, c in chars.items() if _is_full(H.d, c, len(F))]
+    below_full = set()
+    stack = [F for F, c in chars.items() if _is_full(H.d, c, len(F))]
+    while stack:
+        J = stack.pop()
+        if J not in below_full:
+            below_full.add(J)
+            stack.extend(J - {v} for v in J)
 
     def characters(I):
         if I not in chars:
@@ -131,7 +138,7 @@ def check_condition1(K, H, all_pairs=False):
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     is_face = set(faces)
     for J in faces:
-        if any(J <= F for F in full):
+        if J in below_full:
             continue
         if all_pairs:
             smaller = [I for I in faces if I < J]

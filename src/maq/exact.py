@@ -13,7 +13,12 @@ coordinates in ``equivariant``, and cubical orbit representatives and
 transporters in ``quotient``.
 
 Over Z every presentation, chain complex boundary and Koszul differential
-is reduced by ``rank_and_invariants``, sparse unit pivots first.  The dense
+is reduced by ``rank_and_invariants``, sparse unit pivots first.  It can
+report the rows of its unit pivots, and ``homology.ChainComplex`` uses
+them to clear: boundaries are eliminated from the highest degree down,
+and the unit-pivot rows of d_{k+1} are dropped from the columns of d_k
+before d_k is eliminated, which changes neither its rank nor its
+invariant factors (the argument is in ``ChainComplex``).  The dense
 ``smith_normal_form`` has two callers: the residue inside
 ``rank_and_invariants``, and ``intlattice.Lattice.saturate_dual``, which
 needs the transforms; those come from the same elimination steps run on
@@ -219,13 +224,21 @@ def smith_normal_form(mat, transforms=False):
     return diag, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
 
 
-def rank_and_invariants(entries):
+def rank_and_invariants(entries, pivot_rows=None):
     """Rank and nonzero invariant factors of a sparse integer matrix.
 
     ``entries`` is an iterable of ``(i, j, v)`` triples with v != 0.  Unit
     (+-1) pivots are eliminated first, which keeps fill-in and coefficient
     growth small on the very sparse boundary matrices this package
     produces; whatever remains is handed to the dense SNF.
+
+    When ``pivot_rows`` is a list, the row id of every unit pivot is
+    appended to it in pivot order; pivots of the dense residue are not.
+    Each pivot row, at the moment it is taken, is its original row plus
+    multiples of earlier pivot rows and is zero in the earlier pivot
+    columns, so the original block on the pivot rows and columns is a
+    unit lower triangular matrix times a triangular one with +-1 on the
+    diagonal: it is unimodular.  ``ChainComplex`` clears with these rows.
 
     Pivot rows come from a heap of ``(row length, row id)``, so the
     shortest live row is tried first and ties go to the smaller row id.
@@ -261,6 +274,8 @@ def rank_and_invariants(entries):
             continue
         pj = best[1]
         pv = prow[pj]
+        if pivot_rows is not None:
+            pivot_rows.append(pi)
         del rows[pi]
         for j in prow:
             col = cols[j]

@@ -79,6 +79,22 @@ class ChainComplex:
     degree min_degree+i (0 <= col < dims[i]); boundaries[0] maps out of the
     complex and is None.  The dicts are stored as given, not copied, so
     they must not be mutated afterwards.
+
+    On first use every boundary is eliminated once, from the highest index
+    down, and each elimination clears the next: the columns of d_k that
+    are unit-pivot rows of d_{k+1} are dropped before d_k is eliminated.
+    This is exact over Z.  Let R and S be the rows and columns of the
+    unit pivots that ``rank_and_invariants`` takes in d_{k+1}.  The block
+    d_{k+1}[R, S] is unimodular, so {d_{k+1} e_s : s in S} together with
+    {e_j : j not in R} is a Z-basis of C_k: in that basis's matrix the
+    block on R is d_{k+1}[R, S] and the rest is the identity.  d_k kills
+    the first part because d_k d_{k+1} = 0, so d_k times this change of
+    basis is d_k on the columns outside R beside zero columns, and d_k
+    restricted to those columns has the rank and the invariant factors
+    of d_k.  Only +-1 pivots may be cleared: for a divisor pivot the block
+    is not unimodular and the set above spans a proper sublattice.  The
+    argument needs d_k d_{k+1} = 0, which ``check`` verifies; a complex
+    built with ``check=False`` must satisfy it by construction.
     """
 
     def __init__(self, dims, boundaries, min_degree=0, check=True):
@@ -91,7 +107,7 @@ class ChainComplex:
         if len(bs) != len(self.dims):
             raise ValueError("boundary count inconsistent with dims")
         self.boundaries = [None] + bs[1:]
-        self._eliminated = {}   # boundary index -> (rank, invariants)
+        self._eliminated = None   # boundary index -> (rank, invariants)
         if check:
             self._validate()
 
@@ -113,18 +129,21 @@ class ChainComplex:
     def _rank_inv(self, i):
         """(rank, invariant factors) of boundaries[i]; zero map if absent.
 
-        Each boundary is eliminated at most once per instance; homology,
-        cohomology and homology_mod all read the same result.
+        Every boundary is eliminated once per instance, on the first call;
+        homology, cohomology and homology_mod all read the same result.
         """
-        if i < 1 or i >= len(self.dims):
-            return 0, []
-        b = self.boundaries[i]
-        if not b:
-            return 0, []
-        if i not in self._eliminated:
-            self._eliminated[i] = rank_and_invariants(
-                (r, c, v) for (r, c), v in b.items())
-        return self._eliminated[i]
+        if self._eliminated is None:
+            self._eliminated = {}
+            cleared = set()
+            for k in range(len(self.dims) - 1, 0, -1):
+                entries = [(r, c, v) for (r, c), v
+                           in self.boundaries[k].items() if c not in cleared]
+                pivot_rows = []
+                if entries:
+                    self._eliminated[k] = rank_and_invariants(entries,
+                                                              pivot_rows)
+                cleared = set(pivot_rows)
+        return self._eliminated.get(i, (0, []))
 
     def homology(self):
         out = {}
@@ -301,8 +320,12 @@ class PosetDiagram:
         if not I <= J:
             raise ValueError("no arrow from %s to %s: not a subset"
                              % (sorted(I), sorted(J)))
-        gi = self.gens(I, n)
-        if not gi or not self.gens(J, n):
+        return self._arrow(I, J, n)
+
+    def _arrow(self, I, J, n):
+        """arrow() for frozensets I <= J, which the caller guarantees."""
+        gi = self.orders.get((I, n))
+        if not gi or not self.orders.get((J, n)):
             return {}
         if I == J:
             return {(k, k): 1 for k in range(len(gi))}
@@ -313,7 +336,7 @@ class PosetDiagram:
             return self._composites[key]
         # walk down one vertex at a time
         mid = J - {min(J - I)}
-        out = self._product(self.arrow(I, mid, n), self.arrow(mid, J, n))
+        out = self._product(self._arrow(I, mid, n), self._arrow(mid, J, n))
         self._composites[key] = out
         return out
 
@@ -379,8 +402,8 @@ class PosetDiagram:
                 for v in sorted(J - I):
                     mid = J - {v}
                     if mid in face_set:
-                        paths.append(self._product(self.arrow(I, mid, n),
-                                                   self.arrow(mid, J, n)))
+                        paths.append(self._product(self._arrow(I, mid, n),
+                                                   self._arrow(mid, J, n)))
                 if (I, J, n) in self.arrows:
                     paths.append(self.arrows[(I, J, n)])
                 for other in paths[1:]:
@@ -460,7 +483,7 @@ def limit_graded(D, max_degree=None):
                     d1[b + r, a + nb] = ot
                     nb += 1
             for sign, P in ((1, parent[J]), (-1, parent[I])):
-                for (r, c), v in D.arrow(I, P, n).items():
+                for (r, c), v in D._arrow(I, P, n).items():
                     ot = gi[r]
                     v = sign * v % ot if ot else sign * v
                     if not v:

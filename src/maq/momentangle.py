@@ -113,6 +113,14 @@ def hochster(K, max_degree=None, m_bound=14):
     it to a face of K, which one table ``up`` answers.  The test costs
     O(#facets of K + |I| #facets of K_I) per I.
 
+    A K_I that must be built is first looked up by its facets with the
+    vertices of I renumbered 0..|I|-1 in increasing order.  Equal keys
+    mean K_I and K_J are the same complex up to relabeling, hence
+    isomorphic, with the same integral cohomology, torsion included; so
+    each full subcomplex is built once up to relabeling.  On skeleta and
+    boundaries of simplices every K_I with the same |I| gives one key.
+    The memo lives for one call.
+
     With ``max_degree`` = d, a subset with |I| > d is skipped: its lowest
     degree is |I|, reached by H-tilde^{-1} = Z when K_I = {empty face}
     (I all ghosts).  Each I \\ v read from the memo has |I| - 1 vertices,
@@ -125,17 +133,21 @@ def hochster(K, max_degree=None, m_bound=14):
     facets = K.facet_masks
     ghosts, up = _vertex_tables(K)
     memo = []
+    built = {}   # relabeled facets of K_I -> its cohomology groups
     out = {}
     for I in range(1 << K.m):
         if max_degree is not None and I.bit_count() > max_degree:
             memo.append(None)   # read only by supersets, skipped too
             continue
-        v = _removable_vertex(I, ghosts, facets, up)
+        v, tops = _removable_vertex(I, ghosts, facets, up)
         if v:
             groups = memo[I ^ v]
         else:
-            groups = face_chain_complex(
-                [f for f in faces if f & I == f]).cohomology().groups
+            key = _relabeled(tops, I)
+            groups = built.get(key)
+            if groups is None:
+                groups = built[key] = face_chain_complex(
+                    [f for f in faces if f & I == f]).cohomology().groups
         memo.append(groups)
         for j, g in groups:
             p = j + I.bit_count() + 1
@@ -162,9 +174,10 @@ def _vertex_tables(K):
 
 
 def _removable_vertex(I, ghosts, facets, up):
-    """A vertex bit v of I that is a ghost or dominated in K_I, else 0."""
+    """(v, tops): v a vertex bit of I that is a ghost or dominated in K_I,
+    else 0; tops the facet masks of K_I, or None when I holds a ghost."""
     if I & ghosts:
-        return I & ghosts & -(I & ghosts)
+        return I & ghosts & -(I & ghosts), None
     # the facets of K_I: the sets F & I that no vertex of I extends
     tops = [f for f in {F & I for F in facets} if not up[f] & I]
     rest = I
@@ -178,8 +191,27 @@ def _removable_vertex(I, ghosts, facets, up):
                 if common == v:
                     break
         else:   # some w other than v lies in every facet through v
-            return v
-    return 0
+            return v, tops
+    return 0, tops
+
+
+def _relabeled(masks, I):
+    """The masks, subsets of I, with the vertices of I renumbered
+    0..|I|-1 in increasing order, as a frozenset."""
+    new = {}   # vertex bit of I -> its bit after renumbering
+    while I:
+        low = I & -I
+        new[low] = 1 << len(new)
+        I ^= low
+    out = []
+    for f in masks:
+        g = 0
+        while f:
+            low = f & -f
+            g |= new[low]
+            f ^= low
+        out.append(g)
+    return frozenset(out)
 
 
 def skeleton_wedge(m, k):
@@ -209,7 +241,7 @@ def skeleton_quotient_hrk(m, k):
     over the k-skeleton of the (m-1)-simplex by the diagonal circle
     {(t, ..., t)}, whose annihilator is spanned by e_i - e_(i+1), with the
     2^{m-k-1} bound.  The value equals the total rank of the computed
-    Koszul cohomology for every 3 <= m <= 6, and for m = 7 with k <= 3.
+    Koszul cohomology for every 3 <= m <= 8 and every 0 <= k <= m-2.
 
     Returns (hrk, bound, verdict).
     """

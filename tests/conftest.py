@@ -15,6 +15,13 @@ def random_complex(rng, m, max_facets=None):
     return SimplicialComplex(m, facets)
 
 
+def join(A, B):
+    """The join A * B, with the vertices of B shifted past those of A."""
+    return SimplicialComplex(A.m + B.m, [f | {v + A.m for v in g}
+                                         for f in A.facets
+                                         for g in B.facets])
+
+
 def random_unimodular(rng, n, steps=8):
     """Product of elementary row operations."""
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -4,16 +4,18 @@ from math import gcd, lcm
 
 import pytest
 
-from maq import homology
+from maq import homology, quotient
+from maq.constructions import rp2_6
 from maq.equivariant import build_classifying_diagram, check_condition1
-from maq.exact import mat_mul
+from maq.exact import mat_mul, rank_and_invariants
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                           limit_graded, reduced_cohomology, reduced_homology,
                           simplicial_chain_complex, sparse_product)
 from maq.intlattice import FinAbGroup, TorusSubgroup
+from maq.quotient import cubical_quotient_cohomology, koszul_cohomology
 from maq.simplicial import SimplicialComplex, boundary_simplex, cone, skeleton
 
-from conftest import random_complex, reference_limit, seeded
+from conftest import join, random_complex, reference_limit, seeded
 
 
 def test_graded_group_algebra():
@@ -596,3 +598,91 @@ def test_homology_matches_bruteforce_ranks():
                 t_here = sum(1 for t in g.torsion if t % p == 0)
                 t_below = sum(1 for t in h.group(d + 1).torsion if t % p == 0)
                 assert dim_p == g.free_rank + t_here + t_below
+
+
+def _recorded(monkeypatch, run):
+    """The ChainComplex instances that ``run()`` builds, in homology and
+    in quotient."""
+    made = []
+
+    class Recorded(ChainComplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(homology, "ChainComplex", Recorded)
+    monkeypatch.setattr(quotient, "ChainComplex", Recorded)
+    run()
+    monkeypatch.undo()
+    return made
+
+
+def _lens_rows(n, weights, width, offset=0):
+    """Annihilator rows of Z/n acting on S^(2k-1) with the given weights,
+    k = len(weights) + 1, on coordinates offset..offset+k-1 of Z^width:
+    n e_0 and e_i - w_i e_0."""
+    rows = [[n if j == offset else 0 for j in range(width)]]
+    for i, w in enumerate(weights, 1):
+        rows.append([(j == offset + i) - w * (j == offset)
+                     for j in range(width)])
+    return rows
+
+
+def _lens(rng, m):
+    n = rng.randint(2, 7)
+    units = [w for w in range(1, n) if gcd(w, n) == 1]
+    return n, [rng.choice(units) for _ in range(m - 1)]
+
+
+def test_clearing_keeps_every_boundary(monkeypatch):
+    # each boundary's (rank, invariants) with the unit-pivot rows of the
+    # boundary above cleared, against the same boundary eliminated whole,
+    # on complexes from every producer; each producer clears some column
+    # and carries torsion
+    rng = seeded("clearing")
+
+    def simplicial():
+        for _ in range(20):
+            reduced_cohomology(random_complex(rng, rng.randint(3, 7)))
+        for _ in range(3):
+            reduced_cohomology(join(rp2_6(), random_complex(rng, 2)))
+
+    def koszul():
+        for m in (3, 4):
+            n, w = _lens(rng, m)
+            koszul_cohomology(boundary_simplex(m), TorusSubgroup
+                              .from_annihilator(m, _lens_rows(n, w, m)))
+        for a, b in ((2, 2), (2, 3)):
+            (n1, w1), (n2, w2) = _lens(rng, a), _lens(rng, b)
+            rows = (_lens_rows(n1, w1, a + b)
+                    + _lens_rows(n2, w2, a + b, offset=a))
+            koszul_cohomology(join(boundary_simplex(a), boundary_simplex(b)),
+                              TorusSubgroup.from_annihilator(a + b, rows))
+
+    def cubical():
+        for m in range(3, 8):
+            W = TorusSubgroup.from_f2_span(m, [(1 << m) - 1])
+            cubical_quotient_cohomology(boundary_simplex(m), W)
+
+    def limit():
+        for D in _torsion_diagrams(30, "clearing-limit"):
+            limit_graded(D)
+        for D in _classifying_diagrams(1, 20, "clearing-limit-1"):
+            limit_graded(D)
+
+    for run in (simplicial, koszul, cubical, limit):
+        cleared = torsion = 0
+        for C in _recorded(monkeypatch, run):
+            for i in range(1, len(C.dims)):
+                b = C.boundaries[i]
+                whole = rank_and_invariants(
+                    (r, c, v) for (r, c), v in b.items())
+                assert C._rank_inv(i) == whole, (run.__name__, i)
+                torsion += any(x > 1 for x in whole[1])
+                if i + 1 < len(C.dims):
+                    rows = []
+                    rank_and_invariants(
+                        ((r, c, v) for (r, c), v
+                         in C.boundaries[i + 1].items()), rows)
+                    cleared += len({c for _, c in b} & set(rows))
+        assert cleared and torsion, run.__name__

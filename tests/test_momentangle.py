@@ -11,7 +11,7 @@ from maq.momentangle import (BoundExceeded, PoincareSeries, SRRing,
 from maq.simplicial import (SimplicialComplex, boundary_simplex, cone,
                             full_subcomplex, skeleton)
 
-from conftest import random_complex, seeded
+from conftest import join, random_complex, seeded
 
 
 def test_poincare_series():
@@ -42,9 +42,9 @@ def test_hochster_matches_subcomplex_sum():
     # joins (one carrying the Z/2 of rp2_6), cones, ghosts, and complexes
     # with a dominated vertex that are not cones: a circle and rp2_6, each
     # with a whisker
-    cases += [_join(rp2_6(), SimplicialComplex.points(2)),
-              _join(boundary_simplex(3), SimplicialComplex.points(2))]
-    cases += [_join(random_complex(rng, rng.randint(1, 3)),
+    cases += [join(rp2_6(), SimplicialComplex.points(2)),
+              join(boundary_simplex(3), SimplicialComplex.points(2))]
+    cases += [join(random_complex(rng, rng.randint(1, 3)),
                     random_complex(rng, rng.randint(1, 3))) for _ in range(4)]
     cases += [cone(rp2_6()), cone(boundary_simplex(4)),
               cone(random_complex(rng, 4)),
@@ -52,20 +52,57 @@ def test_hochster_matches_subcomplex_sum():
               SimplicialComplex(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
               SimplicialComplex(7, rp2_6().facets + [(1, 7)])]
     for K in cases:
-        total = {}
-        for I in _all_subsets(K.m):
-            for d, g in reduced_cohomology(full_subcomplex(K, I)).groups:
-                n = d + len(I) + 1
-                total[n] = total.get(n, FinAbGroup.trivial()).direct_sum(g)
-        assert hochster(K) == GradedAbGroup.make(total)
+        assert hochster(K) == _hochster_bruteforce(K)
     # H^2(RP^2) = Z/2 on all six vertices lands in degree 2 + 6 + 1
     assert hochster(rp2_6()).group(9) == FinAbGroup.cyclic(2)
 
 
-def _join(A, B):
-    return SimplicialComplex(A.m + B.m, [f | {v + A.m for v in g}
-                                         for f in A.facets
-                                         for g in B.facets])
+def _hochster_bruteforce(K, max_degree=None):
+    """Hochster's sum with every K_I built through full_subcomplex and
+    reduced_cohomology: no domination, no memo."""
+    total = {}
+    for I in _all_subsets(K.m):
+        for d, g in reduced_cohomology(full_subcomplex(K, I)).groups:
+            n = d + len(I) + 1
+            if max_degree is None or n <= max_degree:
+                total[n] = total.get(n, FinAbGroup.trivial()).direct_sum(g)
+    return GradedAbGroup.make(total)
+
+
+def test_hochster_memo_matches_bruteforce(monkeypatch):
+    # K_I looked up by its relabeled facets, against every K_I built, as
+    # whole groups with torsion: random complexes with ghost vertices,
+    # joins with rp2_6 (Z/2), and max_degree cuts
+    built = []
+    original = momentangle.face_chain_complex
+
+    def counted(masks, *args):
+        built.append(masks)
+        return original(masks, *args)
+
+    monkeypatch.setattr(momentangle, "face_chain_complex", counted)
+    rng = seeded("hochster-memo")
+    cases = []
+    for _ in range(12):
+        K = random_complex(rng, rng.randint(2, 6))
+        cases.append(SimplicialComplex(K.m + rng.randint(0, 2), K.facets))
+    cases += [join(rp2_6(), random_complex(rng, rng.randint(1, 2)))
+              for _ in range(2)]
+    cases += [join(random_complex(rng, 3), random_complex(rng, 3))
+              for _ in range(2)]
+    undominated = builds = 0
+    for K in cases:
+        ghosts, up = momentangle._vertex_tables(K)
+        undominated += sum(not momentangle._removable_vertex(
+            I, ghosts, K.facet_masks, up)[0] for I in range(1 << K.m))
+        built.clear()
+        assert hochster(K) == _hochster_bruteforce(K), K
+        builds += len(built)
+        for d in rng.sample(range(2 * K.m + 2), 3):
+            assert hochster(K, max_degree=d) == \
+                _hochster_bruteforce(K, max_degree=d), (K, d)
+    # the memo was read: fewer builds than undominated subsets
+    assert builds < undominated
 
 
 def test_hochster_reuse_is_exercised():
@@ -78,7 +115,7 @@ def test_hochster_reuse_is_exercised():
         ghosts, up = momentangle._vertex_tables(K)
         full = (1 << K.m) - 1
         assert momentangle._removable_vertex(
-            full, ghosts, K.facet_masks, up) == 1 << (v - 1)
+            full, ghosts, K.facet_masks, up)[0] == 1 << (v - 1)
     # the Z/2 of K_[7] in degree 2 + 7 + 1 is copied from K_[6] = rp2_6
     assert hochster(SimplicialComplex(7, rp2_6().facets + [(1, 7)])) \
         .group(10) == FinAbGroup.cyclic(2)
@@ -86,7 +123,8 @@ def test_hochster_reuse_is_exercised():
 
 def test_hochster_builds_only_the_undominated_full_subcomplexes(monkeypatch):
     # on the boundary of a simplex every proper K_I with |I| >= 2 is a full
-    # simplex: only the empty set, the m singletons and [m] are built
+    # simplex, and the m singletons are one complex up to relabeling: only
+    # the empty set, one vertex and [m] are built
     built = []
     original = momentangle.face_chain_complex
 
@@ -98,7 +136,7 @@ def test_hochster_builds_only_the_undominated_full_subcomplexes(monkeypatch):
     for m in range(3, 9):
         built.clear()
         h = hochster(boundary_simplex(m))
-        assert len(built) == m + 2
+        assert len(built) == 3
         assert h == GradedAbGroup.make({0: FinAbGroup.free(1),
                                         2 * m - 1: FinAbGroup.free(1)})
 
@@ -173,12 +211,19 @@ def test_domination_test_matches_bruteforce():
                 if through and frozenset.intersection(*through) - {v}:
                     removable.add(v)
             mask = sum(1 << (v - 1) for v in I)
-            got = momentangle._removable_vertex(mask, ghosts, K.facet_masks,
-                                                up)
+            got, tops = momentangle._removable_vertex(mask, ghosts,
+                                                      K.facet_masks, up)
             if removable:
                 assert got.bit_length() in removable, (K, I)
             else:
                 assert got == 0, (K, I)
+            # the facets it hands to the memo are those of K_I, unless I
+            # holds a ghost
+            if all(K.is_face([v]) for v in I):
+                assert sorted(tops) == sorted(sum(1 << (v - 1) for v in F)
+                                              for F in facets), (K, I)
+            else:
+                assert tops is None, (K, I)
             checked += 1
             dominated += bool(removable)
     assert dominated and checked - dominated
