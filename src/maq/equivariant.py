@@ -16,7 +16,7 @@ from math import comb
 
 from .exact import f2_solve, hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
-from .intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
+from .intlattice import FinAbGroup, TorusSubgroup
 from .momentangle import SRRing, sr_dimension
 from .simplicial import contraction
 
@@ -59,10 +59,15 @@ class ActionReport:
 def check_free(K, H):
     """Whether H acts freely: H meet G^I trivial for every facet I.
 
+    H meet G^I has the characters of G^I modulo proj_I(ann H), so it is
+    trivial exactly when proj_I(ann H) is all of Z^I (F2^I for d=1),
+    which _is_full reads off the canonical basis: a Hermite form of rank
+    |I| with every pivot 1 is the identity.
+
     Returns (free, witness) with witness the first failing facet.
     """
     for I in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
-        if not meet_coordinate(H, I).intersection.is_trivial():
+        if not _is_full(H.d, H.characters(I), len(I)):
             return False, I
     return True, None
 
@@ -113,28 +118,21 @@ def check_condition1(K, H, all_pairs=False):
 
     A face J inside a facet F with proj_F(ann H) all of Z^F (F2^F for
     d=1) has proj_J(ann H) all of Z^J, so no pair (I, J) can fail there.
-    The facets' characters are computed first, the faces below a full
-    facet are collected by walking down from those facets, each face
-    once, and skipped; the other faces' characters are computed as the
-    pairs reach them.  The skipped pairs cannot fail, so the first
-    failing pair is the same as over all pairs.
+    The facets' characters are read first, the faces below a full facet
+    are collected by walking down from those facets, each face once, and
+    skipped; the other faces' characters are read as the pairs reach
+    them, each computed once by H.characters.  The skipped pairs cannot
+    fail, so the first failing pair is the same as over all pairs.
 
     Returns (ok, witness) with witness the first failing pair.
     """
-    chars = {F: H.characters(F) for F in K.facets}
     below_full = set()
-    stack = [F for F, c in chars.items() if _is_full(H.d, c, len(F))]
+    stack = [F for F in K.facets if _is_full(H.d, H.characters(F), len(F))]
     while stack:
         J = stack.pop()
         if J not in below_full:
             below_full.add(J)
             stack.extend(J - {v} for v in J)
-
-    def characters(I):
-        if I not in chars:
-            chars[I] = H.characters(I)
-        return chars[I]
-
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     is_face = set(faces)
     for J in faces:
@@ -144,10 +142,11 @@ def check_condition1(K, H, all_pairs=False):
             smaller = [I for I in faces if I < J]
         else:
             smaller = [J - {v} for v in sorted(J) if J - {v} in is_face]
+        basis = H.characters(J)
         for I in smaller:
             pairs = _positions(I, J)
-            for a in characters(I):
-                if _solve(H.d, characters(J),
+            for a in H.characters(I):
+                if _solve(H.d, basis,
                           _reindex(H.d, a, pairs, len(J))) is None:
                     return False, (I, J)
     return True, None
@@ -254,38 +253,54 @@ def build_classifying_diagram(K, H, max_degree):
     d=1: mod-2 polynomial rings on degree-one classes, stored as order-2
     generators in every degree.
 
-    Covers with the same character map share one table of symmetric
-    powers: the tables are memoized for the call under the key
-    ``(len(chars[I]), columns)``, with ``columns`` the sparse columns of
-    _char_map as tuples of sorted ``(row, value)`` items.  The row count
-    belongs to the key because it fixes the monomial index of the target;
-    ``top_k`` and the modulus are fixed within the call.
+    Values with the same generator count share one ``orders`` tuple, and
+    covers with the same character map share one table of symmetric
+    powers, so PosetDiagram's identity-keyed memos see repeated keys.
+    The character map of a cover I = J - {v} is a function of chars[I],
+    chars[J] and the position of v in sorted(J), and is solved once per
+    distinct such triple, compared by content.  The tables are memoized
+    under the key ``(len(chars[I]), columns)``, with ``columns`` the
+    sparse columns of _char_map as tuples of sorted ``(row, value)``
+    items.  The row count belongs to the key because it fixes the
+    monomial index of the target; ``top_k`` and the modulus are fixed
+    within the call.  Both memos live for the call.
     """
     faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
     step = 2 if H.d == 2 else 1
     top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}
+    # chars[I] by content: HNF rows as tuples for d=2, bitmasks for d=1
+    content = {I: tuple(map(tuple, c)) if H.d == 2 else tuple(c)
+               for I, c in chars.items()}
+    shapes = {}   # generator count -> the one orders tuple for it
     orders = {}
     for I in faces:
         r = len(chars[I])
         for k in range(top_k + 1 if r else 1):
             n = comb(r + k - 1, k) if k else 1
-            orders[(I, k * step)] = (0,) * n if H.d == 2 else (2,) * n
+            if n not in shapes:
+                shapes[n] = (0,) * n if H.d == 2 else (2,) * n
+            orders[(I, k * step)] = shapes[n]
     mod = 2 if H.d == 1 else None
+    maps = {}     # (content of I, content of J, position) -> table
     tables = {}
     arrows = {}
     for J in faces:
-        for v in sorted(J):
+        for t, v in enumerate(sorted(J)):
             I = J - {v}
             if I not in chars:
                 continue
-            columns = _char_map(H, I, J, chars)
-            key = (len(chars[I]),
-                   tuple(tuple(sorted(col.items())) for col in columns))
-            powers = tables.get(key)
+            key = content[I], content[J], t
+            powers = maps.get(key)
             if powers is None:
-                powers = tables[key] = _sym_powers(columns, len(chars[I]),
-                                                   top_k, mod)
+                columns = _char_map(H, I, J, chars)
+                table = (len(chars[I]),
+                         tuple(tuple(sorted(col.items())) for col in columns))
+                powers = tables.get(table)
+                if powers is None:
+                    powers = tables[table] = _sym_powers(
+                        columns, len(chars[I]), top_k, mod)
+                maps[key] = powers
             for k, arrow in enumerate(powers):
                 if (I, k * step) in orders and (J, k * step) in orders:
                     arrows[(I, J, k * step)] = arrow

@@ -9,6 +9,7 @@ integer presentations so that torsion is tracked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .exact import rank_and_invariants
 from .intlattice import FinAbGroup
@@ -276,11 +277,18 @@ class PosetDiagram:
     torsion of its stored arrows.
 
     One arrow dict may be stored under several keys, as
-    build_classifying_diagram does for covers with the same character map.
-    Products of arrows, in validate()'s diamonds and in arrow()'s
-    composites, are memoized by the identity of their two factors, so a
-    pair of shared dicts is multiplied once.  Stored dicts, and the dicts
-    arrow() returns, must therefore not be mutated.
+    build_classifying_diagram does for covers with the same character map,
+    and one ``orders`` tuple under several faces and degrees.  The work is
+    memoized by identity: products of arrows, in validate()'s diamonds and
+    in arrow()'s composites, by their two factors, so a pair of shared
+    dicts is multiplied once; validate()'s shape and torsion scan by the
+    (arrow, source orders, target orders) triple; a diamond's verdict by
+    the orders at its bottom and its four covering arrows; and, within
+    one call, limit_graded's torsion rescan by the triple again.  Each
+    memo holds the objects of its key, so no id is reused while it
+    lives.  Neither the stored arrow dicts, nor the dicts arrow()
+    returns, nor the ``orders`` tuples may therefore be mutated.
+    ``covering_pairs()`` is computed once per instance.
     """
 
     faces: tuple
@@ -293,6 +301,7 @@ class PosetDiagram:
                                   key=lambda f: (len(f), sorted(f))))
         self._composites = {}
         self._products = {}
+        self._covers = None
         self.validate()
 
     def gens(self, I, n):
@@ -341,25 +350,29 @@ class PosetDiagram:
         return out
 
     def covering_pairs(self):
-        face_set = set(self.faces)
-        out = []
-        for J in self.faces:
-            for v in sorted(J):
-                I = J - {v}
-                if I in face_set:
-                    out.append((I, J))
-        return out
+        """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
+        increasing; computed once per instance."""
+        if self._covers is None:
+            face_set = set(self.faces)
+            self._covers = tuple((J - {v}, J) for J in self.faces
+                                 for v in sorted(J) if J - {v} in face_set)
+        return self._covers
 
     def validate(self):
         face_set = set(self.faces)
-        for (I, J, n), M in self.arrows.items():
+        orders, arrows = self.orders, self.arrows
+        scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
+        for (I, J, n), M in arrows.items():
             if I not in face_set or J not in face_set or not I <= J:
                 raise ValueError("arrow between objects not in the poset")
             if not isinstance(M, dict):
                 raise ValueError("arrow at %s <= %s, degree %d is not a "
                                  "{(row, col): value} dict"
                                  % (sorted(I), sorted(J), n))
-            gi, gj = self.gens(I, n), self.gens(J, n)
+            gi, gj = orders.get((I, n), ()), orders.get((J, n), ())
+            key = id(M), id(gi), id(gj)
+            if key in scanned:
+                continue
             for (r, c), x in M.items():
                 if not (0 <= r < len(gi) and 0 <= c < len(gj) and x):
                     raise ValueError(
@@ -370,13 +383,14 @@ class PosetDiagram:
                 oi, oj = gi[r], gj[c]
                 if oj and (not oi or oj * x % oi):
                     raise ValueError("arrow incompatible with torsion")
+            scanned[key] = M, gi, gj
         # a covering arrow between nonzero values has no composite to
         # fall back on
-        degrees = sorted({n for (_, n) in self.orders})
+        degrees = sorted({n for (_, n) in orders})
         for I, J in self.covering_pairs():
             for n in degrees:
-                if (self.gens(I, n) and self.gens(J, n)
-                        and (I, J, n) not in self.arrows):
+                if ((I, J, n) not in arrows and orders.get((I, n))
+                        and orders.get((J, n))):
                     raise ValueError("missing arrow at %s <= %s, degree %d"
                                      % (sorted(I), sorted(J), n))
         # functoriality: diamonds I < J with |J - I| = 2 generate all
@@ -384,30 +398,45 @@ class PosetDiagram:
         # arrows are compared against the cover composites as well
         checks = set()
         for J in self.faces:
-            for a in sorted(J):
-                for b in sorted(J):
-                    if a >= b:
-                        continue
-                    I = J - {a, b}
-                    if I in face_set:
-                        checks.add((I, J))
-        for (I, J, n) in self.arrows:
+            for a, b in combinations(sorted(J), 2):
+                I = J - {a, b}
+                if I in face_set:
+                    checks.add((I, J))
+        for (I, J, n) in arrows:
             if len(J - I) >= 2:
                 checks.add((I, J))
+        zero = {}
+        verdicts = {}   # ids of (gi, four covers) -> those five objects
         for (I, J) in checks:
+            mids = [J - {v} for v in sorted(J - I)]
+            diamond = len(mids) == 2 and all(m in face_set for m in mids)
             for n in degrees:
-                if not self.gens(I, n) or not self.gens(J, n):
+                gi = orders.get((I, n))
+                if not gi or not orders.get((J, n)):
                     continue
-                paths = []
-                for v in sorted(J - I):
-                    mid = J - {v}
-                    if mid in face_set:
-                        paths.append(self._product(self._arrow(I, mid, n),
-                                                   self._arrow(mid, J, n)))
-                if (I, J, n) in self.arrows:
-                    paths.append(self.arrows[(I, J, n)])
+                if diamond and (I, J, n) not in arrows:
+                    # every cover between nonzero values is stored, as
+                    # checked above, so the four covers are read directly
+                    m1, m2 = mids
+                    lo1 = hi1 = lo2 = hi2 = zero
+                    if orders.get((m1, n)):
+                        lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
+                    if orders.get((m2, n)):
+                        lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
+                    key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
+                    if key in verdicts:
+                        continue
+                    verdicts[key] = gi, lo1, hi1, lo2, hi2
+                    paths = [self._product(lo1, hi1),
+                             self._product(lo2, hi2)]
+                else:
+                    paths = [self._product(self._arrow(I, m, n),
+                                           self._arrow(m, J, n))
+                             for m in mids if m in face_set]
+                    if (I, J, n) in arrows:
+                        paths.append(arrows[(I, J, n)])
                 for other in paths[1:]:
-                    if not _congruent(paths[0], other, self.gens(I, n)):
+                    if not _congruent(paths[0], other, gi):
                         raise ValueError(
                             "diagram not functorial at %s <= %s, degree %d"
                             % (sorted(I), sorted(J), n))
@@ -448,24 +477,30 @@ def limit_graded(D, max_degree=None):
     R_B chi = -psi R_A and d^2 = 0.  The division is exact when every
     arrow respects torsion, which validate() checks on construction; the
     stored arrows are scanned again here, since the presentation need
-    not read each of them.  Entries of psi in a row of order o_t > 0 are
-    reduced modulo o_t.
+    not read each of them, once per distinct (arrow, source orders,
+    target orders) triple by identity within the call.  Entries of psi
+    in a row of order o_t > 0 are reduced modulo o_t.
     """
     if max_degree is None:
         max_degree = D.max_degree
-    degrees = sorted({n for (_, n) in D.orders if n <= max_degree})
+    orders = D.orders
+    degrees = sorted({n for (_, n) in orders if n <= max_degree})
+    scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
     for (I, J, n), M in D.arrows.items():
         if n <= max_degree:
-            gi, gj = D.gens(I, n), D.gens(J, n)
-            for (r, c), v in M.items():
-                _relation_image(gj[c], v, gi[r])
+            gi, gj = orders.get((I, n), ()), orders.get((J, n), ())
+            key = id(M), id(gi), id(gj)
+            if key not in scanned:
+                for (r, c), v in M.items():
+                    _relation_image(gj[c], v, gi[r])
+                scanned[key] = M, gi, gj
     facets, parent = _facet_parents(D)
     kept = [(I, J) for I, J in D.covering_pairs() if parent[I] != parent[J]]
     out = {}
     for n in degrees:
         col, rel_a, d2 = {}, {}, {}
         for F in facets:
-            for k, o in enumerate(D.gens(F, n)):
+            for k, o in enumerate(orders.get((F, n), ())):
                 j = col[F, k] = len(col)
                 if o:
                     d2[j, len(rel_a)] = o
@@ -475,7 +510,7 @@ def limit_graded(D, max_degree=None):
             continue
         d1, b, nb = {}, 0, 0
         for I, J in kept:
-            gi = D.gens(I, n)
+            gi = orders.get((I, n), ())
             y = {}   # row of psi -> its relation column in Z^|R_B|
             for r, ot in enumerate(gi):
                 if ot:

@@ -281,15 +281,31 @@ class TorusSubgroup:
         """The F2 annihilator of H (d=1), computed once per subgroup."""
         return f2_annihilator(list(self.span), self.m)
 
+    @cached_property
+    def _characters(self):
+        """characters() per face, memoized for the life of the subgroup."""
+        return {}
+
     def characters(self, I):
         """Canonical basis of proj_I(ann H), the characters of
         S(I) = G^I/(H meet G^I), in the coordinates of sorted(I): HNF rows
-        for d=2, F2 echelon bitmasks for d=1."""
-        I = sorted(_check_subset(I, self.m))
-        if self.d == 2:
-            return [list(b) for b in self.ann.project(I).basis]
-        return f2_rref(sum(((w >> (v - 1)) & 1) << t for t, v in enumerate(I))
-                       for w in self._f2_perp)
+        for d=2, F2 echelon bitmasks for d=1.
+
+        Computed once per face and subgroup: every caller of the same face
+        gets the same list (of the same row lists for d=2), so callers must
+        not mutate what this returns."""
+        I = _check_subset(I, self.m)
+        hit = self._characters.get(I)
+        if hit is None:
+            Is = sorted(I)
+            if self.d == 2:
+                hit = [list(b) for b in self.ann.project(Is).basis]
+            else:
+                hit = f2_rref(sum(((w >> (v - 1)) & 1) << t
+                                  for t, v in enumerate(Is))
+                              for w in self._f2_perp)
+            self._characters[I] = hit
+        return hit
 
     def to_json(self):
         if self.d == 2:

@@ -108,10 +108,12 @@ def hochster(K, max_degree=None, m_bound=14):
       so the two are homotopy equivalent and have the same integral
       cohomology, torsion included.  Every cone is such a K_I.
 
-    The facets of K_I are the maximal sets F & I over the facets F of K,
-    and F & I is maximal exactly when no vertex of I \\ (F & I) extends
-    it to a face of K, which one table ``up`` answers.  The test costs
-    O(#facets of K + |I| #facets of K_I) per I.
+    The facets of K_I are kept per I, derived from those of K_{I \\ u}
+    with u the highest vertex of I: a facet of K_I without u is a facet
+    of K_{I \\ u} that u does not extend, and one with u is a set F & I,
+    F a facet of K through u, that no vertex of I extends, which one
+    table ``up`` answers.  The test costs O(#facets of K_{I \\ u} +
+    #facets of K through u + |I| #facets of K_I) per I.
 
     A K_I that must be built is first looked up by its facets with the
     vertices of I renumbered 0..|I|-1 in increasing order.  Equal keys
@@ -130,16 +132,21 @@ def hochster(K, max_degree=None, m_bound=14):
         raise BoundExceeded("hochster: m=%d exceeds bound %d"
                             % (K.m, m_bound), "hochster", K.m, m_bound)
     faces = K.face_masks
-    facets = K.facet_masks
-    ghosts, up = _vertex_tables(K)
+    ghosts, up, through = _vertex_tables(K)
     memo = []
+    # facet masks of K_I per subset I, as tuples, None when I holds a
+    # ghost; tops_of[J] is read only as the I ^ u of a superset I, which
+    # leaves it without the top vertex m, so only those J are kept
+    tops_of = [None] * ((1 << K.m) >> 1)
     built = {}   # relabeled facets of K_I -> its cohomology groups
     out = {}
     for I in range(1 << K.m):
         if max_degree is not None and I.bit_count() > max_degree:
             memo.append(None)   # read only by supersets, skipped too
             continue
-        v, tops = _removable_vertex(I, ghosts, facets, up)
+        v, tops = _removable_vertex(I, ghosts, tops_of, through, up)
+        if I < len(tops_of):
+            tops_of[I] = tops
         if v:
             groups = memo[I ^ v]
         else:
@@ -158,9 +165,10 @@ def hochster(K, max_degree=None, m_bound=14):
 
 
 def _vertex_tables(K):
-    """(ghosts, up) for K: the bits of the vertices v with {v} not in K,
-    and for each face f the bits of the vertices w outside f with f + w a
-    face."""
+    """(ghosts, up, through) for K: the bits of the vertices v with {v}
+    not in K; for each face f the bits of the vertices w outside f with
+    f + w a face; and for each vertex bit u the facet masks of K through
+    u."""
     faces = K.face_masks
     ghosts = ((1 << K.m) - 1) & ~sum(f for f in faces if f.bit_count() == 1)
     up = dict.fromkeys(faces, 0)
@@ -170,16 +178,29 @@ def _vertex_tables(K):
             low = s & -s
             up[g ^ low] |= low
             s ^= low
-    return ghosts, up
+    through = {1 << i: [F for F in K.facet_masks if F >> i & 1]
+               for i in range(K.m)}
+    return ghosts, up, through
 
 
-def _removable_vertex(I, ghosts, facets, up):
+def _removable_vertex(I, ghosts, tops_of, through, up):
     """(v, tops): v a vertex bit of I that is a ghost or dominated in K_I,
-    else 0; tops the facet masks of K_I, or None when I holds a ghost."""
+    else 0; tops the facet masks of K_I as a tuple, or None when I holds
+    a ghost.
+
+    The tops of I are derived from ``tops_of[I ^ u]``, u the highest
+    vertex bit of I, which must hold the tops of I ^ u; I ^ u holds no
+    ghost when I holds none."""
     if I & ghosts:
         return I & ghosts & -(I & ghosts), None
-    # the facets of K_I: the sets F & I that no vertex of I extends
-    tops = [f for f in {F & I for F in facets} if not up[f] & I]
+    if not I:
+        tops = (0,) if 0 in up else ()   # the empty face, unless K is void
+    else:
+        u = 1 << (I.bit_length() - 1)
+        # the facets of K_{I \ u} that u does not extend, and the sets
+        # F & I through u that no vertex of I extends
+        tops = (*[g for g in tops_of[I ^ u] if not up[g] & u],
+                *{f for F in through[u] if not up[f := F & I] & I})
     rest = I
     while rest:
         v = rest & -rest

@@ -37,10 +37,17 @@ def _unmask(mask):
 
 
 def _maximalize(masks):
-    masks = sorted(set(masks), key=lambda x: (bin(x).count("1"), x), reverse=True)
+    """The inclusion-maximal masks among ``masks``, sorted.
+
+    Masks are visited by decreasing size, and each is compared only with
+    the kept masks of strictly larger size: after deduplication no mask
+    lies inside a different mask of its own size."""
     out = []
-    for f in masks:
-        if not any(f & g == f for g in out):
+    size = bigger = None   # out[:bigger] has the kept masks above size
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        if f.bit_count() != size:
+            size, bigger = f.bit_count(), len(out)
+        if not any(f & g == f for g in itertools.islice(out, bigger)):
             out.append(f)
     return tuple(sorted(out))
 

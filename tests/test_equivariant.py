@@ -1,8 +1,11 @@
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
 import pytest
 
+from maq import equivariant
+from maq.constructions import lambda_alpha_subgroup, rp2_6, torsion_pipeline
 from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
                              action_report, build_classifying_diagram,
                              check_condition1, check_free,
@@ -11,7 +14,7 @@ from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
                              graded_dimensions, graded_kunneth)
 from maq.exact import mat_mul
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
-from maq.intlattice import FinAbGroup, TorusSubgroup
+from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from maq.momentangle import SRRing, sr_dimension
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
@@ -223,33 +226,138 @@ def _assert_fresh_sym_powers(K, H, max_degree):
     return D
 
 
+def _compatible_cases(rng, d, count):
+    """``count`` pairs (K, H): K a random complex on 2 to 6 vertices and H
+    a random subgroup of G_d^m satisfying condition 1 on K."""
+    while count:
+        m = rng.randint(2, 6)
+        K = random_complex(rng, m)
+        if K.dim() < 0:
+            continue
+        if d == 2:
+            rows = [[rng.randint(-2, 2) for _ in range(m)]
+                    for _ in range(rng.randint(0, m))]
+            H = (TorusSubgroup.from_annihilator(m, rows)
+                 if any(map(any, rows)) else TorusSubgroup.trivial(2, m))
+        else:
+            H = TorusSubgroup.from_f2_span(
+                m, [rng.randrange(1, 1 << m)
+                    for _ in range(rng.randint(0, 2))])
+        if not check_condition1(K, H)[0]:
+            continue
+        count -= 1
+        yield K, H
+
+
 def test_shared_sym_powers_match_fresh_ones():
     # the tables shared between covers with the same character map are
     # the tables each cover would build on its own, for d = 2 and d = 1
     rng = seeded("shared-sym-powers")
     shared = 0
     for d, top in ((2, 6), (1, 4)):
-        count = 40
-        while count:
-            m = rng.randint(2, 6)
+        for K, H in _compatible_cases(rng, d, 40):
+            D = _assert_fresh_sym_powers(K, H, top)
+            shared += len(D.arrows) - len({id(a) for a in D.arrows.values()})
+    assert shared
+
+
+def test_classifying_arrows_match_per_cover_reference():
+    # the whole arrow dict, every cover and degree with nonzero ends, is
+    # the symmetric power of each cover's own character map, solved
+    # against a fresh subgroup, so neither the character-map memo nor
+    # the memoized characters can hand a cover another cover's map; the
+    # orders are shared between values of one generator count
+    rng = seeded("classifying-per-cover")
+    for d, top in ((2, 6), (1, 4)):
+        step = 2 if d == 2 else 1
+        for K, H in _compatible_cases(rng, d, 30):
+            D = build_classifying_diagram(K, H, top)
+            fresh = TorusSubgroup(H.d, H.m, H.ann, H.span)
+            chars = {I: fresh.characters(I) for I in D.faces}
+            expect = {}
+            for J in D.faces:
+                for v in sorted(J):
+                    I = J - {v}
+                    powers = _sym_powers(_char_map(fresh, I, J, chars),
+                                         len(chars[I]), top // step,
+                                         2 if d == 1 else None)
+                    for k, arrow in enumerate(powers):
+                        n = k * step
+                        if (I, n) in D.orders and (J, n) in D.orders:
+                            expect[I, J, n] = arrow
+            assert D.arrows == expect, K
+            assert len({id(o) for o in D.orders.values()}) == \
+                len(set(D.orders.values()))
+
+
+def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
+    # one wrong entry in degree 4 of the table that the covers dropping
+    # the higher vertex of an edge share: the build still fails as
+    # internal, at the first failing diamond of the unmemoized check
+    original = equivariant._sym_powers
+    planted = []
+
+    def wrong(columns, rows, top_k, mod=None):
+        powers = original(columns, rows, top_k, mod)
+        if rows == 1 and columns == [{0: 1}, {}]:
+            planted.append(columns)
+            powers[2] = {**powers[2], (0, 0): 2}
+        return powers
+
+    monkeypatch.setattr(equivariant, "_sym_powers", wrong)
+    for K, pair in ((SimplicialComplex(4, [(1, 2, 3, 4)]),
+                     r"\[2\] <= \[1, 2, 4\]"),
+                    (boundary_simplex(5), r"\[3\] <= \[2, 3, 5\]")):
+        planted.clear()
+        with pytest.raises(AssertionError,
+                           match=r"^classifying diagram: diagram not "
+                                 r"functorial at %s, degree 4$" % pair):
+            build_classifying_diagram(K, TorusSubgroup.trivial(2, K.m), 6)
+        assert len(planted) == 1
+
+
+def _check_free_reference(K, H):
+    """check_free through the meet presentation of every facet."""
+    for I in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
+        if not meet_coordinate(H, I).intersection.is_trivial():
+            return False, I
+    return True, None
+
+
+def test_check_free_matches_meet_presentation():
+    rng = seeded("check-free-meet")
+    outcomes = Counter()
+    for d in (2, 1):
+        for _ in range(150):
+            m = rng.randint(1, 6)
             K = random_complex(rng, m)
-            if K.dim() < 0:
-                continue
             if d == 2:
-                rows = [[rng.randint(-2, 2) for _ in range(m)]
+                rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)]
                         for _ in range(rng.randint(0, m))]
+                rows += [[int(i == k) for i in range(m)]
+                         for k in rng.sample(range(m), rng.randint(0, m))]
                 H = (TorusSubgroup.from_annihilator(m, rows)
-                     if any(map(any, rows)) else TorusSubgroup.trivial(2, m))
+                     if any(map(any, rows)) else TorusSubgroup.full(2, m))
             else:
                 H = TorusSubgroup.from_f2_span(
                     m, [rng.randrange(1, 1 << m)
                         for _ in range(rng.randint(0, 2))])
-            if not check_condition1(K, H)[0]:
-                continue
-            count -= 1
-            D = _assert_fresh_sym_powers(K, H, top)
-            shared += len(D.arrows) - len({id(a) for a in D.arrows.values()})
-    assert shared
+            got = check_free(K, H)
+            assert got == _check_free_reference(K, H), (K, H)
+            outcomes[d, got[0]] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 10, outcomes
+    # lambda_alpha over the rp2_6 nerve (21 vertices) at every vertex
+    # pair: free at the pipeline's pair, and both verdicts occur
+    report = torsion_pipeline(rp2_6(), 2)
+    nerve = report.nerve
+    verdicts = Counter()
+    for pair in combinations(range(1, nerve.m + 1), 2):
+        H = lambda_alpha_subgroup(nerve.m, pair)
+        got = check_free(nerve, H)
+        assert got == _check_free_reference(nerve, H), pair
+        verdicts[got[0]] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    assert check_free(nerve, report.subgroup) == (True, None)
 
 
 class _ChosenLattices:

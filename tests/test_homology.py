@@ -286,6 +286,31 @@ def test_diagram_shared_arrows_still_checked():
         _edge_square(S, S, S, T)
 
 
+def test_diagram_diamond_memo_keyed_on_orders():
+    # the square carries Z/2 at the empty face in degree 0 and Z in
+    # degree 2, with the same four cover dicts in both degrees: the
+    # composites 1 and 3 agree modulo 2 but not in Z, so the diamond in
+    # degree 0 is functorial and the one in degree 2, checked after it,
+    # is not; a verdict memo that forgets the orders would pass both
+    e, a, b, ab = (frozenset(), frozenset({1}), frozenset({2}),
+                   frozenset({1, 2}))
+    one, three = {(0, 0): 1}, {(0, 0): 3}
+    covers = {(e, a): one, (a, ab): one, (e, b): one, (b, ab): three}
+
+    def diagram(bottom):
+        orders = {(f, n): (0,) for f in (a, b, ab) for n in (0, 2)}
+        orders.update({(e, n): (o,) for n, o in zip((0, 2), bottom)})
+        arrows = {(I, J, n): M for (I, J), M in covers.items()
+                  for n in (0, 2)}
+        return PosetDiagram((e, a, b, ab), orders, arrows, 2)
+
+    D = diagram((2, 2))
+    assert D.arrows[e, a, 0] is D.arrows[e, a, 2]
+    with pytest.raises(ValueError,
+                       match=r"not functorial at \[\] <= \[1, 2\], degree 2"):
+        diagram((2, 0))
+
+
 def _diagonal_diagram(rng, K):
     """Z^r at every face of K, the cover I < I + v multiplying generator g
     by s[v][g]; diagonal maps commute, so the diagram is functorial.  Every

@@ -179,3 +179,28 @@ def test_annihilator_basis_invariance():
         H2 = TorusSubgroup.from_annihilator(m, mat_mul(U, rows))
         assert H1 == H2
         assert row_hnf([list(r) for r in rows]) == [list(r) for r in H1.ann.basis]
+
+
+def test_characters_memo_matches_fresh_subgroup():
+    # characters(I) is computed once per face and subgroup: repeated calls
+    # return the same list, equal to what a fresh subgroup computes, at
+    # every face of random subgroups for d = 2 and d = 1
+    rng = seeded("characters-memo")
+    for d in (2, 1):
+        for _ in range(30):
+            m = rng.randint(1, 5)
+            if d == 2:
+                H = TorusSubgroup.from_annihilator(
+                    m, [[rng.randint(-3, 3) for _ in range(m)]
+                        for _ in range(rng.randint(1, m))])
+            else:
+                H = TorusSubgroup.from_f2_span(
+                    m, [rng.randrange(1 << m)
+                        for _ in range(rng.randint(0, m))])
+            faces = [frozenset(c) for r in range(m + 1)
+                     for c in combinations(range(1, m + 1), r)]
+            first = {I: H.characters(I) for I in faces}
+            for I in faces:
+                fresh = TorusSubgroup(d, m, H.ann, H.span)
+                assert H.characters(sorted(I)) is first[I]
+                assert first[I] == fresh.characters(I), (H, sorted(I))

@@ -92,9 +92,13 @@ def test_hochster_memo_matches_bruteforce(monkeypatch):
               for _ in range(2)]
     undominated = builds = 0
     for K in cases:
-        ghosts, up = momentangle._vertex_tables(K)
-        undominated += sum(not momentangle._removable_vertex(
-            I, ghosts, K.facet_masks, up)[0] for I in range(1 << K.m))
+        ghosts, up, through = momentangle._vertex_tables(K)
+        tops_of = []
+        for I in range(1 << K.m):
+            v, tops = momentangle._removable_vertex(I, ghosts, tops_of,
+                                                    through, up)
+            tops_of.append(tops)
+            undominated += not v
         built.clear()
         assert hochster(K) == _hochster_bruteforce(K), K
         builds += len(built)
@@ -112,10 +116,14 @@ def test_hochster_reuse_is_exercised():
                  (SimplicialComplex(7, rp2_6().facets + [(1, 7)]), 7)):
         assert not any(all(w in F for F in K.facets)
                        for w in range(1, K.m + 1))
-        ghosts, up = momentangle._vertex_tables(K)
+        ghosts, up, through = momentangle._vertex_tables(K)
         full = (1 << K.m) - 1
+        tops_of = []
+        for I in range(full):
+            tops_of.append(momentangle._removable_vertex(
+                I, ghosts, tops_of, through, up)[1])
         assert momentangle._removable_vertex(
-            full, ghosts, K.facet_masks, up)[0] == 1 << (v - 1)
+            full, ghosts, tops_of, through, up)[0] == 1 << (v - 1)
     # the Z/2 of K_[7] in degree 2 + 7 + 1 is copied from K_[6] = rp2_6
     assert hochster(SimplicialComplex(7, rp2_6().facets + [(1, 7)])) \
         .group(10) == FinAbGroup.cyclic(2)
@@ -199,7 +207,8 @@ def test_domination_test_matches_bruteforce():
         K = random_complex(rng, m)
         if rng.random() < 0.3:
             K = SimplicialComplex(m + 1, K.facets)   # vertex m + 1 a ghost
-        ghosts, up = momentangle._vertex_tables(K)
+        ghosts, up, through_u = momentangle._vertex_tables(K)
+        tops_of = {}   # mask -> tops, filled before its supersets
         for I in _all_subsets(K.m):
             labels = sorted(I)
             sub = full_subcomplex(K, I)
@@ -211,8 +220,9 @@ def test_domination_test_matches_bruteforce():
                 if through and frozenset.intersection(*through) - {v}:
                     removable.add(v)
             mask = sum(1 << (v - 1) for v in I)
-            got, tops = momentangle._removable_vertex(mask, ghosts,
-                                                      K.facet_masks, up)
+            got, tops = momentangle._removable_vertex(mask, ghosts, tops_of,
+                                                      through_u, up)
+            tops_of[mask] = tops
             if removable:
                 assert got.bit_length() in removable, (K, I)
             else:

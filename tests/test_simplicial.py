@@ -1,7 +1,7 @@
 import itertools
 
-from maq.simplicial import (SimplicialComplex, boundary_simplex, cone,
-                            contraction, full_subcomplex, link,
+from maq.simplicial import (SimplicialComplex, _maximalize, boundary_simplex,
+                            cone, contraction, full_subcomplex, link,
                             minimal_non_faces, order_complex, skeleton,
                             sphere_sanity, stellar_subdivision)
 
@@ -116,3 +116,18 @@ def test_face_enumeration_matches_bruteforce():
             for combo in itertools.combinations(range(1, K.m + 1), r):
                 F = frozenset(combo)
                 assert (F in faces) == any(F <= G for G in K.facets)
+
+
+def test_maximalize_matches_all_pairs_rule():
+    # the size-ordered comparison keeps exactly the masks that lie inside
+    # no other mask, on lists with duplicates and nested masks
+    rng = seeded("maximalize")
+    for _ in range(300):
+        m = rng.randint(0, 7)
+        masks = [rng.randrange(1 << m) for _ in range(rng.randint(0, 10))]
+        masks += [f & rng.randrange(1 << m) for f in masks]
+        masks += rng.choices(masks, k=rng.randint(0, 4)) if masks else []
+        rng.shuffle(masks)
+        want = {f for f in masks if not any(f != g and f & g == f
+                                            for g in masks)}
+        assert _maximalize(masks) == tuple(sorted(want)), masks
