@@ -19,10 +19,10 @@ them to clear: boundaries are eliminated from the highest degree down,
 and the unit-pivot rows of d_{k+1} are dropped from the columns of d_k
 before d_k is eliminated, which changes neither its rank nor its
 invariant factors (the argument is in ``ChainComplex``).  The dense
-``smith_normal_form`` has two callers: the residue inside
-``rank_and_invariants``, and ``intlattice.Lattice.saturate_dual``, which
-needs the transforms; those come from the same elimination steps run on
-the block matrix [[A, I], [I, 0]].
+``smith_normal_form`` has one caller, the residue inside
+``rank_and_invariants``; on request it also returns the transforms, which
+come from the same elimination steps run on the block matrix
+[[A, I], [I, 0]].
 """
 
 from __future__ import annotations

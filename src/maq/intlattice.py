@@ -11,8 +11,7 @@ Every face-wise question goes through one projection per face:
 the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
 is their span, the meet H meet G^I their cokernel, and the orbit group
 Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  Presentations
-are reduced by ``exact.rank_and_invariants``; the dense Smith form is
-called here only by ``Lattice.saturate_dual``.
+are reduced by ``exact.rank_and_invariants``.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from math import gcd
 from .exact import (
     f2_annihilator,
     f2_rref,
-    mat_mul,
     rank_and_invariants,
     row_hnf,
-    smith_normal_form,
 )
 
 
@@ -152,53 +149,12 @@ class Lattice:
     def rank(self):
         return len(self.basis)
 
-    def cokernel(self):
-        """Z^m / L as a FinAbGroup."""
-        return FinAbGroup.from_presentation(self.m, self.basis)
-
     def project(self, coords):
         """Image under projection of Z^m onto the given sorted coordinates
         (1-based), as a lattice in Z^len(coords)."""
         cs = sorted(coords)
         gens = [[b[c - 1] for c in cs] for b in self.basis]
         return Lattice.from_generators(len(cs), gens)
-
-    def saturate_dual(self):
-        """Annihilator-of-annihilator round trip computed via SNF.
-
-        Writes the subgroup of T^m cut out by this character lattice in
-        split coordinates and reads its annihilator back off the Smith
-        form.  Used as an independent check that annihilator duality is
-        the identity on canonical forms.
-        """
-        if not self.basis:
-            return Lattice.zero(self.m)
-        mat = [list(b) for b in self.basis]          # r x m
-        diag, U, V = smith_normal_form(mat, transforms=True)
-        # U @ mat @ V = D  =>  mat = U^-1 D V^-1, and U^-1 is unimodular,
-        # so row span of mat = row span of D V^{-1}
-        n = len(V)
-        # invert V by solving V X = I over Z (V unimodular)
-        X = _unimodular_inverse(V)
-        r = len(self.basis)
-        D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
-             for i in range(r)]
-        return Lattice.from_generators(self.m, mat_mul(D, X))
-
-
-def _unimodular_inverse(V):
-    n = len(V)
-    # HNF of [V | I] is [I | V^{-1}] when V is unimodular
-    aug = [list(V[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red = row_hnf(aug)
-    # red = [I | V^{-1}] up to row order, since HNF of a unimodular matrix is I
-    inv = [None] * n
-    for row in red:
-        j = next(i for i, x in enumerate(row) if x)
-        if j >= n or row[j] != 1:
-            raise ValueError("matrix is not unimodular")
-        inv[j] = row[n:]
-    return inv
 
 
 # ---------------------------------------------------------------------------

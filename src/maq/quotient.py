@@ -10,7 +10,7 @@ finite complex with no algebra in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 
 from .homology import ChainComplex, GradedAbGroup, sparse_product
@@ -38,28 +38,33 @@ def _unit_coordinates(forms):
     return unit
 
 
-def _face_monomials(K, k, unit):
-    """Exponent tuples (length m) of total v-degree k with face support and
-    exponent exactly 1 at every coordinate of the support in ``unit``."""
-    if k == 0:
-        return [(0,) * K.m]
-    out = []
+def _face_monomials(K, unit, shift, top):
+    """{k: [(F, codes)]} for k = 0..top//2: for each face F, in the order of
+    ``K.face_masks``, the codes of the monomials v^mu of total v-degree k
+    with support F and exponent exactly 1 at every coordinate of F in
+    ``unit``; mu_i is added at bit shift[i]."""
+    # the empty face carries the one monomial of degree 0
+    out = {k: [(0, [0])] if k == 0 else [] for k in range(top // 2 + 1)}
     for F in K.face_masks:
         vs = [i for i in range(K.m) if F >> i & 1]
-        free = [i for i in vs if i not in unit]
-        # unit vertices take exponent 1, the rest of k goes to ``free``
-        rest = k - len(vs) + len(free)
-        if not vs or rest < len(free) or (rest and not free):
+        if not vs:
             continue
-        mono = [0] * K.m
-        for i in vs:
-            mono[i] = 1
-        for cut in combinations(range(1, rest), max(len(free) - 1, 0)):
-            prev = 0
-            for i, c in zip(free, cut + (rest,)):
-                mono[i] = c - prev
-                prev = c
-            out.append(tuple(mono))
+        free = [shift[i] for i in vs if i not in unit]
+        base = sum(1 << shift[i] for i in vs if i in unit)
+        # unit vertices take exponent 1, the rest of k goes to ``free``;
+        # without free vertices there is one monomial, of degree |F|
+        last = top // 2 if free else min(len(vs), top // 2)
+        for k in range(len(vs), last + 1):
+            rest = k - len(vs) + len(free)
+            codes = []
+            for cut in combinations(range(1, rest), max(len(free) - 1, 0)):
+                code = base
+                prev = 0
+                for at, c in zip(free, cut + (rest,)):
+                    code += (c - prev) << at
+                    prev = c
+                codes.append(code)
+            out[k].append((F, codes))
     return out
 
 
@@ -70,6 +75,19 @@ class KoszulComplex:
     corresponding linear combination of the degree-2 generators v_i,
     truncated by the face relations.  u-degree 1, v-degree 2, d of total
     degree +1 and d^2 = 0 (checked on construction degreewise).
+
+    Each cell (S, v^mu) is stored as one int, its code: bit j, for j < l,
+    is set when u_j is in S, and mu_i sits in the w-bit field at bit
+    l + i*w.  ``basis[n]`` lists the codes of C^n and ``decode`` reads a
+    code back as (S, mu).  With top = max_degree + 1, every cell has
+    v-degree at most top//2, and d is assembled on C^n for n <= top - 1
+    only, where a cell with S nonempty has v-degree (n - |S|)/2 <=
+    (top - 2)/2.  So no exponent of a cell, nor of a term mu + e_i of d,
+    exceeds top//2, and w is the least width with 2^w > top//2.  Codes
+    are then distinct, and the code of a term of u_j at v_i is the source
+    code with bit j cleared plus 1 at bit l + i*w.  The cells of C^n are
+    ordered by |S|, then by face and monomial as ``_face_monomials`` lists
+    them, then by S in ``combinations`` order of the allowed forms.
 
     Only the cells that can carry cohomology are built.  Call k a unit
     coordinate of form u_j when u_j is the only form that touches k and
@@ -104,6 +122,15 @@ class KoszulComplex:
                 raise ValueError("linear form length != m")
         self.l = len(self.forms)
         self.max_degree = max_degree
+        self._width = ((max_degree + 1) // 2).bit_length()
+        self._shift = [self.l + i * self._width for i in range(K.m)]
+        # the terms c v_i of each form u_j, with the signs +1 and -1, as
+        # (code step, value): the step clears bit j and adds 1 to mu_i
+        self._form_steps = [
+            [[((1 << self._shift[i]) - (1 << j), sign * c)
+              for i, c in enumerate(f) if c] for sign in (1, -1)]
+            for j, f in enumerate(self.forms)]
+        self._terms = {}           # S -> self._steps(S)
         self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
         self._build(cell_cap)
         if check:
@@ -112,33 +139,56 @@ class KoszulComplex:
                                   self.differential(n)):
                     raise AssertionError("dd != 0 in degree %d" % n)
 
+    def decode(self, code):
+        """The cell (S, mu) of a code: the forms in S as a sorted tuple and
+        the exponents as an m-tuple."""
+        field = (1 << self._width) - 1
+        return (tuple(j for j in range(self.l) if code >> j & 1),
+                tuple(code >> at & field for at in self._shift))
+
     def _build(self, cell_cap):
         top = self.max_degree + 1
+        l = self.l
         unit = _unit_coordinates(self.forms)
-        # each monomial with the forms that S may contain beside it
+        # the monomials of each face with the bits of the forms that S may
+        # contain beside them, and the sums of their p-subsets by p, shared
+        # by the faces that allow the same forms
+        subsets = {}
         monos = {}
-        for k in range(top // 2 + 1):
+        for k, faces in _face_monomials(self.K, unit, self._shift,
+                                        top).items():
             monos[k] = []
-            for mu in _face_monomials(self.K, k, unit):
-                banned = {j for i, j in unit.items() if mu[i]}
-                monos[k].append(
-                    (mu, tuple(j for j in range(self.l) if j not in banned)))
+            for F, codes in faces:
+                banned = {j for i, j in unit.items() if F >> i & 1}
+                bits = tuple(1 << j for j in range(l) if j not in banned)
+                monos[k].append((codes, bits, subsets.setdefault(bits, {})))
         self.basis = {}
         total_cells = 0
         for n in range(top + 1):
             cells = []
-            for p in range(min(self.l, n) + 1):
+            for p in range(min(l, n) + 1):
                 if (n - p) % 2:
                     continue
-                for mu, allowed in monos[(n - p) // 2]:
-                    total_cells += comb(len(allowed), p)
-                    if total_cells > cell_cap:
+                for codes, bits, masks_of in monos[(n - p) // 2]:
+                    size = comb(len(bits), p)
+                    if not size:
+                        continue
+                    if total_cells + size * len(codes) > cell_cap:
+                        # the count at the first monomial past the cap
+                        total_cells += size * (
+                            (cell_cap - total_cells) // size + 1)
                         raise BoundExceeded(
                             "koszul: cell count %d in degrees 0..%d "
                             "(cumulative) exceeds cap %d" %
                             (total_cells, n, cell_cap),
                             "koszul", total_cells, cell_cap, degree=n)
-                    cells.extend(zip(combinations(allowed, p), repeat(mu)))
+                    total_cells += size * len(codes)
+                    masks = masks_of.get(p)
+                    if masks is None:
+                        masks = masks_of[p] = list(
+                            map(sum, combinations(bits, p)))
+                    for c in codes:
+                        cells += map(c.__or__, masks)
             self.basis[n] = cells
 
     def differential(self, n):
@@ -155,22 +205,33 @@ class KoszulComplex:
 
     def _assemble(self, n):
         cells = self.basis.get(n + 1, [])
-        tgt = dict(zip(cells, range(len(cells))))
+        get = dict(zip(cells, range(len(cells)))).get
+        low = (1 << self.l) - 1
+        terms = self._terms
         out = {}
-        for col, (S, mu) in enumerate(self.basis.get(n, [])):
-            for t, j in enumerate(S):
-                sign = -1 if t % 2 else 1
-                S2 = S[:t] + S[t + 1:]
-                for i, c in enumerate(self.forms[j]):
-                    if not c:
-                        continue
-                    mu2 = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
-                    key = (S2, mu2)
-                    row = tgt.get(key)
-                    if row is None:
-                        continue
-                    out[(row, col)] = out.get((row, col), 0) + sign * c
-        return {k: v for k, v in out.items() if v}
+        for col, code in enumerate(self.basis.get(n, [])):
+            steps = terms.get(code & low)
+            if steps is None:
+                steps = terms[code & low] = self._steps(code & low)
+            # each term reaches a different cell, so no entry is written
+            # twice, and none is zero
+            for step, v in steps:
+                row = get(code + step)
+                if row is not None:
+                    out[row, col] = v
+        return out
+
+    def _steps(self, S):
+        """(code step, value) of every term of d on the cells whose forms
+        are S: the t-th form u_j of S gives (-1)^t c v_i for each
+        coefficient c of u_j, at i."""
+        steps = []
+        t = 0
+        for j in range(self.l):
+            if S >> j & 1:
+                steps += self._form_steps[j][t % 2]
+                t += 1
+        return steps
 
     def cohomology(self):
         """H^n for n = 0..max_degree, as the homology of the chain complex

@@ -234,14 +234,15 @@ def test_12a_snf_unimodular_invariance():
         assert d1 == d2
 
 
-def test_12b_duality_roundtrip():
+def test_12b_hnf_canonical_under_unimodular_change():
     rng = seeded("acc-dual")
     for _ in range(1000):
         m = rng.randint(1, 5)
-        gens = [[rng.randint(-6, 6) for _ in range(m)]
-                for _ in range(rng.randint(0, m + 1))]
+        n = rng.randint(0, m + 1)
+        gens = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         L = Lattice.from_generators(m, gens)
-        assert L.saturate_dual().saturate_dual() == L
+        U = random_unimodular(rng, n)
+        assert Lattice.from_generators(m, mat_mul(U, gens)) == L
 
 
 def test_12c_koszul_basis_independence():

@@ -45,20 +45,23 @@ def test_lattice_basics():
 
 def test_lattice_cokernel_and_project():
     L = Lattice.from_generators(2, [[2, 0], [0, 3]])
-    assert L.cokernel() == FinAbGroup.make(0, (6,))
+    assert FinAbGroup.from_presentation(2, L.basis) == FinAbGroup.make(0, (6,))
     P = Lattice.from_generators(3, [[1, 2, 5]]).project([1, 2])
     assert P.basis == ((1, 2),)
 
 
-def test_saturate_dual_roundtrip():
+def test_hnf_canonical_under_unimodular_change():
+    # equal lattices have equal representations: U . gens spans the same
+    # lattice as gens for every unimodular U
     rng = seeded("satdual")
     for _ in range(100):
         m = rng.randint(1, 4)
         n = rng.randint(0, m)
         gens = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
         L = Lattice.from_generators(m, gens)
-        back = L.saturate_dual().saturate_dual()
-        assert back == L
+        U = random_unimodular(rng, n)
+        assert Lattice.from_generators(m, mat_mul(U, gens)) == L
+        assert all(hnf_solve(L.basis, g) is not None for g in gens)
 
 
 def test_torus_subgroup_ranks():

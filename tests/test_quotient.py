@@ -64,6 +64,13 @@ def test_koszul_vanishes_above_dimension():
     assert max(g.support()) <= 2 * K.m
 
 
+def test_koszul_below_degree_zero_is_empty():
+    forms = [[1, -1, 0], [0, 1, -1]]
+    for max_degree in (-1, -2, -3):
+        kc = KoszulComplex(boundary_simplex(3), forms, max_degree)
+        assert kc.cohomology() == GradedAbGroup.make({})
+
+
 def test_koszul_requires_condition1():
     seg = SimplicialComplex(2, [(1, 2)])
     diag = TorusSubgroup.from_annihilator(2, [[1, -1]])
@@ -239,8 +246,8 @@ def test_koszul_pruning_matches_unpruned_reference(family):
         # the kept cells span a subcomplex: d leaves the basis only
         # through the face relations
         for n in range(max_degree + 1):
-            kept = set(kc.basis[n + 1])
-            for S, mu in kc.basis[n]:
+            kept = set(map(kc.decode, kc.basis[n + 1]))
+            for S, mu in map(kc.decode, kc.basis[n]):
                 for t, j in enumerate(S):
                     for i, c in enumerate(rows[j]):
                         mu2 = mu[:i] + (mu[i] + 1,) + mu[i + 1:]
@@ -250,6 +257,32 @@ def test_koszul_pruning_matches_unpruned_reference(family):
     if family == "pivot":
         # some unit form touches coordinates besides its own
         assert wide
+
+
+@pytest.mark.parametrize("max_degree", [2, 3, 5, 6, 13])
+def test_koszul_exponent_field_at_its_edge(max_degree):
+    # the largest exponent is top//2, top = max_degree + 1: it fills its
+    # field at 2, 5, 6 and 13 (top//2 = 1, 3, 3, 7) and opens a new bit
+    # at 3 (top//2 = 2); a non-unit coordinate first, last, or everywhere
+    top = max_degree + 1
+    cases = [
+        (TWO_POINTS, [[3, 0], [-1, 1]]),
+        (boundary_simplex(3), [[5, 0, 0], [-2, 1, 0], [-3, 0, 1]]),
+        (boundary_simplex(3), [[1, 0, -1], [0, 1, -2], [0, 0, 5]]),
+        (boundary_simplex(3), [[1, 1, 0], [0, 1, 1], [1, 0, -1]]),
+    ]
+    for K, rows in cases:
+        kc = KoszulComplex(K, rows, max_degree)
+        assert kc.cohomology() == \
+            unpruned_koszul_cohomology(K, rows, max_degree)
+        largest = 0
+        for n, codes in kc.basis.items():
+            assert len(set(codes)) == len(codes)
+            for S, mu in map(kc.decode, codes):
+                assert len(S) + 2 * sum(mu) == n
+                assert K.is_face([i + 1 for i, e in enumerate(mu) if e])
+                largest = max(largest, *mu)
+        assert largest == top // 2
 
 
 def test_unit_form_with_wider_support():
