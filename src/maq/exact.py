@@ -18,16 +18,18 @@ report the rows of its unit pivots, and ``homology.ChainComplex`` uses
 them to clear: boundaries are eliminated from the highest degree down,
 and the unit-pivot rows of d_{k+1} are dropped from the columns of d_k
 before d_k is eliminated, which changes neither its rank nor its
-invariant factors (the argument is in ``ChainComplex``).  The dense
-``smith_normal_form`` has one caller, the residue inside
-``rank_and_invariants``; on request it also returns the transforms, which
-come from the same elimination steps run on the block matrix
-[[A, I], [I, 0]].
+invariant factors (the argument is in ``ChainComplex``).  There is one
+dense elimination, ``row_hnf``, and one normalization, ``divisor_chain``.
+The dense ``smith_normal_form`` has one caller, the residue inside
+``rank_and_invariants``; it alternates ``row_hnf`` on the matrix and its
+transpose and normalizes the diagonal it reaches with ``divisor_chain``,
+which ``FinAbGroup.make`` uses too.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -37,21 +39,6 @@ import heapq
 def _addmul(target, source, q):
     for k in range(len(target)):
         target[k] += q * source[k]
-
-
-def _xgcd(x, y):
-    """(g, s, u) with g = gcd(x, y) > 0 and s*x + u*y == g."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_u, u = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_u, u = u, old_u - q * u
-    if old_r < 0:
-        old_r, old_s, old_u = -old_r, -old_s, -old_u
-    return old_r, old_s, old_u
 
 
 def row_hnf(mat):
@@ -121,107 +108,46 @@ def mat_mul(a, b):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(mat, transforms=False):
-    """Smith normal form of an integer matrix.
+def divisor_chain(values):
+    """Invariant factors d1 | d2 | ... of the sum of the Z/|v|, v != 0.
 
-    Returns ``(diag, U, V)`` where ``diag`` is the list of nonzero invariant
-    factors d1 | d2 | ... and, if ``transforms`` is set, U (rows x rows) and
-    V (cols x cols) are unimodular with U @ mat @ V diagonal; otherwise U and
-    V are None.
-
-    With ``transforms`` the same steps run on the block matrix
-    [[mat, I], [I, 0]]: row operations touch its first ``rows`` rows and
-    column operations its first ``cols`` columns, so U is read off the
-    top-right block and V off the bottom-left one.
+    One gcd/lcm pass over the pairs i < j: Z/a + Z/b = Z/gcd + Z/lcm, and
+    once position i has met every later one it divides all of them, which
+    later steps (gcds and lcms of multiples of it) keep true.  Units stay,
+    as the leading 1s of the chain.
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    a = [list(r) for r in mat]
-    if transforms:
-        for i, row in enumerate(a):
-            row += [int(i == k) for k in range(n)]
-        a += [[int(j == k) for k in range(m)] + [0] * n for j in range(m)]
+    d = [abs(v) for v in values]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
-    def row_bezout(t, i):
-        # unimodular 2x2 transform putting gcd(a[t][t], a[i][t]) at (t, t)
-        # and 0 at (i, t); Bezout coefficients keep entry growth bounded,
-        # unlike remainder-and-swap which compounds quotients into the
-        # untouched rows
-        x, y = a[t][t], a[i][t]
-        g, s, u = _xgcd(x, y)
-        xg, yg = x // g, y // g
-        rt, ri = a[t], a[i]
-        a[t] = [s * p + u * q for p, q in zip(rt, ri)]
-        a[i] = [xg * q - yg * p for p, q in zip(rt, ri)]
 
-    def col_bezout(t, j):
-        x, y = a[t][t], a[t][j]
-        g, s, u = _xgcd(x, y)
-        xg, yg = x // g, y // g
-        for row in a:
-            p, q = row[t], row[j]
-            row[t] = s * p + u * q
-            row[j] = xg * q - yg * p
+def smith_normal_form(mat):
+    """Smith normal form of an integer matrix, as ``(diag, None, None)``.
 
-    diag = []
-    t = 0
-    while True:
-        # find a pivot in the submatrix a[t:n, t:m]
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t, then row t; column transforms can refill the
-            # column, so iterate (the pivot gcd strictly divides each time)
-            done = True
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        _addmul(a[i], a[t], -(a[i][t] // a[t][t]))
-                    else:
-                        row_bezout(t, i)
-                        done = False
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    if a[t][j] % a[t][t] == 0:
-                        q = a[t][j] // a[t][t]
-                        for row in a:
-                            row[j] -= q * row[t]
-                    else:
-                        col_bezout(t, j)
-                        done = False
-            if not done:
-                continue
-            if all(a[i][t] == 0 for i in range(t + 1, n)):
-                break
-        # make every remaining entry divisible by the pivot
-        p = a[t][t]
-        fix = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % p:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            _addmul(a[t], a[fix], 1)
-            continue
-        if p < 0:
-            a[t] = [-x for x in a[t]]
-        diag.append(a[t][t])
-        t += 1
-    if not transforms:
-        return diag, None, None
-    return diag, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
+    ``diag`` lists the nonzero invariant factors d1 | d2 | ...; the two
+    Nones keep the shape that ``bench/tracing.py`` reads.  The matrix is
+    put into row Hermite form, and then its transpose, alternately, until
+    every row holds one nonzero entry; those entries, one per row and
+    column, are normalized by ``divisor_chain``.  Going through Hermite
+    forms, which reduce the entries above each pivot, keeps entries from
+    growing as unreduced row combinations let them (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).
+
+    The loop ends.  Take the first pivot p not yet alone in its row and
+    column.  After a row Hermite form p is alone in its column, and the
+    next form (on the transpose) puts the gcd of p's row in its place.
+    That is p itself only if p divides its row, and then the column steps
+    clear the row and p is split off for good; otherwise p is replaced by
+    a proper divisor, which can happen only finitely often.
+    """
+    a = row_hnf(mat)
+    while any(len(row) - row.count(0) > 1 for row in a):
+        a = row_hnf(zip(*a))
+    return divisor_chain(next(x for x in row if x) for row in a), None, None
 
 
 def rank_and_invariants(entries, pivot_rows=None):

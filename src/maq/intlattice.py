@@ -21,15 +21,12 @@ from functools import cached_property
 from math import gcd
 
 from .exact import (
+    divisor_chain,
     f2_annihilator,
     f2_rref,
     rank_and_invariants,
     row_hnf,
 )
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -42,18 +39,8 @@ class FinAbGroup:
     @staticmethod
     def make(free_rank, coeffs=()):
         """Normalize arbitrary torsion coefficients into an invariant chain."""
-        tor = [abs(c) for c in coeffs if abs(c) > 1]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tor)):
-                for j in range(i + 1, len(tor)):
-                    if tor[j] % tor[i]:
-                        g = gcd(tor[i], tor[j])
-                        tor[i], tor[j] = g, _lcm(tor[i], tor[j])
-                        changed = True
-            tor = [t for t in tor if t > 1]
-        return FinAbGroup(free_rank, tuple(sorted(tor, key=lambda t: (0, t))))
+        chain = divisor_chain([c for c in coeffs if abs(c) > 1])
+        return FinAbGroup(free_rank, tuple([t for t in chain if t > 1]))
 
     @staticmethod
     def trivial():

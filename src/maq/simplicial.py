@@ -57,12 +57,9 @@ class SimplicialComplex:
 
     __slots__ = ("m", "facet_masks", "__dict__")
 
-    def __init__(self, m, facets, _masks=None):
+    def __init__(self, m, facets):
         self.m = int(m)
-        if _masks is not None:
-            masks = _masks
-        else:
-            masks = [_mask(f) for f in facets]
+        masks = [_mask(f) for f in facets]
         full = (1 << self.m) - 1
         for f in masks:
             if f & ~full:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from maq import exact
 from maq.exact import (f2_annihilator, f2_echelon, f2_rref, f2_solve,
@@ -43,10 +45,11 @@ def test_smith_normal_form_basics():
     assert diag == [1, 6]
     diag, _, _ = smith_normal_form([[1, 1], [0, 2]])
     assert diag == [1, 2]
-    diag, U, V = smith_normal_form([[4, 6], [2, 2]], transforms=True)
-    assert diag == [2, 2]
-    prod = mat_mul(mat_mul(U, [[4, 6], [2, 2]]), V)
-    assert prod == [[2, 0], [0, 2]]
+    # its row Hermite form is itself; the form of its transpose,
+    # [[1, 2], [0, 4]], puts the gcd 1 of its first row in the corner, and
+    # a second round clears the 2 beside it
+    assert smith_normal_form([[2, 1], [0, 2]]) == ([1, 4], None, None)
+    assert smith_normal_form([[4, 6], [2, 2]])[0] == [2, 2]
 
 
 def dense_to_entries(mat):
@@ -124,7 +127,7 @@ def test_fill_makes_a_unit_row_a_candidate_again(monkeypatch):
     # row 0 is shortest but has no unit entry, so it leaves the heap; the
     # pivot on row 1 turns it into [0, -1, -4], which must be pushed again
     # and eliminated sparsely rather than left for the dense residue
-    def no_residue(mat, transforms=False):
+    def no_residue(mat):
         raise AssertionError("dense residue %r" % (mat,))
 
     monkeypatch.setattr(exact, "smith_normal_form", no_residue)
@@ -151,19 +154,28 @@ def _det(mat):
 
 
 def test_smith_normal_form_certificate():
+    # d1 d2 ... dk is the gcd of the k x k minors, and there are as many
+    # invariant factors as nonzero minor sizes (the rank)
     rng = seeded("snf-certificate")
     for _ in range(200):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         mat = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(m)]
                for _ in range(n)]
-        diag, U, V = smith_normal_form(mat, transforms=True)
-        assert _det(U) in (1, -1)
-        assert _det(V) in (1, -1)
-        D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
-             for i in range(n)]
-        assert mat_mul(mat_mul(U, mat), V) == D
+        diag, _, _ = smith_normal_form(mat)
         assert all(d > 0 for d in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        product = 1
+        for k in range(1, min(n, m) + 1):
+            divisor = 0
+            for rows in combinations(range(n), k):
+                for cols in combinations(range(m), k):
+                    minor = _det([[mat[i][j] for j in cols] for i in rows])
+                    divisor = gcd(divisor, int(minor))
+            if k <= len(diag):
+                product *= diag[k - 1]
+                assert divisor == product
+            else:
+                assert divisor == 0
 
 
 def test_f2_rref_canonical():
