@@ -96,14 +96,6 @@ def hnf_solve(hnf_rows, target):
     return coeffs
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

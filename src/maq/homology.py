@@ -272,7 +272,7 @@ class PosetDiagram:
     checked on construction via validate(), in every degree of ``orders``,
     together with the torsion compatibility of every stored arrow.
     limit_graded relies on both: it solves for the facet values alone and
-    drops the constraints that functoriality makes zero, so a diagram
+    asks agreement only at faces with a disconnected link, so a diagram
     changed after construction is not checked again there, apart from the
     torsion of its stored arrows.
 
@@ -445,27 +445,28 @@ class PosetDiagram:
 def limit_graded(D, max_degree=None):
     """Degreewise inverse limit of a PosetDiagram over its face poset.
 
-    A compatible family (x_I) is determined by its values at the facets.
-    Give each face I the parent facet P(I), the first facet in ``D.faces``
-    order that contains I.  Following the covers from I up to P(I) gives
-    x_I = arrow(I, P(I)) x_{P(I)}, so the unknowns are the facet values
-    alone.  A covering pair I < J asks x_I = arrow(I, J) x_J, which by
-    functoriality reads
+    A compatible family (x_I) is determined by its values at the facets,
+    x_I = arrow(I, F) x_F for any facet F above I, so the unknowns are
+    the facet values alone.  They come from a family exactly when, at
+    each face I, every facet F above I gives the same arrow(I, F) x_F.
+    Facets F, G that share a face J strictly above I give it once they
+    agree at J, since arrow(I, F) = arrow(I, J) arrow(J, F) modulo the
+    relations of value(I), as validate() checks on construction.  Going
+    down from the facets, agreement at I is thus forced within each
+    component of lk(I), whose vertices a, b are joined when I + a + b is
+    a face.  A face whose link has c components asks c - 1 blocks
 
-        arrow(I, P(J)) x_{P(J)} - arrow(I, P(I)) x_{P(I)} = 0.
+        arrow(I, P) x_P - arrow(I, Q) x_Q = 0,
 
-    When P(I) = P(J) these rows are zero, because every path from I to
-    P(I) composes to the same map modulo the relations of value(I): that
-    is what validate() checks on construction, and why only the covering
-    pairs with P(I) != P(J) carry rows.  The rows kept are a subset of one
-    block per covering pair and the unknowns a subset of one block per
-    face, so no diagram gets a larger presentation than the one over
-    every face and every cover.  The argument needs every set between two
-    faces to be a face, as in the face poset of a simplicial complex; a
-    diagram without that property is rejected with ValueError.
+    Q the first facet above the first component, P the first above
+    another.  Such a face has c covers or more, so no presentation is
+    larger than the one over every face and cover.  The argument needs
+    every set between two faces to be a face, as in the face poset of a
+    simplicial complex; a diagram without that property is rejected with
+    ValueError.
 
     In degree n, let A = Z^a / R_A be the product of the facet values and
-    B = Z^b / R_B the product of value(I) over the kept pairs.  Both
+    B = Z^b / R_B the product of value(I) over the blocks.  Both
     presentations are diagonal, one relation o e_j per generator of order
     o > 0, so R_B is injective.  Let psi lift the constraint map above.
     The limit ker(A -> B) is then H_1 of the sparse three-term complex
@@ -494,8 +495,7 @@ def limit_graded(D, max_degree=None):
                 for (r, c), v in M.items():
                     _relation_image(gj[c], v, gi[r])
                 scanned[key] = M, gi, gj
-    facets, parent = _facet_parents(D)
-    kept = [(I, J) for I, J in D.covering_pairs() if parent[I] != parent[J]]
+    facets, blocks = _link_blocks(D)
     out = {}
     for n in degrees:
         col, rel_a, d2 = {}, {}, {}
@@ -509,7 +509,7 @@ def limit_graded(D, max_degree=None):
         if not a:
             continue
         d1, b, nb = {}, 0, 0
-        for I, J in kept:
+        for I, P, Q in blocks:
             gi = orders.get((I, n), ())
             y = {}   # row of psi -> its relation column in Z^|R_B|
             for r, ot in enumerate(gi):
@@ -517,13 +517,13 @@ def limit_graded(D, max_degree=None):
                     y[r] = a + nb
                     d1[b + r, a + nb] = ot
                     nb += 1
-            for sign, P in ((1, parent[J]), (-1, parent[I])):
-                for (r, c), v in D._arrow(I, P, n).items():
+            for sign, F in ((1, P), (-1, Q)):
+                for (r, c), v in D._arrow(I, F, n).items():
                     ot = gi[r]
                     v = sign * v % ot if ot else sign * v
                     if not v:
                         continue
-                    j = col[P, c]
+                    j = col[F, c]
                     d1[b + r, j] = v
                     if j in rel_a:
                         k, oj = rel_a[j]
@@ -543,14 +543,11 @@ def _relation_image(oj, v, ot):
     return -oj * v // ot if oj else 0
 
 
-def _facet_parents(D):
-    """(facets, parent) for the faces of D: the maximal faces in
-    ``D.faces`` order, and for each face I the first facet containing I.
-
-    Every face strictly inside another lies below one of its covers, so
-    the facets are the faces with no cover above them, and P(I) is the
-    first of the parents of the covers of I.
-    """
+def _link_blocks(D):
+    """(facets, blocks): the maximal faces of D in ``D.faces`` order, and
+    a triple (I, P, Q) for each component of lk(I) but the first, P and Q
+    the first facets above that component and above the first.  Each
+    facet above I joins the components whose vertices it meets."""
     face_set = set(D.faces)
     for J in D.faces:
         for v in J:
@@ -558,11 +555,21 @@ def _facet_parents(D):
             if I not in face_set and any(F <= I for F in D.faces):
                 raise ValueError("%s lies between two faces but is not one"
                                  % sorted(I))
-    position = {I: t for t, I in enumerate(D.faces)}
-    parent = {}
-    for I, J in reversed(D.covering_pairs()):
-        P = parent.setdefault(J, J)
-        if I not in parent or position[P] < position[parent[I]]:
-            parent[I] = P
-    facets = [F for F in D.faces if parent.setdefault(F, F) == F]
-    return facets, parent
+    below = {I for I, _ in D.covering_pairs()}
+    facets = [F for F in D.faces if F not in below]
+    parts = {}   # I -> [first facet, its vertices of lk(I)] per component
+    for F in facets:
+        for r in range(len(F)):
+            for I in map(frozenset, combinations(sorted(F), r)):
+                if I in face_set:
+                    comps = parts.setdefault(I, [])
+                    hit = [c for c in comps if c[1] & F]
+                    if not hit:
+                        comps.append([F, F - I])
+                        continue
+                    for c in hit[1:]:
+                        hit[0][1] |= c[1]
+                        comps.remove(c)
+                    hit[0][1] |= F - I
+    return facets, [(I, P, comps[0][0]) for I, comps in parts.items()
+                    for P, _ in comps[1:]]

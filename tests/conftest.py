@@ -39,6 +39,15 @@ def random_unimodular(rng, n, steps=8):
     return U
 
 
+def mat_mul(a, b):
+    """a @ b for dense integer matrices given as lists of rows."""
+    if not a or not b:
+        return []
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
 def rational_rref(mat):
     """Nonzero rows of the reduced row echelon form over Q, by exact
     Fraction elimination."""

@@ -15,7 +15,7 @@ import pytest
 from maq.equivariant import (check_condition1, check_free,
                              coordinate_quotient_check, equivariant_limit,
                              graded_dimensions)
-from maq.exact import mat_mul, smith_normal_form
+from maq.exact import smith_normal_form
 from maq.intlattice import FinAbGroup, Lattice, TorusSubgroup
 from maq.momentangle import (SRRing, hochster, skeleton_quotient_hrk,
                              skeleton_wedge, sr_dimension)
@@ -25,7 +25,7 @@ from maq.constructions import rp2_6, torsion_pipeline, truncate_face
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
                             contraction, minimal_non_faces, skeleton)
 
-from conftest import (complexes_isomorphic, random_complex,
+from conftest import (complexes_isomorphic, mat_mul, random_complex,
                       random_unimodular, seeded)
 
 

@@ -12,13 +12,12 @@ from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
                              classifying_cohomology,
                              coordinate_quotient_check, equivariant_limit,
                              graded_dimensions, graded_kunneth)
-from maq.exact import mat_mul
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from maq.momentangle import SRRing, sr_dimension
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
-from conftest import random_complex, seeded
+from conftest import mat_mul, random_complex, seeded
 
 
 def test_check_free_coordinate_and_diagonal():

@@ -4,10 +4,10 @@ from math import gcd
 
 from maq import exact
 from maq.exact import (f2_annihilator, f2_echelon, f2_rref, f2_solve,
-                       hnf_solve, mat_mul, rank_and_invariants, row_hnf,
+                       hnf_solve, rank_and_invariants, row_hnf,
                        smith_normal_form)
 
-from conftest import random_unimodular, rational_rref, seeded
+from conftest import mat_mul, random_unimodular, rational_rref, seeded
 
 
 def test_hnf_canonical():

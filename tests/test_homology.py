@@ -7,7 +7,7 @@ import pytest
 from maq import homology, quotient
 from maq.constructions import rp2_6
 from maq.equivariant import build_classifying_diagram, check_condition1
-from maq.exact import mat_mul, rank_and_invariants
+from maq.exact import rank_and_invariants
 from maq.homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                           limit_graded, reduced_cohomology, reduced_homology,
                           simplicial_chain_complex, sparse_product)
@@ -15,7 +15,8 @@ from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.quotient import cubical_quotient_cohomology, koszul_cohomology
 from maq.simplicial import SimplicialComplex, boundary_simplex, cone, skeleton
 
-from conftest import join, random_complex, reference_limit, seeded
+from conftest import (join, mat_mul, random_complex, reference_limit,
+                      seeded)
 
 
 def test_graded_group_algebra():
@@ -563,7 +564,7 @@ def test_limit_presentation_never_exceeds_the_reference(monkeypatch):
 
 
 def test_limit_over_one_facet_is_its_value(monkeypatch):
-    # the full simplex has one facet, every face's parent: no constraint
+    # the full simplex has one facet, above every face: no constraint
     # rows, and the limit is the facet's value in every degree
     rng = seeded("limit-one-facet")
     top = SimplicialComplex.simplex(3)
@@ -584,16 +585,71 @@ def test_limit_over_one_facet_is_its_value(monkeypatch):
                 gens.count(0), [o for o in gens if o]), (D.orders, n)
 
 
-def test_facet_parents_are_the_first_facets_containing_each_face():
-    rng = seeded("facet-parents")
-    for _ in range(40):
-        K = random_complex(rng, rng.randint(1, 6))
+def _link_components(facets, I):
+    """The facets above I, grouped by brute force: two are joined when
+    they share a face strictly above I."""
+    groups = []
+    for F in (F for F in facets if I <= F):
+        touching = [g for g in groups if any(len(F & G) > len(I) for G in g)]
+        groups = [g for g in groups if g not in touching]
+        groups.append([F] + [G for g in touching for G in g])
+    return groups
+
+
+def test_link_blocks_follow_the_components_of_each_link():
+    rng = seeded("link-blocks")
+    split = 0
+    for _ in range(60):
+        K = random_complex(rng, rng.randint(1, 7))
         D = _torsion_diagram(rng, K)
-        facets, parent = homology._facet_parents(D)
+        facets, blocks = homology._link_blocks(D)
         assert facets == [F for F in D.faces
                           if not any(F < J for J in D.faces)]
         for I in D.faces:
-            assert parent[I] == next(F for F in facets if I <= F), (K, I)
+            groups = _link_components(facets, I)
+            mine = [(P, Q) for J, P, Q in blocks if J == I]
+            assert len(mine) == max(len(groups) - 1, 0), (K, I)
+            if mine:
+                split += 1
+                component = {F: t for t, g in enumerate(groups) for F in g}
+                Q = next(F for F in facets if I <= F)
+                assert {q for _, q in mine} == {Q}
+                assert sorted(component[P] for P, _ in mine) == \
+                    sorted(set(component.values()) - {component[Q]})
+    assert split
+
+
+def test_link_blocks_of_a_sphere_sit_at_its_ridges():
+    # the link of a face of the boundary of a simplex is the boundary of
+    # a simplex, connected unless it is two points
+    for m in range(2, 8):
+        D = build_classifying_diagram(boundary_simplex(m),
+                                      TorusSubgroup.trivial(2, m), 2)
+        facets, blocks = homology._link_blocks(D)
+        assert len(facets) == m
+        assert sorted(sorted(I) for I, _, _ in blocks) == sorted(
+            sorted(I) for I in D.faces if len(I) == m - 2)
+
+
+def test_limit_over_a_bowtie_matches_the_reference(monkeypatch):
+    # two triangles sharing the vertex 3: the link of {3} is two edges,
+    # the one face whose link is disconnected, so one block carries every
+    # constraint; dropping it changes some limit
+    K = SimplicialComplex(5, [{1, 2, 3}, {3, 4, 5}])
+    rng = seeded("limit-bowtie")
+    diagrams = [_torsion_diagram(rng, K) for _ in range(30)]
+    assert [I for I, _, _ in homology._link_blocks(diagrams[0])[1]] == \
+        [frozenset({3})]
+    seen = set()
+    for D in diagrams:
+        lim = limit_graded(D)
+        assert lim == reference_limit(D), D.orders
+        seen.update(t for _, g in lim.groups for t in g.torsion)
+    assert seen
+    real = homology._link_blocks
+    monkeypatch.setattr(homology, "_link_blocks",
+                        lambda D: (real(D)[0], []))
+    assert any(limit_graded(D) != reference_limit(D) for D in diagrams)
 
 
 def test_limit_rejects_a_poset_with_a_gap():

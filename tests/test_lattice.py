@@ -1,11 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
 
-from maq.exact import f2_rref, hnf_solve, mat_mul, row_hnf
+from maq.exact import f2_rref, hnf_solve, row_hnf
 from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
                             join_coordinate, meet_coordinate)
 
-from conftest import random_unimodular, rational_rref, seeded
+from conftest import mat_mul, random_unimodular, rational_rref, seeded
 
 
 def test_finabgroup_normalization():

@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from maq.equivariant import PreconditionFailed, check_free
-from maq.exact import mat_mul
 from maq.homology import ChainComplex, GradedAbGroup
 from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import BoundExceeded, buchstaber_real, hochster
@@ -13,7 +12,7 @@ from maq.quotient import (CubicalQuotient, KoszulComplex,
                           cw_census, koszul_cohomology, trc_report)
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
-from conftest import random_complex, random_unimodular, seeded
+from conftest import mat_mul, random_complex, random_unimodular, seeded
 
 TWO_POINTS = SimplicialComplex(2, [(1,), (2,)])
 
