@@ -2,17 +2,15 @@
 closed torus subgroups, over the integers and F2."""
 
 from .simplicial import (SimplicialComplex, boundary_simplex, cone,
-                         contraction, full_subcomplex, link,
-                         minimal_non_faces, order_complex, skeleton,
-                         sphere_sanity, stellar_subdivision)
+                         contraction, full_subcomplex, minimal_non_faces,
+                         skeleton, sphere_sanity, stellar_subdivision)
 from .intlattice import (FinAbGroup, Lattice, TorusSubgroup, join_coordinate,
                          meet_coordinate)
 from .homology import (ChainComplex, GradedAbGroup, PosetDiagram,
-                       limit_graded, reduced_cohomology, reduced_homology,
-                       simplicial_chain_complex)
-from .momentangle import (PoincareSeries, SRRing, buchstaber_real, hochster,
+                       limit_graded, reduced_cohomology, reduced_homology)
+from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           skeleton_quotient_hrk, skeleton_wedge,
-                          sr_dimension, trc_verdict, trk_moment_angle)
+                          sr_dimension)
 from .equivariant import (ActionReport, PreconditionFailed, action_report,
                           check_condition1, check_free,
                           classifying_cohomology, coordinate_quotient_check,
@@ -23,7 +21,6 @@ from .quotient import (CubicalQuotient, KoszulComplex, TrcReport,
 from .constructions import (PipelineIntegrityError, TorsionPipelineReport,
                             bosio_meersseman_nerve, lambda_alpha_subgroup,
                             rp2_6, torsion_pipeline, truncate_face)
-from .momentangle import BoundExceeded
 
 __version__ = "0.1.0"
 

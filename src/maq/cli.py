@@ -163,8 +163,8 @@ def _cmd_skeleton_report(args):
             "the moment-angle complex of a simplex skeleton is a wedge of "
             "spheres with binomial multiplicities; quotient ranks follow "
             "a recursion over vertex deletion"),
-        "betti": wedge.to_json(),
-        "hrk": wedge.total(),
+        "betti": {str(d): c for d, c in wedge.items()},
+        "hrk": sum(wedge.values()),
         "quotient_hrk": hrk,
         "bound": bound,
         "verdict": verdict,
@@ -174,7 +174,7 @@ def _cmd_skeleton_report(args):
 def _cmd_trc(args):
     K = load_complex(args.complex)
     H = load_subgroup(args.subgroup, K.m)
-    rep = trc_report(K, H, max_degree=args.max_degree)
+    rep = trc_report(K, H)
     return {
         "operation": "trc",
         "input": {"m": K.m},
@@ -314,7 +314,7 @@ def oracle_suite(seed=0, max_m=5, cases=25):
             want = skeleton_wedge(m, k)
             ranks = {d: g.free_rank for d, g in got.groups}
             torsion_free = all(not g.torsion for _, g in got.groups)
-            if ranks != dict(want.counts) or not torsion_free:
+            if ranks != want or not torsion_free:
                 failures.append({"m": m, "k": k, "got": got.to_json()})
     batteries["skeleton_torsion_free"] = {"cases": checked,
                                           "failures": failures}
@@ -397,7 +397,6 @@ def _build_parser():
     p = sub.add_parser("trc", help="total-rank verdict for a quotient")
     p.add_argument("--complex", required=True)
     p.add_argument("--subgroup", required=True)
-    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(fn=_cmd_trc)
 
     p = sub.add_parser("buchstaber-real",

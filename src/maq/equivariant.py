@@ -17,7 +17,7 @@ from math import comb
 from .exact import f2_solve, hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
-from .momentangle import SRRing, sr_dimension
+from .momentangle import sr_dimension
 from .simplicial import contraction
 
 
@@ -338,29 +338,28 @@ def equivariant_limit(K, H, max_degree):
     """
     require_condition1(K, H)
     D = build_classifying_diagram(K, H, max_degree)
-    return limit_graded(D, max_degree)
-
-
-def graded_dimensions(G, d):
-    """Degreewise dimensions of a limit value: ranks for d=2, F2
-    dimensions (torsion generator counts) for d=1."""
-    out = {}
-    for deg, g in G.groups:
-        dim = g.free_rank if d == 2 else g.free_rank + len(g.torsion)
-        if dim:
-            out[deg] = dim
-    return out
+    return limit_graded(D)
 
 
 def coordinate_quotient_check(K, I0, max_degree, d=2):
-    """Whether the limit for the coordinate subgroup G^I0 matches the face
-    ring of the contraction of K at I0, degreewise up to max_degree."""
+    """Whether the limit for the coordinate subgroup G^I0 is the face ring
+    of the contraction of K at I0, group by group in every degree up to
+    max_degree.
+
+    The face ring is free, with generators of degree d, so for d=2 the
+    limit in degree n must be free of rank sr_dimension.  For d=1 the
+    diagram stores mod-2 rings as order-2 generators, so the limit in
+    degree n must be (Z/2)^sr_dimension: rank 0, every coefficient 2.
+    Stray torsion, or a coefficient other than 2, fails the check as a
+    wrong count does.
+    """
     H = TorusSubgroup.coordinate(d, K.m, I0)
     lim = equivariant_limit(K, H, max_degree)
-    dims = graded_dimensions(lim, d)
     Kc = contraction(K, frozenset(I0))
-    R = SRRing(Kc, d)
     for n in range(max_degree + 1):
-        if dims.get(n, 0) != sr_dimension(R, n):
+        count = sr_dimension(Kc, n, d)
+        want = (FinAbGroup.free(count) if d == 2
+                else FinAbGroup.make(0, (2,) * count))
+        if lim.group(n) != want:
             return False
     return True

@@ -42,9 +42,6 @@ class GradedAbGroup:
     def is_trivial(self):
         return not self.groups
 
-    def shift(self, k):
-        return GradedAbGroup(tuple((d + k, g) for d, g in self.groups))
-
     def direct_sum(self, other):
         out = {d: g for d, g in self.groups}
         for d, g in other.groups:
@@ -53,12 +50,6 @@ class GradedAbGroup:
 
     def to_json(self):
         return {str(d): g.to_json() for d, g in self.groups}
-
-    @staticmethod
-    def from_json(data):
-        return GradedAbGroup.make({
-            int(d): FinAbGroup.make(v["rank"], v.get("torsion", ()))
-            for d, v in data.items()})
 
     def __str__(self):
         if not self.groups:
@@ -77,9 +68,10 @@ class ChainComplex:
     ``boundaries[i]`` is d: C_{min_degree+i} -> C_{min_degree+i-1} as a
     dict ``{(row, col): value}`` of its nonzero entries.  Rows are the cells
     of degree min_degree+i-1 (0 <= row < dims[i-1]) and columns those of
-    degree min_degree+i (0 <= col < dims[i]); boundaries[0] maps out of the
-    complex and is None.  The dicts are stored as given, not copied, so
-    they must not be mutated afterwards.
+    degree min_degree+i (0 <= col < dims[i]).  The constructor takes the
+    len(dims) - 1 maps boundaries[1:]; boundaries[0] maps out of the
+    complex and is stored as None.  The dicts are stored as given, not
+    copied, so they must not be mutated afterwards.
 
     On first use every boundary is eliminated once, from the highest index
     down, and each elimination clears the next: the columns of d_k that
@@ -102,12 +94,10 @@ class ChainComplex:
         # boundaries[i] is d out of degree index i, for i = 1..len(dims)-1
         self.min_degree = min_degree
         self.dims = list(dims)
-        bs = list(boundaries)
-        if len(bs) == len(self.dims) - 1:
-            bs = [None] + bs
-        if len(bs) != len(self.dims):
+        self.boundaries = [None] + list(boundaries)
+        # an empty complex has no degrees and no boundary
+        if len(self.boundaries) != max(len(self.dims), 1):
             raise ValueError("boundary count inconsistent with dims")
-        self.boundaries = [None] + bs[1:]
         self._eliminated = None   # boundary index -> (rank, invariants)
         if check:
             self._validate()
@@ -195,20 +185,19 @@ def sparse_product(a, b):
     return {key: v for key, v in acc.items() if v}
 
 
-def face_chain_complex(masks, reduced=True):
-    """Chain complex over Z of a closed family of face bitmasks.
+def face_chain_complex(masks):
+    """Reduced chain complex over Z of a closed family of face bitmasks.
 
-    Degree d holds the masks with d + 1 set bits, in the order given.  The
-    boundary of a face drops each set bit, lowest first, with sign (-1)^k
-    for the k-th lowest.  Reduced complexes include the empty face in
-    degree -1; an empty family gives the zero complex either way.
+    Degree d holds the masks with d + 1 set bits, in the order given, so
+    the empty face sits in degree -1.  The boundary of a face drops each
+    set bit, lowest first, with sign (-1)^k for the k-th lowest.  An empty
+    family gives the zero complex.
     """
     by_dim = {}
     for f in masks:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    min_deg = -1 if reduced else 0
     index = [{f: i for i, f in enumerate(by_dim.get(d, ()))}
-             for d in range(min_deg, max([min_deg, *by_dim]) + 1)]
+             for d in range(-1, max([-1, *by_dim]) + 1)]
     boundaries = []
     for rows, cols in zip(index, index[1:]):
         b = {}
@@ -221,28 +210,19 @@ def face_chain_complex(masks, reduced=True):
                 sign = -sign
         boundaries.append(b)
     return ChainComplex([len(ix) for ix in index], boundaries,
-                        min_degree=min_deg, check=False)
-
-
-def simplicial_chain_complex(K, reduced=True):
-    """(Reduced) simplicial chain complex of K over Z.
-
-    Reduced complexes include the empty face in degree -1; the void
-    complex gives the zero complex either way.
-    """
-    return face_chain_complex(K.face_masks, reduced)
+                        min_degree=-1, check=False)
 
 
 def reduced_cohomology(K, p=None):
     """Reduced simplicial cohomology of K (integral, or F_p dims if p given)."""
-    C = simplicial_chain_complex(K, reduced=True)
+    C = face_chain_complex(K.face_masks)
     if p is None:
         return C.cohomology()
     return C.homology_mod(p)
 
 
 def reduced_homology(K):
-    return simplicial_chain_complex(K, reduced=True).homology()
+    return face_chain_complex(K.face_masks).homology()
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +245,19 @@ class PosetDiagram:
 
     ``orders[(I, n)]`` lists generator orders (0 for a free generator) of
     the value at face I in degree n; missing keys mean the zero group.
-    ``arrows[(I, J, n)]`` for I subset of J is the structure map
-    value(J) -> value(I) in degree n as a dict ``{(row, col): value}`` of
-    its nonzero entries, one row per generator of value(I) and one column
-    per generator of value(J); ``{}`` is the zero map.  Functoriality is
-    checked on construction via validate(), in every degree of ``orders``,
-    together with the torsion compatibility of every stored arrow.
-    limit_graded relies on both: it solves for the facet values alone and
-    asks agreement only at faces with a disconnected link, so a diagram
-    changed after construction is not checked again there, apart from the
-    torsion of its stored arrows.
+    ``arrows[(I, J, n)]`` for a cover I < J (J is I plus one vertex) is
+    the structure map value(J) -> value(I) in degree n as a dict
+    ``{(row, col): value}`` of its nonzero entries, one row per generator
+    of value(I) and one column per generator of value(J); ``{}`` is the
+    zero map.  Only covers are stored; arrow() composes the rest.  The
+    faces must contain every set that lies between two of them, as the
+    face poset of a simplicial complex does.  validate() checks on
+    construction that the faces have no such gap, that every stored
+    arrow is a cover that respects torsion, and functoriality in every
+    degree of ``orders``.  limit_graded relies on all of it: it solves
+    for the facet values alone and asks agreement only at faces with a
+    disconnected link, so a diagram changed after construction is not
+    checked again there, apart from the torsion of its stored arrows.
 
     One arrow dict may be stored under several keys, as
     build_classifying_diagram does for covers with the same character map,
@@ -359,12 +342,22 @@ class PosetDiagram:
         return self._covers
 
     def validate(self):
-        face_set = set(self.faces)
+        faces = self.faces
+        face_set = set(faces)
         orders, arrows = self.orders, self.arrows
+        for J in faces:
+            for v in J:
+                I = J - {v}
+                if I not in face_set and any(F <= I for F in faces):
+                    raise ValueError("%s lies between two faces but is not "
+                                     "one" % sorted(I))
         scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
         for (I, J, n), M in arrows.items():
-            if I not in face_set or J not in face_set or not I <= J:
+            if I not in face_set or J not in face_set:
                 raise ValueError("arrow between objects not in the poset")
+            if not (I <= J and len(J) == len(I) + 1):
+                raise ValueError("arrow from %s to %s, degree %d is not a "
+                                 "cover" % (sorted(I), sorted(J), n))
             if not isinstance(M, dict):
                 raise ValueError("arrow at %s <= %s, degree %d is not a "
                                  "{(row, col): value} dict"
@@ -393,57 +386,44 @@ class PosetDiagram:
                         and orders.get((J, n))):
                     raise ValueError("missing arrow at %s <= %s, degree %d"
                                      % (sorted(I), sorted(J), n))
-        # functoriality: diamonds I < J with |J - I| = 2 generate all
-        # coherence constraints for cover-generated arrows; stored longer
-        # arrows are compared against the cover composites as well
+        # functoriality: the diamonds I < J with |J - I| = 2 generate all
+        # coherence constraints for cover-generated arrows
         checks = set()
-        for J in self.faces:
+        for J in faces:
             for a, b in combinations(sorted(J), 2):
                 I = J - {a, b}
                 if I in face_set:
                     checks.add((I, J))
-        for (I, J, n) in arrows:
-            if len(J - I) >= 2:
-                checks.add((I, J))
         zero = {}
         verdicts = {}   # ids of (gi, four covers) -> those five objects
         for (I, J) in checks:
-            mids = [J - {v} for v in sorted(J - I)]
-            diamond = len(mids) == 2 and all(m in face_set for m in mids)
+            # both sets between I and J are faces, since the faces have no
+            # gap, and every cover between nonzero values is stored, as
+            # checked above, so the four covers are read directly
+            m1, m2 = (J - {v} for v in sorted(J - I))
             for n in degrees:
                 gi = orders.get((I, n))
                 if not gi or not orders.get((J, n)):
                     continue
-                if diamond and (I, J, n) not in arrows:
-                    # every cover between nonzero values is stored, as
-                    # checked above, so the four covers are read directly
-                    m1, m2 = mids
-                    lo1 = hi1 = lo2 = hi2 = zero
-                    if orders.get((m1, n)):
-                        lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
-                    if orders.get((m2, n)):
-                        lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
-                    key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
-                    if key in verdicts:
-                        continue
-                    verdicts[key] = gi, lo1, hi1, lo2, hi2
-                    paths = [self._product(lo1, hi1),
-                             self._product(lo2, hi2)]
-                else:
-                    paths = [self._product(self._arrow(I, m, n),
-                                           self._arrow(m, J, n))
-                             for m in mids if m in face_set]
-                    if (I, J, n) in arrows:
-                        paths.append(arrows[(I, J, n)])
-                for other in paths[1:]:
-                    if not _congruent(paths[0], other, gi):
-                        raise ValueError(
-                            "diagram not functorial at %s <= %s, degree %d"
-                            % (sorted(I), sorted(J), n))
+                lo1 = hi1 = lo2 = hi2 = zero
+                if orders.get((m1, n)):
+                    lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
+                if orders.get((m2, n)):
+                    lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
+                key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
+                if key in verdicts:
+                    continue
+                verdicts[key] = gi, lo1, hi1, lo2, hi2
+                if not _congruent(self._product(lo1, hi1),
+                                  self._product(lo2, hi2), gi):
+                    raise ValueError(
+                        "diagram not functorial at %s <= %s, degree %d"
+                        % (sorted(I), sorted(J), n))
 
 
-def limit_graded(D, max_degree=None):
-    """Degreewise inverse limit of a PosetDiagram over its face poset.
+def limit_graded(D):
+    """Degreewise inverse limit of a PosetDiagram over its face poset, in
+    the degrees up to ``D.max_degree``.
 
     A compatible family (x_I) is determined by its values at the facets,
     x_I = arrow(I, F) x_F for any facet F above I, so the unknowns are
@@ -462,8 +442,8 @@ def limit_graded(D, max_degree=None):
     another.  Such a face has c covers or more, so no presentation is
     larger than the one over every face and cover.  The argument needs
     every set between two faces to be a face, as in the face poset of a
-    simplicial complex; a diagram without that property is rejected with
-    ValueError.
+    simplicial complex; PosetDiagram rejects a poset without that
+    property on construction.
 
     In degree n, let A = Z^a / R_A be the product of the facet values and
     B = Z^b / R_B the product of value(I) over the blocks.  Both
@@ -482,8 +462,7 @@ def limit_graded(D, max_degree=None):
     target orders) triple by identity within the call.  Entries of psi
     in a row of order o_t > 0 are reduced modulo o_t.
     """
-    if max_degree is None:
-        max_degree = D.max_degree
+    max_degree = D.max_degree
     orders = D.orders
     degrees = sorted({n for (_, n) in orders if n <= max_degree})
     scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
@@ -549,12 +528,6 @@ def _link_blocks(D):
     the first facets above that component and above the first.  Each
     facet above I joins the components whose vertices it meets."""
     face_set = set(D.faces)
-    for J in D.faces:
-        for v in J:
-            I = J - {v}
-            if I not in face_set and any(F <= I for F in D.faces):
-                raise ValueError("%s lies between two faces but is not one"
-                                 % sorted(I))
     below = {I for I, _ in D.covering_pairs()}
     facets = [F for F in D.faces if F not in below]
     parts = {}   # I -> [first facet, its vertices of lk(I)] per component

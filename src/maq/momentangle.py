@@ -8,12 +8,10 @@ reconciled against it where both apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .homology import GradedAbGroup, face_chain_complex
 from .intlattice import FinAbGroup
-from .simplicial import SimplicialComplex
 
 
 class BoundExceeded(Exception):
@@ -33,55 +31,18 @@ class BoundExceeded(Exception):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
-    """Finitely supported map from degrees to nonnegative counts."""
-
-    counts: tuple = ()   # sorted (degree, count), counts positive
-
-    @staticmethod
-    def make(mapping):
-        items = sorted((d, c) for d, c in dict(mapping).items() if c)
-        if any(c < 0 for _, c in items):
-            raise ValueError("negative coefficient")
-        return PoincareSeries(tuple(items))
-
-    def count(self, degree):
-        for d, c in self.counts:
-            if d == degree:
-                return c
-        return 0
-
-    def total(self):
-        return sum(c for _, c in self.counts)
-
-    def to_json(self):
-        return {str(d): c for d, c in self.counts}
-
-
-@dataclass(frozen=True)
-class SRRing:
-    """Face ring of K with generators v_i of degree d (2 complex, 1 real)."""
-
-    K: SimplicialComplex
-    d: int = 2
-
-    def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError("d must be 1 or 2")
-
-
-def sr_dimension(R, n):
-    """Number of monomials of total degree n whose support is a face."""
+def sr_dimension(K, n, d=2):
+    """Number of monomials of total degree n whose support is a face of K,
+    in the face ring with generators v_i of degree d (2 complex, 1 real)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n % R.d:
+    if n % d:
         return 0
-    k = n // R.d
+    k = n // d
     if k == 0:
-        return 0 if R.K.is_void() else 1
+        return 0 if K.is_void() else 1
     total = 0
-    for f in R.K.face_masks:
+    for f in K.face_masks:
         s = f.bit_count()
         if 1 <= s <= k:
             total += comb(k - 1, s - 1)
@@ -237,7 +198,8 @@ def _relabeled(masks, I):
 
 def skeleton_wedge(m, k):
     """Betti numbers of the moment-angle complex over the k-skeleton of
-    the (m-1)-simplex: spheres S^{k+j+1} with multiplicity C(m,j)C(j-1,k+1)
+    the (m-1)-simplex, as {degree: count} in increasing degree, nonzero
+    counts only: spheres S^{k+j+1} with multiplicity C(m,j)C(j-1,k+1)
     for j = k+2..m, plus the unit in degree 0."""
     if m < 2 or k < 0 or k > m - 2:
         raise ValueError("need m >= 2 and 0 <= k <= m-2")
@@ -246,7 +208,7 @@ def skeleton_wedge(m, k):
         mult = comb(m, j) * comb(j - 1, k + 1)
         if mult:
             counts[k + j + 1] = counts.get(k + j + 1, 0) + mult
-    return PoincareSeries.make(counts)
+    return counts
 
 
 def _hrk_z(m, k):
@@ -254,7 +216,7 @@ def _hrk_z(m, k):
     whole simplex."""
     if k >= m - 1:
         return 1
-    return skeleton_wedge(m, k).total()
+    return sum(skeleton_wedge(m, k).values())
 
 
 def skeleton_quotient_hrk(m, k):
@@ -275,20 +237,6 @@ def skeleton_quotient_hrk(m, k):
     hrk += 2 ** (m - k - 2) - 1
     bound = 2 ** (m - k - 1)
     return hrk, bound, hrk >= bound
-
-
-def trk_moment_angle(K):
-    """Rank of the largest torus acting freely on the moment-angle
-    complex: m minus the number of vertices of a maximal face."""
-    if K.is_void() or K.dim() < 0:
-        raise ValueError("need a complex with at least one vertex")
-    n = K.dim() + 1
-    return K.m - n
-
-
-def trc_verdict(hrk, trk):
-    """Whether the homological rank clears the 2^trk bound."""
-    return hrk >= 2 ** trk
 
 
 def buchstaber_real(K, m_bound=12):

@@ -113,8 +113,7 @@ class KoszulComplex:
     over the degrees, and is checked as cells are appended.
     """
 
-    def __init__(self, K, linear_forms, max_degree, cell_cap=2_000_000,
-                 check=True):
+    def __init__(self, K, linear_forms, max_degree, cell_cap=2_000_000):
         self.K = K
         self.forms = [list(f) for f in linear_forms]
         for f in self.forms:
@@ -133,11 +132,9 @@ class KoszulComplex:
         self._terms = {}           # S -> self._steps(S)
         self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
         self._build(cell_cap)
-        if check:
-            for n in range(self.max_degree):
-                if sparse_product(self.differential(n + 1),
-                                  self.differential(n)):
-                    raise AssertionError("dd != 0 in degree %d" % n)
+        for n in range(self.max_degree):
+            if sparse_product(self.differential(n + 1), self.differential(n)):
+                raise AssertionError("dd != 0 in degree %d" % n)
 
     def decode(self, code):
         """The cell (S, mu) of a code: the forms in S as a sorted tuple and
@@ -432,10 +429,11 @@ class TrcReport:
                 "groups": self.groups.to_json()}
 
 
-def trc_report(K, H, max_degree=None):
-    """Total rank of the computed quotient cohomology against the 2^rank
-    bound for the acting torus."""
-    groups = koszul_cohomology(K, H, max_degree=max_degree)
+def trc_report(K, H):
+    """Total rank of the quotient cohomology against the 2^rank bound for
+    the acting torus, over every degree: a truncated total rank is only a
+    lower bound, and a verdict drawn from it could be false."""
+    groups = koszul_cohomology(K, H)
     hrk = groups.total_rank()
     r = H.torus_rank()
     return TrcReport(hrk=hrk, torus_rank=r, bound=2 ** r,

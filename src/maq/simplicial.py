@@ -219,40 +219,6 @@ def cone(K):
     return SimplicialComplex(apex, [f | {apex} for f in K.facets])
 
 
-def order_complex(K):
-    """Barycentric subdivision K': vertices are the nonempty faces of K,
-    numbered in (cardinality, lexicographic) order; faces are chains."""
-    verts = sorted((f for f in K.face_masks if f),
-                   key=lambda f: (bin(f).count("1"), f))
-    index = {f: i + 1 for i, f in enumerate(verts)}
-    # maximal chains: descend from facets
-    chains = []
-
-    def extend(chain, last):
-        proper = [g for g in K.face_masks if g and g & last == g and g != last]
-        if not proper:
-            chains.append(chain)
-            return
-        for g in proper:
-            extend(chain + [g], g)
-
-    for f in K.facet_masks:
-        if f:
-            extend([f], f)
-    if not chains:
-        if K.is_void():
-            return SimplicialComplex.void(0)
-        return SimplicialComplex.empty_face_only(0)
-    return SimplicialComplex(len(verts),
-                             [frozenset(index[g] for g in c) for c in chains])
-
-
-def link(K, sigma):
-    """Link of a face as a set of face masks (internal helper)."""
-    sm = _mask(sigma)
-    return [f & ~sm for f in K.face_masks if f & sm == sm]
-
-
 def stellar_subdivision(K, sigma):
     """Stellar subdivision at the face sigma; the new vertex is m+1."""
     sigma = frozenset(sigma)

@@ -117,7 +117,7 @@ def complexes_isomorphic(K1, K2):
     return extend(0, {}, set())
 
 
-def reference_limit(D, max_degree=None):
+def reference_limit(D):
     """Limit of a PosetDiagram over every face and every covering pair.
 
     One unknown block per face and one constraint block
@@ -125,11 +125,9 @@ def reference_limit(D, max_degree=None):
     three-term complex that ``homology.limit_graded`` documents; the
     reference that the facet presentation is checked against.
     """
-    if max_degree is None:
-        max_degree = D.max_degree
     covers = D.covering_pairs()
     out = {}
-    for n in sorted({n for (_, n) in D.orders if n <= max_degree}):
+    for n in sorted({n for (_, n) in D.orders if n <= D.max_degree}):
         col, rel_a, d2 = {}, {}, {}
         for I in D.faces:
             for k, o in enumerate(D.gens(I, n)):

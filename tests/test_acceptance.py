@@ -13,12 +13,10 @@ import time
 import pytest
 
 from maq.equivariant import (check_condition1, check_free,
-                             coordinate_quotient_check, equivariant_limit,
-                             graded_dimensions)
+                             coordinate_quotient_check, equivariant_limit)
 from maq.exact import smith_normal_form
 from maq.intlattice import FinAbGroup, Lattice, TorusSubgroup
-from maq.momentangle import (SRRing, hochster, skeleton_quotient_hrk,
-                             skeleton_wedge, sr_dimension)
+from maq.momentangle import hochster, skeleton_quotient_hrk, skeleton_wedge
 from maq.quotient import (KoszulComplex, cubical_quotient_cohomology,
                           cw_census, koszul_cohomology, trc_report)
 from maq.constructions import rp2_6, torsion_pipeline, truncate_face
@@ -110,11 +108,8 @@ def test_05_stanley_reisner_limit():
     for _ in range(6):
         cases.append(_nonvoid(rng, rng.randint(2, 5)))
     for K in cases:
-        H = TorusSubgroup.trivial(2, K.m)
-        dims = graded_dimensions(equivariant_limit(K, H, 10), 2)
-        R = SRRing(K, 2)
-        for n in range(11):
-            assert dims.get(n, 0) == sr_dimension(R, n)
+        # the coordinate subgroup at no vertex is the trivial subgroup
+        assert coordinate_quotient_check(K, frozenset(), 10)
 
 
 def test_06_compatibility_fixtures():
@@ -167,7 +162,7 @@ def test_08_skeleton_family():
             for n in range(2 * m + 2):
                 g = h.group(n)
                 assert g.torsion == ()
-                assert g.free_rank == ps.count(n)
+                assert g.free_rank == ps.get(n, 0)
 
 
 def test_09_skeleton_quotient_rank_verdicts():

@@ -11,10 +11,9 @@ from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
                              check_condition1, check_free,
                              classifying_cohomology,
                              coordinate_quotient_check, equivariant_limit,
-                             graded_dimensions, graded_kunneth)
+                             graded_kunneth)
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
-from maq.momentangle import SRRing, sr_dimension
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
 from conftest import mat_mul, random_complex, seeded
@@ -84,7 +83,8 @@ def test_condition1_covers_equal_all_pairs():
 
 def test_classifying_cohomology():
     circle = classifying_cohomology(FinAbGroup.free(1), 6)
-    assert graded_dimensions(circle, 2) == {0: 1, 2: 1, 4: 1, 6: 1}
+    assert circle == GradedAbGroup.make({n: FinAbGroup.free(1)
+                                         for n in (0, 2, 4, 6)})
     z2 = classifying_cohomology(FinAbGroup.make(0, (2,)), 6)
     assert z2.group(2) == FinAbGroup.cyclic(2)
     assert z2.group(3).is_trivial()
@@ -113,12 +113,10 @@ def test_equivariant_limit_trivial_subgroup_is_sr():
             cases.append(K)
     for K in cases:
         for d, top in ((2, 8), (1, 4)):
-            H = TorusSubgroup.trivial(d, K.m)
-            lim = equivariant_limit(K, H, top)
-            dims = graded_dimensions(lim, d)
-            R = SRRing(K, d)
-            for n in range(top + 1):
-                assert dims.get(n, 0) == sr_dimension(R, n)
+            # the coordinate subgroup at no vertex is the trivial one
+            assert TorusSubgroup.coordinate(d, K.m, ()) == \
+                TorusSubgroup.trivial(d, K.m)
+            assert coordinate_quotient_check(K, frozenset(), top, d=d)
 
 
 def test_equivariant_limit_requires_condition1():
@@ -136,11 +134,34 @@ def test_coordinate_quotient_check():
     assert coordinate_quotient_check(path, frozenset({2}), 4, d=1)
 
 
+def test_coordinate_quotient_check_compares_whole_groups(monkeypatch):
+    # a Z/3 planted in one degree of the limit leaves every rank and, for
+    # d=2, every count as it was; so does a Z/2 turned into a Z/4 for
+    # d=1; the check must still fail on both
+    K = SimplicialComplex(3, [(1, 2), (2, 3)])
+    real = equivariant.equivariant_limit
+
+    def planted(change):
+        def limit(K, H, max_degree):
+            lim = real(K, H, max_degree)
+            return GradedAbGroup.make({**dict(lim.groups),
+                                       2: change(lim.group(2))})
+        return limit
+
+    z3 = planted(lambda g: g.direct_sum(FinAbGroup.cyclic(3)))
+    z4 = planted(lambda g: FinAbGroup.make(0, g.torsion[1:] + (4,)))
+    for d, top, plant in ((2, 6, z3), (1, 4, z3), (1, 4, z4)):
+        assert coordinate_quotient_check(K, frozenset({2}), top, d=d)
+        monkeypatch.setattr(equivariant, "equivariant_limit", plant)
+        assert not coordinate_quotient_check(K, frozenset({2}), top, d=d)
+        monkeypatch.undo()
+
+
 def test_diagram_limit_agrees_with_direct_call():
     K = boundary_simplex(3)
     H = TorusSubgroup.trivial(2, 3)
     D = build_classifying_diagram(K, H, 6)
-    assert limit_graded(D, 6) == equivariant_limit(K, H, 6)
+    assert limit_graded(D) == equivariant_limit(K, H, 6)
 
 
 def _columns(M, ncols):

@@ -248,6 +248,19 @@ def test_cli_trc(capsys, tmp_path):
     assert doc["report"]["verdict"] is True
 
 
+def test_cli_trc_has_no_degree_cutoff(tmp_path):
+    # a total rank cut at a degree is only a lower bound: on S^7 by the
+    # diagonal circle, degree 0 alone gives hrk 1 against the bound 2, a
+    # false verdict; so trc takes no --max-degree and argparse rejects it
+    # with exit 2
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n1 -1 0 0\n0 1 -1 0\n0 0 1 -1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["trc", "--complex", "builtin:boundary_simplex(4)",
+              "--subgroup", str(spath), "--max-degree", "0"])
+    assert exc.value.code == 2
+
+
 def test_cli_buchstaber_real(capsys):
     code, out, _ = run_cli(capsys, "buchstaber-real",
                            "builtin:boundary_simplex(4)")

@@ -334,8 +334,7 @@ def test_koszul_dd_check_fires(monkeypatch):
     monkeypatch.setattr(KoszulComplex, "_assemble", planted)
     with pytest.raises(AssertionError, match="dd != 0 in degree 1"):
         KoszulComplex(K, forms, 4)
-    unchecked = KoszulComplex(K, forms, 4, check=False)
-    assert unchecked.differential(2) != built.differential(2)
+    assert planted(built, 2) != built.differential(2)
 
 
 def test_cubical_circle():
@@ -413,7 +412,8 @@ def test_cubical_boundaries_revalidate():
             continue
         checked += 1
         C = CubicalQuotient(K, W).complex
-        again = ChainComplex(C.dims, C.boundaries, C.min_degree, check=True)
+        again = ChainComplex(C.dims, C.boundaries[1:], C.min_degree,
+                             check=True)
         assert again.cohomology() == C.cohomology()
 
 

@@ -1,9 +1,9 @@
 import itertools
 
 from maq.simplicial import (SimplicialComplex, _maximalize, boundary_simplex,
-                            cone, contraction, full_subcomplex, link,
-                            minimal_non_faces, order_complex, skeleton,
-                            sphere_sanity, stellar_subdivision)
+                            cone, contraction, full_subcomplex,
+                            minimal_non_faces, skeleton, sphere_sanity,
+                            stellar_subdivision)
 
 from conftest import random_complex, seeded
 
@@ -45,15 +45,11 @@ def test_skeleton():
         assert len(F) <= 3
 
 
-def test_full_subcomplex_and_link():
+def test_full_subcomplex():
     dS = boundary_simplex(4)
     sub = full_subcomplex(dS, frozenset({1, 2, 3}))
     assert sub.m == 3
     assert sub.facets == [frozenset({1, 2, 3})]
-    masks = link(dS, frozenset({1}))
-    # link of a vertex of the 2-sphere is a hexagonal face poset: 3+3+1 cells
-    assert len(masks) == 7
-    assert 0 in masks
 
 
 def test_cone_and_contraction():
@@ -74,13 +70,6 @@ def test_stellar_subdivision():
     assert K.euler_characteristic() == 0
     assert frozenset({1, 2}) not in set(K.faces())
     assert frozenset({1, 4}) in set(K.faces())
-
-
-def test_order_complex():
-    dS = boundary_simplex(3)
-    bary = order_complex(dS)
-    assert bary.euler_characteristic() == dS.euler_characteristic()
-    assert bary.m == 6
 
 
 def test_sphere_sanity():
