@@ -48,7 +48,7 @@ def truncate_face(S, sigma, presanitized=False):
     return out
 
 
-def bosio_meersseman_nerve(Kp, sanity_every_step=False):
+def bosio_meersseman_nerve(Kp):
     """Nerve of the simple polytope obtained from the simplex by cutting
     the faces dual to the minimal non-faces of Kp, in lexicographic order.
 
@@ -63,7 +63,7 @@ def bosio_meersseman_nerve(Kp, sanity_every_step=False):
         raise ValueError("the input has no minimal non-face (full simplex)")
     S = boundary_simplex(m)
     for sigma in mf:
-        S = truncate_face(S, sigma, presanitized=not sanity_every_step)
+        S = truncate_face(S, sigma, presanitized=True)
     if S.m != m + len(mf):
         raise PipelineIntegrityError("vertex count is off after the fold")
     for sigma in mf:
@@ -123,7 +123,7 @@ class TorsionPipelineReport:
         }
 
 
-def torsion_pipeline(K, p, sanity_every_step=False):
+def torsion_pipeline(K, p):
     """End-to-end construction of a freely acting circle whose quotient is
     predicted to carry the torsion of the input in degree p + m.
 
@@ -150,7 +150,7 @@ def torsion_pipeline(K, p, sanity_every_step=False):
         raise PipelineIntegrityError("no disjoint vertex pair after the "
                                      "subdivision")
     mf = minimal_non_faces(Kp)
-    nerve = bosio_meersseman_nerve(Kp, sanity_every_step=sanity_every_step)
+    nerve = bosio_meersseman_nerve(Kp)
     M = nerve.m
     sphere = sphere_sanity(nerve)
     if not sphere.passed:

@@ -133,7 +133,7 @@ def check_condition1(K, H, all_pairs=False):
         if J not in below_full:
             below_full.add(J)
             stack.extend(J - {v} for v in J)
-    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
+    faces = K.faces()
     is_face = set(faces)
     for J in faces:
         if J in below_full:
@@ -265,7 +265,7 @@ def build_classifying_diagram(K, H, max_degree):
     monomial index of the target; ``top_k`` and the modulus are fixed
     within the call.  Both memos live for the call.
     """
-    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
+    faces = K.faces()
     step = 2 if H.d == 2 else 1
     top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}

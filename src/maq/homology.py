@@ -261,17 +261,22 @@ class PosetDiagram:
 
     One arrow dict may be stored under several keys, as
     build_classifying_diagram does for covers with the same character map,
-    and one ``orders`` tuple under several faces and degrees.  The work is
-    memoized by identity: products of arrows, in validate()'s diamonds and
-    in arrow()'s composites, by their two factors, so a pair of shared
-    dicts is multiplied once; validate()'s shape and torsion scan by the
-    (arrow, source orders, target orders) triple; a diamond's verdict by
-    the orders at its bottom and its four covering arrows; and, within
-    one call, limit_graded's torsion rescan by the triple again.  Each
-    memo holds the objects of its key, so no id is reused while it
-    lives.  Neither the stored arrow dicts, nor the dicts arrow()
-    returns, nor the ``orders`` tuples may therefore be mutated.
-    ``covering_pairs()`` is computed once per instance.
+    and one ``orders`` tuple under several faces and degrees.  Two memos,
+    keyed by identity, turn that sharing into saved work: the product of
+    two arrows, in validate()'s diamonds and in arrow()'s composites, by
+    its two factors, so a pair of shared dicts is multiplied once; and
+    validate()'s verdict on a diamond by the orders at its bottom and its
+    four covering arrows, so diamonds built from the same tables are
+    decided once.  Each memo holds the objects of its key, so no id is
+    reused while it lives.  Neither the stored arrow dicts, nor the dicts
+    arrow() returns, nor the ``orders`` tuples may therefore be mutated.
+    Everything else is recomputed when asked: composites, the covering
+    pairs, and the shape and torsion scan of every stored arrow.  On the
+    equivariant limit the product memo saves a few percent, and the
+    verdict memo a fifth or more of a large diagram such as the boundary
+    of the 9-simplex.  Upstream of this class, build_classifying_diagram's
+    ``maps`` and ``tables`` and check_condition1's walk below the full
+    facets pay on the same path.
     """
 
     faces: tuple
@@ -282,9 +287,7 @@ class PosetDiagram:
     def __post_init__(self):
         self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
                                   key=lambda f: (len(f), sorted(f))))
-        self._composites = {}
         self._products = {}
-        self._covers = None
         self.validate()
 
     def gens(self, I, n):
@@ -324,22 +327,16 @@ class PosetDiagram:
         key = (I, J, n)
         if key in self.arrows:
             return self.arrows[key]
-        if key in self._composites:
-            return self._composites[key]
         # walk down one vertex at a time
         mid = J - {min(J - I)}
-        out = self._product(self._arrow(I, mid, n), self._arrow(mid, J, n))
-        self._composites[key] = out
-        return out
+        return self._product(self._arrow(I, mid, n), self._arrow(mid, J, n))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
-        increasing; computed once per instance."""
-        if self._covers is None:
-            face_set = set(self.faces)
-            self._covers = tuple((J - {v}, J) for J in self.faces
-                                 for v in sorted(J) if J - {v} in face_set)
-        return self._covers
+        increasing."""
+        face_set = set(self.faces)
+        return [(J - {v}, J) for J in self.faces
+                for v in sorted(J) if J - {v} in face_set]
 
     def validate(self):
         faces = self.faces
@@ -351,7 +348,6 @@ class PosetDiagram:
                 if I not in face_set and any(F <= I for F in faces):
                     raise ValueError("%s lies between two faces but is not "
                                      "one" % sorted(I))
-        scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
         for (I, J, n), M in arrows.items():
             if I not in face_set or J not in face_set:
                 raise ValueError("arrow between objects not in the poset")
@@ -363,20 +359,18 @@ class PosetDiagram:
                                  "{(row, col): value} dict"
                                  % (sorted(I), sorted(J), n))
             gi, gj = orders.get((I, n), ()), orders.get((J, n), ())
-            key = id(M), id(gi), id(gj)
-            if key in scanned:
-                continue
+            rows, cols, torsion = len(gi), len(gj), any(gj)
             for (r, c), x in M.items():
-                if not (0 <= r < len(gi) and 0 <= c < len(gj) and x):
+                if not (0 <= r < rows and 0 <= c < cols and x):
                     raise ValueError(
                         "arrow shape mismatch at %s <= %s, degree %d: %s"
                         % (sorted(I), sorted(J), n, {(r, c): x}))
                 # torsion orders must be respected: o_j * column_j lands
                 # in the relation lattice of the target
-                oi, oj = gi[r], gj[c]
-                if oj and (not oi or oj * x % oi):
-                    raise ValueError("arrow incompatible with torsion")
-            scanned[key] = M, gi, gj
+                if torsion:
+                    oi, oj = gi[r], gj[c]
+                    if oj and (not oi or oj * x % oi):
+                        raise ValueError("arrow incompatible with torsion")
         # a covering arrow between nonzero values has no composite to
         # fall back on
         degrees = sorted({n for (_, n) in orders})
@@ -388,37 +382,36 @@ class PosetDiagram:
                                      % (sorted(I), sorted(J), n))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
-        checks = set()
+        zero = {}
+        verdicts = {}   # ids of (gi, four covers) -> those five objects
         for J in faces:
             for a, b in combinations(sorted(J), 2):
                 I = J - {a, b}
-                if I in face_set:
-                    checks.add((I, J))
-        zero = {}
-        verdicts = {}   # ids of (gi, four covers) -> those five objects
-        for (I, J) in checks:
-            # both sets between I and J are faces, since the faces have no
-            # gap, and every cover between nonzero values is stored, as
-            # checked above, so the four covers are read directly
-            m1, m2 = (J - {v} for v in sorted(J - I))
-            for n in degrees:
-                gi = orders.get((I, n))
-                if not gi or not orders.get((J, n)):
+                if I not in face_set:
                     continue
-                lo1 = hi1 = lo2 = hi2 = zero
-                if orders.get((m1, n)):
-                    lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
-                if orders.get((m2, n)):
-                    lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
-                key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
-                if key in verdicts:
-                    continue
-                verdicts[key] = gi, lo1, hi1, lo2, hi2
-                if not _congruent(self._product(lo1, hi1),
-                                  self._product(lo2, hi2), gi):
-                    raise ValueError(
-                        "diagram not functorial at %s <= %s, degree %d"
-                        % (sorted(I), sorted(J), n))
+                # both sets between I and J are faces, since the faces
+                # have no gap, and every cover between nonzero values is
+                # stored, as checked above, so the four covers are read
+                # directly
+                m1, m2 = J - {a}, J - {b}
+                for n in degrees:
+                    gi = orders.get((I, n))
+                    if not gi or not orders.get((J, n)):
+                        continue
+                    lo1 = hi1 = lo2 = hi2 = zero
+                    if orders.get((m1, n)):
+                        lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
+                    if orders.get((m2, n)):
+                        lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
+                    key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
+                    if key in verdicts:
+                        continue
+                    verdicts[key] = gi, lo1, hi1, lo2, hi2
+                    if not _congruent(self._product(lo1, hi1),
+                                      self._product(lo2, hi2), gi):
+                        raise ValueError(
+                            "diagram not functorial at %s <= %s, degree %d"
+                            % (sorted(I), sorted(J), n))
 
 
 def limit_graded(D):
@@ -456,24 +449,21 @@ def limit_graded(D):
     with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
     of A and the t-th relation o_t e_{r_t} of B, so that
     R_B chi = -psi R_A and d^2 = 0.  The division is exact when every
-    arrow respects torsion, which validate() checks on construction; the
-    stored arrows are scanned again here, since the presentation need
-    not read each of them, once per distinct (arrow, source orders,
-    target orders) triple by identity within the call.  Entries of psi
+    arrow respects torsion, which validate() checks on construction;
+    every stored arrow out of a value with torsion is scanned again here,
+    since the presentation need not read each of them (an arrow out of a
+    free value respects torsion whatever its entries).  Entries of psi
     in a row of order o_t > 0 are reduced modulo o_t.
     """
     max_degree = D.max_degree
     orders = D.orders
     degrees = sorted({n for (_, n) in orders if n <= max_degree})
-    scanned = {}   # (id(M), id(gi), id(gj)) -> (M, gi, gj)
     for (I, J, n), M in D.arrows.items():
-        if n <= max_degree:
-            gi, gj = orders.get((I, n), ()), orders.get((J, n), ())
-            key = id(M), id(gi), id(gj)
-            if key not in scanned:
-                for (r, c), v in M.items():
-                    _relation_image(gj[c], v, gi[r])
-                scanned[key] = M, gi, gj
+        gj = orders.get((J, n), ())
+        if n <= max_degree and any(gj):
+            gi = orders.get((I, n), ())
+            for (r, c), v in M.items():
+                _relation_image(gj[c], v, gi[r])
     facets, blocks = _link_blocks(D)
     out = {}
     for n in degrees:

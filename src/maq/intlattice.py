@@ -177,11 +177,20 @@ class TorusSubgroup:
 
     @staticmethod
     def from_f2_span(m, gens):
+        """H spanned by ``gens``: bitmasks (bit i-1 for vertex i) or rows
+        of one entry per vertex 1..m."""
         masks = []
         for g in gens:
             if isinstance(g, int):
+                if not 0 <= g < 1 << m:
+                    raise ValueError("span mask %#x has a bit outside the "
+                                     "vertices 1..%d" % (g, m))
                 masks.append(g)
             else:
+                if len(g) != m:
+                    raise ValueError("span row of length %d, not one entry "
+                                     "for each of the vertices 1..%d"
+                                     % (len(g), m))
                 v = 0
                 for i, x in enumerate(g):
                     if x % 2:
@@ -204,7 +213,7 @@ class TorusSubgroup:
     @staticmethod
     def coordinate(d, m, I0):
         """The coordinate subgroup G_d^I0."""
-        I0 = frozenset(I0)
+        I0 = _check_subset(I0, m)
         if d == 2:
             gens = [[1 if j == i else 0 for j in range(m)]
                     for i in range(m) if i + 1 not in I0]

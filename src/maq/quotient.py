@@ -381,13 +381,10 @@ def cw_census(K, H):
         raise PreconditionFailed("census requires finite orbits (d=1)")
     if H.m != K.m:
         raise ValueError("subgroup and complex live on different vertex sets")
-    faces = sorted(K.faces(), key=lambda f: (len(f), sorted(f)))
-    mult = {}
-    for I in faces:
-        mult[frozenset(I)] = join_coordinate(H, I).order()
+    faces = K.faces()
+    mult = {I: join_coordinate(H, I).order() for I in faces}
     # count strictly increasing chains by dynamic programming over the
     # face poset; chains ending at their maximal element
-    faces = [frozenset(f) for f in faces]
     counts = {}
     # strictly increasing chains in the inclusion DAG, grouped by minimum
     longer = {I: [J for J in faces if I < J] for I in faces}

@@ -121,7 +121,9 @@ class SimplicialComplex:
         return sorted(seen)
 
     def faces(self):
-        return [_unmask(f) for f in self.face_masks]
+        """All faces as frozensets, by size and then by sorted vertices."""
+        return sorted(map(_unmask, self.face_masks),
+                      key=lambda f: (len(f), sorted(f)))
 
     def f_vector(self):
         """(f_0, f_1, ...) counts of faces per dimension."""

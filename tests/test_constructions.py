@@ -7,7 +7,8 @@ from maq.exact import hnf_solve
 from maq.homology import reduced_cohomology, reduced_homology
 from maq.intlattice import FinAbGroup
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
-                            minimal_non_faces, sphere_sanity)
+                            minimal_non_faces, sphere_sanity,
+                            stellar_subdivision)
 
 
 def test_rp2_6_is_the_projective_plane():
@@ -79,6 +80,14 @@ def test_torsion_pipeline_rp2():
     assert j["m"] == 7 and j["free"] is True
 
 
-def test_pipeline_respects_sanity_flag():
-    rep = torsion_pipeline(rp2_6(), 2, sanity_every_step=True)
-    assert rep.sphere.passed
+def test_nerve_fold_passes_sanity_at_every_step():
+    # the nerve's fold skips the sphere battery between truncations;
+    # replaying it with the battery before every truncation must reach
+    # the pipeline's nerve
+    K = rp2_6()
+    Kp = stellar_subdivision(K, min(K.facets, key=sorted))
+    S = boundary_simplex(Kp.m)
+    for sigma in sorted(minimal_non_faces(Kp), key=sorted):
+        S = truncate_face(S, sigma)
+    assert S == bosio_meersseman_nerve(Kp) == torsion_pipeline(K, 2).nerve
+    assert sphere_sanity(S).passed

@@ -313,7 +313,9 @@ def test_classifying_arrows_match_per_cover_reference():
 def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
     # one wrong entry in degree 4 of the table that the covers dropping
     # the higher vertex of an edge share: the build still fails as
-    # internal, at the first failing diamond of the unmemoized check
+    # internal, at the first failing diamond in ``faces`` order: below
+    # [1, 2, 3], the diamond from [3] has no such cover, and the one from
+    # [2] has {2} < {2, 3}
     original = equivariant._sym_powers
     planted = []
 
@@ -325,13 +327,12 @@ def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
         return powers
 
     monkeypatch.setattr(equivariant, "_sym_powers", wrong)
-    for K, pair in ((SimplicialComplex(4, [(1, 2, 3, 4)]),
-                     r"\[2\] <= \[1, 2, 4\]"),
-                    (boundary_simplex(5), r"\[3\] <= \[2, 3, 5\]")):
+    for K in (SimplicialComplex(4, [(1, 2, 3, 4)]), boundary_simplex(5)):
         planted.clear()
         with pytest.raises(AssertionError,
                            match=r"^classifying diagram: diagram not "
-                                 r"functorial at %s, degree 4$" % pair):
+                                 r"functorial at \[2\] <= \[1, 2, 3\], "
+                                 r"degree 4$"):
             build_classifying_diagram(K, TorusSubgroup.trivial(2, K.m), 6)
         assert len(planted) == 1
 

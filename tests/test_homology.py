@@ -334,7 +334,8 @@ def _diagonal_diagram(rng, K):
 
 def test_diagram_composites_match_fresh_products():
     # diagrams come and go in the loop, so the ids of their arrow dicts
-    # are reused; every composite must still be the chain of covers
+    # are reused; the product memo, the one identity-keyed cache that
+    # composites go through, must still give the chain of covers
     # multiplied afresh
     rng = seeded("fresh-composites")
     for _ in range(60):
@@ -373,6 +374,12 @@ def test_diagram_validate_rejects_malformed_arrows():
         diagram({(0, 0): 1}, src=(2,), tgt=(0,))
     with pytest.raises(ValueError, match="incompatible with torsion"):
         diagram({(0, 0): 1}, src=(4,), tgt=(8,))
+    # one dict stored at two covers is scanned at each: Z -> Z at e < a
+    # is defined, Z/2 -> Z at e < b is not
+    M, z = {(0, 0): 1}, (0,)
+    with pytest.raises(ValueError, match="incompatible with torsion"):
+        PosetDiagram((e, a, b), {(e, 0): z, (a, 0): z, (b, 0): (2,)},
+                     {(e, a, 0): M, (e, b, 0): M}, 0)
     # Z/4 -> Z/8 by 2 is defined, and its limit is the source
     D = diagram({(0, 0): 2}, src=(4,), tgt=(8,))
     assert limit_graded(D).group(0) == FinAbGroup.cyclic(4)

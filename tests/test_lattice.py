@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from maq.exact import f2_rref, hnf_solve, row_hnf
 from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
                             join_coordinate, meet_coordinate)
@@ -70,6 +72,27 @@ def test_torus_subgroup_ranks():
     assert TorusSubgroup.trivial(2, 4).torus_rank() == 0
     assert TorusSubgroup.full(2, 4).torus_rank() == 4
     assert TorusSubgroup.coordinate(2, 4, frozenset({1, 3})).torus_rank() == 2
+
+
+def test_torus_subgroup_rejects_vertices_outside_range():
+    # a vertex outside 1..m is an error for both d, not a span bit past
+    # F2^m, a silently trivial subgroup or a negative shift
+    for d in (1, 2):
+        for I0 in ({5}, {0}, {1, 4}):
+            with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+                TorusSubgroup.coordinate(d, 3, I0)
+        assert TorusSubgroup.coordinate(d, 3, {1, 3}).torus_rank() == \
+            (2 if d == 2 else 0)
+    # d=1 spans: a mask bit past vertex m, a negative mask, and rows of
+    # the wrong length
+    for gens in ([0b11000], [0b111, 0b1000], [-1], [[1, 0]], [[1, 0, 1, 1]]):
+        with pytest.raises(ValueError, match=r"vertices 1\.\.3"):
+            TorusSubgroup.from_f2_span(3, gens)
+    assert TorusSubgroup.from_f2_span(3, [0b111, [1, 1, 0]]).span == (4, 3)
+    # d=2 annihilator rows of the wrong length
+    for row in ([1, 0], [1, 0, 1, 1]):
+        with pytest.raises(ValueError, match="length"):
+            TorusSubgroup.from_annihilator(3, [row])
 
 
 def test_meet_join_coordinate_d2():
