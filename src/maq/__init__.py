@@ -4,7 +4,7 @@ closed torus subgroups, over the integers and F2."""
 from .simplicial import (SimplicialComplex, boundary_simplex, cone,
                          contraction, full_subcomplex, minimal_non_faces,
                          skeleton, sphere_sanity, stellar_subdivision)
-from .intlattice import (FinAbGroup, Lattice, TorusSubgroup, join_coordinate,
+from .intlattice import (FinAbGroup, TorusSubgroup, join_coordinate,
                          meet_coordinate)
 from .homology import (ChainComplex, GradedAbGroup, PosetDiagram,
                        limit_graded, reduced_cohomology, reduced_homology)

@@ -53,7 +53,7 @@ def _emit(report, args):
 
 def _cmd_hochster(args):
     K = load_complex(args.complex)
-    groups = hochster(K, max_degree=args.max_degree, m_bound=args.bound_m)
+    groups = hochster(K, max_degree=args.max_degree)
     return {
         "operation": "hochster",
         "input": {"m": K.m, "facets": [sorted(f) for f in K.facets]},
@@ -188,7 +188,7 @@ def _cmd_trc(args):
 
 def _cmd_buchstaber_real(args):
     K = load_complex(args.complex)
-    value = buchstaber_real(K, m_bound=args.bound_m)
+    value = buchstaber_real(K)
     return {
         "operation": "buchstaber-real",
         "input": {"m": K.m},
@@ -356,7 +356,6 @@ def _build_parser():
                                         "complex")
     p.add_argument("complex")
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--bound-m", type=int, default=14)
     p.set_defaults(fn=_cmd_hochster)
 
     p = sub.add_parser("quotient-cohomology",
@@ -402,7 +401,6 @@ def _build_parser():
     p = sub.add_parser("buchstaber-real",
                        help="largest freely acting mod-2 subspace dimension")
     p.add_argument("complex")
-    p.add_argument("--bound-m", type=int, default=12)
     p.set_defaults(fn=_cmd_buchstaber_real)
 
     p = sub.add_parser("torsion-build",

@@ -5,7 +5,10 @@ For a closed subgroup H of G^m acting on the polyhedral product, each face
 I carries the quotient quasitorus S(I) = G^I/(H meet G^I).  The diagram
 I -> H*(BS(I)) over the face poset is assembled from character lattices;
 its inverse limit computes the equivariant cohomology of the quotient when
-the compatibility condition below holds.
+the compatibility condition below holds.  The subgroup answers every
+face-wise question itself (``TorusSubgroup.is_full``, ``extends`` and
+``restriction``), so nothing here reads how a character is stored; only
+the ring's degree step, generator order and modulus depend on d.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exact import f2_solve, hnf_solve
 from .homology import GradedAbGroup, PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
 from .momentangle import sr_dimension
@@ -61,49 +63,14 @@ def check_free(K, H):
 
     H meet G^I has the characters of G^I modulo proj_I(ann H), so it is
     trivial exactly when proj_I(ann H) is all of Z^I (F2^I for d=1),
-    which _is_full reads off the canonical basis: a Hermite form of rank
-    |I| with every pivot 1 is the identity.
+    which H.is_full reads off the canonical basis.
 
     Returns (free, witness) with witness the first failing facet.
     """
     for I in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
-        if not _is_full(H.d, H.characters(I), len(I)):
+        if not H.is_full(I):
             return False, I
     return True, None
-
-
-def _reindex(d, x, pairs, width):
-    """Character x moved along (source, target) coordinate positions, zero
-    elsewhere: a list of ``width`` entries for d=2, a bitmask for d=1."""
-    if d == 2:
-        out = [0] * width
-        for s, t in pairs:
-            out[t] = x[s]
-        return out
-    return sum(((x >> s) & 1) << t for s, t in pairs)
-
-
-def _solve(d, basis, x):
-    """Coordinates of the character x in a face's character basis, or None
-    when x is not a character of that face."""
-    if d == 2:
-        return hnf_solve(basis, x)
-    residue, tag = f2_solve([(b, 1 << i) for i, b in enumerate(basis)], x)
-    return None if residue else [(tag >> i) & 1 for i in range(len(basis))]
-
-
-def _positions(I, J):
-    """(position in sorted(I), position in sorted(J)) for each vertex of I."""
-    Js = sorted(J)
-    return [(t, Js.index(v)) for t, v in enumerate(sorted(I))]
-
-
-def _is_full(d, chars, n):
-    """Whether a face with n vertices sees all of G^n: its character basis
-    spans Z^n (rank n, every HNF pivot 1) for d=2, F2^n (rank n) for d=1."""
-    if len(chars) != n:
-        return False
-    return d == 1 or all(next(x for x in row if x) == 1 for row in chars)
 
 
 def check_condition1(K, H, all_pairs=False):
@@ -113,13 +80,14 @@ def check_condition1(K, H, all_pairs=False):
     the coordinate projection to I must lie in H meet G^I.  Dually, since
     the annihilator of H meet G^J is proj_J(ann H) for both d: every
     character of S(I), extended by zero, is a character of S(J).  That one
-    predicate is checked for d=1 and d=2 alike.  Covering pairs generate
-    all constraints; ``all_pairs`` rechecks every inclusion.
+    predicate, H.extends(I, J), is checked for d=1 and d=2 alike.
+    Covering pairs generate all constraints; ``all_pairs`` rechecks every
+    inclusion.
 
     A face J inside a facet F with proj_F(ann H) all of Z^F (F2^F for
     d=1) has proj_J(ann H) all of Z^J, so no pair (I, J) can fail there.
-    The facets' characters are read first, the faces below a full facet
-    are collected by walking down from those facets, each face once, and
+    The facets are tested first, the faces below a full facet are
+    collected by walking down from those facets, each face once, and
     skipped; the other faces' characters are read as the pairs reach
     them, each computed once by H.characters.  The skipped pairs cannot
     fail, so the first failing pair is the same as over all pairs.
@@ -127,7 +95,7 @@ def check_condition1(K, H, all_pairs=False):
     Returns (ok, witness) with witness the first failing pair.
     """
     below_full = set()
-    stack = [F for F in K.facets if _is_full(H.d, H.characters(F), len(F))]
+    stack = [F for F in K.facets if H.is_full(F)]
     while stack:
         J = stack.pop()
         if J not in below_full:
@@ -142,13 +110,9 @@ def check_condition1(K, H, all_pairs=False):
             smaller = [I for I in faces if I < J]
         else:
             smaller = [J - {v} for v in sorted(J) if J - {v} in is_face]
-        basis = H.characters(J)
         for I in smaller:
-            pairs = _positions(I, J)
-            for a in H.characters(I):
-                if _solve(H.d, basis,
-                          _reindex(H.d, a, pairs, len(J))) is None:
-                    return False, (I, J)
+            if not H.extends(I, J):
+                return False, (I, J)
     return True, None
 
 
@@ -255,23 +219,21 @@ def build_classifying_diagram(K, H, max_degree):
 
     Values with the same generator count share one ``orders`` tuple, and
     covers with the same character map share one table of symmetric
-    powers, so PosetDiagram's identity-keyed memos see repeated keys.
-    The character map of a cover I = J - {v} is a function of chars[I],
-    chars[J] and the position of v in sorted(J), and is solved once per
-    distinct such triple, compared by content.  The tables are memoized
-    under the key ``(len(chars[I]), columns)``, with ``columns`` the
-    sparse columns of _char_map as tuples of sorted ``(row, value)``
-    items.  The row count belongs to the key because it fixes the
-    monomial index of the target; ``top_k`` and the modulus are fixed
-    within the call.  Both memos live for the call.
+    powers, so PosetDiagram's identity-keyed diamond memo sees repeated
+    keys.
+    The character map of a cover I = J - {v}, H.restriction(I, J), is a
+    function of the characters of I and J and of the position of v in
+    sorted(J), and is computed once per distinct such triple.  The tables
+    are memoized under the key ``(len(characters(I)), columns)``, with
+    ``columns`` the sparse columns of the restriction as tuples of sorted
+    ``(row, value)`` items.  The row count belongs to the key because it
+    fixes the monomial index of the target; ``top_k`` and the modulus are
+    fixed within the call.  Both memos live for the call.
     """
     faces = K.faces()
     step = 2 if H.d == 2 else 1
     top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}
-    # chars[I] by content: HNF rows as tuples for d=2, bitmasks for d=1
-    content = {I: tuple(map(tuple, c)) if H.d == 2 else tuple(c)
-               for I, c in chars.items()}
     shapes = {}   # generator count -> the one orders tuple for it
     orders = {}
     for I in faces:
@@ -282,7 +244,7 @@ def build_classifying_diagram(K, H, max_degree):
                 shapes[n] = (0,) * n if H.d == 2 else (2,) * n
             orders[(I, k * step)] = shapes[n]
     mod = 2 if H.d == 1 else None
-    maps = {}     # (content of I, content of J, position) -> table
+    maps = {}     # (chars[I], chars[J], position) -> table
     tables = {}
     arrows = {}
     for J in faces:
@@ -290,10 +252,10 @@ def build_classifying_diagram(K, H, max_degree):
             I = J - {v}
             if I not in chars:
                 continue
-            key = content[I], content[J], t
+            key = chars[I], chars[J], t
             powers = maps.get(key)
             if powers is None:
-                columns = _char_map(H, I, J, chars)
+                columns = H.restriction(I, J)
                 table = (len(chars[I]),
                          tuple(tuple(sorted(col.items())) for col in columns))
                 powers = tables.get(table)
@@ -311,22 +273,6 @@ def build_classifying_diagram(K, H, max_degree):
         # every arrow is a restriction of characters, so the diagram is
         # functorial by construction; a failure here is a bug, not input
         raise AssertionError("classifying diagram: %s" % exc) from exc
-
-
-def _char_map(H, I, J, chars):
-    """Restriction of characters from S(J) to S(I) in the chosen bases, as
-    sparse columns: column j is the j-th J-basis character written in the
-    I-basis, a dict {row: value} of its nonzero coordinates."""
-    pairs = [(t, s) for s, t in _positions(I, J)]
-    columns = []
-    for b in chars[J]:
-        coeff = _solve(H.d, chars[I], _reindex(H.d, b, pairs, len(I)))
-        if coeff is None:
-            # proj_J(ann H) restricted to I is proj_I(ann H)
-            raise AssertionError("character restriction not defined at "
-                                 "(%s, %s)" % (sorted(I), sorted(J)))
-        columns.append({i: c for i, c in enumerate(coeff) if c})
-    return columns
 
 
 def equivariant_limit(K, H, max_degree):

@@ -1,9 +1,9 @@
 """Exact (co)homology of finite chain complexes and degreewise limits.
 
-Everything is integral: homology groups come out of Smith normal form,
-cohomology over a prime field is counted through invariant factors, and
-limits of diagrams of finitely generated abelian groups are computed from
-integer presentations so that torsion is tracked exactly.
+Everything is integral: homology and cohomology groups come out of Smith
+normal form, and limits of diagrams of finitely generated abelian groups
+are computed from integer presentations so that torsion is tracked
+exactly.
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ class GradedAbGroup:
 
     def is_trivial(self):
         return not self.groups
-
-    def direct_sum(self, other):
-        out = {d: g for d, g in self.groups}
-        for d, g in other.groups:
-            out[d] = out.get(d, FinAbGroup.trivial()).direct_sum(g)
-        return GradedAbGroup.make(out)
 
     def to_json(self):
         return {str(d): g.to_json() for d, g in self.groups}
@@ -121,7 +115,7 @@ class ChainComplex:
         """(rank, invariant factors) of boundaries[i]; zero map if absent.
 
         Every boundary is eliminated once per instance, on the first call;
-        homology, cohomology and homology_mod all read the same result.
+        homology and cohomology both read the same result.
         """
         if self._eliminated is None:
             self._eliminated = {}
@@ -159,22 +153,11 @@ class ChainComplex:
             out[self.min_degree + i] = FinAbGroup.make(rank, inv_out)
         return GradedAbGroup.make(out)
 
-    def homology_mod(self, p):
-        """Homology with F_p coefficients, reported as F_p-dimensions."""
-        out = {}
-        for i, dim in enumerate(self.dims):
-            rank = dim - self._rank_mod(i, p) - self._rank_mod(i + 1, p)
-            if rank:
-                out[self.min_degree + i] = FinAbGroup.free(rank)
-        return GradedAbGroup.make(out)
-
-    def _rank_mod(self, i, p):
-        _, inv = self._rank_inv(i)
-        return sum(1 for d in inv if d % p)
-
 
 def sparse_product(a, b):
     """a @ b for sparse matrices {(row, col): value}, zeros dropped."""
+    if not a or not b:
+        return {}
     by_col = {}
     for (r, k), v in a.items():
         by_col.setdefault(k, []).append((r, v))
@@ -213,12 +196,9 @@ def face_chain_complex(masks):
                         min_degree=-1, check=False)
 
 
-def reduced_cohomology(K, p=None):
-    """Reduced simplicial cohomology of K (integral, or F_p dims if p given)."""
-    C = face_chain_complex(K.face_masks)
-    if p is None:
-        return C.cohomology()
-    return C.homology_mod(p)
+def reduced_cohomology(K):
+    """Reduced integral simplicial cohomology of K."""
+    return face_chain_complex(K.face_masks).cohomology()
 
 
 def reduced_homology(K):
@@ -261,22 +241,19 @@ class PosetDiagram:
 
     One arrow dict may be stored under several keys, as
     build_classifying_diagram does for covers with the same character map,
-    and one ``orders`` tuple under several faces and degrees.  Two memos,
-    keyed by identity, turn that sharing into saved work: the product of
-    two arrows, in validate()'s diamonds and in arrow()'s composites, by
-    its two factors, so a pair of shared dicts is multiplied once; and
-    validate()'s verdict on a diamond by the orders at its bottom and its
-    four covering arrows, so diamonds built from the same tables are
-    decided once.  Each memo holds the objects of its key, so no id is
-    reused while it lives.  Neither the stored arrow dicts, nor the dicts
-    arrow() returns, nor the ``orders`` tuples may therefore be mutated.
-    Everything else is recomputed when asked: composites, the covering
-    pairs, and the shape and torsion scan of every stored arrow.  On the
-    equivariant limit the product memo saves a few percent, and the
-    verdict memo a fifth or more of a large diagram such as the boundary
-    of the 9-simplex.  Upstream of this class, build_classifying_diagram's
-    ``maps`` and ``tables`` and check_condition1's walk below the full
-    facets pay on the same path.
+    and one ``orders`` tuple under several faces and degrees.  validate()
+    turns that sharing into saved work with one memo keyed by identity:
+    its verdict on a diamond, by the orders at its bottom and its four
+    covering arrows, so diamonds built from the same tables are decided
+    once.  The memo holds the objects of its key, so no id is reused
+    while it lives.  Everything else is recomputed when asked: products,
+    composites, the covering pairs, and the shape and torsion scan of
+    every stored arrow.  arrow() returns a stored cover itself, not a
+    copy, so it must not be mutated.  The verdict memo saves a fifth or
+    more of a large diagram such as the boundary of the 9-simplex.
+    Upstream of this class, build_classifying_diagram's ``maps`` and
+    ``tables`` and check_condition1's walk below the full facets pay on
+    the same path.
     """
 
     faces: tuple
@@ -287,25 +264,12 @@ class PosetDiagram:
     def __post_init__(self):
         self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
                                   key=lambda f: (len(f), sorted(f))))
-        self._products = {}
         self.validate()
 
     def gens(self, I, n):
         """Generator orders of the value at the frozenset face I in degree
         n; ``()`` for the zero group."""
         return self.orders.get((I, n), ())
-
-    def _product(self, a, b):
-        """a @ b, memoized by (id(a), id(b)).  The memo keeps both factors
-        alive next to their product, so neither id can be reused by
-        another dict while the memo holds it."""
-        if not a or not b:
-            return {}
-        key = id(a), id(b)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self._products[key] = (a, b, sparse_product(a, b))
-        return hit[2]
 
     def arrow(self, I, J, n):
         """Structure map for I subset of J in degree n (composite of
@@ -329,7 +293,7 @@ class PosetDiagram:
             return self.arrows[key]
         # walk down one vertex at a time
         mid = J - {min(J - I)}
-        return self._product(self._arrow(I, mid, n), self._arrow(mid, J, n))
+        return sparse_product(self._arrow(I, mid, n), self._arrow(mid, J, n))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
@@ -407,8 +371,8 @@ class PosetDiagram:
                     if key in verdicts:
                         continue
                     verdicts[key] = gi, lo1, hi1, lo2, hi2
-                    if not _congruent(self._product(lo1, hi1),
-                                      self._product(lo2, hi2), gi):
+                    if not _congruent(sparse_product(lo1, hi1),
+                                      sparse_product(lo2, hi2), gi):
                         raise ValueError(
                             "diagram not functorial at %s <= %s, degree %d"
                             % (sorted(I), sorted(J), n))

@@ -1,17 +1,22 @@
-"""Closed subgroups of tori as character annihilator lattices.
+"""Closed subgroups of tori, held by their character annihilators.
 
-A closed subgroup H of the torus T^m is represented by the sublattice of
-Z^m of characters vanishing on H (its annihilator).  For d=1 the ambient
-group is (Z/2)^m and H is stored directly as an F2 subspace in reduced
-echelon form.  All quotient data is reported as finitely generated abelian
-groups in invariant-factor form.
+A closed subgroup H of G_d^m (the torus T^m for d=2, (Z/2)^m for d=1) is
+represented by one field for both d: the canonical basis of ann H, the
+characters of G^m vanishing on H.  For d=2 that is the Hermite form of a
+sublattice of Z^m, for d=1 the reduced echelon form of an F2 subspace;
+the F2 span of H itself is read back as its annihilator.  All quotient
+data is reported as finitely generated abelian groups in invariant-factor
+form.
 
 Every face-wise question goes through one projection per face:
 ``TorusSubgroup.characters(I)`` is the canonical basis of proj_I(ann H),
 the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
 is their span, the meet H meet G^I their cokernel, and the orbit group
-Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  Presentations
-are reduced by ``exact.rank_and_invariants``.
+Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  The
+subgroup answers the questions that compare two faces I <= J itself
+(``is_full``, ``extends``, ``restriction``), so no caller reads how a
+character is stored.  Presentations are reduced by
+``exact.rank_and_invariants``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .exact import (
     divisor_chain,
     f2_annihilator,
     f2_rref,
+    f2_solve,
+    hnf_solve,
     rank_and_invariants,
     row_hnf,
 )
@@ -101,50 +108,6 @@ class FinAbGroup:
 
 
 # ---------------------------------------------------------------------------
-# integer lattices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lattice:
-    """Sublattice of Z^m in canonical Hermite normal form.
-
-    ``basis`` holds the generators as HNF rows; equal lattices have equal
-    representations.
-    """
-
-    m: int
-    basis: tuple
-
-    @staticmethod
-    def from_generators(m, gens):
-        gens = [list(g) for g in gens]
-        for g in gens:
-            if len(g) != m:
-                raise ValueError("generator length != ambient rank")
-        return Lattice(m, tuple(tuple(r) for r in row_hnf(gens)))
-
-    @staticmethod
-    def full(m):
-        return Lattice.from_generators(m, [[1 if i == j else 0
-                                            for j in range(m)]
-                                           for i in range(m)])
-
-    @staticmethod
-    def zero(m):
-        return Lattice(m, ())
-
-    def rank(self):
-        return len(self.basis)
-
-    def project(self, coords):
-        """Image under projection of Z^m onto the given sorted coordinates
-        (1-based), as a lattice in Z^len(coords)."""
-        cs = sorted(coords)
-        gens = [[b[c - 1] for c in cs] for b in self.basis]
-        return Lattice.from_generators(len(cs), gens)
-
-
-# ---------------------------------------------------------------------------
 # torus subgroups
 # ---------------------------------------------------------------------------
 
@@ -152,28 +115,28 @@ class Lattice:
 class TorusSubgroup:
     """Closed subgroup H of G_d^m, G_1 = Z/2, G_2 = S^1.
 
-    d=2: ``ann`` is the annihilator lattice of H in Z^m.
-    d=1: ``span`` is the canonical F2 echelon basis of H itself (bitmasks).
+    ``ann`` is the canonical basis of the annihilator of H, the characters
+    of G^m vanishing on H: HNF rows (tuples) of a sublattice of Z^m for
+    d=2, F2 echelon bitmasks (bit i-1 for vertex i) for d=1.  Equal
+    subgroups have equal fields.
     """
 
     d: int
     m: int
-    ann: Lattice = None
-    span: tuple = None
+    ann: tuple
 
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
-        if self.d == 2 and self.ann is None:
-            raise ValueError("d=2 subgroup needs an annihilator lattice")
-        if self.d == 1 and self.span is None:
-            raise ValueError("d=1 subgroup needs an F2 span")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_annihilator(m, gens):
-        return TorusSubgroup(2, m, ann=Lattice.from_generators(m, gens))
+        gens = [list(g) for g in gens]
+        if any(len(g) != m for g in gens):
+            raise ValueError("generator length != ambient rank")
+        return TorusSubgroup(2, m, tuple(map(tuple, row_hnf(gens))))
 
     @staticmethod
     def from_f2_span(m, gens):
@@ -191,47 +154,38 @@ class TorusSubgroup:
                     raise ValueError("span row of length %d, not one entry "
                                      "for each of the vertices 1..%d"
                                      % (len(g), m))
-                v = 0
-                for i, x in enumerate(g):
-                    if x % 2:
-                        v |= 1 << i
-                masks.append(v)
-        return TorusSubgroup(1, m, span=tuple(f2_rref(masks)))
+                masks.append(sum(1 << i for i, x in enumerate(g) if x % 2))
+        return TorusSubgroup(1, m, tuple(f2_annihilator(masks, m)))
 
     @staticmethod
     def trivial(d, m):
-        if d == 2:
-            return TorusSubgroup(2, m, ann=Lattice.full(m))
-        return TorusSubgroup(1, m, span=())
+        return TorusSubgroup.coordinate(d, m, ())
 
     @staticmethod
     def full(d, m):
-        if d == 2:
-            return TorusSubgroup(2, m, ann=Lattice.zero(m))
-        return TorusSubgroup.from_f2_span(m, [1 << i for i in range(m)])
+        return TorusSubgroup.coordinate(d, m, range(1, m + 1))
 
     @staticmethod
     def coordinate(d, m, I0):
         """The coordinate subgroup G_d^I0."""
         I0 = _check_subset(I0, m)
         if d == 2:
-            gens = [[1 if j == i else 0 for j in range(m)]
-                    for i in range(m) if i + 1 not in I0]
-            return TorusSubgroup(2, m, ann=Lattice.from_generators(m, gens))
+            return TorusSubgroup.from_annihilator(
+                m, [[int(j == i) for j in range(m)]
+                    for i in range(m) if i + 1 not in I0])
         return TorusSubgroup.from_f2_span(m, [1 << (v - 1) for v in I0])
 
     # -- structure ---------------------------------------------------------
 
     def torus_rank(self):
         """Dimension of the identity component (0 for d=1)."""
-        if self.d == 2:
-            return self.m - self.ann.rank()
-        return 0
+        return self.m - len(self.ann) if self.d == 2 else 0
 
     @cached_property
-    def _f2_perp(self):
-        """The F2 annihilator of H (d=1), computed once per subgroup."""
-        return f2_annihilator(list(self.span), self.m)
+    def span(self):
+        """The canonical F2 echelon basis of H itself (d=1), the
+        annihilator of ``ann``."""
+        return tuple(f2_annihilator(self.ann, self.m))
 
     @cached_property
     def _characters(self):
@@ -240,32 +194,88 @@ class TorusSubgroup:
 
     def characters(self, I):
         """Canonical basis of proj_I(ann H), the characters of
-        S(I) = G^I/(H meet G^I), in the coordinates of sorted(I): HNF rows
-        for d=2, F2 echelon bitmasks for d=1.
-
-        Computed once per face and subgroup: every caller of the same face
-        gets the same list (of the same row lists for d=2), so callers must
-        not mutate what this returns."""
+        S(I) = G^I/(H meet G^I), in the coordinates of sorted(I), as a
+        tuple: of HNF rows (tuples) for d=2, of F2 echelon bitmasks for
+        d=1.  Computed once per face and subgroup."""
         I = _check_subset(I, self.m)
         hit = self._characters.get(I)
         if hit is None:
             Is = sorted(I)
             if self.d == 2:
-                hit = [list(b) for b in self.ann.project(Is).basis]
+                hit = tuple(map(tuple, row_hnf(
+                    [[b[v - 1] for v in Is] for b in self.ann])))
             else:
-                hit = f2_rref(sum(((w >> (v - 1)) & 1) << t
-                                  for t, v in enumerate(Is))
-                              for w in self._f2_perp)
+                hit = tuple(f2_rref(sum(((w >> (v - 1)) & 1) << t
+                                        for t, v in enumerate(Is))
+                                    for w in self.ann))
             self._characters[I] = hit
         return hit
+
+    def is_full(self, I):
+        """Whether S(I) is all of G^I, that is, H meets G^I trivially:
+        proj_I(ann H) is Z^I (a Hermite form of rank |I| with every pivot
+        1, the identity) for d=2, F2^I (rank |I|) for d=1."""
+        chars = self.characters(I)
+        if len(chars) != len(I):
+            return False
+        return self.d == 1 or all(next(x for x in row if x) == 1
+                                  for row in chars)
+
+    def extends(self, I, J):
+        """Whether every character of S(I), extended by zero, is a
+        character of S(J), for faces I <= J."""
+        basis = self.characters(J)
+        pos = _positions(I, J)
+        for a in self.characters(I):
+            if self.d == 2:
+                x = [0] * len(J)
+                for t, p in enumerate(pos):
+                    x[p] = a[t]
+                if hnf_solve(basis, x) is None:
+                    return False
+            elif f2_solve([(b, 0) for b in basis],
+                          sum(((a >> t) & 1) << p
+                              for t, p in enumerate(pos)))[0]:
+                return False
+        return True
+
+    def restriction(self, I, J):
+        """Restriction of characters from S(J) to S(I), for faces I <= J,
+        in the bases of characters(J) and characters(I), as sparse
+        columns: column j is the j-th character of J written in the basis
+        of I, a dict {row: value} of its nonzero coordinates."""
+        basis = self.characters(I)
+        pos = _positions(I, J)
+        columns = []
+        for b in self.characters(J):
+            if self.d == 2:
+                coeff = hnf_solve(basis, [b[p] for p in pos])
+            else:
+                residue, tag = f2_solve(
+                    [(r, 1 << i) for i, r in enumerate(basis)],
+                    sum(((b >> p) & 1) << t for t, p in enumerate(pos)))
+                coeff = None if residue else [(tag >> i) & 1
+                                              for i in range(len(basis))]
+            if coeff is None:
+                # proj_J(ann H) restricted to I is proj_I(ann H)
+                raise AssertionError("character restriction not defined at "
+                                     "(%s, %s)" % (sorted(I), sorted(J)))
+            columns.append({i: c for i, c in enumerate(coeff) if c})
+        return columns
 
     def to_json(self):
         if self.d == 2:
             return {"d": 2, "m": self.m,
-                    "annihilator": [list(b) for b in self.ann.basis]}
+                    "annihilator": [list(b) for b in self.ann]}
         return {"d": 1, "m": self.m,
                 "span": [[(v >> i) & 1 for i in range(self.m)]
                          for v in self.span]}
+
+
+def _positions(I, J):
+    """The position in sorted(J) of each vertex of sorted(I), for I <= J."""
+    Js = sorted(J)
+    return [Js.index(v) for v in sorted(I)]
 
 
 @dataclass(frozen=True)
@@ -301,9 +311,9 @@ def join_coordinate(H, I):
     Its characters are those of L = G^m/H that vanish on G^I: the kernel
     of proj_I on the characters of L.  The image is characters(I), the
     characters of S(I), so 1 -> S(I) -> L -> Q(I) -> 1 is exact and
-    rank Q(I) = rank L - len(characters(I)), with rank L = rank(ann H)
-    for d=2 (a sublattice of Z^m, so free) and m - dim H for d=1."""
+    rank Q(I) = rank L - len(characters(I)), with rank L = len(ann H):
+    a free lattice for d=2, an F2 space of dimension m - dim H for d=1."""
+    rank = len(H.ann) - len(H.characters(I))
     if H.d == 2:
-        return FinAbGroup.free(H.ann.rank() - len(H.characters(I)))
-    rank = H.m - len(H.span) - len(H.characters(I))
+        return FinAbGroup.free(rank)
     return FinAbGroup.make(0, (2,) * rank)

@@ -259,7 +259,7 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000):
     require_condition1(K, H)
     if max_degree is None:
         max_degree = K.m + K.dim() + 1
-    koszul = KoszulComplex(K, [list(b) for b in H.ann.basis], max_degree,
+    koszul = KoszulComplex(K, [list(b) for b in H.ann], max_degree,
                            cell_cap=cell_cap)
     return koszul.cohomology()
 

@@ -48,6 +48,34 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
+def rank_mod_p(entries, p):
+    """Rank over F_p of the sparse integer matrix given as ``(row, col,
+    value)`` triples, by plain row reduction mod p: each row is reduced
+    against the pivot rows found so far, each scaled by the modular
+    inverse of its pivot so that the pivot is 1.  Independent of the
+    integral elimination, whose invariant factors it checks."""
+    rows = {}
+    for r, c, v in entries:
+        rows.setdefault(r, {})[c] = v % p
+    pivots = {}   # pivot column -> reduced row with 1 there
+    for row in rows.values():
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            q = row[c]
+            for k, v in pivots[c].items():
+                x = (row.get(k, 0) - q * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
 def rational_rref(mat):
     """Nonzero rows of the reduced row echelon form over Q, by exact
     Fraction elimination."""

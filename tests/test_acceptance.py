@@ -15,7 +15,7 @@ import pytest
 from maq.equivariant import (check_condition1, check_free,
                              coordinate_quotient_check, equivariant_limit)
 from maq.exact import smith_normal_form
-from maq.intlattice import FinAbGroup, Lattice, TorusSubgroup
+from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import hochster, skeleton_quotient_hrk, skeleton_wedge
 from maq.quotient import (KoszulComplex, cubical_quotient_cohomology,
                           cw_census, koszul_cohomology, trc_report)
@@ -235,9 +235,9 @@ def test_12b_hnf_canonical_under_unimodular_change():
         m = rng.randint(1, 5)
         n = rng.randint(0, m + 1)
         gens = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        L = Lattice.from_generators(m, gens)
+        H = TorusSubgroup.from_annihilator(m, gens)
         U = random_unimodular(rng, n)
-        assert Lattice.from_generators(m, mat_mul(U, gens)) == L
+        assert TorusSubgroup.from_annihilator(m, mat_mul(U, gens)) == H
 
 
 def test_12c_koszul_basis_independence():

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
@@ -6,7 +7,7 @@ import pytest
 
 from maq import equivariant
 from maq.constructions import lambda_alpha_subgroup, rp2_6, torsion_pipeline
-from maq.equivariant import (PreconditionFailed, _char_map, _sym_powers,
+from maq.equivariant import (PreconditionFailed, _sym_powers,
                              action_report, build_classifying_diagram,
                              check_condition1, check_free,
                              classifying_cohomology,
@@ -238,9 +239,8 @@ def _assert_fresh_sym_powers(K, H, max_degree):
     power built afresh for its own cover; returns the diagram."""
     D = build_classifying_diagram(K, H, max_degree)
     step = 2 if H.d == 2 else 1
-    chars = {I: H.characters(I) for I in D.faces}
     for (I, J, n), arrow in D.arrows.items():
-        fresh = _sym_powers(_char_map(H, I, J, chars), len(chars[I]),
+        fresh = _sym_powers(H.restriction(I, J), len(H.characters(I)),
                             max_degree // step, 2 if H.d == 1 else None)
         assert arrow == fresh[n // step], (sorted(I), sorted(J), n)
     return D
@@ -292,14 +292,13 @@ def test_classifying_arrows_match_per_cover_reference():
         step = 2 if d == 2 else 1
         for K, H in _compatible_cases(rng, d, 30):
             D = build_classifying_diagram(K, H, top)
-            fresh = TorusSubgroup(H.d, H.m, H.ann, H.span)
-            chars = {I: fresh.characters(I) for I in D.faces}
+            fresh = TorusSubgroup(H.d, H.m, H.ann)
             expect = {}
             for J in D.faces:
                 for v in sorted(J):
                     I = J - {v}
-                    powers = _sym_powers(_char_map(fresh, I, J, chars),
-                                         len(chars[I]), top // step,
+                    powers = _sym_powers(fresh.restriction(I, J),
+                                         len(fresh.characters(I)), top // step,
                                          2 if d == 1 else None)
                     for k, arrow in enumerate(powers):
                         n = k * step
@@ -381,23 +380,24 @@ def test_check_free_matches_meet_presentation():
     assert check_free(nerve, report.subgroup) == (True, None)
 
 
-class _ChosenLattices:
+@dataclass(frozen=True)
+class _ChosenLattices(TorusSubgroup):
     """Stand-in for a subgroup whose character lattice at a face is chosen
     by hand: Z^I (d=2) or F2^I (d=1, as bitmasks) unless ``given`` names a
-    basis.  Restricting characters along coordinate projections keeps the
-    diagram functorial whenever every restriction lies in the smaller
-    lattice."""
+    basis.  Only characters() is replaced, so restriction() reads the
+    chosen bases.  Restricting characters along coordinate projections
+    keeps the diagram functorial whenever every restriction lies in the
+    smaller lattice."""
 
-    def __init__(self, d, given):
-        self.d, self.given = d, given
+    given: dict = None
 
     def characters(self, I):
         n = len(I)
         if frozenset(I) in self.given:
             return self.given[frozenset(I)]
         if self.d == 1:
-            return [1 << t for t in range(n)]
-        return [[int(s == t) for t in range(n)] for s in range(n)]
+            return tuple(1 << t for t in range(n))
+        return tuple(tuple(int(s == t) for t in range(n)) for s in range(n))
 
 
 def test_shared_sym_powers_keyed_on_row_count():
@@ -405,8 +405,8 @@ def test_shared_sym_powers_keyed_on_row_count():
     # e_2 of the larger face to the second character of the smaller one,
     # so their columns agree, but the smaller faces have 2 and 3
     # characters: x_2^k sits at a different monomial index in each
-    H = _ChosenLattices(2, {frozenset({1, 2, 4}): [[0, 1, 0]],
-                            frozenset({1, 2, 3, 4}): [[0, 1, 0, 0]]})
+    H = _ChosenLattices(2, 4, (), {frozenset({1, 2, 4}): ((0, 1, 0),),
+                                   frozenset({1, 2, 3, 4}): ((0, 1, 0, 0),)})
     K = SimplicialComplex(4, [(1, 2, 3, 4)])
     D = _assert_fresh_sym_powers(K, H, 6)
     low = D.arrows[frozenset({1, 2}), frozenset({1, 2, 4}), 4]
@@ -421,7 +421,7 @@ def test_shared_sym_powers_reduced_mod_2():
     # subgroups give one-entry columns only, so this needs lattices
     # chosen by hand.
     I, J = frozenset({2, 3}), frozenset({1, 2, 3})
-    H = _ChosenLattices(1, {J: [0b101, 0b110]})
+    H = _ChosenLattices(1, 3, (), {J: (0b101, 0b110)})
     D = _assert_fresh_sym_powers(SimplicialComplex(3, [(1, 2, 3)]), H, 2)
     integral = _sym_powers([{1: 1}, {0: 1, 1: 1}], 2, 2)[2]
     assert integral[1, 2] == 2
@@ -487,10 +487,10 @@ def _condition1_bruteforce_d2(K, H, all_pairs):
         else:
             smaller = [J - {v} for v in sorted(J) if J - {v} in faces]
         Js = sorted(J)
-        L = [[b[v - 1] for v in Js] for b in H.ann.basis]
+        L = [[b[v - 1] for v in Js] for b in H.ann]
         base = invariants(len(J), L)
         for I in smaller:
-            for b in H.ann.basis:
+            for b in H.ann:
                 x = [b[v - 1] if v in I else 0 for v in Js]
                 if invariants(len(J), L + [x]) != base:
                     return False, (I, J)
@@ -501,7 +501,7 @@ def _full_rank_facet_of_index_above_1(K, H):
     return any(g.free_rank == 0 and g.torsion
                for g in (FinAbGroup.from_presentation(
                    len(F), [[b[v - 1] for v in sorted(F)]
-                            for b in H.ann.basis])
+                            for b in H.ann])
                    for F in K.facets))
 
 

@@ -45,7 +45,7 @@ def test_builtin_complexes():
 
 def test_parse_subgroup():
     H = parse_subgroup("d=2\nannihilator:\n1 -1 0\n", 3)
-    assert H.d == 2 and H.ann.rank() == 1
+    assert H.d == 2 and len(H.ann) == 1
     W = parse_subgroup("d=1\nsubspace:\n1 1\n", 2)
     assert W.d == 1
     with pytest.raises(ParseError):
@@ -259,6 +259,12 @@ def test_cli_trc_has_no_degree_cutoff(tmp_path):
         main(["trc", "--complex", "builtin:boundary_simplex(4)",
               "--subgroup", str(spath), "--max-degree", "0"])
     assert exc.value.code == 2
+    # likewise hochster and buchstaber-real take no --bound-m: their
+    # vertex bounds are fixed, and argparse rejects the flag with exit 2
+    for command in ("hochster", "buchstaber-real"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "builtin:boundary_simplex(4)", "--bound-m", "20"])
+        assert exc.value.code == 2
 
 
 def test_cli_buchstaber_real(capsys):

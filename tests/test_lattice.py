@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from maq.exact import f2_rref, hnf_solve, row_hnf
-from maq.intlattice import (FinAbGroup, Lattice, TorusSubgroup,
-                            join_coordinate, meet_coordinate)
+from maq.intlattice import (FinAbGroup, TorusSubgroup, join_coordinate,
+                            meet_coordinate)
 
 from conftest import mat_mul, random_unimodular, rational_rref, seeded
 
@@ -39,17 +39,19 @@ def test_tensor_and_tor():
 
 
 def test_lattice_basics():
-    L = Lattice.from_generators(3, [[2, 4, 0], [1, 1, 0]])
-    assert L.rank() == 2
-    assert hnf_solve(L.basis, [3, 5, 0]) is not None
-    assert hnf_solve(L.basis, [0, 0, 1]) is None
+    H = TorusSubgroup.from_annihilator(3, [[2, 4, 0], [1, 1, 0]])
+    assert len(H.ann) == 2
+    assert hnf_solve(H.ann, [3, 5, 0]) is not None
+    assert hnf_solve(H.ann, [0, 0, 1]) is None
 
 
 def test_lattice_cokernel_and_project():
-    L = Lattice.from_generators(2, [[2, 0], [0, 3]])
-    assert FinAbGroup.from_presentation(2, L.basis) == FinAbGroup.make(0, (6,))
-    P = Lattice.from_generators(3, [[1, 2, 5]]).project([1, 2])
-    assert P.basis == ((1, 2),)
+    L = row_hnf([[2, 0], [0, 3]])
+    assert FinAbGroup.from_presentation(2, L) == FinAbGroup.make(0, (6,))
+    # characters({1, 2}) is the projection of ann H to the first two
+    # coordinates
+    H = TorusSubgroup.from_annihilator(3, [[1, 2, 5]])
+    assert H.characters({1, 2}) == ((1, 2),)
 
 
 def test_hnf_canonical_under_unimodular_change():
@@ -60,10 +62,10 @@ def test_hnf_canonical_under_unimodular_change():
         m = rng.randint(1, 4)
         n = rng.randint(0, m)
         gens = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        L = Lattice.from_generators(m, gens)
+        L = row_hnf(gens)
         U = random_unimodular(rng, n)
-        assert Lattice.from_generators(m, mat_mul(U, gens)) == L
-        assert all(hnf_solve(L.basis, g) is not None for g in gens)
+        assert row_hnf(mat_mul(U, gens)) == L
+        assert all(hnf_solve(L, g) is not None for g in gens)
 
 
 def test_torus_subgroup_ranks():
@@ -104,7 +106,7 @@ def test_meet_join_coordinate_d2():
     assert one.intersection.is_trivial()
     # H together with the first coordinate circle generates all of T^2
     assert join_coordinate(H, frozenset({1})).is_trivial()
-    assert H.characters(frozenset({1})) == [[1]]
+    assert H.characters(frozenset({1})) == ((1,),)
 
 
 def test_meet_coordinate_torsion():
@@ -123,7 +125,7 @@ def test_meet_join_d1():
     assert meet_coordinate(W, frozenset({1})).intersection.is_trivial()
     assert meet_coordinate(W, frozenset({1, 2})).intersection == \
         FinAbGroup.make(0, (2,))
-    assert W.characters(frozenset({1})) == [0b1]
+    assert W.characters(frozenset({1})) == (0b1,)
     assert join_coordinate(W, frozenset({1})).is_trivial()
 
 
@@ -151,7 +153,7 @@ def test_d1_meet_and_characters_bruteforce():
                 assert meet.quotient == FinAbGroup.make(0, (2,) * (r - k))
                 projected = [sum(((x >> (v - 1)) & 1) << t
                                  for t, v in enumerate(I)) for x in perp]
-                assert W.characters(I) == f2_rref(projected)
+                assert W.characters(I) == tuple(f2_rref(projected))
                 join = {h ^ s for h in elements for s in range(1 << m)
                         if s & ~mask == 0}
                 assert join_coordinate(W, I).order() == (1 << m) // len(join)
@@ -204,12 +206,12 @@ def test_annihilator_basis_invariance():
         H1 = TorusSubgroup.from_annihilator(m, rows)
         H2 = TorusSubgroup.from_annihilator(m, mat_mul(U, rows))
         assert H1 == H2
-        assert row_hnf([list(r) for r in rows]) == [list(r) for r in H1.ann.basis]
+        assert row_hnf(rows) == [list(r) for r in H1.ann]
 
 
 def test_characters_memo_matches_fresh_subgroup():
     # characters(I) is computed once per face and subgroup: repeated calls
-    # return the same list, equal to what a fresh subgroup computes, at
+    # return the same tuple, equal to what a fresh subgroup computes, at
     # every face of random subgroups for d = 2 and d = 1
     rng = seeded("characters-memo")
     for d in (2, 1):
@@ -227,6 +229,28 @@ def test_characters_memo_matches_fresh_subgroup():
                      for c in combinations(range(1, m + 1), r)]
             first = {I: H.characters(I) for I in faces}
             for I in faces:
-                fresh = TorusSubgroup(d, m, H.ann, H.span)
+                fresh = TorusSubgroup(d, m, H.ann)
                 assert H.characters(sorted(I)) is first[I]
                 assert first[I] == fresh.characters(I), (H, sorted(I))
+
+
+def test_subgroup_round_trip():
+    # the one field ann determines the subgroup: for d = 2 it is the
+    # annihilator a subgroup is built from, for d = 1 the span read back
+    # from it is the canonical echelon basis of the parent's span; and
+    # characters(I) is a tuple for both d
+    rng = seeded("round-trip")
+    for _ in range(100):
+        m = rng.randint(1, 6)
+        faces = [frozenset(c) for r in range(m + 1)
+                 for c in combinations(range(1, m + 1), r)]
+        H = TorusSubgroup.from_annihilator(
+            m, [[rng.randint(-3, 3) for _ in range(m)]
+                for _ in range(rng.randint(0, m))])
+        assert TorusSubgroup.from_annihilator(m, H.ann) == H
+        assert all(type(H.characters(I)) is tuple for I in faces)
+        gens = [rng.randrange(1 << m) for _ in range(rng.randint(0, m))]
+        W = TorusSubgroup.from_f2_span(m, gens)
+        assert W.span == tuple(f2_rref(gens))
+        assert TorusSubgroup.from_f2_span(m, W.span) == W
+        assert all(type(W.characters(I)) is tuple for I in faces)

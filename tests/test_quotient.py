@@ -195,7 +195,7 @@ def _pruning_rows(rng, family, m):
         if rng.random() < 0.5:
             gens = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(m)]
                     for _ in range(rng.randint(1, m))]
-            rows = TorusSubgroup.from_annihilator(m, gens).ann.basis
+            rows = TorusSubgroup.from_annihilator(m, gens).ann
             if rows:
                 return [list(b) for b in rows]
         k, i = coords[0], coords[1]
