@@ -13,17 +13,20 @@ coordinates in ``equivariant``, and cubical orbit representatives and
 transporters in ``quotient``.
 
 Over Z every presentation, chain complex boundary and Koszul differential
-is reduced by ``rank_and_invariants``, sparse unit pivots first.  It can
-report the rows of its unit pivots, and ``homology.ChainComplex`` uses
-them to clear: boundaries are eliminated from the highest degree down,
-and the unit-pivot rows of d_{k+1} are dropped from the columns of d_k
-before d_k is eliminated, which changes neither its rank nor its
-invariant factors (the argument is in ``ChainComplex``).  There is one
-dense elimination, ``row_hnf``, and one normalization, ``divisor_chain``.
-The dense ``smith_normal_form`` has one caller, the residue inside
-``rank_and_invariants``; it alternates ``row_hnf`` on the matrix and its
-transpose and normalizes the diagonal it reaches with ``divisor_chain``,
-which ``FinAbGroup.make`` uses too.
+is reduced by ``rank_and_invariants``, sparse unit pivots first: the
+fill-free ones, a +-1 alone in its row or its column, are peeled off by
+deletions alone, and a heap of short rows orders the rest.  It can
+report the rows of its unit pivots, whose block is unimodular, and
+``homology.ChainComplex`` uses them to clear: boundaries are eliminated
+from the highest degree down, and the unit-pivot rows of d_{k+1} are
+dropped from the columns of d_k before d_k is eliminated, which changes
+neither its rank nor its invariant factors (the argument is in
+``ChainComplex``).  There is one dense elimination, ``row_hnf``, and
+one normalization, ``divisor_chain``.  The dense ``smith_normal_form``
+has one caller, the residue inside ``rank_and_invariants``; it
+alternates ``row_hnf`` on the matrix and its transpose and normalizes
+the diagonal it reaches with ``divisor_chain``, which
+``FinAbGroup.make`` uses too.
 """
 
 from __future__ import annotations
@@ -150,23 +153,36 @@ def rank_and_invariants(entries, pivot_rows=None):
     growth small on the very sparse boundary matrices this package
     produces; whatever remains is handed to the dense SNF.
 
-    When ``pivot_rows`` is a list, the row id of every unit pivot is
-    appended to it in pivot order; pivots of the dense residue are not.
-    Each pivot row, at the moment it is taken, is its original row plus
-    multiples of earlier pivot rows and is zero in the earlier pivot
-    columns, so the original block on the pivot rows and columns is a
-    unit lower triangular matrix times a triangular one with +-1 on the
-    diagonal: it is unimodular.  ``ChainComplex`` clears with these rows.
+    The fill-free unit pivots come first.  A +-1 alone in its column is
+    taken by deleting its row: column operations clear the rest of that
+    row and touch no other row.  A +-1 alone in its row is taken by
+    deleting its column from every other row: each of those row
+    operations subtracts a multiple of a unit vector, so nothing is
+    multiplied and no entry fills in.  Two work stacks, columns that drop
+    to one row and rows that drop to one entry, are fed as entries go,
+    and the peel runs until both are empty; a singleton that is not +-1
+    is skipped.
 
-    Pivot rows come from a heap of ``(row length, row id)``, so the
-    shortest live row is tried first and ties go to the smaller row id.
-    The heap is updated lazily: an entry is stale, and skipped, when its
-    row is gone or no longer has that length.  Within the chosen row the
-    pivot is the unit entry whose column has the fewest nonzeros (ties to
-    the smaller column id); a row with no unit entry is dropped from the
-    heap.  Every row an elimination step changes is pushed again with its
-    new length, so a row that fill turns into one with a unit entry is a
-    candidate again.
+    Pivot rows for the rest come from a heap of ``(row length, row id)``
+    over the rows that are left, so the shortest live row is tried first
+    and ties go to the smaller row id.  The heap is updated lazily: an
+    entry is stale, and skipped, when its row is gone or no longer has
+    that length.  Within the chosen row the pivot is the unit entry whose
+    column has the fewest nonzeros (ties to the smaller column id); a row
+    with no unit entry is dropped from the heap.  Every row an
+    elimination step changes is pushed again with its new length, so a
+    row that fill turns into one with a unit entry is a candidate again.
+
+    When ``pivot_rows`` is a list, the row id of every unit pivot is
+    appended to it in the order the pivots are taken, peeled ones first;
+    pivots of the dense residue are not.  Each pivot row, at the moment
+    it is taken, is its original row plus multiples of earlier pivot rows
+    (only row operations change the rows that are left), and it is zero
+    in the earlier pivot columns, since every pivot clears its column
+    from the rows that are left.  So the original block on the pivot rows
+    and columns is a unit lower triangular matrix times a triangular one
+    with +-1 on the diagonal: it is unimodular.  ``ChainComplex`` clears
+    with these rows.
     """
     rows = {}
     cols = {}
@@ -174,9 +190,50 @@ def rank_and_invariants(entries, pivot_rows=None):
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+    ones = 0
+    # the fill-free unit pivots, peeled by deletions alone
+    lone_cols = [j for j, col in cols.items() if len(col) == 1]
+    lone_rows = [i for i, row in rows.items() if len(row) == 1]
+    while lone_cols or lone_rows:
+        if lone_cols:
+            pj = lone_cols.pop()
+            col = cols.get(pj)
+            if col is None or len(col) != 1:
+                continue
+            (pi,) = col
+            prow = rows[pi]
+            if prow[pj] != 1 and prow[pj] != -1:
+                continue
+            del rows[pi]
+            for j in prow:
+                col = cols[j]
+                col.discard(pi)
+                if len(col) == 1:
+                    lone_cols.append(j)
+                elif not col:
+                    del cols[j]
+        else:
+            pi = lone_rows.pop()
+            prow = rows.get(pi)
+            if prow is None or len(prow) != 1:
+                continue
+            ((pj, pv),) = prow.items()
+            if pv != 1 and pv != -1:
+                continue
+            del rows[pi]
+            for i in cols.pop(pj):
+                if i != pi:
+                    row = rows[i]
+                    del row[pj]
+                    if len(row) == 1:
+                        lone_rows.append(i)
+                    elif not row:
+                        del rows[i]
+        if pivot_rows is not None:
+            pivot_rows.append(pi)
+        ones += 1
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
-    ones = 0
     while heap:
         li, pi = heapq.heappop(heap)
         prow = rows.get(pi)

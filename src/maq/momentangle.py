@@ -54,7 +54,9 @@ def hochster(K, max_degree=None, m_bound=14):
 
     Degree p collects H-tilde^{p-|I|-1} of the full subcomplex K_I on I
     over all vertex subsets I (Hochster's formula).  The faces of K_I are
-    the face masks of K inside I, kept on K's own vertex labels.
+    the face masks of K inside I, kept on K's own vertex labels.  Each
+    degree gathers its free rank and torsion coefficients over the
+    subsets and is normalized once, at the end.
 
     Subsets are visited in increasing integer order, so I \\ v is done
     before I, and the unshifted H-tilde(K_I) is kept per I.  It is copied
@@ -121,8 +123,11 @@ def hochster(K, max_degree=None, m_bound=14):
             p = j + I.bit_count() + 1
             if max_degree is not None and p > max_degree:
                 continue
-            out[p] = out.get(p, FinAbGroup.trivial()).direct_sum(g)
-    return GradedAbGroup.make(out)
+            acc = out.setdefault(p, [0, []])
+            acc[0] += g.free_rank
+            acc[1] += g.torsion
+    return GradedAbGroup.make({p: FinAbGroup.make(rank, torsion)
+                               for p, (rank, torsion) in out.items()})
 
 
 def _vertex_tables(K):

@@ -76,6 +76,34 @@ def rank_mod_p(entries, p):
     return len(pivots)
 
 
+def coboundary_ranks_mod_p(C, p):
+    """{n: F_p rank of d: C^n -> C^(n+1)} for a ``ChainComplex`` C; d is
+    the transpose of the boundary out of degree n + 1, of the same rank."""
+    return {C.min_degree + i - 1: rank_mod_p(
+        ((r, c, v) for (r, c), v in b.items()), p)
+        for i, b in enumerate(C.boundaries) if b}
+
+
+def check_cohomology_uct(dims, ranks, groups, p, degrees):
+    """Assert the universal coefficient theorem for cohomology in each
+    degree n of ``degrees``: dim H^n(C; F_p) = rank H^n + t_p(H^n) +
+    t_p(H^(n+1)), t_p(G) the number of invariant factors of G that p
+    divides.  The left side is dims[n] - ranks[n] - ranks[n - 1], with
+    ranks[n] the F_p rank of d: C^n -> C^(n+1) (missing means 0); the
+    right side reads the integral ``groups``.  Returns the F_p
+    dimensions by degree."""
+    def t_p(g):
+        return sum(1 for t in g.torsion if t % p == 0)
+
+    dims_p = {}
+    for n in degrees:
+        dims_p[n] = dims[n] - ranks.get(n, 0) - ranks.get(n - 1, 0)
+        g = groups.group(n)
+        assert dims_p[n] == g.free_rank + t_p(g) + t_p(groups.group(n + 1)), (
+            p, n)
+    return dims_p
+
+
 def rational_rref(mat):
     """Nonzero rows of the reduced row echelon form over Q, by exact
     Fraction elimination."""

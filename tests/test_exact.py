@@ -3,11 +3,13 @@ from itertools import combinations
 from math import gcd
 
 from maq import exact
+from maq.homology import face_chain_complex
 from maq.exact import (f2_annihilator, f2_echelon, f2_rref, f2_solve,
                        hnf_solve, rank_and_invariants, row_hnf,
                        smith_normal_form)
 
-from conftest import mat_mul, random_unimodular, rational_rref, seeded
+from conftest import (mat_mul, random_complex, random_unimodular,
+                      rational_rref, seeded)
 
 
 def test_hnf_canonical():
@@ -133,6 +135,91 @@ def test_fill_makes_a_unit_row_a_candidate_again(monkeypatch):
     monkeypatch.setattr(exact, "smith_normal_form", no_residue)
     assert rank_and_invariants(
         dense_to_entries([[2, 3, 0], [1, 2, 2]])) == (2, [1, 1])
+
+
+def _peel_heavy(rng):
+    """A boundary matrix of a random simplicial complex, under a random
+    signed permutation of its rows and of its columns, with a few +-2 and
+    +-3 entries planted: mostly +-1 entries alone in their row or column,
+    beside some that are not units."""
+    C = face_chain_complex(random_complex(rng, rng.randint(3, 6)).face_masks)
+    k = rng.randrange(1, len(C.dims))
+    n, m = C.dims[k - 1], C.dims[k]
+    pr, pc = list(range(n)), list(range(m))
+    rng.shuffle(pr)
+    rng.shuffle(pc)
+    sr = [rng.choice((1, -1)) for _ in range(n)]
+    sc = [rng.choice((1, -1)) for _ in range(m)]
+    mat = [[0] * m for _ in range(n)]
+    for (r, c), v in C.boundaries[k].items():
+        mat[pr[r]][pc[c]] = sr[r] * sc[c] * v
+    for _ in range(rng.randint(0, 3)):
+        mat[rng.randrange(n)][rng.randrange(m)] = rng.choice((2, -2, 3, -3))
+    return mat
+
+
+def test_peel_matches_dense_on_boundaries():
+    # whole divisor chains against the dense Smith form, on matrices
+    # where most pivots are taken by the peel
+    rng = seeded("peel-boundaries")
+    for _ in range(150):
+        mat = _peel_heavy(rng)
+        assert rank_and_invariants(dense_to_entries(mat)) == (
+            len(_dense_invariants(mat)), _dense_invariants(mat))
+
+
+def test_fully_peelable_matrix_takes_no_heap_round(monkeypatch):
+    # a triangular matrix with +-1 on the diagonal, under permutations,
+    # is peeled to nothing by column singletons (upper triangular) or by
+    # row singletons (lower triangular), whatever lies off the diagonal:
+    # neither the heap nor the dense residue is reached
+    def unreached(*args):
+        raise AssertionError("reached %r" % (args,))
+
+    monkeypatch.setattr(exact, "smith_normal_form", unreached)
+    monkeypatch.setattr(exact.heapq, "heappop", unreached)
+    rng = seeded("peel-triangular")
+    for k in range(40):
+        n = rng.randint(1, 12)
+        mat = [[rng.choice((1, -1)) if i == j else
+                rng.choice((0, 0, 1, -2, 3)) if (i < j) == (k % 2 == 0)
+                else 0 for j in range(n)] for i in range(n)]
+        pr, pc = list(range(n)), list(range(n))
+        rng.shuffle(pr)
+        rng.shuffle(pc)
+        entries = [(pr[i], pc[j], v) for i, j, v in dense_to_entries(mat)]
+        assert rank_and_invariants(entries) == (n, [1] * n)
+
+
+def test_non_unit_singleton_is_not_peeled():
+    # the 2 is alone in its column and the 3 alone in its row, but
+    # neither is a pivot: the unit pivot on row 0 leaves [-6], so the
+    # invariants are 1, 6, not 1, 3 or 1, 2
+    assert rank_and_invariants(dense_to_entries([[2, 1], [0, 3]])) == (
+        2, [1, 6])
+    assert rank_and_invariants(dense_to_entries([[2, 0], [1, 3]])) == (
+        2, [1, 6])
+
+
+def test_pivot_rows_carry_a_unimodular_block():
+    # the reported pivot rows alone have one invariant factor 1 per row:
+    # their block on the pivot columns is unimodular, which is what
+    # clearing in ChainComplex relies on
+    rng = seeded("pivot-rows")
+    for k in range(120):
+        if k % 2:
+            mat = _peel_heavy(rng)
+        else:
+            mat = _random_sparse(rng, rng.randint(2, 25), rng.randint(2, 25),
+                                 rng.choice((0.1, 0.2, 0.4)),
+                                 unit_rows=k % 4 == 0)
+        rows = []
+        rank_and_invariants(dense_to_entries(mat), rows)
+        assert len(set(rows)) == len(rows)
+        sub = [mat[i] for i in rows]
+        assert _dense_invariants(sub) == [1] * len(rows)
+        assert rank_and_invariants(dense_to_entries(sub)) == (
+            len(rows), [1] * len(rows))
 
 
 def _det(mat):

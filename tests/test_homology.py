@@ -17,8 +17,9 @@ from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.quotient import cubical_quotient_cohomology, koszul_cohomology
 from maq.simplicial import SimplicialComplex, boundary_simplex, cone, skeleton
 
-from conftest import (join, mat_mul, random_complex, rank_mod_p,
-                      reference_limit, seeded)
+from conftest import (check_cohomology_uct, coboundary_ranks_mod_p, join,
+                      mat_mul, random_complex, rank_mod_p, reference_limit,
+                      seeded)
 
 
 def test_graded_group_algebra():
@@ -116,16 +117,11 @@ def test_mod_p_cohomology():
     # theorem, dim H^d(K; F_p) = rank H^d + t_p(H^d) + t_p(H^{d+1})
     K = boundary_simplex(3)
     C = face_chain_complex(K.face_masks)
-    ranks = [0] + [rank_mod_p(((c, r, v) for (r, c), v in b.items()), 2)
-                   for b in C.boundaries[1:]] + [0]
-    dims_2 = {C.min_degree + i: dim - ranks[i] - ranks[i + 1]
-              for i, dim in enumerate(C.dims)}
-    assert {d: n for d, n in dims_2.items() if n} == {1: 1}
+    dims = {C.min_degree + i: dim for i, dim in enumerate(C.dims)}
     h = reduced_cohomology(K)
-    for d, dim_2 in dims_2.items():
-        t_here = sum(1 for t in h.group(d).torsion if t % 2 == 0)
-        t_above = sum(1 for t in h.group(d + 1).torsion if t % 2 == 0)
-        assert dim_2 == h.group(d).free_rank + t_here + t_above, d
+    dims_2 = check_cohomology_uct(dims, coboundary_ranks_mod_p(C, 2), h, 2,
+                                  dims)
+    assert {d: n for d, n in dims_2.items() if n} == {1: 1}
     assert h.group(1) == FinAbGroup.free(1)
 
 

@@ -12,7 +12,9 @@ from maq.quotient import (CubicalQuotient, KoszulComplex,
                           cw_census, koszul_cohomology, trc_report)
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
-from conftest import mat_mul, random_complex, random_unimodular, seeded
+from conftest import (check_cohomology_uct, coboundary_ranks_mod_p,
+                      mat_mul, random_complex, random_unimodular, rank_mod_p,
+                      seeded)
 
 TWO_POINTS = SimplicialComplex(2, [(1,), (2,)])
 
@@ -509,3 +511,51 @@ def test_trc_report_projective_space():
     assert r.torus_rank == 1
     assert r.hrk == 4
     assert r.verdict
+
+
+def _koszul_uct(K, H, p):
+    # the universal coefficient theorem on the Koszul complex's own
+    # differentials, in every degree whose next group lies below the
+    # truncation
+    kc = KoszulComplex(K, [list(b) for b in H.ann], K.m + K.dim() + 1)
+    top = kc.max_degree
+    ranks = {n: rank_mod_p(((r, c, v) for (r, c), v
+                            in kc.differential(n).items()), p)
+             for n in range(top)}
+    dims = {n: len(kc.basis[n]) for n in range(top)}
+    groups = kc.cohomology()
+    check_cohomology_uct(dims, ranks, groups, p, range(top))
+    return groups
+
+
+def test_koszul_real_projective_three_space_mod_2():
+    # RP^3 = S^3 / the diagonal Z/2: Z, 0, Z/2, Z, so F_2 sees the Z/2 in
+    # degrees 1 and 2
+    H = TorusSubgroup.from_annihilator(2, [[1, 1], [0, 2]])
+    g = _koszul_uct(TWO_POINTS, H, 2)
+    assert g.group(2) == FinAbGroup.cyclic(2)
+
+
+def test_koszul_lens_space_mod_its_order():
+    # S^15 / Z_7 with weights 1..6, 1: Z/7 in the even degrees 2..14,
+    # which F_7 sees in every degree 1..14
+    w = [1, 2, 3, 4, 5, 6, 1]
+    rows = [[7] + [0] * 7] + [[-x if j == 0 else int(j == i + 1)
+                               for j in range(8)] for i, x in enumerate(w)]
+    H = TorusSubgroup.from_annihilator(8, rows)
+    g = _koszul_uct(boundary_simplex(8), H, 7)
+    assert [n for n, gr in g.groups if gr.torsion == (7,)] == list(
+        range(2, 15, 2))
+
+
+def test_cubical_projective_space_mod_2():
+    # the antipodal RP^(m-1) of the cubical model, on the cellular
+    # complex the model builds, in every degree
+    for m in range(3, 8):
+        W = TorusSubgroup.from_f2_span(m, [(1 << m) - 1])
+        C = CubicalQuotient(boundary_simplex(m), W).complex
+        dims = {C.min_degree + i: d for i, d in enumerate(C.dims)}
+        groups = C.cohomology()
+        check_cohomology_uct(dims, coboundary_ranks_mod_p(C, 2), groups, 2,
+                             dims)
+        assert groups.group(2) == FinAbGroup.cyclic(2)
