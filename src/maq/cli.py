@@ -12,20 +12,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
 from .constructions import (PipelineIntegrityError, torsion_pipeline)
-from .equivariant import (PreconditionFailed, action_report,
-                          check_condition1, check_free,
-                          coordinate_quotient_check, equivariant_limit)
+from .equivariant import PreconditionFailed, action_report, equivariant_limit
 from .formats import ParseError, complex_to_text, load_complex, load_subgroup
-from .intlattice import TorusSubgroup
 from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           skeleton_quotient_hrk, skeleton_wedge)
-from .quotient import (CubicalQuotient, cubical_quotient_cohomology,
-                       cw_census, koszul_cohomology, trc_report)
-from .simplicial import SimplicialComplex, contraction, skeleton
+from .quotient import (CELL_CAP, cubical_quotient_cohomology,
+                       koszul_cohomology, trc_report)
+from .simplicial import contraction
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -224,119 +220,6 @@ def _cmd_torsion_build(args):
     return out
 
 
-def _random_complex(rng, m):
-    nf = rng.randint(1, 2 * m)
-    facets = []
-    for _ in range(nf):
-        size = rng.randint(1, max(1, m - 1))
-        facets.append(frozenset(rng.sample(range(1, m + 1), size)))
-    return SimplicialComplex(m, facets)
-
-
-def oracle_suite(seed=0, max_m=5, cases=25):
-    """Randomized cross-oracle batteries; failures carry their case data."""
-    batteries = {}
-
-    def run(name, fn):
-        rng = random.Random((seed, name).__repr__())
-        failures = []
-        ran = 0
-        while ran < cases:
-            m = rng.randint(2, max_m)
-            K = _random_complex(rng, m)
-            try:
-                ok, detail = fn(rng, m, K)
-            except Exception as exc:     # noqa: BLE001 - failures are data
-                ok, detail = False, repr(exc)
-            if ok is None:
-                continue                 # precondition not met; redraw
-            ran += 1
-            if not ok:
-                failures.append({"m": m,
-                                 "facets": [sorted(f) for f in K.facets],
-                                 "detail": detail})
-        return {"cases": ran, "failures": failures}
-
-    def battery_koszul(rng, m, K):
-        H = TorusSubgroup.trivial(2, m)
-        a = hochster(K)
-        b = koszul_cohomology(K, H)
-        return a == b, {"hochster": a.to_json(), "koszul": b.to_json()}
-
-    def battery_chi(rng, m, K):
-        gens = [[rng.randint(0, 1) for _ in range(m)]
-                for _ in range(rng.randint(0, m))]
-        H = TorusSubgroup.from_f2_span(m, gens)
-        if not check_free(K, H)[0]:
-            return None, None
-        cq = CubicalQuotient(K, H)
-        _, chi = cw_census(K, H)
-        return chi == cq.euler_characteristic(), {
-            "census_chi": chi, "cubical_chi": cq.euler_characteristic()}
-
-    def battery_contraction(rng, m, K):
-        size = rng.randint(0, m - 1)
-        I0 = frozenset(rng.sample(range(1, m + 1), size))
-        d = rng.choice((1, 2))
-        max_degree = 2 * m if d == 2 else m
-        ok = coordinate_quotient_check(K, I0, max_degree, d=d)
-        return ok, {"i0": sorted(I0), "d": d}
-
-    def battery_condition1(rng, m, K):
-        d = rng.choice((1, 2))
-        if d == 2:
-            gens = [[rng.randint(-2, 2) for _ in range(m)]
-                    for _ in range(rng.randint(0, m))]
-            H = TorusSubgroup.from_annihilator(m, gens)
-        else:
-            gens = [[rng.randint(0, 1) for _ in range(m)]
-                    for _ in range(rng.randint(0, m))]
-            H = TorusSubgroup.from_f2_span(m, gens)
-        a = check_condition1(K, H)[0]
-        b = check_condition1(K, H, all_pairs=True)[0]
-        return a == b, {"covers": a, "all_pairs": b}
-
-    batteries["hochster_vs_koszul"] = run("koszul", battery_koszul)
-    batteries["census_vs_cubical_chi"] = run("chi", battery_chi)
-    batteries["coordinate_quotient_vs_contraction"] = run(
-        "contraction", battery_contraction)
-    batteries["condition_covers_vs_all_pairs"] = run(
-        "condition1", battery_condition1)
-
-    # deterministic battery: the skeleton family is torsion free and its
-    # ranks match the wedge formula
-    failures = []
-    checked = 0
-    for m in range(2, 7):
-        for k in range(m - 1):
-            checked += 1
-            got = hochster(skeleton(m, k))
-            want = skeleton_wedge(m, k)
-            ranks = {d: g.free_rank for d, g in got.groups}
-            torsion_free = all(not g.torsion for _, g in got.groups)
-            if ranks != want or not torsion_free:
-                failures.append({"m": m, "k": k, "got": got.to_json()})
-    batteries["skeleton_torsion_free"] = {"cases": checked,
-                                          "failures": failures}
-
-    ok = all(not b["failures"] for b in batteries.values())
-    return {"seed": seed, "max_m": max_m, "pass": ok,
-            "batteries": batteries}
-
-
-def _cmd_oracle_suite(args):
-    if args.max_m < 2:
-        raise ParseError("--max-m must be at least 2, got %d" % args.max_m)
-    summary = oracle_suite(seed=args.seed, max_m=args.max_m,
-                           cases=args.cases)
-    summary["operation"] = "oracle-suite"
-    summary["provenance"] = _provenance(
-        "randomized cross-oracle comparison",
-        "independent computation pathways are compared on seeded random "
-        "inputs; any disagreement is reported with its reproduction data")
-    return summary
-
-
 # -- argument plumbing -------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -363,7 +246,7 @@ def _build_parser():
     p.add_argument("--complex", required=True)
     p.add_argument("--subgroup", required=True)
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--cell-cap", type=int, default=2_000_000)
+    p.add_argument("--cell-cap", type=int, default=CELL_CAP)
     p.set_defaults(fn=_cmd_quotient_cohomology)
 
     p = sub.add_parser("equivariant", help="equivariant cohomology as a "
@@ -408,15 +291,8 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--verify-cohomology", action="store_true")
-    p.add_argument("--cell-cap", type=int, default=2_000_000)
+    p.add_argument("--cell-cap", type=int, default=CELL_CAP)
     p.set_defaults(fn=_cmd_torsion_build)
-
-    p = sub.add_parser("oracle-suite", help="randomized cross-oracle "
-                                            "batteries")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--cases", type=int, default=25)
-    p.set_defaults(fn=_cmd_oracle_suite)
 
     return top
 

@@ -66,9 +66,7 @@ def builtin_complex(name):
 
 
 def parse_complex(text):
-    """SimplicialComplex from the text format (or a builtin: name)."""
-    if text.strip().startswith("builtin:"):
-        return builtin_complex(text.strip())
+    """SimplicialComplex from the text format."""
     lines = _clean_lines(text)
     if not lines or not lines[0].startswith("m="):
         raise ParseError("complex file must start with an m=<int> line")

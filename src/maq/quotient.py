@@ -20,6 +20,9 @@ from .equivariant import PreconditionFailed, check_free, require_condition1
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
 
+# the default bound on the cells a Koszul or cubical complex may build
+CELL_CAP = 2_000_000
+
 
 # ---------------------------------------------------------------------------
 # Koszul pathway (d=2)
@@ -43,16 +46,14 @@ def _face_monomials(K, unit, shift, top):
     ``K.face_masks``, the codes of the monomials v^mu of total v-degree k
     with support F and exponent exactly 1 at every coordinate of F in
     ``unit``; mu_i is added at bit shift[i]."""
-    # the empty face carries the one monomial of degree 0
-    out = {k: [(0, [0])] if k == 0 else [] for k in range(top // 2 + 1)}
+    out = {k: [] for k in range(top // 2 + 1)}
     for F in K.face_masks:
         vs = [i for i in range(K.m) if F >> i & 1]
-        if not vs:
-            continue
         free = [shift[i] for i in vs if i not in unit]
         base = sum(1 << shift[i] for i in vs if i in unit)
         # unit vertices take exponent 1, the rest of k goes to ``free``;
-        # without free vertices there is one monomial, of degree |F|
+        # without free vertices there is one monomial, of degree |F|: for
+        # the empty face, which only a nonvoid K has, the monomial 1
         last = top // 2 if free else min(len(vs), top // 2)
         for k in range(len(vs), last + 1):
             rest = k - len(vs) + len(free)
@@ -113,7 +114,7 @@ class KoszulComplex:
     over the degrees, and is checked as cells are appended.
     """
 
-    def __init__(self, K, linear_forms, max_degree, cell_cap=2_000_000):
+    def __init__(self, K, linear_forms, max_degree, cell_cap=CELL_CAP):
         self.K = K
         self.forms = [list(f) for f in linear_forms]
         for f in self.forms:
@@ -244,7 +245,7 @@ class KoszulComplex:
                                    if -d <= self.max_degree})
 
 
-def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000):
+def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     """Associated graded of the integral cohomology of the quotient of the
     moment-angle complex of K by the d=2 subgroup H, by total degree.
 
@@ -258,7 +259,8 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=2_000_000):
         raise ValueError("subgroup and complex live on different vertex sets")
     require_condition1(K, H)
     if max_degree is None:
-        max_degree = K.m + K.dim() + 1
+        # Z_K of the void complex is empty: every degree is zero
+        max_degree = 0 if K.is_void() else K.m + K.dim() + 1
     koszul = KoszulComplex(K, [list(b) for b in H.ann], max_degree,
                            cell_cap=cell_cap)
     return koszul.cohomology()
@@ -284,7 +286,7 @@ class CubicalQuotient:
 
     K: SimplicialComplex
     H: TorusSubgroup
-    cell_cap: int = 2_000_000
+    cell_cap: int = CELL_CAP
     dims: list = None
     complex: ChainComplex = None
 
@@ -331,7 +333,7 @@ class CubicalQuotient:
                 if eps == free:
                     break
                 eps = (eps - free) & free
-        top = max(cells)
+        top = max(cells, default=-1)   # -1: the void K has no cell
         index = {d: {c: i for i, c in enumerate(cells.get(d, []))}
                  for d in range(top + 1)}
         dims = [len(cells.get(d, [])) for d in range(top + 1)]
@@ -356,11 +358,8 @@ class CubicalQuotient:
         self.complex = ChainComplex(dims, boundaries, min_degree=0,
                                     check=False)
 
-    def euler_characteristic(self):
-        return sum((-1) ** d * n for d, n in enumerate(self.dims))
 
-
-def cubical_quotient_cohomology(K, H, cell_cap=2_000_000):
+def cubical_quotient_cohomology(K, H, cell_cap=CELL_CAP):
     """Integral cellular cohomology of the quotient of the real polyhedral
     product by a freely acting d=1 subgroup."""
     return CubicalQuotient(K, H, cell_cap).complex.cohomology()

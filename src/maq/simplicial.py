@@ -2,10 +2,10 @@
 
 Faces are stored as int bitmasks (bit i-1 set means vertex i belongs to the
 face), so subset tests are single AND operations.  Engine internals (chain
-assembly, Hochster's sum, the cubical builder) read
+assembly, Hochster's sum, the Koszul monomials, the cubical builder) read
 ``SimplicialComplex.face_masks`` directly.  ``frozenset`` of vertex labels
 is the API boundary; it stays only where the result is keyed by faces
-(``PosetDiagram`` values, census chains, Koszul monomials, JSON witnesses).
+(``PosetDiagram`` values, census chains, JSON witnesses).
 
 Two degenerate complexes are distinguished: the *void* complex (no faces at
 all) and the complex ``{()}`` whose only face is the empty one.

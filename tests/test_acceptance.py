@@ -9,12 +9,14 @@ normal-form arithmetic.
 
 import itertools
 import time
+from math import comb
 
 import pytest
 
 from maq.equivariant import (check_condition1, check_free,
                              coordinate_quotient_check, equivariant_limit)
 from maq.exact import smith_normal_form
+from maq.homology import GradedAbGroup
 from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import hochster, skeleton_quotient_hrk, skeleton_wedge
 from maq.quotient import (KoszulComplex, cubical_quotient_cohomology,
@@ -70,6 +72,18 @@ def test_03_hochster_koszul_agreement():
         done += 1
         H = TorusSubgroup.trivial(2, K.m)
         assert koszul_cohomology(K, H) == hochster(K)
+    # the degenerate complexes: Z_K is empty for the void K, and the torus
+    # T^m for {()}, whose only face is the empty one
+    for m in range(5):
+        H = TorusSubgroup.trivial(2, m)
+        void = SimplicialComplex.void(m)
+        assert hochster(void) == koszul_cohomology(void, H) == \
+            koszul_cohomology(void, H, max_degree=m + 1) == \
+            GradedAbGroup.make({})
+        empty = SimplicialComplex.empty_face_only(m)
+        assert koszul_cohomology(empty, H) == hochster(empty) == \
+            GradedAbGroup.make({n: FinAbGroup.free(comb(m, n))
+                                for n in range(m + 1)})
     assert time.time() - start < 600.0
 
 
@@ -87,6 +101,14 @@ def test_04_coordinate_subgroup_quotients():
         for r in range(1, K.m):
             for combo in itertools.combinations(vertices, r):
                 assert coordinate_quotient_check(K, frozenset(combo), 10)
+    # random complexes, contracted at a random proper vertex set (possibly
+    # empty), at both d: up to degree 2m for d=2 and m for d=1
+    for _ in range(100):
+        m = rng.randint(2, 5)
+        K = _nonvoid(rng, m)
+        I0 = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
+        assert coordinate_quotient_check(K, I0, 2 * m, d=2), (K, I0)
+        assert coordinate_quotient_check(K, I0, m, d=1), (K, I0)
 
 
 def test_04b_coordinate_subgroup_quotients_real():

@@ -63,16 +63,22 @@ def test_cli_hochster(capsys):
     assert "provenance" in doc
 
 
-def test_cli_parse_error_exit_code(capsys):
+def test_cli_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "hochster", "no_such_file.txt")
     assert code == 2
+    assert json.loads(err)["error"] == "parse"
+    # a complex file needs its m=<int> header, even when its text names a
+    # builtin
+    cpath = tmp_path / "k.txt"
+    cpath.write_text("builtin:rp2_6\n")
+    code, out, err = run_cli(capsys, "hochster", str(cpath))
+    assert code == 2 and not out
     assert json.loads(err)["error"] == "parse"
 
 
 def test_cli_argument_errors_exit_as_parse_errors(capsys):
     for args in (("contract", "--complex", "builtin:boundary_simplex(3)",
                   "--i0", "a"),
-                 ("oracle-suite", "--max-m", "1"),
                  ("hochster", "builtin:skeleton(3,5)"),
                  ("hochster", "builtin:boundary_simplex(1)"),
                  ("skeleton-report", "3", "5"),
@@ -128,6 +134,22 @@ def test_cli_quotient_cohomology(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["groups"]["2"] == {"rank": 0, "torsion": [2]}
     assert doc["groups"]["3"] == {"rank": 1, "torsion": []}
+    # Z_K of the void complex is empty, so its quotient has no cohomology
+    # at either d, with or without a degree bound; hochster agrees
+    cpath.write_text("m=3\n")
+    code, out, _ = run_cli(capsys, "hochster", str(cpath))
+    assert code == 0 and json.loads(out)["groups"] == {}
+    identity = "d=2\nannihilator:\n1 0 0\n0 1 0\n0 0 1\n"
+    for subgroup, extra in ((identity, ()),
+                            (identity, ("--max-degree", "4")),
+                            ("d=1\nsubspace:\n", ()),
+                            ("d=1\nsubspace:\n1 1 0\n", ())):
+        spath.write_text(subgroup)
+        code, out, err = run_cli(capsys, "quotient-cohomology",
+                                 "--complex", str(cpath),
+                                 "--subgroup", str(spath), *extra)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["groups"] == {}
 
 
 def test_cli_precondition_exit_code(capsys, tmp_path):
@@ -265,6 +287,11 @@ def test_cli_trc_has_no_degree_cutoff(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([command, "builtin:boundary_simplex(4)", "--bound-m", "20"])
         assert exc.value.code == 2
+    # the randomized cross-checks of independent pathways are tier-1
+    # tests, not a subcommand: argparse rejects the name with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-suite"])
+    assert exc.value.code == 2
 
 
 def test_cli_buchstaber_real(capsys):
@@ -282,15 +309,6 @@ def test_cli_torsion_build(capsys):
     assert doc["m"] == 7
     assert doc["free"] is True
     assert doc["quotient_dim"] == 26
-
-
-def test_cli_oracle_suite(capsys):
-    code, out, _ = run_cli(capsys, "oracle-suite", "--seed", "1",
-                           "--max-m", "4", "--cases", "3")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert all(not b["failures"] for b in doc["batteries"].values())
 
 
 def test_cli_output_file(capsys, tmp_path):
