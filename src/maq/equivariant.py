@@ -176,7 +176,34 @@ def graded_kunneth(A, B, max_degree):
 # the diagram I -> H*(BS(I)) and its limit
 # ---------------------------------------------------------------------------
 
-def _sym_powers(columns, rows, top_k, mod=None):
+def _monomial_index(indexes, rank, k, width):
+    """{code: position} over the degree-k monomials in ``rank`` factors,
+    kept in ``indexes`` under (rank, k).
+
+    Positions follow combinations_with_replacement(range(rank), k).  A
+    monomial's code holds the exponent of factor r in the ``width``-bit
+    field at bit r * width, so multiplying by factor r adds 1 << r * width,
+    and the highest set bit lies in the field of the last factor.  Degree k
+    extends each monomial of degree k-1, in order, by every factor from its
+    last one on, which is that order.
+    """
+    found = indexes.get((rank, k))
+    if found is None:
+        if k == 0:
+            found = {0: 0}
+        else:
+            steps = [1 << r * width for r in range(rank)]
+            lower = _monomial_index(indexes, rank, k - 1, width)
+            found = {}
+            for code in lower:
+                for j in range((code.bit_length() - 1) // width if code else 0,
+                               rank):
+                    found[code + steps[j]] = len(found)
+        indexes[rank, k] = found
+    return found
+
+
+def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
     """Symmetric powers 0..top_k of the linear map whose j-th column is the
     sparse dict ``columns[j]`` ({row: value}) with ``rows`` rows.
 
@@ -184,27 +211,47 @@ def _sym_powers(columns, rows, top_k, mod=None):
     k) on both sides.  Each power is a dict {(row, col): value} of its
     nonzero entries, reduced mod ``mod`` when given.  Degree k is built from
     degree k-1: a monomial's image is the image of its first k-1 factors
-    times the column of its last factor.
+    times the column of its last factor, which is no smaller than any of
+    the others.  Only the nonzero images of degree k-1 are extended, since
+    a zero image has only zero extensions.
+
+    Monomials are coded as ints, as in ``_monomial_index`` with a field
+    width of top_k.bit_length() bits, wide enough for any exponent up to
+    top_k; a code is turned into its position by the index of its rank
+    and degree.  ``indexes`` maps (rank, k) to that index and is filled as
+    needed; a caller may share one dict between calls with the same top_k.
     """
-    images = {(): {(): 1}}
+    width = top_k.bit_length()
+    if indexes is None:
+        indexes = {}
+    cols = [[(1 << r * width, x) for r, x in col.items()] for col in columns]
+    steps = [1 << j * width for j in range(len(columns))]
+    images = [(0, 0, {0: 1})]   # (source code, last factor, nonzero image)
     powers = [{(0, 0): 1}]
     for k in range(1, top_k + 1):
-        index = {mono: i for i, mono in
-                 enumerate(combinations_with_replacement(range(rows), k))}
-        nxt = {}
+        source = _monomial_index(indexes, len(columns), k, width)
+        target = _monomial_index(indexes, rows, k, width)
+        nxt = []
         arrow = {}
-        for j, mono in enumerate(
-                combinations_with_replacement(range(len(columns)), k)):
-            image = {}
-            for tgt, c in images[mono[:-1]].items():
-                for r, x in columns[mono[-1]].items():
-                    key = tuple(sorted(tgt + (r,)))
-                    image[key] = image.get(key, 0) + c * x
-            if mod:
-                image = {t: c % mod for t, c in image.items()}
-            nxt[mono] = image = {t: c for t, c in image.items() if c}
-            for tgt, c in image.items():
-                arrow[index[tgt], j] = c
+        for code, last, image in images:
+            for j in range(last, len(columns)):
+                col = cols[j]
+                if not col:
+                    continue
+                out = {}
+                for t, c in image.items():
+                    for step, x in col:
+                        out[t + step] = out.get(t + step, 0) + c * x
+                if mod:
+                    out = {t: c % mod for t, c in out.items() if c % mod}
+                else:
+                    out = {t: c for t, c in out.items() if c}
+                if out:
+                    mono = code + steps[j]
+                    nxt.append((mono, j, out))
+                    pos = source[mono]
+                    for t, c in out.items():
+                        arrow[target[t], pos] = c
         images = nxt
         powers.append(arrow)
     return powers
@@ -228,7 +275,9 @@ def build_classifying_diagram(K, H, max_degree):
     ``columns`` the sparse columns of the restriction as tuples of sorted
     ``(row, value)`` items.  The row count belongs to the key because it
     fixes the monomial index of the target; ``top_k`` and the modulus are
-    fixed within the call.  Both memos live for the call.
+    fixed within the call.  Every table reads one shared monomial index
+    per (rank, degree), as source and as target, built on first use.  The
+    memos and the indexes live for the call.
     """
     faces = K.faces()
     step = 2 if H.d == 2 else 1
@@ -246,6 +295,7 @@ def build_classifying_diagram(K, H, max_degree):
     mod = 2 if H.d == 1 else None
     maps = {}     # (chars[I], chars[J], position) -> table
     tables = {}
+    indexes = {}  # (rank, k) -> {monomial code: position}
     arrows = {}
     for J in faces:
         for t, v in enumerate(sorted(J)):
@@ -261,7 +311,7 @@ def build_classifying_diagram(K, H, max_degree):
                 powers = tables.get(table)
                 if powers is None:
                     powers = tables[table] = _sym_powers(
-                        columns, len(chars[I]), top_k, mod)
+                        columns, len(chars[I]), top_k, mod, indexes)
                 maps[key] = powers
             for k, arrow in enumerate(powers):
                 if (I, k * step) in orders and (J, k * step) in orders:

@@ -428,7 +428,14 @@ class TrcReport:
 def trc_report(K, H):
     """Total rank of the quotient cohomology against the 2^rank bound for
     the acting torus, over every degree: a truncated total rank is only a
-    lower bound, and a verdict drawn from it could be false."""
+    lower bound, and a verdict drawn from it could be false.
+
+    Z_K of the void complex is empty, so it has no quotient to bound;
+    that is a failed precondition, not a verdict."""
+    if K.is_void():
+        raise PreconditionFailed("trc: the void complex has an empty "
+                                 "moment-angle complex, so the total-rank "
+                                 "bound does not apply")
     groups = koszul_cohomology(K, H)
     hrk = groups.total_rank()
     r = H.torus_rank()

@@ -15,6 +15,7 @@ from maq.equivariant import (PreconditionFailed, _sym_powers,
                              graded_kunneth)
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
+from maq.momentangle import sr_dimension
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
 from conftest import mat_mul, random_complex, seeded
@@ -114,6 +115,34 @@ def test_equivariant_limit_trivial_subgroup_is_sr():
             assert TorusSubgroup.coordinate(d, K.m, ()) == \
                 TorusSubgroup.trivial(d, K.m)
             assert coordinate_quotient_check(K, frozenset(), top, d=d)
+
+
+def test_equivariant_limit_of_a_free_action_is_sr():
+    # H acts freely, so it satisfies condition 1 and the quotient's
+    # equivariant cohomology is that of Z_K itself: the face ring of K,
+    # free of rank sr_dimension in every degree, whole groups compared;
+    # most drawn H are not coordinate subgroups
+    rng = seeded("lim-free-sr")
+    cases = non_coordinate = 0
+    while cases < 60:
+        m = rng.randint(3, 6)
+        K = random_complex(rng, m)
+        rows = [[rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(rng.randint(1, m))]
+        if K.is_void() or K.dim() < 0 or not any(map(any, rows)):
+            continue
+        H = TorusSubgroup.from_annihilator(m, rows)
+        if not check_free(K, H)[0]:
+            continue
+        cases += 1
+        non_coordinate += all(
+            H != TorusSubgroup.coordinate(2, m, I0)
+            for r in range(m + 1) for I0 in combinations(range(1, m + 1), r))
+        lim = equivariant_limit(K, H, 8)
+        for n in range(9):
+            assert lim.group(n) == FinAbGroup.free(sr_dimension(K, n)), \
+                (K, rows, n)
+    assert non_coordinate > 40
 
 
 def test_equivariant_limit_requires_condition1():
@@ -218,16 +247,36 @@ def _sym_power_reference(M, rows, cols, k, mod):
 
 
 def test_sym_powers_match_polynomial_expansion():
+    # top_k 0, 1, 3, 4, 7 and 8 sit at the edges of the exponent field,
+    # 0, 1, 2, 3, 3 and 4 bits wide: one bit less and the codes of 1, 3
+    # and 7 collide (at 4 and 8 only x_r^top_k overflows, into a code no
+    # other monomial of its degree has); column b, a copy of column a
+    # with one sign flipped, makes x_a x_b a product whose cross terms
+    # cancel
     rng = seeded("sym-powers-reference")
-    for _ in range(60):
-        rows, cols = rng.randint(0, 3), rng.randint(0, 3)
-        M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        for mod in (None, 2):
-            powers = _sym_powers(_columns(M, cols), rows, 4, mod)
-            assert len(powers) == 5
-            for k in range(5):
-                assert powers[k] == _sym_power_reference(M, rows, cols, k,
-                                                         mod)
+    for top_k, draws in ((0, 20), (1, 20), (3, 20), (4, 20), (7, 5), (8, 5)):
+        for _ in range(draws):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            M = [[rng.randint(-3, 3) for _ in range(cols)]
+                 for _ in range(rows)]
+            if rows >= 2 and cols >= 2:
+                a, b = rng.sample(range(cols), 2)
+                flip = rng.randrange(rows)
+                for i, row in enumerate(M):
+                    row[b] = -row[a] if i == flip else row[a]
+            for mod in (None, 2, 3):
+                powers = _sym_powers(_columns(M, cols), rows, top_k, mod)
+                assert len(powers) == top_k + 1
+                for k in range(top_k + 1):
+                    assert powers[k] == _sym_power_reference(M, rows, cols,
+                                                             k, mod)
+    # (x_0 + x_1)(x_0 - x_1) = x_0^2 - x_1^2 has no x_0 x_1 term
+    square = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (2, 1): -1,
+              (0, 2): 1, (1, 2): -2, (2, 2): 1}
+    columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert _sym_powers(columns, 2, 2)[2] == square
+    assert _sym_powers(columns, 2, 2, 2)[2] == {
+        key: 1 for key, v in square.items() if v % 2}
 
 
 def _assert_fresh_sym_powers(K, H, max_degree):
@@ -314,8 +363,8 @@ def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
     original = equivariant._sym_powers
     planted = []
 
-    def wrong(columns, rows, top_k, mod=None):
-        powers = original(columns, rows, top_k, mod)
+    def wrong(columns, rows, top_k, mod=None, indexes=None):
+        powers = original(columns, rows, top_k, mod, indexes)
         if rows == 1 and columns == [{0: 1}, {}]:
             planted.append(columns)
             powers[2] = {**powers[2], (0, 0): 2}

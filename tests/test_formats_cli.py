@@ -270,6 +270,23 @@ def test_cli_trc(capsys, tmp_path):
     assert doc["report"]["verdict"] is True
 
 
+def test_cli_trc_rejects_the_void_complex(capsys, tmp_path):
+    # Z_K of the void complex is empty: there is no quotient whose total
+    # rank could be held against the bound, so trc fails its precondition
+    # (exit 3) instead of reporting hrk 0 against 1 as a false verdict
+    cpath = tmp_path / "k.txt"
+    spath = tmp_path / "h.txt"
+    cpath.write_text("m=3\n")
+    spath.write_text("d=2\nannihilator:\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run_cli(capsys, "trc", "--complex", str(cpath),
+                             "--subgroup", str(spath))
+    assert code == 3
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "precondition"
+    assert "void complex" in doc["message"]
+
+
 def test_cli_trc_has_no_degree_cutoff(tmp_path):
     # a total rank cut at a degree is only a lower bound: on S^7 by the
     # diagonal circle, degree 0 alone gives hrk 1 against the bound 2, a
