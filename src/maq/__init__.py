@@ -13,8 +13,7 @@ from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           sr_dimension)
 from .equivariant import (ActionReport, PreconditionFailed, action_report,
                           check_condition1, check_free,
-                          classifying_cohomology, coordinate_quotient_check,
-                          equivariant_limit)
+                          coordinate_quotient_check, equivariant_limit)
 from .quotient import (CubicalQuotient, KoszulComplex, TrcReport,
                        cubical_quotient_cohomology, cw_census,
                        koszul_cohomology, trc_report)

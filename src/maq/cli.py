@@ -21,7 +21,7 @@ from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           skeleton_quotient_hrk, skeleton_wedge)
 from .quotient import (CELL_CAP, cubical_quotient_cohomology,
                        koszul_cohomology, trc_report)
-from .simplicial import contraction
+from .simplicial import contraction, face_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -139,9 +139,7 @@ def _cmd_contract(args):
             "faces of the result are the images of faces under deleting "
             "the chosen vertices, re-indexed"),
         "m": Kc.m,
-        "facets": [sorted(f) for f in sorted(Kc.facets,
-                                             key=lambda f: (len(f),
-                                                            sorted(f)))],
+        "facets": [sorted(f) for f in sorted(Kc.facets, key=face_order)],
         "text": complex_to_text(Kc),
     }
 

@@ -129,10 +129,14 @@ def torsion_pipeline(K, p):
 
     K triangulates a space with interesting cohomology in top degree p;
     the output records the nerve sphere, the circle, the freeness verdict,
-    and the predicted torsion degree and quotient dimension.
+    and the predicted torsion degree and quotient dimension.  Integral
+    torsion of K sits only in degrees 2..dim K, as H^1 is free.
     """
     if K.m < 3:
         raise ValueError("need at least 3 vertices")
+    if not 2 <= p <= K.dim():
+        raise ValueError("p=%d: integral torsion of K sits only in "
+                         "degrees 2..%d" % (p, K.dim()))
     # subdividing a maximal simplex creates a vertex pair spanning a
     # non-edge: the new vertex and any vertex outside that facet
     first_facet = min(K.facets, key=sorted)

@@ -14,13 +14,12 @@ the ring's degree step, generator order and modulus depend on d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
-from .homology import GradedAbGroup, PosetDiagram, limit_graded
+from .homology import PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
 from .momentangle import sr_dimension
-from .simplicial import contraction
+from .simplicial import contraction, face_order
 
 
 class PreconditionFailed(Exception):
@@ -67,7 +66,7 @@ def check_free(K, H):
 
     Returns (free, witness) with witness the first failing facet.
     """
-    for I in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
+    for I in sorted(K.facets, key=face_order):
         if not H.is_full(I):
             return False, I
     return True, None
@@ -127,49 +126,20 @@ def require_condition1(K, H):
             witness=witness)
 
 
+def require_free(K, H):
+    """Raise PreconditionFailed at the first facet I where H meets G^I."""
+    free, witness = check_free(K, H)
+    if not free:
+        raise PreconditionFailed(
+            "the action is not free (witness facet %s)" % sorted(witness),
+            witness=witness)
+
+
 def action_report(K, H):
     free, fw = check_free(K, H)
     cond, cw = check_condition1(K, H)
     return ActionReport(free=free, free_witness=fw,
                         condition1=cond, condition1_witness=cw)
-
-
-def classifying_cohomology(G, max_degree):
-    """H*(B(T^r x product of Z/n_i); Z) up to max_degree.
-
-    G is the character group of the quasitorus.  Assembled by iterated
-    Kunneth with torsion cross-terms from the rank-one pieces: a circle
-    contributes a polynomial generator in degree 2, a Z/n factor
-    contributes Z/n in every positive even degree.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    out = GradedAbGroup.make({0: FinAbGroup.free(1)})
-    if G.free_rank:
-        poly = {2 * k: FinAbGroup.free(comb(G.free_rank + k - 1, k))
-                for k in range(0, max_degree // 2 + 1)}
-        out = graded_kunneth(out, GradedAbGroup.make(poly), max_degree)
-    for n in G.torsion:
-        piece = {0: FinAbGroup.free(1)}
-        for k in range(2, max_degree + 1, 2):
-            piece[k] = FinAbGroup.cyclic(n)
-        out = graded_kunneth(out, GradedAbGroup.make(piece), max_degree)
-    return out
-
-
-def graded_kunneth(A, B, max_degree):
-    """Graded tensor product with Tor correction terms one degree up."""
-    out = {}
-
-    def add(deg, g):
-        if deg <= max_degree and not g.is_trivial():
-            out[deg] = out.get(deg, FinAbGroup.trivial()).direct_sum(g)
-
-    for p, gp in A.groups:
-        for q, gq in B.groups:
-            add(p + q, gp.tensor(gq))
-            add(p + q + 1, gp.tor(gq))
-    return GradedAbGroup.make(out)
 
 
 # ---------------------------------------------------------------------------

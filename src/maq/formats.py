@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 
 from .intlattice import TorusSubgroup
-from .simplicial import SimplicialComplex, boundary_simplex, skeleton
+from .simplicial import (SimplicialComplex, boundary_simplex, face_order,
+                         skeleton)
 
 
 class ParseError(Exception):
@@ -137,6 +138,6 @@ def load_subgroup(path, m):
 
 def complex_to_text(K):
     lines = ["m=%d" % K.m]
-    for f in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
+    for f in sorted(K.facets, key=face_order):
         lines.append(" ".join(str(v) for v in sorted(f)))
     return "\n".join(lines) + "\n"

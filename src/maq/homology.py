@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .exact import rank_and_invariants
 from .intlattice import FinAbGroup
+from .simplicial import face_order
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ class PosetDiagram:
 
     def __post_init__(self):
         self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
-                                  key=lambda f: (len(f), sorted(f))))
+                                  key=face_order))
         self.validate()
 
     def gens(self, I, n):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from .exact import (
     divisor_chain,
@@ -83,18 +82,6 @@ class FinAbGroup:
     def direct_sum(self, other):
         return FinAbGroup.make(self.free_rank + other.free_rank,
                                self.torsion + other.torsion)
-
-    def tensor(self, other):
-        coeffs = []
-        coeffs += list(other.torsion) * self.free_rank
-        coeffs += list(self.torsion) * other.free_rank
-        coeffs += [gcd(a, b) for a in self.torsion for b in other.torsion]
-        return FinAbGroup.make(self.free_rank * other.free_rank, coeffs)
-
-    def tor(self, other):
-        """Tor_1(self, other)."""
-        return FinAbGroup.make(
-            0, [gcd(a, b) for a in self.torsion for b in other.torsion])
 
     def to_json(self):
         return {"rank": self.free_rank, "torsion": list(self.torsion)}

@@ -13,6 +13,10 @@ from math import comb
 from .homology import GradedAbGroup, face_chain_complex
 from .intlattice import FinAbGroup
 
+# the most vertices hochster and buchstaber_real accept
+HOCHSTER_M_BOUND = 14
+BUCHSTABER_REAL_M_BOUND = 12
+
 
 class BoundExceeded(Exception):
     """Input size beyond the configured enumeration bound.
@@ -49,7 +53,7 @@ def sr_dimension(K, n, d=2):
     return total
 
 
-def hochster(K, max_degree=None, m_bound=14):
+def hochster(K, max_degree=None):
     """Integral cohomology of the moment-angle complex of K (d=2).
 
     Degree p collects H-tilde^{p-|I|-1} of the full subcomplex K_I on I
@@ -91,9 +95,9 @@ def hochster(K, max_degree=None, m_bound=14):
     (I all ghosts).  Each I \\ v read from the memo has |I| - 1 vertices,
     so it was visited.
     """
-    if K.m > m_bound:
-        raise BoundExceeded("hochster: m=%d exceeds bound %d"
-                            % (K.m, m_bound), "hochster", K.m, m_bound)
+    if K.m > HOCHSTER_M_BOUND:
+        raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
+            K.m, HOCHSTER_M_BOUND), "hochster", K.m, HOCHSTER_M_BOUND)
     faces = K.face_masks
     ghosts, up, through = _vertex_tables(K)
     memo = []
@@ -244,7 +248,7 @@ def skeleton_quotient_hrk(m, k):
     return hrk, bound, hrk >= bound
 
 
-def buchstaber_real(K, m_bound=12):
+def buchstaber_real(K):
     """Largest dimension of a subspace H of F2^m meeting every coordinate
     subspace F2^I, I a facet, only in 0.
 
@@ -252,10 +256,10 @@ def buchstaber_real(K, m_bound=12):
     condition; such H are exactly the subgroups acting freely on the real
     moment-angle complex.
     """
-    if K.m > m_bound:
+    if K.m > BUCHSTABER_REAL_M_BOUND:
         raise BoundExceeded("buchstaber-real: m=%d exceeds bound %d"
-                            % (K.m, m_bound), "buchstaber-real", K.m,
-                            m_bound)
+                            % (K.m, BUCHSTABER_REAL_M_BOUND),
+                            "buchstaber-real", K.m, BUCHSTABER_REAL_M_BOUND)
     if K.is_void() or K.dim() < 0:
         raise ValueError("need a complex with at least one vertex")
     m = K.m

@@ -16,7 +16,7 @@ from math import comb
 from .homology import ChainComplex, GradedAbGroup, sparse_product
 from .intlattice import TorusSubgroup, join_coordinate
 from .exact import f2_echelon, f2_solve
-from .equivariant import PreconditionFailed, check_free, require_condition1
+from .equivariant import PreconditionFailed, require_free
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
 
@@ -249,7 +249,9 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     """Associated graded of the integral cohomology of the quotient of the
     moment-angle complex of K by the d=2 subgroup H, by total degree.
 
-    Requires the projection-compatibility condition; the linear forms are
+    Requires a free action (hence the projection-compatibility
+    condition); for a non-free H the complex computes the Borel
+    cohomology of Z_K, not that of the orbit space.  The linear forms are
     the canonical basis of the annihilator lattice of H (the result is
     independent of that choice).
     """
@@ -257,7 +259,7 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
         raise ValueError("koszul pathway needs a d=2 subgroup")
     if H.m != K.m:
         raise ValueError("subgroup and complex live on different vertex sets")
-    require_condition1(K, H)
+    require_free(K, H)
     if max_degree is None:
         # Z_K of the void complex is empty: every degree is zero
         max_degree = 0 if K.is_void() else K.m + K.dim() + 1
@@ -296,12 +298,7 @@ class CubicalQuotient:
         if self.H.m != self.K.m:
             raise ValueError("subgroup and complex live on different "
                              "vertex sets")
-        free, witness = check_free(self.K, self.H)
-        if not free:
-            raise PreconditionFailed(
-                "the action is not free (witness facet %s); the quotient "
-                "has no induced cell structure" % sorted(witness),
-                witness=witness)
+        require_free(self.K, self.H)
         count = sum(1 << (self.K.m - bin(fm).count("1"))
                     for fm in self.K.face_masks) >> len(self.H.span)
         if count > self.cell_cap:

@@ -36,6 +36,11 @@ def _unmask(mask):
     return frozenset(out)
 
 
+def face_order(face):
+    """Sort key of faces: by size, then by sorted vertices."""
+    return len(face), sorted(face)
+
+
 def _maximalize(masks):
     """The inclusion-maximal masks among ``masks``, sorted.
 
@@ -122,8 +127,7 @@ class SimplicialComplex:
 
     def faces(self):
         """All faces as frozensets, by size and then by sorted vertices."""
-        return sorted(map(_unmask, self.face_masks),
-                      key=lambda f: (len(f), sorted(f)))
+        return sorted(map(_unmask, self.face_masks), key=face_order)
 
     def f_vector(self):
         """(f_0, f_1, ...) counts of faces per dimension."""

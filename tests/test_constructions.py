@@ -6,6 +6,7 @@ from maq.constructions import (PipelineIntegrityError, bosio_meersseman_nerve,
 from maq.exact import hnf_solve
 from maq.homology import reduced_cohomology, reduced_homology
 from maq.intlattice import FinAbGroup
+from maq.quotient import koszul_cohomology
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
                             minimal_non_faces, sphere_sanity,
                             stellar_subdivision)
@@ -78,6 +79,24 @@ def test_torsion_pipeline_rp2():
     assert rep.nerve.m == rep.M
     j = rep.to_json()
     assert j["m"] == 7 and j["free"] is True
+
+
+def test_torsion_pipeline_quotients_satisfy_poincare_duality():
+    # the circle acts freely on the moment-angle manifold of the nerve, so
+    # the quotient is a closed orientable manifold of dimension
+    # quotient_dim = n: rank H^k = rank H^(n-k), the torsion of H^k is
+    # that of H^(n+1-k), H^n = Z and nothing lies above n
+    cases = [boundary_simplex(4), boundary_simplex(5),
+             SimplicialComplex(4, [(1, 2, 3), (2, 3, 4)])]
+    for K in cases:
+        rep = torsion_pipeline(K, 2)
+        n = rep.quotient_dim
+        g = koszul_cohomology(rep.nerve, rep.subgroup, max_degree=n + 1)
+        assert g.group(n) == FinAbGroup.free(1), K
+        assert g.group(n + 1).is_trivial(), K
+        for k in range(n + 1):
+            assert g.group(k).free_rank == g.group(n - k).free_rank, (K, k)
+            assert g.group(k).torsion == g.group(n + 1 - k).torsion, (K, k)
 
 
 def test_nerve_fold_passes_sanity_at_every_step():

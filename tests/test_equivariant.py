@@ -10,9 +10,7 @@ from maq.constructions import lambda_alpha_subgroup, rp2_6, torsion_pipeline
 from maq.equivariant import (PreconditionFailed, _sym_powers,
                              action_report, build_classifying_diagram,
                              check_condition1, check_free,
-                             classifying_cohomology,
-                             coordinate_quotient_check, equivariant_limit,
-                             graded_kunneth)
+                             coordinate_quotient_check, equivariant_limit)
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from maq.momentangle import sr_dimension
@@ -77,29 +75,6 @@ def test_condition1_covers_equal_all_pairs():
         H = TorusSubgroup.from_annihilator(m, rows)
         assert check_condition1(K, H)[0] == \
             check_condition1(K, H, all_pairs=True)[0], (K, rows)
-
-
-def test_classifying_cohomology():
-    circle = classifying_cohomology(FinAbGroup.free(1), 6)
-    assert circle == GradedAbGroup.make({n: FinAbGroup.free(1)
-                                         for n in (0, 2, 4, 6)})
-    z2 = classifying_cohomology(FinAbGroup.make(0, (2,)), 6)
-    assert z2.group(2) == FinAbGroup.cyclic(2)
-    assert z2.group(3).is_trivial()
-    two_torus = classifying_cohomology(FinAbGroup.free(2), 8)
-    assert two_torus.group(4) == FinAbGroup.free(3)
-    mixed = classifying_cohomology(FinAbGroup.make(1, (2,)), 4)
-    # H^2 = Z (circle) + Z/2 (finite factor), H^4 adds the cross terms
-    assert mixed.group(2) == FinAbGroup.make(1, (2,))
-
-
-def test_graded_kunneth_unit_and_symmetry():
-    unit = GradedAbGroup.make({0: FinAbGroup.free(1)})
-    a = GradedAbGroup.make({0: FinAbGroup.free(1),
-                            2: FinAbGroup.make(1, (2,))})
-    b = GradedAbGroup.make({0: FinAbGroup.free(1), 3: FinAbGroup.cyclic(4)})
-    assert graded_kunneth(a, unit, 6) == a
-    assert graded_kunneth(a, b, 6) == graded_kunneth(b, a, 6)
 
 
 def test_equivariant_limit_trivial_subgroup_is_sr():

@@ -169,12 +169,16 @@ def test_cli_bound_exit_code(capsys, tmp_path):
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"
     cpath.write_text("m=4\n1\n2\n3\n4\n")
-    spath.write_text("d=2\nannihilator:\n")
+    # the identity annihilator: the trivial subgroup, which acts freely
+    spath.write_text("d=2\nannihilator:\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
+                     "0 0 0 1\n")
     code, _, err = run_cli(capsys, "quotient-cohomology",
                            "--complex", str(cpath), "--subgroup", str(spath),
                            "--cell-cap", "10")
     assert code == 4
-    assert json.loads(err)["error"] == "bound"
+    doc = json.loads(err)
+    assert doc["error"] == "bound"
+    assert doc["message"].startswith("koszul: cell count 15")
 
 
 def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
@@ -326,6 +330,50 @@ def test_cli_torsion_build(capsys):
     assert doc["m"] == 7
     assert doc["free"] is True
     assert doc["quotient_dim"] == 26
+
+
+def test_cli_torsion_build_rejects_degrees_without_torsion(capsys):
+    # integral cohomology is free in degree 1 and zero above dim K, so on
+    # the 2-dimensional rp2_6 torsion sits only in degree 2
+    for p in ("-5", "0", "1", "3"):
+        code, out, err = run_cli(capsys, "torsion-build", "--input",
+                                 "builtin:rp2_6", "--p", p)
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "precondition"
+        assert "degrees 2..2" in doc["message"]
+
+
+def test_cli_torsion_build_verifies_cohomology(capsys):
+    # the groups through degree q = 7 of the closed orientable 10-manifold
+    # that test_torsion_pipeline_quotients_satisfy_poincare_duality checks
+    code, out, _ = run_cli(capsys, "torsion-build", "--input",
+                           "builtin:boundary_simplex(4)", "--p", "2",
+                           "--verify-cohomology")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["report"]["q"], doc["report"]["quotient_dim"]) == (7, 10)
+    z = {"rank": 1, "torsion": []}
+    assert doc["verified_groups"] == {"0": z, "2": z, "3": z,
+                                      "5": {"rank": 2, "torsion": []},
+                                      "7": z}
+
+
+def test_cli_quotient_requires_a_free_action(capsys, tmp_path):
+    # the circle on the first coordinate of S^3, the moment-angle complex
+    # of two points, fixes every point with z_1 = 0: its quotient is D^2,
+    # not what the Koszul complex computes, so both commands exit 3 with
+    # the facet {1} as witness
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n0 1\n")
+    for command in ("quotient-cohomology", "trc"):
+        code, out, err = run_cli(capsys, command, "--complex",
+                                 "builtin:boundary_simplex(2)",
+                                 "--subgroup", str(spath))
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "precondition"
+        assert doc["witness"] == [1]
 
 
 def test_cli_output_file(capsys, tmp_path):

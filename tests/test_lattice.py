@@ -28,16 +28,6 @@ def test_finabgroup_from_presentation():
     assert g == FinAbGroup.free(2)
 
 
-def test_tensor_and_tor():
-    a = FinAbGroup.make(1, (4,))
-    b = FinAbGroup.make(0, (6,))
-    # (Z + Z/4) x Z/6: tensor = Z/6 + Z/2, tor = Z/2
-    assert a.tensor(b) == FinAbGroup.make(0, (2, 6))
-    assert a.tor(b) == FinAbGroup.make(0, (2,))
-    assert a.tensor(FinAbGroup.free(1)) == a
-    assert a.tor(FinAbGroup.free(5)).is_trivial()
-
-
 def test_lattice_basics():
     H = TorusSubgroup.from_annihilator(3, [[2, 4, 0], [1, 1, 0]])
     assert len(H.ann) == 2

@@ -240,9 +240,10 @@ def _all_subsets(m):
 
 
 def test_hochster_bound():
+    # the bound is checked before any subset is visited
     with pytest.raises(BoundExceeded,
-                       match="hochster: m=4 exceeds bound 3"):
-        hochster(SimplicialComplex.points(4), m_bound=3)
+                       match="hochster: m=15 exceeds bound 14"):
+        hochster(SimplicialComplex.points(15))
 
 
 def test_sr_dimension():
@@ -282,8 +283,8 @@ def test_buchstaber_real():
     assert buchstaber_real(boundary_simplex(4)) == 1
     assert buchstaber_real(SimplicialComplex.simplex(3)) == 0
     with pytest.raises(BoundExceeded,
-                       match="buchstaber-real: m=4 exceeds bound 3"):
-        buchstaber_real(SimplicialComplex.points(4), m_bound=3)
+                       match="buchstaber-real: m=13 exceeds bound 12"):
+        buchstaber_real(SimplicialComplex.points(13))
 
 
 def test_buchstaber_real_positive_without_full_facet():
