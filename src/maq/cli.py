@@ -17,6 +17,7 @@ import sys
 from .constructions import (PipelineIntegrityError, torsion_pipeline)
 from .equivariant import PreconditionFailed, action_report, equivariant_limit
 from .formats import ParseError, complex_to_text, load_complex, load_subgroup
+from .homology import GradedAbGroup
 from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           skeleton_quotient_hrk, skeleton_wedge)
 from .quotient import (CELL_CAP, cubical_quotient_cohomology,
@@ -61,12 +62,22 @@ def _cmd_hochster(args):
     }
 
 
+def _cell_cap(args):
+    """``--cell-cap``, which bounds a count of cells, so it is not
+    negative."""
+    if args.cell_cap < 0:
+        raise ParseError("--cell-cap must be nonnegative, got %d"
+                         % args.cell_cap)
+    return args.cell_cap
+
+
 def _cmd_quotient_cohomology(args):
+    cell_cap = _cell_cap(args)
     K = load_complex(args.complex)
     H = load_subgroup(args.subgroup, K.m)
     if H.d == 2:
         groups = koszul_cohomology(K, H, max_degree=args.max_degree,
-                                   cell_cap=args.cell_cap)
+                                   cell_cap=cell_cap)
         prov = _provenance(
             "koszul complex over the quotient-torus polynomial ring",
             "the associated graded of the quotient's cohomology is the "
@@ -75,7 +86,10 @@ def _cmd_quotient_cohomology(args):
             "annihilator lattice")
         label = "associated graded"
     else:
-        groups = cubical_quotient_cohomology(K, H, cell_cap=args.cell_cap)
+        groups = cubical_quotient_cohomology(K, H, cell_cap=cell_cap)
+        if args.max_degree is not None:
+            groups = GradedAbGroup.make({n: g for n, g in groups.groups
+                                         if n <= args.max_degree})
         prov = _provenance(
             "cubical cell model",
             "cellular cohomology of the orbit complex of the cubical "
@@ -195,6 +209,7 @@ def _cmd_buchstaber_real(args):
 
 
 def _cmd_torsion_build(args):
+    cell_cap = _cell_cap(args)
     K = load_complex(args.input)
     rep = torsion_pipeline(K, args.p)
     out = {
@@ -213,7 +228,7 @@ def _cmd_torsion_build(args):
     if args.verify_cohomology:
         groups = koszul_cohomology(rep.nerve, rep.subgroup,
                                    max_degree=args.p + rep.m,
-                                   cell_cap=args.cell_cap)
+                                   cell_cap=cell_cap)
         out["verified_groups"] = groups.to_json()
     return out
 

@@ -8,7 +8,7 @@ its inverse limit computes the equivariant cohomology of the quotient when
 the compatibility condition below holds.  The subgroup answers every
 face-wise question itself (``TorusSubgroup.is_full``, ``extends`` and
 ``restriction``), so nothing here reads how a character is stored; only
-the ring's degree step, generator order and modulus depend on d.
+the ring, Z for d=2 and F2 for d=1, and its degree step depend on d.
 """
 
 from __future__ import annotations
@@ -230,12 +230,12 @@ def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
 def build_classifying_diagram(K, H, max_degree):
     """PosetDiagram of H*(BS(I)) over the faces of K.
 
-    d=2: integral polynomial rings on the character lattices, even degrees.
-    d=1: mod-2 polynomial rings on degree-one classes, stored as order-2
-    generators in every degree.
+    d=2: integral polynomial rings on the character lattices, even
+    degrees, ``mod`` None.  d=1: mod-2 polynomial rings on degree-one
+    classes, every degree, ``mod`` 2.  The value at I in degree k * step
+    is free of rank C(r + k - 1, k), r = len(H.characters(I)).
 
-    Values with the same generator count share one ``orders`` tuple, and
-    covers with the same character map share one table of symmetric
+    Covers with the same character map share one table of symmetric
     powers, so PosetDiagram's identity-keyed diamond memo sees repeated
     keys.
     The character map of a cover I = J - {v}, H.restriction(I, J), is a
@@ -251,18 +251,14 @@ def build_classifying_diagram(K, H, max_degree):
     """
     faces = K.faces()
     step = 2 if H.d == 2 else 1
+    mod = 2 if H.d == 1 else None
     top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}
-    shapes = {}   # generator count -> the one orders tuple for it
-    orders = {}
+    ranks = {}
     for I in faces:
         r = len(chars[I])
         for k in range(top_k + 1 if r else 1):
-            n = comb(r + k - 1, k) if k else 1
-            if n not in shapes:
-                shapes[n] = (0,) * n if H.d == 2 else (2,) * n
-            orders[(I, k * step)] = shapes[n]
-    mod = 2 if H.d == 1 else None
+            ranks[I, k * step] = comb(r + k - 1, k) if k else 1
     maps = {}     # (chars[I], chars[J], position) -> table
     tables = {}
     indexes = {}  # (rank, k) -> {monomial code: position}
@@ -284,11 +280,11 @@ def build_classifying_diagram(K, H, max_degree):
                         columns, len(chars[I]), top_k, mod, indexes)
                 maps[key] = powers
             for k, arrow in enumerate(powers):
-                if (I, k * step) in orders and (J, k * step) in orders:
+                if (I, k * step) in ranks and (J, k * step) in ranks:
                     arrows[(I, J, k * step)] = arrow
     try:
-        return PosetDiagram(faces=tuple(faces), orders=orders, arrows=arrows,
-                            max_degree=max_degree)
+        return PosetDiagram(faces=tuple(faces), ranks=ranks, arrows=arrows,
+                            max_degree=max_degree, mod=mod)
     except ValueError as exc:
         # every arrow is a restriction of characters, so the diagram is
         # functorial by construction; a failure here is a bug, not input
@@ -314,10 +310,10 @@ def coordinate_quotient_check(K, I0, max_degree, d=2):
 
     The face ring is free, with generators of degree d, so for d=2 the
     limit in degree n must be free of rank sr_dimension.  For d=1 the
-    diagram stores mod-2 rings as order-2 generators, so the limit in
-    degree n must be (Z/2)^sr_dimension: rank 0, every coefficient 2.
-    Stray torsion, or a coefficient other than 2, fails the check as a
-    wrong count does.
+    diagram is one of F2-modules, so the limit in degree n must be
+    (Z/2)^sr_dimension: rank 0, every coefficient 2.  Whole groups are
+    compared, so a free summand, or a summand of another order, fails
+    the check as a wrong count does.
     """
     H = TorusSubgroup.coordinate(d, K.m, I0)
     lim = equivariant_limit(K, H, max_degree)

@@ -9,13 +9,15 @@ recording the input combination that produced them, and one way to reduce
 a vector against its result, ``f2_solve``.  ``f2_rref`` and
 ``f2_annihilator`` are thin readings of the two, and so is every d=1
 computation elsewhere: coordinate meets in ``intlattice``, character
-coordinates in ``equivariant``, and cubical orbit representatives and
-transporters in ``quotient``.
+coordinates in ``equivariant``, cubical orbit representatives and
+transporters in ``quotient``, and the rank of the constraint map of a
+d=1 limit in ``homology``.
 
-Over Z every presentation, chain complex boundary and Koszul differential
-is reduced by ``rank_and_invariants``, sparse unit pivots first: the
-fill-free ones, a +-1 alone in its row or its column, are peeled off by
-deletions alone, and a heap of short rows orders the rest.  It can
+Over Z every presentation, chain complex boundary, Koszul differential
+and constraint map of a d=2 limit is reduced by ``rank_and_invariants``,
+sparse unit pivots first: the fill-free ones, a +-1 alone in its row or
+its column, are peeled off by deletions alone, and a heap of short rows
+orders the rest.  It can
 report the rows of its unit pivots, whose block is unimodular, and
 ``homology.ChainComplex`` uses them to clear: boundaries are eliminated
 from the highest degree down, and the unit-pivot rows of d_{k+1} are

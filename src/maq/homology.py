@@ -1,9 +1,8 @@
 """Exact (co)homology of finite chain complexes and degreewise limits.
 
-Everything is integral: homology and cohomology groups come out of Smith
-normal form, and limits of diagrams of finitely generated abelian groups
-are computed from integer presentations so that torsion is tracked
-exactly.
+Homology and cohomology are integral and come out of Smith normal form,
+torsion included.  Limits are taken of diagrams of free modules over one
+ring, Z or F2, so each degree of a limit is a kernel, read off one rank.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import rank_and_invariants
+from .exact import f2_echelon, rank_and_invariants
 from .intlattice import FinAbGroup
 from .simplicial import face_order
 
@@ -207,70 +206,64 @@ def reduced_homology(K):
 
 
 # ---------------------------------------------------------------------------
-# diagrams of presented groups over the face poset
+# diagrams of free modules over the face poset
 # ---------------------------------------------------------------------------
 
-def _congruent(M, N, orders):
-    """Whether M = N modulo the relations diag(orders) of the target."""
-    for key in M.keys() | N.keys():
-        diff = M.get(key, 0) - N.get(key, 0)
-        o = orders[key[0]]
-        if diff % o if o else diff:
-            return False
-    return True
+def _congruent(M, N, mod):
+    """Whether M = N, modulo ``mod`` when it is given."""
+    if not mod:
+        return M == N
+    return all((M.get(key, 0) - N.get(key, 0)) % mod == 0
+               for key in M.keys() | N.keys())
 
 
 @dataclass
 class PosetDiagram:
-    """Contravariant diagram of graded f.g. abelian groups over a face poset.
+    """Contravariant diagram of graded free modules over a face poset.
 
-    ``orders[(I, n)]`` lists generator orders (0 for a free generator) of
-    the value at face I in degree n; missing keys mean the zero group.
-    ``arrows[(I, J, n)]`` for a cover I < J (J is I plus one vertex) is
-    the structure map value(J) -> value(I) in degree n as a dict
-    ``{(row, col): value}`` of its nonzero entries, one row per generator
-    of value(I) and one column per generator of value(J); ``{}`` is the
-    zero map.  Only covers are stored; arrow() composes the rest.  The
-    faces must contain every set that lies between two of them, as the
-    face poset of a simplicial complex does.  validate() checks on
-    construction that the faces have no such gap, that every stored
-    arrow is a cover that respects torsion, and functoriality in every
-    degree of ``orders``.  limit_graded relies on all of it: it solves
-    for the facet values alone and asks agreement only at faces with a
-    disconnected link, so a diagram changed after construction is not
-    checked again there, apart from the torsion of its stored arrows.
+    Every value is free over one ring: Z when ``mod`` is None, F2 when it
+    is 2.  ``ranks[(I, n)]`` is the rank of the value at face I in degree
+    n; missing keys mean the zero module.  ``arrows[(I, J, n)]`` for a
+    cover I < J (J is I plus one vertex) is the structure map value(J) ->
+    value(I) in degree n as a dict ``{(row, col): value}`` of its entries
+    that are nonzero in the ring, one row per generator of value(I) and
+    one column per generator of value(J); ``{}`` is the zero map.  Only
+    covers are stored; arrow() composes the rest, over Z, so a composite
+    is read modulo ``mod``.  The faces must contain every set that lies
+    between two of them, as the face poset of a simplicial complex does.
+    validate() checks on construction that the faces have no such gap,
+    that every stored arrow is a cover of the right shape, and
+    functoriality modulo ``mod`` in every degree of ``ranks``.
+    limit_graded relies on all of it: it solves for the facet values alone
+    and asks agreement only at faces with a disconnected link, so a
+    diagram changed after construction is not checked again there.
 
     One arrow dict may be stored under several keys, as
-    build_classifying_diagram does for covers with the same character map,
-    and one ``orders`` tuple under several faces and degrees.  validate()
-    turns that sharing into saved work with one memo keyed by identity:
-    its verdict on a diamond, by the orders at its bottom and its four
-    covering arrows, so diamonds built from the same tables are decided
-    once.  The memo holds the objects of its key, so no id is reused
-    while it lives.  Everything else is recomputed when asked: products,
-    composites, the covering pairs, and the shape and torsion scan of
-    every stored arrow.  arrow() returns a stored cover itself, not a
-    copy, so it must not be mutated.  The verdict memo saves a fifth or
-    more of a large diagram such as the boundary of the 9-simplex.
-    Upstream of this class, build_classifying_diagram's ``maps`` and
-    ``tables`` and check_condition1's walk below the full facets pay on
-    the same path.
+    build_classifying_diagram does for covers with the same character map.
+    validate() turns that sharing into saved work with one memo keyed by
+    identity: its verdict on a diamond, by its four covering arrows, so
+    diamonds built from the same tables are decided once.  The ring is
+    one for the whole diagram, so the verdict reads nothing else.  The
+    memo holds the objects of its key, so no id is reused while it lives.
+    Everything else is recomputed when asked: products, composites, the
+    covering pairs, and the shape scan of every stored arrow.  arrow()
+    returns a stored cover itself, not a copy, so it must not be mutated.
+    The verdict memo saves a fifth or more of a large diagram such as the
+    boundary of the 9-simplex.  Upstream of this class,
+    build_classifying_diagram's ``maps`` and ``tables`` and
+    check_condition1's walk below the full facets pay on the same path.
     """
 
     faces: tuple
-    orders: dict
+    ranks: dict
     arrows: dict
     max_degree: int
+    mod: int = None
 
     def __post_init__(self):
         self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
                                   key=face_order))
         self.validate()
-
-    def gens(self, I, n):
-        """Generator orders of the value at the frozenset face I in degree
-        n; ``()`` for the zero group."""
-        return self.orders.get((I, n), ())
 
     def arrow(self, I, J, n):
         """Structure map for I subset of J in degree n (composite of
@@ -284,11 +277,11 @@ class PosetDiagram:
 
     def _arrow(self, I, J, n):
         """arrow() for frozensets I <= J, which the caller guarantees."""
-        gi = self.orders.get((I, n))
-        if not gi or not self.orders.get((J, n)):
+        rank = self.ranks.get((I, n))
+        if not rank or not self.ranks.get((J, n)):
             return {}
         if I == J:
-            return {(k, k): 1 for k in range(len(gi))}
+            return {(k, k): 1 for k in range(rank)}
         key = (I, J, n)
         if key in self.arrows:
             return self.arrows[key]
@@ -306,7 +299,9 @@ class PosetDiagram:
     def validate(self):
         faces = self.faces
         face_set = set(faces)
-        orders, arrows = self.orders, self.arrows
+        ranks, arrows, mod = self.ranks, self.arrows, self.mod
+        if mod not in (None, 2):
+            raise ValueError("mod is None (Z) or 2 (F2), not %r" % (mod,))
         for J in faces:
             for v in J:
                 I = J - {v}
@@ -323,32 +318,26 @@ class PosetDiagram:
                 raise ValueError("arrow at %s <= %s, degree %d is not a "
                                  "{(row, col): value} dict"
                                  % (sorted(I), sorted(J), n))
-            gi, gj = orders.get((I, n), ()), orders.get((J, n), ())
-            rows, cols, torsion = len(gi), len(gj), any(gj)
+            rows, cols = ranks.get((I, n), 0), ranks.get((J, n), 0)
             for (r, c), x in M.items():
-                if not (0 <= r < rows and 0 <= c < cols and x):
+                if not (0 <= r < rows and 0 <= c < cols
+                        and (x % mod if mod else x)):
                     raise ValueError(
                         "arrow shape mismatch at %s <= %s, degree %d: %s"
                         % (sorted(I), sorted(J), n, {(r, c): x}))
-                # torsion orders must be respected: o_j * column_j lands
-                # in the relation lattice of the target
-                if torsion:
-                    oi, oj = gi[r], gj[c]
-                    if oj and (not oi or oj * x % oi):
-                        raise ValueError("arrow incompatible with torsion")
         # a covering arrow between nonzero values has no composite to
         # fall back on
-        degrees = sorted({n for (_, n) in orders})
+        degrees = sorted({n for (_, n) in ranks})
         for I, J in self.covering_pairs():
             for n in degrees:
-                if ((I, J, n) not in arrows and orders.get((I, n))
-                        and orders.get((J, n))):
+                if ((I, J, n) not in arrows and ranks.get((I, n))
+                        and ranks.get((J, n))):
                     raise ValueError("missing arrow at %s <= %s, degree %d"
                                      % (sorted(I), sorted(J), n))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
         zero = {}
-        verdicts = {}   # ids of (gi, four covers) -> those five objects
+        verdicts = {}   # ids of the four covers -> those four objects
         for J in faces:
             for a, b in combinations(sorted(J), 2):
                 I = J - {a, b}
@@ -360,20 +349,19 @@ class PosetDiagram:
                 # directly
                 m1, m2 = J - {a}, J - {b}
                 for n in degrees:
-                    gi = orders.get((I, n))
-                    if not gi or not orders.get((J, n)):
+                    if not ranks.get((I, n)) or not ranks.get((J, n)):
                         continue
                     lo1 = hi1 = lo2 = hi2 = zero
-                    if orders.get((m1, n)):
+                    if ranks.get((m1, n)):
                         lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
-                    if orders.get((m2, n)):
+                    if ranks.get((m2, n)):
                         lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
-                    key = id(gi), id(lo1), id(hi1), id(lo2), id(hi2)
+                    key = id(lo1), id(hi1), id(lo2), id(hi2)
                     if key in verdicts:
                         continue
-                    verdicts[key] = gi, lo1, hi1, lo2, hi2
+                    verdicts[key] = lo1, hi1, lo2, hi2
                     if not _congruent(sparse_product(lo1, hi1),
-                                      sparse_product(lo2, hi2), gi):
+                                      sparse_product(lo2, hi2), mod):
                         raise ValueError(
                             "diagram not functorial at %s <= %s, degree %d"
                             % (sorted(I), sorted(J), n))
@@ -388,11 +376,11 @@ def limit_graded(D):
     the facet values alone.  They come from a family exactly when, at
     each face I, every facet F above I gives the same arrow(I, F) x_F.
     Facets F, G that share a face J strictly above I give it once they
-    agree at J, since arrow(I, F) = arrow(I, J) arrow(J, F) modulo the
-    relations of value(I), as validate() checks on construction.  Going
-    down from the facets, agreement at I is thus forced within each
-    component of lk(I), whose vertices a, b are joined when I + a + b is
-    a face.  A face whose link has c components asks c - 1 blocks
+    agree at J, since arrow(I, F) = arrow(I, J) arrow(J, F) modulo
+    ``D.mod``, as validate() checks on construction.  Going down from the
+    facets, agreement at I is thus forced within each component of lk(I),
+    whose vertices a, b are joined when I + a + b is a face.  A face whose
+    link has c components asks c - 1 blocks
 
         arrow(I, P) x_P - arrow(I, Q) x_Q = 0,
 
@@ -403,78 +391,38 @@ def limit_graded(D):
     simplicial complex; PosetDiagram rejects a poset without that
     property on construction.
 
-    In degree n, let A = Z^a / R_A be the product of the facet values and
-    B = Z^b / R_B the product of value(I) over the blocks.  Both
-    presentations are diagonal, one relation o e_j per generator of order
-    o > 0, so R_B is injective.  Let psi lift the constraint map above.
-    The limit ker(A -> B) is then H_1 of the sparse three-term complex
-
-        Z^|R_A| --(R_A, chi)--> Z^a + Z^|R_B| --(psi, R_B)--> Z^b
-
-    with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
-    of A and the t-th relation o_t e_{r_t} of B, so that
-    R_B chi = -psi R_A and d^2 = 0.  The division is exact when every
-    arrow respects torsion, which validate() checks on construction;
-    every stored arrow out of a value with torsion is scanned again here,
-    since the presentation need not read each of them (an arrow out of a
-    free value respects torsion whatever its entries).  Entries of psi
-    in a row of order o_t > 0 are reduced modulo o_t.
+    In degree n the blocks make one constraint map psi from the product
+    of the facet values, free of rank a, and the limit is its kernel.  A
+    submodule of a free Z-module is free, and every F2-module is free, so
+    the kernel is Z^(a - rank psi) or (Z/2)^(a - rank psi): the rank is
+    taken by rank_and_invariants over Z and as the length of the
+    f2_echelon basis of psi's rows over F2.
     """
-    max_degree = D.max_degree
-    orders = D.orders
-    degrees = sorted({n for (_, n) in orders if n <= max_degree})
-    for (I, J, n), M in D.arrows.items():
-        gj = orders.get((J, n), ())
-        if n <= max_degree and any(gj):
-            gi = orders.get((I, n), ())
-            for (r, c), v in M.items():
-                _relation_image(gj[c], v, gi[r])
+    ranks, mod = D.ranks, D.mod
     facets, blocks = _link_blocks(D)
     out = {}
-    for n in degrees:
-        col, rel_a, d2 = {}, {}, {}
+    for n in sorted({n for (_, n) in ranks if n <= D.max_degree}):
+        col = {}
         for F in facets:
-            for k, o in enumerate(orders.get((F, n), ())):
-                j = col[F, k] = len(col)
-                if o:
-                    d2[j, len(rel_a)] = o
-                    rel_a[j] = (len(rel_a), o)
-        a = len(col)
-        if not a:
-            continue
-        d1, b, nb = {}, 0, 0
+            for k in range(ranks.get((F, n), 0)):
+                col[F, k] = len(col)
+        psi, b = {}, 0
         for I, P, Q in blocks:
-            gi = orders.get((I, n), ())
-            y = {}   # row of psi -> its relation column in Z^|R_B|
-            for r, ot in enumerate(gi):
-                if ot:
-                    y[r] = a + nb
-                    d1[b + r, a + nb] = ot
-                    nb += 1
             for sign, F in ((1, P), (-1, Q)):
                 for (r, c), v in D._arrow(I, F, n).items():
-                    ot = gi[r]
-                    v = sign * v % ot if ot else sign * v
-                    if not v:
-                        continue
-                    j = col[F, c]
-                    d1[b + r, j] = v
-                    if j in rel_a:
-                        k, oj = rel_a[j]
-                        d2[y[r], k] = _relation_image(oj, v, ot)
-            b += len(gi)
-        C = ChainComplex([b, a + nb, len(rel_a)], [d1, d2], check=False)
-        out[n] = C.homology().group(1)
+                    psi[b + r, col[F, c]] = sign * v
+            b += ranks.get((I, n), 0)
+        if mod:
+            rows = [0] * b
+            for (r, j), v in psi.items():
+                rows[r] |= (v & 1) << j
+            rank = len(f2_echelon((row, 0) for row in rows)[0])
+            out[n] = FinAbGroup(0, (2,) * (len(col) - rank))
+        else:
+            rank, _ = rank_and_invariants(
+                (r, j, v) for (r, j), v in psi.items())
+            out[n] = FinAbGroup.free(len(col) - rank)
     return GradedAbGroup.make(out)
-
-
-def _relation_image(oj, v, ot):
-    """-oj v / ot, the chi entry for an entry v of psi from a column of
-    order oj to a row of order ot (0 for free); oj v must lie in ot Z."""
-    if oj and (not ot or oj * v % ot):
-        # validate() rejects such arrows
-        raise AssertionError("relations do not map to relations")
-    return -oj * v // ot if oj else 0
 
 
 def _link_blocks(D):

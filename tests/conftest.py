@@ -177,16 +177,29 @@ def reference_limit(D):
     """Limit of a PosetDiagram over every face and every covering pair.
 
     One unknown block per face and one constraint block
-    arrow(I, J) x_J - x_I per covering pair I < J, presented as the
-    three-term complex that ``homology.limit_graded`` documents; the
-    reference that the facet presentation is checked against.
+    arrow(I, J) x_J - x_I per covering pair I < J.  A value of rank r is
+    read as Z^r / diag(o) with every generator of order o = 0 over Z and
+    o = 2 over F2, and the limit, the kernel of Z^a / R_A -> Z^b / R_B
+    with both presentations diagonal, is H_1 of the integral three-term
+    complex
+
+        Z^|R_A| --(R_A, chi)--> Z^a + Z^|R_B| --(psi, R_B)--> Z^b
+
+    with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
+    of A and the t-th relation o_t e_{r_t} of B, so that R_B chi =
+    -psi R_A.  It shares no step with the facet kernel of
+    ``homology.limit_graded``, which it checks.
     """
     covers = D.covering_pairs()
     out = {}
-    for n in sorted({n for (_, n) in D.orders if n <= D.max_degree}):
+
+    def gens(I, n):
+        return (D.mod or 0,) * D.ranks.get((I, n), 0)
+
+    for n in sorted({n for (_, n) in D.ranks if n <= D.max_degree}):
         col, rel_a, d2 = {}, {}, {}
         for I in D.faces:
-            for k, o in enumerate(D.gens(I, n)):
+            for k, o in enumerate(gens(I, n)):
                 j = col[I, k] = len(col)
                 if o:
                     d2[j, len(rel_a)] = o
@@ -196,7 +209,7 @@ def reference_limit(D):
             continue
         d1, b, nb = {}, 0, 0
         for I, J in covers:
-            gi = D.gens(I, n)
+            gi = gens(I, n)
             y = {}
             for r, ot in enumerate(gi):
                 if ot:

@@ -95,29 +95,40 @@ def test_equivariant_limit_trivial_subgroup_is_sr():
 def test_equivariant_limit_of_a_free_action_is_sr():
     # H acts freely, so it satisfies condition 1 and the quotient's
     # equivariant cohomology is that of Z_K itself: the face ring of K,
-    # free of rank sr_dimension in every degree, whole groups compared;
-    # most drawn H are not coordinate subgroups
-    rng = seeded("lim-free-sr")
-    cases = non_coordinate = 0
-    while cases < 60:
-        m = rng.randint(3, 6)
-        K = random_complex(rng, m)
-        rows = [[rng.randint(-2, 2) for _ in range(m)]
-                for _ in range(rng.randint(1, m))]
-        if K.is_void() or K.dim() < 0 or not any(map(any, rows)):
-            continue
-        H = TorusSubgroup.from_annihilator(m, rows)
-        if not check_free(K, H)[0]:
-            continue
-        cases += 1
-        non_coordinate += all(
-            H != TorusSubgroup.coordinate(2, m, I0)
-            for r in range(m + 1) for I0 in combinations(range(1, m + 1), r))
-        lim = equivariant_limit(K, H, 8)
-        for n in range(9):
-            assert lim.group(n) == FinAbGroup.free(sr_dimension(K, n)), \
-                (K, rows, n)
-    assert non_coordinate > 40
+    # whole groups compared, free of rank sr_dimension in every degree up
+    # to 8 for d=2 and (Z/2)^sr_dimension in every degree up to m + 2 for
+    # d=1; most drawn H are not coordinate subgroups
+    for d, name in ((2, "lim-free-sr"), (1, "lim-free-sr-1")):
+        rng = seeded(name)
+        cases = non_coordinate = 0
+        while cases < 60:
+            m = rng.randint(3, 6)
+            K = random_complex(rng, m)
+            if d == 2:
+                rows = [[rng.randint(-2, 2) for _ in range(m)]
+                        for _ in range(rng.randint(1, m))]
+                gens, top = any(map(any, rows)), 8
+                H = TorusSubgroup.from_annihilator(m, rows) if gens else None
+            else:
+                rows = [rng.randrange(1, 1 << m)
+                        for _ in range(rng.randint(1, 2))]
+                gens, top = True, m + 2
+                H = TorusSubgroup.from_f2_span(m, rows)
+            if K.is_void() or K.dim() < 0 or not gens:
+                continue
+            if not check_free(K, H)[0]:
+                continue
+            cases += 1
+            non_coordinate += all(
+                H != TorusSubgroup.coordinate(d, m, I0) for r in range(m + 1)
+                for I0 in combinations(range(1, m + 1), r))
+            lim = equivariant_limit(K, H, top)
+            for n in range(top + 1):
+                count = sr_dimension(K, n, d)
+                assert lim.group(n) == (FinAbGroup.free(count) if d == 2 else
+                                        FinAbGroup.make(0, (2,) * count)), \
+                    (d, K, rows, n)
+        assert non_coordinate > 40, d
 
 
 def test_equivariant_limit_requires_condition1():
@@ -306,7 +317,7 @@ def test_classifying_arrows_match_per_cover_reference():
     # the symmetric power of each cover's own character map, solved
     # against a fresh subgroup, so neither the character-map memo nor
     # the memoized characters can hand a cover another cover's map; the
-    # orders are shared between values of one generator count
+    # diagram is over F2 for d=1 and over Z for d=2
     rng = seeded("classifying-per-cover")
     for d, top in ((2, 6), (1, 4)):
         step = 2 if d == 2 else 1
@@ -322,11 +333,10 @@ def test_classifying_arrows_match_per_cover_reference():
                                          2 if d == 1 else None)
                     for k, arrow in enumerate(powers):
                         n = k * step
-                        if (I, n) in D.orders and (J, n) in D.orders:
+                        if (I, n) in D.ranks and (J, n) in D.ranks:
                             expect[I, J, n] = arrow
             assert D.arrows == expect, K
-            assert len({id(o) for o in D.orders.values()}) == \
-                len(set(D.orders.values()))
+            assert D.mod == (2 if d == 1 else None)
 
 
 def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):

@@ -76,16 +76,25 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
     assert json.loads(err)["error"] == "parse"
 
 
-def test_cli_argument_errors_exit_as_parse_errors(capsys):
+def test_cli_argument_errors_exit_as_parse_errors(capsys, tmp_path):
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=1\nsubspace:\n1 1 1 1\n")
     for args in (("contract", "--complex", "builtin:boundary_simplex(3)",
                   "--i0", "a"),
                  ("hochster", "builtin:skeleton(3,5)"),
                  ("hochster", "builtin:boundary_simplex(1)"),
                  ("skeleton-report", "3", "5"),
-                 ("contract", "--complex", "builtin:rp2_6", "--i0", "9")):
+                 ("contract", "--complex", "builtin:rp2_6", "--i0", "9"),
+                 ("quotient-cohomology", "--complex",
+                  "builtin:boundary_simplex(4)", "--subgroup", str(spath),
+                  "--cell-cap", "-5"),
+                 ("torsion-build", "--input", "builtin:rp2_6", "--p", "2",
+                  "--verify-cohomology", "--cell-cap", "-5")):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and not out
         assert json.loads(err)["error"] == "parse"
+        if "--cell-cap" in args:
+            assert "--cell-cap" in json.loads(err)["message"]
 
 
 def test_cli_parser_reuse_leaks_no_state(capsys):
@@ -150,6 +159,20 @@ def test_cli_quotient_cohomology(capsys, tmp_path):
                                  "--subgroup", str(spath), *extra)
         assert (code, err) == (0, "")
         assert json.loads(out)["groups"] == {}
+    # the antipodal Z/2 on the real moment-angle complex of
+    # boundary_simplex(4), the sphere S^3, has quotient RP^3; a degree
+    # bound cuts the cubical groups as it cuts the Koszul ones
+    spath.write_text("d=1\nsubspace:\n1 1 1 1\n")
+    rp3 = {"0": {"rank": 1, "torsion": []}, "2": {"rank": 0, "torsion": [2]},
+           "3": {"rank": 1, "torsion": []}}
+    for top in (None, 3, 2, 1, 0):
+        extra = () if top is None else ("--max-degree", str(top))
+        code, out, err = run_cli(capsys, "quotient-cohomology", "--complex",
+                                 "builtin:boundary_simplex(4)",
+                                 "--subgroup", str(spath), *extra)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["groups"] == {
+            n: g for n, g in rp3.items() if top is None or int(n) <= top}
 
 
 def test_cli_precondition_exit_code(capsys, tmp_path):
@@ -212,10 +235,10 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     # bug, not a failed precondition: exit 5, not 3
     real = equivariant.PosetDiagram
 
-    def planted(faces, orders, arrows, max_degree):
+    def planted(faces, ranks, arrows, max_degree, mod):
         arrows[(frozenset({1}), frozenset({1, 2}), 2)] = {(0, 0): 2}
-        return real(faces=faces, orders=orders, arrows=arrows,
-                    max_degree=max_degree)
+        return real(faces=faces, ranks=ranks, arrows=arrows,
+                    max_degree=max_degree, mod=mod)
 
     monkeypatch.setattr(equivariant, "PosetDiagram", planted)
     cpath = tmp_path / "k.txt"
