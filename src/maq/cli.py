@@ -3,7 +3,8 @@
 Every subcommand prints a single JSON report with a provenance block
 describing the computation that produced the result.  Exit codes: 0 on
 success, 2 for parse errors, 3 for failed preconditions (with a witness
-in the report), 4 for exceeded size bounds, 5 for an internal consistency
+in the report), 4 for exceeded size bounds (the layer, size, cap and
+degree of the bound in the report), 5 for an internal consistency
 check that failed (a bug in maq, never a property of the input).
 """
 
@@ -332,7 +333,9 @@ def main(argv=None):
               file=sys.stderr)
         return EXIT_PRECONDITION
     except BoundExceeded as exc:
-        print(json.dumps({"error": "bound", "message": str(exc)}),
+        print(json.dumps({"error": "bound", "message": str(exc),
+                          "layer": exc.layer, "size": exc.size,
+                          "cap": exc.cap, "degree": exc.degree}),
               file=sys.stderr)
         return EXIT_BOUND
     except AssertionError as exc:

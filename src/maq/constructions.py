@@ -153,9 +153,9 @@ def torsion_pipeline(K, p):
     if pair is None:
         raise PipelineIntegrityError("no disjoint vertex pair after the "
                                      "subdivision")
-    mf = minimal_non_faces(Kp)
     nerve = bosio_meersseman_nerve(Kp)
     M = nerve.m
+    mf_count = M - m   # the nerve checked M == m + |MF(K')|
     sphere = sphere_sanity(nerve)
     if not sphere.passed:
         raise PipelineIntegrityError("nerve sphere fails the sanity battery")
@@ -166,6 +166,6 @@ def torsion_pipeline(K, p):
             "the circle is not free on the nerve (witness facet %s)"
             % sorted(witness))
     return TorsionPipelineReport(
-        input_m=K.m, m=m, mf_count=len(mf), M=M, sphere=sphere, pair=pair,
-        subgroup=H, free=free, q=p + m, quotient_dim=2 * m + len(mf) - 2,
+        input_m=K.m, m=m, mf_count=mf_count, M=M, sphere=sphere, pair=pair,
+        subgroup=H, free=free, q=p + m, quotient_dim=2 * m + mf_count - 2,
         nerve=nerve)

@@ -11,7 +11,9 @@ a vector against its result, ``f2_solve``.  ``f2_rref`` and
 computation elsewhere: coordinate meets in ``intlattice``, character
 coordinates in ``equivariant``, cubical orbit representatives and
 transporters in ``quotient``, and the rank of the constraint map of a
-d=1 limit in ``homology``.
+d=1 limit in ``homology``.  ``f2_echelon`` costs one XOR per pivot bit
+its rows hold, forward and in back-substitution, with no step per pair
+of pivots.
 
 Over Z every presentation, chain complex boundary, Koszul differential
 and constraint map of a d=2 limit is reduced by ``rank_and_invariants``,
@@ -309,6 +311,10 @@ def f2_echelon(pairs):
     pivot of each row its highest set bit, every pivot set in its own row
     only, sorted by pivot descending, so equal spans give identical rows;
     ``kernel`` lists the tags of the input rows that reduced to zero.
+
+    Back-substitution costs one XOR for each pivot bit that a row holds
+    below its own pivot after the forward pass, not one test per pair of
+    pivots.
     """
     pivot = {}   # pivot bit -> (row, tag)
     kernel = []
@@ -323,12 +329,16 @@ def f2_echelon(pairs):
             t ^= pt
         else:
             kernel.append(t)
-    # back-substitute so each pivot appears only in its own row
+    # back-substitute going up: the rows below p are already reduced, so
+    # XOR with one clears its pivot bit and sets no other pivot bit
+    below = 0   # the pivot bits below p
     for p in sorted(pivot):
         row, tag = pivot[p]
-        for q, (qv, qt) in pivot.items():
-            if q > p and (qv >> p) & 1:
-                pivot[q] = (qv ^ row, qt ^ tag)
+        while held := row & below:
+            qv, qt = pivot[held.bit_length() - 1]
+            row, tag = row ^ qv, tag ^ qt
+        pivot[p] = (row, tag)
+        below |= 1 << p
     return [pivot[p] for p in sorted(pivot, reverse=True)], kernel
 
 
@@ -341,7 +351,7 @@ def f2_solve(basis, v):
     """
     tag = 0
     for row, t in basis:
-        if (v >> (row.bit_length() - 1)) & 1:
+        if v ^ row < v:   # v holds the pivot of row
             v ^= row
             tag ^= t
     return v, tag

@@ -279,7 +279,10 @@ class CubicalQuotient:
     Cells of the model are pairs (C, eps): C a face of K, eps a sign
     vector on the remaining coordinates (bit set = -1).  The subgroup acts
     by flipping signs; a free action permutes cells freely and the
-    quotient complex has one cell per orbit.
+    quotient complex has one cell per orbit.  Each face C keeps its
+    ``f2_echelon`` basis and one index, orbit representative -> position
+    among the cells of degree |C|; a boundary entry is one ``f2_solve``
+    and one lookup in the index of the face it lands on.
 
     ``cell_cap`` bounds the number of quotient cells.  It is checked once
     the action is known to be free, when each face C carries exactly
@@ -316,41 +319,44 @@ class CubicalQuotient:
         solvers = {fm: f2_echelon((h & ~fm, h) for h in H.span)[0]
                    for fm in K.face_masks}
         # orbit representatives per face: the sign vectors outside C that
-        # are zero on every pivot, in increasing order
+        # are zero on every pivot, in increasing order; position[C] maps
+        # each to its place among the cells of degree |C|
         full = (1 << m) - 1
-        cells = {}
+        dims = []
+        position = {}
         for fm in K.face_masks:
             free = full & ~fm
             for row, _ in solvers[fm]:
                 free &= ~(1 << (row.bit_length() - 1))
-            level = cells.setdefault(bin(fm).count("1"), [])
+            d = fm.bit_count()
+            dims += [0] * (d + 1 - len(dims))
+            pos = position[fm] = {}
             eps = 0   # (eps - free) & free is the next submask of free
             while True:
-                level.append((fm, eps))
+                pos[eps] = dims[d]
+                dims[d] += 1
                 if eps == free:
                     break
                 eps = (eps - free) & free
-        top = max(cells, default=-1)   # -1: the void K has no cell
-        index = {d: {c: i for i, c in enumerate(cells.get(d, []))}
-                 for d in range(top + 1)}
-        dims = [len(cells.get(d, [])) for d in range(top + 1)]
-        boundaries = []
-        for d in range(1, top + 1):
-            b = {}
-            for col, (fm, eps) in enumerate(cells.get(d, [])):
-                verts = [i for i in range(m) if (fm >> i) & 1]
-                for t, i in enumerate(verts):
-                    sign = -1 if t % 2 else 1
-                    fm2 = fm & ~(1 << i)
-                    for point, psign in ((0, 1), (1 << i, -1)):
-                        eps2 = eps | point
-                        rep, h = f2_solve(solvers[fm2], eps2)
-                        osign = -1 if bin(h & fm2).count("1") % 2 else 1
-                        key = (index[d - 1][(fm2, rep)], col)
-                        v = b.pop(key, 0) + sign * psign * osign
-                        if v:
-                            b[key] = v
-            boundaries.append(b)
+        # the column of (C, eps) in d_|C|: at the t-th vertex i of C, the
+        # cells (C - i, eps) and (C - i, eps + e_i), each carried to its
+        # representative by the group element h, with sign (-1)^t, -(-1)^t
+        # and (-1)^|h on C - i|.  No two of them share an orbit: the faces
+        # C - i differ, and an h carrying one of the pair to the other
+        # would be supported on the face C, which freeness rules out.  So
+        # every entry is written once
+        boundaries = [{} for _ in dims[1:]]
+        for fm, cols in position.items():
+            verts = [1 << i for i in range(m) if (fm >> i) & 1]
+            sides = [(bit, fm ^ bit, solvers[fm ^ bit], position[fm ^ bit],
+                      -1 if t % 2 else 1) for t, bit in enumerate(verts)]
+            b = boundaries[len(verts) - 1] if verts else {}
+            for eps, col in cols.items():
+                for bit, fm2, solver, pos, sign in sides:
+                    for point, psign in ((0, sign), (bit, -sign)):
+                        rep, h = f2_solve(solver, eps | point)
+                        v = -psign if (h & fm2).bit_count() & 1 else psign
+                        b[(pos[rep], col)] = v
         self.dims = dims
         self.complex = ChainComplex(dims, boundaries, min_degree=0,
                                     check=False)

@@ -334,3 +334,69 @@ def test_f2_annihilator_bruteforce():
         want = [x for x in range(1 << w)
                 if all(bin(x & v).count("1") % 2 == 0 for v in vecs)]
         assert f2_annihilator(vecs, w) == f2_rref(want)
+
+
+def _dense_rref(mat, cols):
+    """Gauss-Jordan on 0/1 list rows, pivot columns searched in the order
+    ``cols``; returns the reduced rows and the number of pivots."""
+    mat = [list(row) for row in mat]
+    r = 0
+    for c in cols:
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        for j in range(len(mat)):
+            if j != r and mat[j][c]:
+                mat[j] = [a ^ b for a, b in zip(mat[j], mat[r])]
+        r += 1
+    return mat, r
+
+
+def _bits(x, n):
+    return [(x >> j) & 1 for j in range(n)]
+
+
+def _mask(bits):
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def test_f2_echelon_matches_dense_reference():
+    # widths up to 90 and up to 100 rows, sparse to dense, against a dense
+    # Gauss-Jordan on [V | I] written independently of bitmask reduction.
+    # Rows whose vector part vanishes span the relations among the inputs;
+    # their canonical basis (highest input index first) is the kernel:
+    # each kernel tag is one dependent input plus the unique combination
+    # of the independent inputs S equal to it.  The rows of the RREF of
+    # [V_S | I_S] are the basis rows with their tags, and f2_solve clears
+    # every pivot v holds with the row of that pivot
+    rng = seeded("f2-echelon-dense")
+    for density in (0.02, 0.1, 0.3, 0.5, 0.8, 0.97):
+        for _ in range(10):
+            w = rng.randint(1, 90)
+            k = rng.randint(0, 100)
+            vecs = [_mask([rng.random() < density for _ in range(w)])
+                    for _ in range(k)]
+            basis, kernel = f2_echelon((v, 1 << i) for i, v in enumerate(vecs))
+            vcols = range(w - 1, -1, -1)
+            aug = [_bits(v, w) + _bits(1 << i, k) for i, v in enumerate(vecs)]
+            red, rank = _dense_rref(aug, vcols)
+            rels, nrel = _dense_rref([row[w:] for row in red[rank:]],
+                                     range(k - 1, -1, -1))
+            want_kernel = sorted((_mask(row) for row in rels[:nrel]),
+                                 key=int.bit_length)
+            assert kernel == want_kernel
+            dependent = {t.bit_length() - 1 for t in kernel}
+            indep = [i for i in range(k) if i not in dependent]
+            red, rank = _dense_rref([aug[i] for i in indep], vcols)
+            assert rank == len(indep)
+            want = [(_mask(row[:w]), _mask(row[w:])) for row in red]
+            assert basis == want
+            for _ in range(4):
+                v = rng.getrandbits(w)
+                residue, tag = v, 0
+                for row, t in want:
+                    if (v >> (row.bit_length() - 1)) & 1:
+                        residue ^= row
+                        tag ^= t
+                assert f2_solve(basis, v) == (residue, tag)

@@ -202,6 +202,15 @@ def test_cli_bound_exit_code(capsys, tmp_path):
     doc = json.loads(err)
     assert doc["error"] == "bound"
     assert doc["message"].startswith("koszul: cell count 15")
+    assert ((doc["layer"], doc["size"], doc["cap"], doc["degree"])
+            == ("koszul", 15, 10, 2))
+    # a bound counted once for the whole complex reaches no degree
+    code, out, err = run_cli(capsys, "hochster",
+                             "builtin:boundary_simplex(15)")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "bound", "message": "hochster: m=15 exceeds bound 14",
+        "layer": "hochster", "size": 15, "cap": 14, "degree": None}
 
 
 def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
