@@ -26,11 +26,14 @@ from the highest degree down, and the unit-pivot rows of d_{k+1} are
 dropped from the columns of d_k before d_k is eliminated, which changes
 neither its rank nor its invariant factors (the argument is in
 ``ChainComplex``).  There is one dense elimination, ``row_hnf``, and
-one normalization, ``divisor_chain``.  The dense ``smith_normal_form``
-has one caller, the residue inside ``rank_and_invariants``; it
-alternates ``row_hnf`` on the matrix and its transpose and normalizes
-the diagonal it reaches with ``divisor_chain``, which
-``FinAbGroup.make`` uses too.
+one normalization, ``divisor_chain``.  ``row_hnf`` keeps its rows in
+buckets by leading column and visits only the columns where some row
+leads, running its Euclid steps within one bucket, so an input already
+in Hermite form (zero rows aside) costs one pass over its entries.  The
+dense ``smith_normal_form`` has one caller, the residue inside
+``rank_and_invariants``; it alternates ``row_hnf`` on the matrix and its
+transpose and normalizes the diagonal it reaches with ``divisor_chain``,
+which ``FinAbGroup.make`` uses too.
 """
 
 from __future__ import annotations
@@ -48,42 +51,67 @@ def _addmul(target, source, q):
         target[k] += q * source[k]
 
 
+def _lead(row, start):
+    """The first column from ``start`` on where ``row`` is nonzero, or -1."""
+    for k in range(start, len(row)):
+        if row[k]:
+            return k
+    return -1
+
+
 def row_hnf(mat):
     """Canonical Hermite normal form of the row span of ``mat``.
 
     Returns the nonzero rows: pivots positive, entries above each pivot
     reduced into [0, pivot).  Two generating sets span the same subgroup of
     Z^n iff their HNFs are identical.
+
+    The rows wait in buckets by their leading column, and the columns are
+    visited in increasing order of the buckets alone: a column where no row
+    leads costs nothing.  The Euclid steps of column j run among the rows
+    of its bucket; a row that cancels in column j moves to the bucket of
+    its next nonzero column, and a row that cancels everywhere is dropped.
+    So an input that is already in Hermite form, zero rows aside, costs one
+    pass over its entries to find the leading columns, plus the reduction
+    of the entries above each pivot.
     """
-    rows = [list(r) for r in mat if any(r)]
-    if not rows:
-        return []
-    n = len(rows[0])
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][j]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][j]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = rows[i][j] // rows[i0][j]
-                if q:
-                    _addmul(rows[i], rows[i0], -q)
-        nz = [i for i in range(r, len(rows)) if rows[i][j]]
-        if nz:
-            i0 = nz[0]
-            rows[r], rows[i0] = rows[i0], rows[r]
-            if rows[r][j] < 0:
-                rows[r] = [-x for x in rows[r]]
-            p = rows[r][j]
-            for i in range(r):
-                q = rows[i][j] // p
-                if q:
-                    _addmul(rows[i], rows[r], -q)
-            r += 1
-    return [rows[i] for i in range(r)]
+    buckets = {}
+    for r in mat:
+        r = list(r)
+        j = _lead(r, 0)
+        if j >= 0:
+            buckets.setdefault(j, []).append(r)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        j = heapq.heappop(heap)
+        bucket = buckets.pop(j)
+        while len(bucket) > 1:
+            bucket.sort(key=lambda r: abs(r[j]))
+            p = bucket[0]
+            left = [p]
+            for r in bucket[1:]:
+                _addmul(r, p, -(r[j] // p[j]))
+                if r[j]:
+                    left.append(r)
+                    continue
+                k = _lead(r, j + 1)
+                if k >= 0:
+                    if k not in buckets:
+                        buckets[k] = []
+                        heapq.heappush(heap, k)
+                    buckets[k].append(r)
+            bucket = left
+        p = bucket[0]
+        if p[j] < 0:
+            p = [-x for x in p]
+        for r in out:
+            q = r[j] // p[j]
+            if q:
+                _addmul(r, p, -q)
+        out.append(p)
+    return out
 
 
 def hnf_solve(hnf_rows, target):

@@ -12,10 +12,11 @@ Every face-wise question goes through one projection per face:
 ``TorusSubgroup.characters(I)`` is the canonical basis of proj_I(ann H),
 the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
 is their span, the meet H meet G^I their cokernel, and the orbit group
-Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  The
-subgroup answers the questions that compare two faces I <= J itself
-(``is_full``, ``extends``, ``restriction``), so no caller reads how a
-character is stored.  Presentations are reduced by
+Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  Only the
+rows of ann H whose support mask meets I are projected; the others
+project to zero.  The subgroup answers the questions that compare two
+faces I <= J itself (``is_full``, ``extends``, ``restriction``), so no
+caller reads how a character is stored.  Presentations are reduced by
 ``exact.rank_and_invariants``.
 """
 
@@ -175,6 +176,15 @@ class TorusSubgroup:
         return tuple(f2_annihilator(self.ann, self.m))
 
     @cached_property
+    def _supports(self):
+        """The support of each row of ``ann`` as a bitmask (bit i-1 for
+        vertex i); a d=1 row is its own support."""
+        if self.d == 1:
+            return self.ann
+        return tuple(sum(1 << i for i, x in enumerate(b) if x)
+                     for b in self.ann)
+
+    @cached_property
     def _characters(self):
         """characters() per face, memoized for the life of the subgroup."""
         return {}
@@ -183,18 +193,23 @@ class TorusSubgroup:
         """Canonical basis of proj_I(ann H), the characters of
         S(I) = G^I/(H meet G^I), in the coordinates of sorted(I), as a
         tuple: of HNF rows (tuples) for d=2, of F2 echelon bitmasks for
-        d=1.  Computed once per face and subgroup."""
+        d=1.  Computed once per face and subgroup.
+
+        Only the rows of ``ann`` whose support mask meets I are projected:
+        the others project to zero, which the canonical basis drops."""
         I = _check_subset(I, self.m)
         hit = self._characters.get(I)
         if hit is None:
             Is = sorted(I)
+            im = sum(1 << (v - 1) for v in Is)
+            rows = [b for b, s in zip(self.ann, self._supports) if s & im]
             if self.d == 2:
                 hit = tuple(map(tuple, row_hnf(
-                    [[b[v - 1] for v in Is] for b in self.ann])))
+                    [[b[v - 1] for v in Is] for b in rows])))
             else:
                 hit = tuple(f2_rref(sum(((w >> (v - 1)) & 1) << t
                                         for t, v in enumerate(Is))
-                                    for w in self.ann))
+                                    for w in rows))
             self._characters[I] = hit
         return hit
 

@@ -3,9 +3,12 @@
 Faces are stored as int bitmasks (bit i-1 set means vertex i belongs to the
 face), so subset tests are single AND operations.  Engine internals (chain
 assembly, Hochster's sum, the Koszul monomials, the cubical builder) read
-``SimplicialComplex.face_masks`` directly.  ``frozenset`` of vertex labels
-is the API boundary; it stays only where the result is keyed by faces
-(``PosetDiagram`` values, census chains, JSON witnesses).
+``SimplicialComplex.face_masks`` directly, and internal operations build
+masks: ``stellar_subdivision`` writes each new facet as a mask and hands
+them to the private mask entry ``SimplicialComplex._from_masks``, and the
+sphere battery counts and walks the bits of each facet.  ``frozenset`` of
+vertex labels is the API boundary; it stays only where the result is
+keyed by faces (``PosetDiagram`` values, census chains, JSON witnesses).
 
 Two degenerate complexes are distinguished: the *void* complex (no faces at
 all) and the complex ``{()}`` whose only face is the empty one.
@@ -63,13 +66,24 @@ class SimplicialComplex:
     __slots__ = ("m", "facet_masks", "__dict__")
 
     def __init__(self, m, facets):
+        self._set_masks(m, [_mask(f) for f in facets])
+
+    def _set_masks(self, m, masks):
+        """The step every constructor shares after masking its facets:
+        check the masks against 1..m and keep the maximal ones."""
         self.m = int(m)
-        masks = [_mask(f) for f in facets]
         full = (1 << self.m) - 1
         for f in masks:
             if f & ~full:
                 raise ValueError("facet vertex out of range 1..%d" % self.m)
         self.facet_masks = _maximalize(masks)
+
+    @staticmethod
+    def _from_masks(m, masks):
+        """The complex on 1..m whose facets are among ``masks``."""
+        K = SimplicialComplex.__new__(SimplicialComplex)
+        K._set_masks(m, masks)
+        return K
 
     # -- constructors ------------------------------------------------------
 
@@ -102,7 +116,7 @@ class SimplicialComplex:
     def dim(self):
         if self.is_void():
             raise ValueError("void complex has no dimension")
-        return max(bin(f).count("1") for f in self.facet_masks) - 1
+        return max(f.bit_count() for f in self.facet_masks) - 1
 
     def is_face_mask(self, mask):
         return any(mask & f == mask for f in self.facet_masks)
@@ -135,7 +149,7 @@ class SimplicialComplex:
             return ()
         counts = [0] * (self.dim() + 1)
         for f in self.face_masks:
-            k = bin(f).count("1")
+            k = f.bit_count()
             if k:
                 counts[k - 1] += 1
         return tuple(counts)
@@ -231,15 +245,15 @@ def stellar_subdivision(K, sigma):
     if not sigma or not K.is_face(sigma):
         raise ValueError("sigma must be a nonempty face of K")
     sm = _mask(sigma)
-    v = K.m + 1
+    new = 1 << K.m   # the new vertex m+1
     facets = []
     for f in K.facet_masks:
         if f & sm != sm:
-            facets.append(_unmask(f))
+            facets.append(f)
         else:
-            for s in sorted(sigma):
-                facets.append(_unmask(f & ~(1 << (s - 1))) | {v})
-    return SimplicialComplex(v, facets)
+            for v in sigma:
+                facets.append(f & ~(1 << (v - 1)) | new)
+    return SimplicialComplex._from_masks(K.m + 1, facets)
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,7 @@ def sphere_sanity(K):
     if K.is_void() or K.dim() < 0:
         return SphereSanityReport(-1, False, False, False, False)
     d = K.dim()
-    sizes = {bin(f).count("1") for f in K.facet_masks}
+    sizes = {f.bit_count() for f in K.facet_masks}
     pure = sizes == {d + 1}
 
     # pseudomanifold: every ridge (d-1 face) lies in exactly two facets
@@ -276,10 +290,11 @@ def sphere_sanity(K):
     if pure and d >= 0:
         ridge_count = {}
         for f in K.facet_masks:
-            for b in range(K.m):
-                if (f >> b) & 1:
-                    r = f & ~(1 << b)
-                    ridge_count[r] = ridge_count.get(r, 0) + 1
+            rest = f
+            while rest:
+                b = rest & -rest   # each vertex of f in turn
+                rest ^= b
+                ridge_count[f ^ b] = ridge_count.get(f ^ b, 0) + 1
         pm = all(c == 2 for c in ridge_count.values())
     else:
         pm = False

@@ -22,6 +22,19 @@ def join(A, B):
                                          for g in B.facets])
 
 
+def stellar_reference(K, sigma):
+    """Stellar subdivision built on frozensets: a facet F that contains
+    sigma is replaced by the faces (F - {s}) + {m+1}, s in sigma."""
+    v = K.m + 1
+    facets = []
+    for F in K.facets:
+        if sigma <= F:
+            facets += [(F - {s}) | {v} for s in sigma]
+        else:
+            facets.append(F)
+    return SimplicialComplex(v, facets)
+
+
 def random_unimodular(rng, n, steps=8):
     """Product of elementary row operations."""
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -11,6 +11,15 @@ from maq.simplicial import (SimplicialComplex, boundary_simplex,
                             minimal_non_faces, sphere_sanity,
                             stellar_subdivision)
 
+from conftest import stellar_reference
+
+# the mod-3 Moore space on 10 vertices
+MOORE_3 = SimplicialComplex(10, [
+    (1, 2, 4), (1, 2, 6), (1, 2, 8), (1, 3, 5), (1, 3, 7), (1, 3, 9),
+    (1, 4, 9), (1, 5, 6), (1, 7, 8), (2, 3, 5), (2, 3, 7), (2, 3, 9),
+    (2, 4, 5), (2, 6, 7), (2, 8, 9), (4, 5, 10), (4, 9, 10), (5, 6, 10),
+    (6, 7, 10), (7, 8, 10), (8, 9, 10)])
+
 
 def test_rp2_6_is_the_projective_plane():
     K = rp2_6()
@@ -110,3 +119,25 @@ def test_nerve_fold_passes_sanity_at_every_step():
         S = truncate_face(S, sigma)
     assert S == bosio_meersseman_nerve(Kp) == torsion_pipeline(K, 2).nerve
     assert sphere_sanity(S).passed
+
+
+def test_nerve_of_rp2_6_matches_frozenset_fold():
+    # the fold on facet masks reaches the nerve that stellar subdivisions
+    # built on frozensets reach: M = 21 vertices and 276 facets
+    K = rp2_6()
+    Kp = stellar_reference(K, frozenset(min(K.facets, key=sorted)))
+    S = boundary_simplex(Kp.m)
+    for sigma in sorted(minimal_non_faces(Kp), key=sorted):
+        S = stellar_reference(S, sigma)
+    nerve = torsion_pipeline(K, 2).nerve
+    assert nerve.m == S.m == 21
+    assert len(nerve.facet_masks) == 276
+    assert nerve.facet_masks == S.facet_masks
+
+
+def test_moore_space_mod_3():
+    # a disk whose 9-gon boundary wraps three times around the triangle
+    # {1, 2, 3}, with inner ring 4..9 and centre 10: the mod-3 Moore space
+    # M(Z/3, 1), whose reduced homology is Z/3 in degree 1 and nothing else
+    h = reduced_homology(MOORE_3)
+    assert h.groups == ((1, FinAbGroup.cyclic(3)),)

@@ -35,6 +35,89 @@ def test_hnf_idempotent_and_span_invariant():
         assert h2 == h
 
 
+def _column_scan_hnf(mat):
+    """Reference Hermite form: visit every column, run Euclid steps among
+    all rows from the current pivot row down, then make the pivot positive
+    and reduce the entries above it."""
+    rows = [list(r) for r in mat if any(r)]
+    r = 0
+    for j in range(len(rows[0]) if rows else 0):
+        while True:
+            nz = sorted((i for i in range(r, len(rows)) if rows[i][j]),
+                        key=lambda i: abs(rows[i][j]))
+            if len(nz) <= 1:
+                break
+            for i in nz[1:]:
+                q = rows[i][j] // rows[nz[0]][j]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[nz[0]])]
+        if nz:
+            rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+            if rows[r][j] < 0:
+                rows[r] = [-x for x in rows[r]]
+            for i in range(r):
+                q = rows[i][j] // rows[r][j]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+            r += 1
+    return rows[:r]
+
+
+def _hnf_stress_matrix(rng):
+    """Random rows mixed with rows already in Hermite form, zero rows, zero
+    columns, negative leading entries, and pairs of rows that agree in
+    their leading column, so that one cancels there and then leads a
+    later column."""
+    n = rng.randint(1, 7)
+    zero_cols = set(rng.sample(range(n), rng.randint(0, n - 1)))
+
+    def row(lead):
+        r = [0] * lead + [rng.choice([0, 0, 1, -1, 2, -3, 4, 6, -9])
+                          for _ in range(n - lead)]
+        if lead < n:
+            r[lead] = rng.choice([1, 2, 3, 5, 12]) * rng.choice([1, -1])
+        return [0 if j in zero_cols else x for j, x in enumerate(r)]
+
+    rows = [row(rng.randrange(n)) for _ in range(rng.randint(0, 4))]
+    # a block already in Hermite form
+    free = [j for j in range(n) if j not in zero_cols]
+    block = []
+    for lead in sorted(rng.sample(free, rng.randint(0, min(3, len(free))))):
+        r = row(lead)
+        r[lead] = abs(r[lead])
+        for above in block:
+            above[lead] %= r[lead]
+        block.append(r)
+    rows += block
+    rows += [[0] * n for _ in range(rng.randint(0, 2))]
+    for r in list(rows[:2]):
+        # a partner that cancels r in its leading column
+        tail = row(rng.randrange(n))
+        lead = next((j for j, x in enumerate(r) if x), n)
+        tail[:lead + 1] = [0] * (lead + 1)
+        rows.append([-a + b for a, b in zip(r, tail)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_row_hnf_canonical_form_of_the_row_lattice():
+    rng = seeded("hnf-buckets")
+    for _ in range(600):
+        mat = _hnf_stress_matrix(rng)
+        h = row_hnf(mat)
+        pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+        # canonical: positive pivots in strictly increasing columns, the
+        # entries above each pivot in [0, pivot)
+        assert pivots == sorted(set(pivots)), (mat, h)
+        for k, (r, j) in enumerate(zip(h, pivots)):
+            assert r[j] > 0
+            assert all(0 <= above[j] < r[j] for above in h[:k]), (mat, h)
+        # the same lattice: every input row solves in the output, the
+        # output absorbs the input, and it is the reference form
+        for r in mat:
+            assert hnf_solve(h, r) is not None, (mat, h)
+        assert row_hnf(mat + h) == h
+        assert h == _column_scan_hnf(mat), mat
+
+
 def test_hnf_solve():
     h = row_hnf([[1, 1], [0, 2]])
     assert hnf_solve(h, [1, 3]) == [1, 1]

@@ -7,7 +7,8 @@ from maq.exact import f2_rref, hnf_solve, row_hnf
 from maq.intlattice import (FinAbGroup, TorusSubgroup, join_coordinate,
                             meet_coordinate)
 
-from conftest import mat_mul, random_unimodular, rational_rref, seeded
+from conftest import (mat_mul, random_complex, random_unimodular,
+                      rational_rref, seeded)
 
 
 def test_finabgroup_normalization():
@@ -244,3 +245,33 @@ def test_subgroup_round_trip():
         assert W.span == tuple(f2_rref(gens))
         assert TorusSubgroup.from_f2_span(m, W.span) == W
         assert all(type(W.characters(I)) is tuple for I in faces)
+
+
+def test_characters_match_the_projection_of_every_row():
+    # characters(I) projects only the rows of ann H whose support meets I;
+    # it must equal the canonical basis of the projection of every row,
+    # at every face of random complexes, for random d = 2 subgroups with
+    # sparse annihilator rows and random d = 1 subgroups
+    rng = seeded("characters-support")
+    for d in (2, 1):
+        for _ in range(40):
+            m = rng.randint(1, 7)
+            if d == 2:
+                H = TorusSubgroup.from_annihilator(
+                    m, [[rng.choice([0, 0, 0, 1, -1, 2, -3])
+                         for _ in range(m)]
+                        for _ in range(rng.randint(0, m))])
+            else:
+                H = TorusSubgroup.from_f2_span(
+                    m, [rng.randrange(1 << m)
+                        for _ in range(rng.randint(0, m))])
+            for I in random_complex(rng, m).faces():
+                Is = sorted(I)
+                if d == 2:
+                    want = row_hnf([[b[v - 1] for v in Is] for b in H.ann])
+                    want = tuple(map(tuple, want))
+                else:
+                    want = tuple(f2_rref(
+                        sum(((w >> (v - 1)) & 1) << t
+                            for t, v in enumerate(Is)) for w in H.ann))
+                assert H.characters(I) == want, (H, Is)

@@ -5,7 +5,7 @@ from maq.simplicial import (SimplicialComplex, _maximalize, boundary_simplex,
                             minimal_non_faces, skeleton, sphere_sanity,
                             stellar_subdivision)
 
-from conftest import random_complex, seeded
+from conftest import random_complex, seeded, stellar_reference
 
 
 def test_basic_invariants():
@@ -120,3 +120,22 @@ def test_maximalize_matches_all_pairs_rule():
         want = {f for f in masks if not any(f != g and f & g == f
                                             for g in masks)}
         assert _maximalize(masks) == tuple(sorted(want)), masks
+
+
+def test_stellar_subdivision_matches_frozenset_reference():
+    # at every nonempty face of random pure and non-pure complexes
+    rng = seeded("stellar-masks")
+    cases = [random_complex(rng, rng.randint(1, 6)) for _ in range(25)]
+    for _ in range(15):
+        m = rng.randint(2, 6)
+        k = rng.randint(1, m)
+        cases.append(SimplicialComplex(m, [
+            rng.sample(range(1, m + 1), k)
+            for _ in range(rng.randint(1, 6))]))
+    assert any(len({len(F) for F in K.facets}) == 1 for K in cases)
+    assert any(len({len(F) for F in K.facets}) > 1 for K in cases)
+    for K in cases:
+        for sigma in K.faces():
+            if sigma:
+                S = stellar_subdivision(K, sigma)
+                assert S == stellar_reference(K, sigma), (K, sorted(sigma))
