@@ -221,9 +221,8 @@ def _cmd_torsion_build(args):
             "non-faces, and a coordinate-gluing circle produce a free "
             "action whose quotient is predicted to carry the input's "
             "torsion in degree p plus the subdivided vertex count; the "
-            "identification of the subdivided complex as a distinguished "
-            "subcomplex of the nerve is consumed from the source "
-            "construction, not re-verified"),
+            "identification of the subdivided complex as the nerve's full "
+            "subcomplex on its vertices is checked"),
         "report": rep.to_json(),
     }
     if args.verify_cohomology:

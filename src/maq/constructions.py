@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .equivariant import check_free
 from .intlattice import TorusSubgroup
 from .simplicial import (SimplicialComplex, SphereSanityReport,
-                         boundary_simplex, minimal_non_faces, sphere_sanity,
-                         stellar_subdivision)
+                         boundary_simplex, full_subcomplex, minimal_non_faces,
+                         sphere_sanity, stellar_subdivision)
 
 
 def rp2_6():
@@ -154,6 +154,9 @@ def torsion_pipeline(K, p):
         raise PipelineIntegrityError("no disjoint vertex pair after the "
                                      "subdivision")
     nerve = bosio_meersseman_nerve(Kp)
+    if full_subcomplex(nerve, range(1, m + 1)) != Kp:
+        raise PipelineIntegrityError("the nerve's full subcomplex on 1..%d "
+                                     "is not the subdivided input" % m)
     M = nerve.m
     mf_count = M - m   # the nerve checked M == m + |MF(K')|
     sphere = sphere_sanity(nerve)

@@ -101,14 +101,13 @@ def check_condition1(K, H, all_pairs=False):
             below_full.add(J)
             stack.extend(J - {v} for v in J)
     faces = K.faces()
-    is_face = set(faces)
     for J in faces:
         if J in below_full:
             continue
         if all_pairs:
             smaller = [I for I in faces if I < J]
         else:
-            smaller = [J - {v} for v in sorted(J) if J - {v} in is_face]
+            smaller = [J - {v} for v in sorted(J)]
         for I in smaller:
             if not H.extends(I, J):
                 return False, (I, J)
@@ -266,8 +265,6 @@ def build_classifying_diagram(K, H, max_degree):
     for J in faces:
         for t, v in enumerate(sorted(J)):
             I = J - {v}
-            if I not in chars:
-                continue
             key = chars[I], chars[J], t
             powers = maps.get(key)
             if powers is None:

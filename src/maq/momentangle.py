@@ -12,6 +12,7 @@ from math import comb
 
 from .homology import GradedAbGroup, face_chain_complex
 from .intlattice import FinAbGroup
+from .simplicial import _relabeled
 
 # the most vertices hochster and buchstaber_real accept
 HOCHSTER_M_BOUND = 14
@@ -83,7 +84,8 @@ def hochster(K, max_degree=None):
     #facets of K through u + |I| #facets of K_I) per I.
 
     A K_I that must be built is first looked up by its facets with the
-    vertices of I renumbered 0..|I|-1 in increasing order.  Equal keys
+    vertices of I renumbered 0..|I|-1 in increasing order (by
+    ``simplicial._relabeled``, shared with ``full_subcomplex``).  Equal keys
     mean K_I and K_J are the same complex up to relabeling, hence
     isomorphic, with the same integral cohomology, torsion included; so
     each full subcomplex is built once up to relabeling.  On skeleta and
@@ -184,25 +186,6 @@ def _removable_vertex(I, ghosts, tops_of, through, up):
         else:   # some w other than v lies in every facet through v
             return v, tops
     return 0, tops
-
-
-def _relabeled(masks, I):
-    """The masks, subsets of I, with the vertices of I renumbered
-    0..|I|-1 in increasing order, as a frozenset."""
-    new = {}   # vertex bit of I -> its bit after renumbering
-    while I:
-        low = I & -I
-        new[low] = 1 << len(new)
-        I ^= low
-    out = []
-    for f in masks:
-        g = 0
-        while f:
-            low = f & -f
-            g |= new[low]
-            f ^= low
-        out.append(g)
-    return frozenset(out)
 
 
 def skeleton_wedge(m, k):

@@ -9,7 +9,7 @@ finite complex with no algebra in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -253,7 +253,9 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     condition); for a non-free H the complex computes the Borel
     cohomology of Z_K, not that of the orbit space.  The linear forms are
     the canonical basis of the annihilator lattice of H (the result is
-    independent of that choice).
+    independent of that choice).  ``max_degree`` defaults to the
+    quotient's dimension, m + dim K + 1 - torus rank; every degree above
+    it is zero.
     """
     if H.d != 2:
         raise ValueError("koszul pathway needs a d=2 subgroup")
@@ -262,7 +264,7 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     require_free(K, H)
     if max_degree is None:
         # Z_K of the void complex is empty: every degree is zero
-        max_degree = 0 if K.is_void() else K.m + K.dim() + 1
+        max_degree = 0 if K.is_void() else K.m + K.dim() + 1 - H.torus_rank()
     koszul = KoszulComplex(K, [list(b) for b in H.ann], max_degree,
                            cell_cap=cell_cap)
     return koszul.cohomology()
@@ -292,8 +294,8 @@ class CubicalQuotient:
     K: SimplicialComplex
     H: TorusSubgroup
     cell_cap: int = CELL_CAP
-    dims: list = None
-    complex: ChainComplex = None
+    dims: list = field(init=False)
+    complex: ChainComplex = field(init=False)
 
     def __post_init__(self):
         if self.H.d != 1:

@@ -3,11 +3,15 @@
 Faces are stored as int bitmasks (bit i-1 set means vertex i belongs to the
 face), so subset tests are single AND operations.  Engine internals (chain
 assembly, Hochster's sum, the Koszul monomials, the cubical builder) read
-``SimplicialComplex.face_masks`` directly, and internal operations build
-masks: ``stellar_subdivision`` writes each new facet as a mask and hands
-them to the private mask entry ``SimplicialComplex._from_masks``, and the
-sphere battery counts and walks the bits of each facet.  ``frozenset`` of
-vertex labels is the API boundary; it stays only where the result is
+``SimplicialComplex.face_masks`` directly.  Derived complexes are built
+from facet masks by the private mask entry ``SimplicialComplex._from_masks``
+and list no faces: ``full_subcomplex`` and ``contraction`` cut each facet
+down and renumber the kept vertices by ``_relabeled``, the one vertex
+renumbering (Hochster's memo shares it), ``cone`` adds the apex to each
+facet, and ``stellar_subdivision`` writes each new facet.  A vertex set
+becomes a mask through the one range check, ``_checked_mask``.  The sphere
+battery walks the bits of each facet.  ``frozenset`` of vertex labels is
+the API boundary; it stays only where the result is
 keyed by faces (``PosetDiagram`` values, census chains, JSON witnesses).
 
 Two degenerate complexes are distinguished: the *void* complex (no faces at
@@ -36,6 +40,35 @@ def _unmask(mask):
             out.append(v)
         mask >>= 1
         v += 1
+    return frozenset(out)
+
+
+def _checked_mask(vertices, m):
+    """The mask of ``vertices``, each checked to lie in 1..m."""
+    mask = 0
+    for v in vertices:
+        if not 1 <= v <= m:
+            raise ValueError("vertex out of range 1..%d" % m)
+        mask |= 1 << (v - 1)
+    return mask
+
+
+def _relabeled(masks, I):
+    """The masks, subsets of I, with the vertices of I renumbered
+    0..|I|-1 in increasing order, as a frozenset."""
+    new = {}   # vertex bit of I -> its bit after renumbering
+    while I:
+        low = I & -I
+        new[low] = 1 << len(new)
+        I ^= low
+    out = []
+    for f in masks:
+        g = 0
+        while f:
+            low = f & -f
+            g |= new[low]
+            f ^= low
+        out.append(g)
     return frozenset(out)
 
 
@@ -122,10 +155,7 @@ class SimplicialComplex:
         return any(mask & f == mask for f in self.facet_masks)
 
     def is_face(self, vertices):
-        vs = frozenset(vertices)
-        if any(v < 1 or v > self.m for v in vs):
-            raise ValueError("vertex out of range 1..%d" % self.m)
-        return self.is_face_mask(_mask(vs))
+        return self.is_face_mask(_checked_mask(vertices, self.m))
 
     @cached_property
     def face_masks(self):
@@ -192,18 +222,9 @@ def minimal_non_faces(K):
 
 def full_subcomplex(K, I):
     """K_I = {J in K : J subset I}, re-indexed on sorted(I) -> 1..|I|."""
-    I = frozenset(I)
-    if any(v < 1 or v > K.m for v in I):
-        raise ValueError("vertex out of range")
-    order = {v: i + 1 for i, v in enumerate(sorted(I))}
-    im = _mask(I)
-    facets = []
-    for f in K.face_masks:
-        if f & im == f:
-            facets.append(frozenset(order[v] for v in _unmask(f)))
-    if not facets:
-        return SimplicialComplex.void(len(I))
-    return SimplicialComplex(len(I), facets)
+    im = _checked_mask(I, K.m)
+    return SimplicialComplex._from_masks(
+        im.bit_count(), _relabeled([F & im for F in K.facet_masks], im))
 
 
 def skeleton(m, k):
@@ -220,23 +241,16 @@ def boundary_simplex(m):
 
 def contraction(K, I0):
     """K/I0 = {I \\ I0 : I in K} on the remaining vertices, re-indexed."""
-    I0 = frozenset(I0)
-    if any(v < 1 or v > K.m for v in I0):
-        raise ValueError("vertex out of range")
-    rest = [v for v in range(1, K.m + 1) if v not in I0]
-    order = {v: i + 1 for i, v in enumerate(rest)}
-    if K.is_void():
-        return SimplicialComplex.void(len(rest))
-    facets = [frozenset(order[v] for v in f - I0) for f in K.facets]
-    return SimplicialComplex(len(rest), facets)
+    rest = ((1 << K.m) - 1) & ~_checked_mask(I0, K.m)
+    return SimplicialComplex._from_masks(
+        rest.bit_count(), _relabeled([F & rest for F in K.facet_masks], rest))
 
 
 def cone(K):
     """Cone with apex m+1 over K."""
-    apex = K.m + 1
-    if K.is_void():
-        return SimplicialComplex(apex, [[apex]])
-    return SimplicialComplex(apex, [f | {apex} for f in K.facets])
+    apex = 1 << K.m
+    return SimplicialComplex._from_masks(
+        K.m + 1, [F | apex for F in K.facet_masks] or [apex])
 
 
 def stellar_subdivision(K, sigma):

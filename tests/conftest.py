@@ -35,6 +35,13 @@ def stellar_reference(K, sigma):
     return SimplicialComplex(v, facets)
 
 
+def swap_vertices(K, i, j):
+    """K with the vertex labels i and j exchanged."""
+    swap = {i: j, j: i}
+    return SimplicialComplex(K.m, [{swap.get(v, v) for v in F}
+                                   for F in K.facets])
+
+
 def random_unimodular(rng, n, steps=8):
     """Product of elementary row operations."""
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

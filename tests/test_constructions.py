@@ -1,5 +1,6 @@
 import pytest
 
+from maq import constructions
 from maq.constructions import (PipelineIntegrityError, bosio_meersseman_nerve,
                                lambda_alpha_subgroup, rp2_6, torsion_pipeline,
                                truncate_face)
@@ -8,10 +9,10 @@ from maq.homology import reduced_cohomology, reduced_homology
 from maq.intlattice import FinAbGroup
 from maq.quotient import koszul_cohomology
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
-                            minimal_non_faces, sphere_sanity,
-                            stellar_subdivision)
+                            full_subcomplex, minimal_non_faces,
+                            sphere_sanity, stellar_subdivision)
 
-from conftest import stellar_reference
+from conftest import stellar_reference, swap_vertices
 
 # the mod-3 Moore space on 10 vertices
 MOORE_3 = SimplicialComplex(10, [
@@ -88,6 +89,27 @@ def test_torsion_pipeline_rp2():
     assert rep.nerve.m == rep.M
     j = rep.to_json()
     assert j["m"] == 7 and j["free"] is True
+
+
+def test_subdivided_input_is_the_nerves_full_subcomplex():
+    # K' is the full subcomplex of the nerve on 1..m, on the rp2_6 nerve
+    # (M = 21) and the mod-3 Moore nerve (M = 44)
+    for K, M in ((rp2_6(), 21), (MOORE_3, 44)):
+        Kp = stellar_subdivision(K, min(K.facets, key=sorted))
+        nerve = bosio_meersseman_nerve(Kp)
+        assert nerve.m == M
+        assert full_subcomplex(nerve, range(1, Kp.m + 1)) == Kp
+
+
+def test_torsion_pipeline_rejects_a_nerve_without_the_input(monkeypatch):
+    # a nerve with a vertex label in 1..m swapped for one outside keeps
+    # its sphere but no longer holds K' on 1..m
+    build = constructions.bosio_meersseman_nerve
+    monkeypatch.setattr(constructions, "bosio_meersseman_nerve",
+                        lambda Kp: swap_vertices(build(Kp), 1, Kp.m + 1))
+    with pytest.raises(PipelineIntegrityError,
+                       match="full subcomplex on 1..7 is not"):
+        torsion_pipeline(rp2_6(), 2)
 
 
 def test_torsion_pipeline_quotients_satisfy_poincare_duality():

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from maq import equivariant
+from maq import constructions, equivariant
 from maq.cli import main
 from maq.formats import (ParseError, builtin_complex, complex_to_text,
                          parse_complex, parse_subgroup)
 from maq.quotient import KoszulComplex
 from maq.simplicial import boundary_simplex
+
+from conftest import swap_vertices
 
 
 def run_cli(capsys, *args):
@@ -358,10 +360,25 @@ def test_cli_torsion_build(capsys):
     code, out, _ = run_cli(capsys, "torsion-build", "--input", "builtin:rp2_6",
                            "--p", "2")
     assert code == 0
+    assert json.loads(out)["provenance"]["statement"].endswith(
+        "full subcomplex on its vertices is checked")
     doc = json.loads(out)["report"]
     assert doc["m"] == 7
     assert doc["free"] is True
     assert doc["quotient_dim"] == 26
+
+
+def test_cli_torsion_build_checks_the_nerve_holds_the_input(capsys,
+                                                          monkeypatch):
+    # a nerve with the labels 1 and m + 1 swapped is not K' on 1..m, a
+    # failed precondition (exit 3)
+    build = constructions.bosio_meersseman_nerve
+    monkeypatch.setattr(constructions, "bosio_meersseman_nerve",
+                        lambda Kp: swap_vertices(build(Kp), 1, Kp.m + 1))
+    code, out, err = run_cli(capsys, "torsion-build", "--input",
+                             "builtin:rp2_6", "--p", "2")
+    assert (code, out) == (3, "")
+    assert "is not the subdivided input" in json.loads(err)["message"]
 
 
 def test_cli_torsion_build_rejects_degrees_without_torsion(capsys):

@@ -70,6 +70,33 @@ def test_koszul_vanishes_above_dimension():
     assert max(g.support()) <= 2 * K.m
 
 
+def test_koszul_default_degree_is_the_quotient_dimension():
+    # the free quotient by H has dimension m + dim K + 1 - (torus rank of
+    # H), the default max_degree: at the old default m + dim K + 1 no
+    # group lies above it, and the two defaults give the same groups,
+    # torsion included
+    rng = seeded("koszul-default-degree")
+    cases = sharp = torsion = 0
+    while cases < 60:
+        m = rng.randint(3, 6)
+        K = random_complex(rng, m)
+        rows = [[rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(rng.randint(1, m - 1))]
+        if K.is_void() or not any(map(any, rows)):
+            continue
+        H = TorusSubgroup.from_annihilator(m, rows)
+        if H.torus_rank() < 1 or not check_free(K, H)[0]:
+            continue
+        cases += 1
+        top = K.m + K.dim() + 1 - H.torus_rank()
+        old = koszul_cohomology(K, H, max_degree=K.m + K.dim() + 1)
+        assert max(old.support()) <= top, (K, rows)
+        assert koszul_cohomology(K, H) == old, (K, rows)
+        sharp += max(old.support()) == top
+        torsion += any(g.torsion for _, g in old.groups)
+    assert sharp and torsion
+
+
 def test_koszul_below_degree_zero_is_empty():
     forms = [[1, -1, 0], [0, 1, -1]]
     for max_degree in (-1, -2, -3):

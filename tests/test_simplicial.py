@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from maq.simplicial import (SimplicialComplex, _maximalize, boundary_simplex,
                             cone, contraction, full_subcomplex,
                             minimal_non_faces, skeleton, sphere_sanity,
@@ -139,3 +141,68 @@ def test_stellar_subdivision_matches_frozenset_reference():
             if sigma:
                 S = stellar_subdivision(K, sigma)
                 assert S == stellar_reference(K, sigma), (K, sorted(sigma))
+
+
+def _relabel(faces, kept):
+    """The faces, subsets of kept, with kept renumbered 1..|kept| in
+    increasing order."""
+    order = {v: i + 1 for i, v in enumerate(sorted(kept))}
+    return {frozenset(order[v] for v in F) for F in faces}
+
+
+def test_derived_complexes_match_frozenset_definitions():
+    # full subcomplexes, contractions and cones, built from facet masks,
+    # against their definitions on the faces as frozensets; on random
+    # complexes, the void complex, {()} and complexes with ghost vertices,
+    # at empty, full and random vertex sets
+    rng = seeded("derived-complexes")
+    cases = [random_complex(rng, rng.randint(1, 7)) for _ in range(30)]
+    cases += [SimplicialComplex.void(0), SimplicialComplex.void(3),
+              SimplicialComplex.empty_face_only(0),
+              SimplicialComplex.empty_face_only(4),
+              SimplicialComplex(6, [(1, 2), (2, 4, 5)]),   # 3, 6 ghosts
+              SimplicialComplex(7, [(2,), (5, 6)])]
+    assert any(not K.is_face([v]) for K in cases for v in range(1, K.m + 1))
+    for K in cases:
+        faces = set(K.faces())
+        everything = frozenset(range(1, K.m + 1))
+        vertex_sets = [frozenset(), everything] + [
+            frozenset(v for v in everything if rng.random() < 0.5)
+            for _ in range(4)]
+        for I in vertex_sets:
+            sub = full_subcomplex(K, I)
+            assert sub.m == len(I)
+            assert set(sub.faces()) == _relabel(
+                {F for F in faces if F <= I}, I), (K, sorted(I))
+            Q = contraction(K, I)
+            assert Q.m == K.m - len(I)
+            assert set(Q.faces()) == _relabel(
+                {F - I for F in faces}, everything - I), (K, sorted(I))
+        apex = frozenset({K.m + 1})
+        C = cone(K)
+        assert C.m == K.m + 1
+        assert set(C.faces()) == faces | {F | apex for F in faces} | {
+            frozenset(), apex}, K
+
+
+def test_derived_complexes_read_only_facets():
+    # a fresh complex has not listed its faces; building a full
+    # subcomplex, a contraction or a cone from it lists none either
+    K = SimplicialComplex(8, itertools.combinations(range(1, 9), 5))
+    full_subcomplex(K, range(2, 8))
+    contraction(K, {1, 8})
+    cone(K)
+    assert "face_masks" not in vars(K)
+
+
+def test_vertex_sets_out_of_range_are_rejected():
+    K = SimplicialComplex(4, [(1, 2), (2, 3)])   # 4 is a ghost vertex
+    assert not K.is_face([4])
+    operations = (K.is_face, lambda I: full_subcomplex(K, I),
+                  lambda I: contraction(K, I))
+    for bad in ([0], [5], [1, 5], [-1, 2]):
+        for op in operations:
+            with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+                op(bad)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.0"):
+        full_subcomplex(SimplicialComplex.void(0), [1])
