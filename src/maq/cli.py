@@ -23,7 +23,7 @@ from .momentangle import (BoundExceeded, buchstaber_real, hochster,
                           skeleton_quotient_hrk, skeleton_wedge)
 from .quotient import (CELL_CAP, cubical_quotient_cohomology,
                        koszul_cohomology, trc_report)
-from .simplicial import contraction, face_order
+from .simplicial import contraction, face_order, vertices
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,7 +54,7 @@ def _cmd_hochster(args):
     groups = hochster(K, max_degree=args.max_degree)
     return {
         "operation": "hochster",
-        "input": {"m": K.m, "facets": [sorted(f) for f in K.facets]},
+        "input": {"m": K.m, "facets": list(map(vertices, K.facet_masks))},
         "provenance": _provenance(
             "full-subcomplex decomposition",
             "degree p collects the reduced cohomology of every full "
@@ -154,7 +154,8 @@ def _cmd_contract(args):
             "faces of the result are the images of faces under deleting "
             "the chosen vertices, re-indexed"),
         "m": Kc.m,
-        "facets": [sorted(f) for f in sorted(Kc.facets, key=face_order)],
+        "facets": [vertices(F) for F in sorted(Kc.facet_masks,
+                                                key=face_order)],
         "text": complex_to_text(Kc),
     }
 

@@ -16,7 +16,7 @@ from .equivariant import check_free
 from .intlattice import TorusSubgroup
 from .simplicial import (SimplicialComplex, SphereSanityReport,
                          boundary_simplex, full_subcomplex, minimal_non_faces,
-                         sphere_sanity, stellar_subdivision)
+                         sphere_sanity, stellar_subdivision, vertices)
 
 
 def rp2_6():
@@ -139,8 +139,7 @@ def torsion_pipeline(K, p):
                          "degrees 2..%d" % (p, K.dim()))
     # subdividing a maximal simplex creates a vertex pair spanning a
     # non-edge: the new vertex and any vertex outside that facet
-    first_facet = min(K.facets, key=sorted)
-    Kp = stellar_subdivision(K, frozenset(first_facet))
+    Kp = stellar_subdivision(K, min(map(vertices, K.facet_masks)))
     m = Kp.m
     pair = None
     for i in range(1, m + 1):

@@ -19,7 +19,7 @@ from math import comb
 from .homology import PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
 from .momentangle import sr_dimension
-from .simplicial import contraction, face_order
+from .simplicial import contraction, face_order, vertex_bits, vertices
 
 
 class PreconditionFailed(Exception):
@@ -57,6 +57,11 @@ class ActionReport:
         }
 
 
+def _same_vertices(K, H):
+    if H.m != K.m:
+        raise ValueError("subgroup and complex live on different vertex sets")
+
+
 def check_free(K, H):
     """Whether H acts freely: H meet G^I trivial for every facet I.
 
@@ -66,9 +71,10 @@ def check_free(K, H):
 
     Returns (free, witness) with witness the first failing facet.
     """
-    for I in sorted(K.facets, key=face_order):
-        if not H.is_full(I):
-            return False, I
+    _same_vertices(K, H)
+    failing = [F for F in K.facet_masks if not H.is_full(F)]
+    if failing:
+        return False, frozenset(vertices(min(failing, key=face_order)))
     return True, None
 
 
@@ -93,24 +99,25 @@ def check_condition1(K, H, all_pairs=False):
 
     Returns (ok, witness) with witness the first failing pair.
     """
+    _same_vertices(K, H)
     below_full = set()
-    stack = [F for F in K.facets if H.is_full(F)]
+    stack = [F for F in K.facet_masks if H.is_full(F)]
     while stack:
         J = stack.pop()
         if J not in below_full:
             below_full.add(J)
-            stack.extend(J - {v} for v in J)
-    faces = K.faces()
+            stack.extend(J ^ b for b in vertex_bits(J))
+    faces = sorted(K.face_masks, key=face_order)
     for J in faces:
         if J in below_full:
             continue
         if all_pairs:
-            smaller = [I for I in faces if I < J]
+            smaller = [I for I in faces if I & ~J == 0 and I != J]
         else:
-            smaller = [J - {v} for v in sorted(J)]
+            smaller = [J ^ b for b in vertex_bits(J)]
         for I in smaller:
             if not H.extends(I, J):
-                return False, (I, J)
+                return False, (frozenset(vertices(I)), frozenset(vertices(J)))
     return True, None
 
 
@@ -238,8 +245,8 @@ def build_classifying_diagram(K, H, max_degree):
     powers, so PosetDiagram's identity-keyed diamond memo sees repeated
     keys.
     The character map of a cover I = J - {v}, H.restriction(I, J), is a
-    function of the characters of I and J and of the position of v in
-    sorted(J), and is computed once per distinct such triple.  The tables
+    function of the characters of I and J and of the position of v in J
+    (vertex_bits order), and is computed once per such triple.  The tables
     are memoized under the key ``(len(characters(I)), columns)``, with
     ``columns`` the sparse columns of the restriction as tuples of sorted
     ``(row, value)`` items.  The row count belongs to the key because it
@@ -248,7 +255,7 @@ def build_classifying_diagram(K, H, max_degree):
     per (rank, degree), as source and as target, built on first use.  The
     memos and the indexes live for the call.
     """
-    faces = K.faces()
+    faces = sorted(K.face_masks, key=face_order)
     step = 2 if H.d == 2 else 1
     mod = 2 if H.d == 1 else None
     top_k = max_degree // step
@@ -263,8 +270,8 @@ def build_classifying_diagram(K, H, max_degree):
     indexes = {}  # (rank, k) -> {monomial code: position}
     arrows = {}
     for J in faces:
-        for t, v in enumerate(sorted(J)):
-            I = J - {v}
+        for t, b in enumerate(vertex_bits(J)):
+            I = J ^ b
             key = chars[I], chars[J], t
             powers = maps.get(key)
             if powers is None:
@@ -314,7 +321,7 @@ def coordinate_quotient_check(K, I0, max_degree, d=2):
     """
     H = TorusSubgroup.coordinate(d, K.m, I0)
     lim = equivariant_limit(K, H, max_degree)
-    Kc = contraction(K, frozenset(I0))
+    Kc = contraction(K, I0)
     for n in range(max_degree + 1):
         count = sr_dimension(Kc, n, d)
         want = (FinAbGroup.free(count) if d == 2

@@ -16,7 +16,7 @@ import re
 
 from .intlattice import TorusSubgroup
 from .simplicial import (SimplicialComplex, boundary_simplex, face_order,
-                         skeleton)
+                         skeleton, vertices)
 
 
 class ParseError(Exception):
@@ -138,6 +138,6 @@ def load_subgroup(path, m):
 
 def complex_to_text(K):
     lines = ["m=%d" % K.m]
-    for f in sorted(K.facets, key=face_order):
-        lines.append(" ".join(str(v) for v in sorted(f)))
+    for F in sorted(K.facet_masks, key=face_order):
+        lines.append(" ".join(map(str, vertices(F))))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .exact import f2_echelon, rank_and_invariants
 from .intlattice import FinAbGroup
-from .simplicial import face_order
+from .simplicial import face_order, vertex_bits, vertices
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _congruent(M, N, mod):
 
 @dataclass
 class PosetDiagram:
-    """Contravariant diagram of graded free modules over a face poset.
+    """Contravariant diagram of graded free modules over face bitmasks.
 
     Every value is free over one ring: Z when ``mod`` is None, F2 when it
     is 2.  ``ranks[(I, n)]`` is the rank of the value at face I in degree
@@ -261,22 +261,20 @@ class PosetDiagram:
     mod: int = None
 
     def __post_init__(self):
-        self.faces = tuple(sorted(set(frozenset(f) for f in self.faces),
-                                  key=face_order))
+        self.faces = tuple(sorted(set(self.faces), key=face_order))
         self.validate()
 
     def arrow(self, I, J, n):
         """Structure map for I subset of J in degree n (composite of
         covering arrows when not stored directly; ``{}`` when either value
         is zero)."""
-        I, J = frozenset(I), frozenset(J)
-        if not I <= J:
+        if I & ~J:
             raise ValueError("no arrow from %s to %s: not a subset"
-                             % (sorted(I), sorted(J)))
+                             % (vertices(I), vertices(J)))
         return self._arrow(I, J, n)
 
     def _arrow(self, I, J, n):
-        """arrow() for frozensets I <= J, which the caller guarantees."""
+        """arrow() for I <= J, which the caller guarantees."""
         rank = self.ranks.get((I, n))
         if not rank or not self.ranks.get((J, n)):
             return {}
@@ -285,16 +283,16 @@ class PosetDiagram:
         key = (I, J, n)
         if key in self.arrows:
             return self.arrows[key]
-        # walk down one vertex at a time
-        mid = J - {min(J - I)}
+        # walk down one vertex at a time, the lowest of J - I first
+        mid = J ^ vertex_bits(J & ~I)[0]
         return sparse_product(self._arrow(I, mid, n), self._arrow(mid, J, n))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
         increasing."""
         face_set = set(self.faces)
-        return [(J - {v}, J) for J in self.faces
-                for v in sorted(J) if J - {v} in face_set]
+        return [(J ^ b, J) for J in self.faces
+                for b in vertex_bits(J) if J ^ b in face_set]
 
     def validate(self):
         faces = self.faces
@@ -303,28 +301,27 @@ class PosetDiagram:
         if mod not in (None, 2):
             raise ValueError("mod is None (Z) or 2 (F2), not %r" % (mod,))
         for J in faces:
-            for v in J:
-                I = J - {v}
-                if I not in face_set and any(F <= I for F in faces):
+            for I in (J ^ b for b in vertex_bits(J)):
+                if I not in face_set and any(F & ~I == 0 for F in faces):
                     raise ValueError("%s lies between two faces but is not "
-                                     "one" % sorted(I))
+                                     "one" % vertices(I))
         for (I, J, n), M in arrows.items():
             if I not in face_set or J not in face_set:
                 raise ValueError("arrow between objects not in the poset")
-            if not (I <= J and len(J) == len(I) + 1):
+            if I & ~J or (I ^ J).bit_count() != 1:
                 raise ValueError("arrow from %s to %s, degree %d is not a "
-                                 "cover" % (sorted(I), sorted(J), n))
+                                 "cover" % (vertices(I), vertices(J), n))
             if not isinstance(M, dict):
                 raise ValueError("arrow at %s <= %s, degree %d is not a "
                                  "{(row, col): value} dict"
-                                 % (sorted(I), sorted(J), n))
+                                 % (vertices(I), vertices(J), n))
             rows, cols = ranks.get((I, n), 0), ranks.get((J, n), 0)
             for (r, c), x in M.items():
                 if not (0 <= r < rows and 0 <= c < cols
                         and (x % mod if mod else x)):
                     raise ValueError(
                         "arrow shape mismatch at %s <= %s, degree %d: %s"
-                        % (sorted(I), sorted(J), n, {(r, c): x}))
+                        % (vertices(I), vertices(J), n, {(r, c): x}))
         # a covering arrow between nonzero values has no composite to
         # fall back on
         degrees = sorted({n for (_, n) in ranks})
@@ -333,21 +330,21 @@ class PosetDiagram:
                 if ((I, J, n) not in arrows and ranks.get((I, n))
                         and ranks.get((J, n))):
                     raise ValueError("missing arrow at %s <= %s, degree %d"
-                                     % (sorted(I), sorted(J), n))
+                                     % (vertices(I), vertices(J), n))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
         zero = {}
         verdicts = {}   # ids of the four covers -> those four objects
         for J in faces:
-            for a, b in combinations(sorted(J), 2):
-                I = J - {a, b}
+            for a, b in combinations(vertex_bits(J), 2):
+                I = J ^ a ^ b
                 if I not in face_set:
                     continue
                 # both sets between I and J are faces, since the faces
                 # have no gap, and every cover between nonzero values is
                 # stored, as checked above, so the four covers are read
                 # directly
-                m1, m2 = J - {a}, J - {b}
+                m1, m2 = J ^ a, J ^ b
                 for n in degrees:
                     if not ranks.get((I, n)) or not ranks.get((J, n)):
                         continue
@@ -364,7 +361,7 @@ class PosetDiagram:
                                       sparse_product(lo2, hi2), mod):
                         raise ValueError(
                             "diagram not functorial at %s <= %s, degree %d"
-                            % (sorted(I), sorted(J), n))
+                            % (vertices(I), vertices(J), n))
 
 
 def limit_graded(D):
@@ -433,19 +430,20 @@ def _link_blocks(D):
     face_set = set(D.faces)
     below = {I for I, _ in D.covering_pairs()}
     facets = [F for F in D.faces if F not in below]
-    parts = {}   # I -> [first facet, its vertices of lk(I)] per component
+    parts = {}   # I -> [first facet, its vertex mask of lk(I)] per component
     for F in facets:
-        for r in range(len(F)):
-            for I in map(frozenset, combinations(sorted(F), r)):
-                if I in face_set:
-                    comps = parts.setdefault(I, [])
-                    hit = [c for c in comps if c[1] & F]
-                    if not hit:
-                        comps.append([F, F - I])
-                        continue
-                    for c in hit[1:]:
-                        hit[0][1] |= c[1]
-                        comps.remove(c)
-                    hit[0][1] |= F - I
+        I = F
+        while I:
+            I = (I - 1) & F
+            if I in face_set:
+                comps = parts.setdefault(I, [])
+                hit = [c for c in comps if c[1] & F]
+                if not hit:
+                    comps.append([F, F ^ I])
+                    continue
+                for c in hit[1:]:
+                    hit[0][1] |= c[1]
+                    comps.remove(c)
+                hit[0][1] |= F ^ I
     return facets, [(I, P, comps[0][0]) for I, comps in parts.items()
                     for P, _ in comps[1:]]

@@ -8,8 +8,8 @@ the F2 span of H itself is read back as its annihilator.  All quotient
 data is reported as finitely generated abelian groups in invariant-factor
 form.
 
-Every face-wise question goes through one projection per face:
-``TorusSubgroup.characters(I)`` is the canonical basis of proj_I(ann H),
+A face I is a bitmask, and every question about it goes through one
+projection: ``TorusSubgroup.characters(I)``, the basis of proj_I(ann H),
 the characters of S(I) = G^I/(H meet G^I), for d=1 and d=2 alike.  S(I)
 is their span, the meet H meet G^I their cokernel, and the orbit group
 Q(I) = G^m/(H . G^I) has the kernel of proj_I as characters.  Only the
@@ -34,6 +34,7 @@ from .exact import (
     rank_and_invariants,
     row_hnf,
 )
+from .simplicial import _checked_mask, vertex_bits, vertices
 
 
 @dataclass(frozen=True)
@@ -156,12 +157,12 @@ class TorusSubgroup:
     @staticmethod
     def coordinate(d, m, I0):
         """The coordinate subgroup G_d^I0."""
-        I0 = _check_subset(I0, m)
+        I0 = _checked_mask(I0, m)
         if d == 2:
             return TorusSubgroup.from_annihilator(
                 m, [[int(j == i) for j in range(m)]
-                    for i in range(m) if i + 1 not in I0])
-        return TorusSubgroup.from_f2_span(m, [1 << (v - 1) for v in I0])
+                    for i in range(m) if not I0 >> i & 1])
+        return TorusSubgroup.from_f2_span(m, vertex_bits(I0))
 
     # -- structure ---------------------------------------------------------
 
@@ -191,24 +192,24 @@ class TorusSubgroup:
 
     def characters(self, I):
         """Canonical basis of proj_I(ann H), the characters of
-        S(I) = G^I/(H meet G^I), in the coordinates of sorted(I), as a
-        tuple: of HNF rows (tuples) for d=2, of F2 echelon bitmasks for
-        d=1.  Computed once per face and subgroup.
+        S(I) = G^I/(H meet G^I), I a face mask, in the coordinates of its
+        vertices in increasing order, as a tuple: of HNF rows for d=2, of
+        F2 echelon bitmasks for d=1.  Checked and computed once per face.
 
         Only the rows of ``ann`` whose support mask meets I are projected:
         the others project to zero, which the canonical basis drops."""
-        I = _check_subset(I, self.m)
         hit = self._characters.get(I)
         if hit is None:
-            Is = sorted(I)
-            im = sum(1 << (v - 1) for v in Is)
-            rows = [b for b, s in zip(self.ann, self._supports) if s & im]
+            if I >> self.m:   # a bit at or above m, or a negative mask
+                raise ValueError("vertex out of range 1..%d" % self.m)
+            idx = [b.bit_length() - 1 for b in vertex_bits(I)]
+            rows = [b for b, s in zip(self.ann, self._supports) if s & I]
             if self.d == 2:
                 hit = tuple(map(tuple, row_hnf(
-                    [[b[v - 1] for v in Is] for b in rows])))
+                    [[b[i] for i in idx] for b in rows])))
             else:
-                hit = tuple(f2_rref(sum(((w >> (v - 1)) & 1) << t
-                                        for t, v in enumerate(Is))
+                hit = tuple(f2_rref(sum(((w >> i) & 1) << t
+                                        for t, i in enumerate(idx))
                                     for w in rows))
             self._characters[I] = hit
         return hit
@@ -218,19 +219,19 @@ class TorusSubgroup:
         proj_I(ann H) is Z^I (a Hermite form of rank |I| with every pivot
         1, the identity) for d=2, F2^I (rank |I|) for d=1."""
         chars = self.characters(I)
-        if len(chars) != len(I):
+        if len(chars) != I.bit_count():
             return False
         return self.d == 1 or all(next(x for x in row if x) == 1
                                   for row in chars)
 
     def extends(self, I, J):
         """Whether every character of S(I), extended by zero, is a
-        character of S(J), for faces I <= J."""
+        character of S(J), for face masks I <= J."""
         basis = self.characters(J)
         pos = _positions(I, J)
         for a in self.characters(I):
             if self.d == 2:
-                x = [0] * len(J)
+                x = [0] * J.bit_count()
                 for t, p in enumerate(pos):
                     x[p] = a[t]
                 if hnf_solve(basis, x) is None:
@@ -261,7 +262,7 @@ class TorusSubgroup:
             if coeff is None:
                 # proj_J(ann H) restricted to I is proj_I(ann H)
                 raise AssertionError("character restriction not defined at "
-                                     "(%s, %s)" % (sorted(I), sorted(J)))
+                                     "(%s, %s)" % (vertices(I), vertices(J)))
             columns.append({i: c for i, c in enumerate(coeff) if c})
         return columns
 
@@ -275,9 +276,8 @@ class TorusSubgroup:
 
 
 def _positions(I, J):
-    """The position in sorted(J) of each vertex of sorted(I), for I <= J."""
-    Js = sorted(J)
-    return [Js.index(v) for v in sorted(I)]
+    """The position among the vertices of J of each vertex of I, I <= J."""
+    return [(J & (b - 1)).bit_count() for b in vertex_bits(I)]
 
 
 @dataclass(frozen=True)
@@ -286,29 +286,21 @@ class MeetResult:
     quotient: FinAbGroup       # character group of S(I) = G^I/(H `meet` G^I)
 
 
-def _check_subset(I, m):
-    I = frozenset(I)
-    if any(v < 1 or v > m for v in I):
-        raise ValueError("vertex out of range 1..%d" % m)
-    return I
-
-
 def meet_coordinate(H, I):
     """Character groups of H meet G^I and of S(I) = G^I/(H meet G^I).
 
     For both d, S(I) has the characters proj_I(ann H) and H meet G^I those
     of G^I modulo them."""
-    I = _check_subset(I, H.m)
     chars = H.characters(I)
     if H.d == 2:
-        return MeetResult(FinAbGroup.from_presentation(len(I), chars),
+        return MeetResult(FinAbGroup.from_presentation(I.bit_count(), chars),
                           FinAbGroup.free(len(chars)))
-    return MeetResult(FinAbGroup.make(0, (2,) * (len(I) - len(chars))),
+    return MeetResult(FinAbGroup.make(0, (2,) * (I.bit_count() - len(chars))),
                       FinAbGroup.make(0, (2,) * len(chars)))
 
 
 def join_coordinate(H, I):
-    """Character group of Q(I) = G^m/(H . G^I).
+    """Character group of Q(I) = G^m/(H . G^I), for the face mask I.
 
     Its characters are those of L = G^m/H that vanish on G^I: the kernel
     of proj_I on the characters of L.  The image is characters(I), the

@@ -16,7 +16,7 @@ from math import comb
 from .homology import ChainComplex, GradedAbGroup, sparse_product
 from .intlattice import TorusSubgroup, join_coordinate
 from .exact import f2_echelon, f2_solve
-from .equivariant import PreconditionFailed, require_free
+from .equivariant import PreconditionFailed, _same_vertices, require_free
 from .momentangle import BoundExceeded
 from .simplicial import SimplicialComplex
 
@@ -259,8 +259,6 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     """
     if H.d != 2:
         raise ValueError("koszul pathway needs a d=2 subgroup")
-    if H.m != K.m:
-        raise ValueError("subgroup and complex live on different vertex sets")
     require_free(K, H)
     if max_degree is None:
         # Z_K of the void complex is empty: every degree is zero
@@ -300,9 +298,6 @@ class CubicalQuotient:
     def __post_init__(self):
         if self.H.d != 1:
             raise ValueError("cubical model needs a d=1 subgroup")
-        if self.H.m != self.K.m:
-            raise ValueError("subgroup and complex live on different "
-                             "vertex sets")
         require_free(self.K, self.H)
         count = sum(1 << (self.K.m - bin(fm).count("1"))
                     for fm in self.K.face_masks) >> len(self.H.span)
@@ -383,15 +378,14 @@ def cw_census(K, H):
     """
     if H.d != 1:
         raise PreconditionFailed("census requires finite orbits (d=1)")
-    if H.m != K.m:
-        raise ValueError("subgroup and complex live on different vertex sets")
-    faces = K.faces()
+    _same_vertices(K, H)
+    faces = K.face_masks
     mult = {I: join_coordinate(H, I).order() for I in faces}
     # count strictly increasing chains by dynamic programming over the
     # face poset; chains ending at their maximal element
     counts = {}
     # strictly increasing chains in the inclusion DAG, grouped by minimum
-    longer = {I: [J for J in faces if I < J] for I in faces}
+    longer = {I: [J for J in faces if I & ~J == 0 and I != J] for I in faces}
     memo = {}
 
     def paths_from(I):

@@ -1,18 +1,18 @@
 """Finite simplicial complexes on the vertex set {1..m}.
 
-Faces are stored as int bitmasks (bit i-1 set means vertex i belongs to the
-face), so subset tests are single AND operations.  Engine internals (chain
-assembly, Hochster's sum, the Koszul monomials, the cubical builder) read
-``SimplicialComplex.face_masks`` directly.  Derived complexes are built
-from facet masks by the private mask entry ``SimplicialComplex._from_masks``
-and list no faces: ``full_subcomplex`` and ``contraction`` cut each facet
-down and renumber the kept vertices by ``_relabeled``, the one vertex
-renumbering (Hochster's memo shares it), ``cone`` adds the apex to each
-facet, and ``stellar_subdivision`` writes each new facet.  A vertex set
-becomes a mask through the one range check, ``_checked_mask``.  The sphere
-battery walks the bits of each facet.  ``frozenset`` of vertex labels is
-the API boundary; it stays only where the result is
-keyed by faces (``PosetDiagram`` values, census chains, JSON witnesses).
+A face is an int bitmask (bit i-1 set means vertex i belongs to the face),
+the one face format of the engine: I <= J is ``I & ~J == 0``, J covers the
+faces J ^ b for b in ``vertex_bits(J)``, ``face_order`` sorts faces, and
+every layer reads ``facet_masks`` and ``face_masks``.  Derived complexes are
+built from facet masks by the private mask entry
+``SimplicialComplex._from_masks`` and list no faces: ``full_subcomplex`` and
+``contraction`` cut each facet down and renumber the kept vertices by
+``_relabeled``, the one vertex renumbering (Hochster's memo shares it),
+``cone`` adds the apex to each facet, and ``stellar_subdivision`` writes each
+new facet.  A vertex set becomes a mask through the one range check,
+``_checked_mask``.  The sphere battery walks the bits of each facet.
+Frozensets of vertex labels stay at the API edge only: ``faces()``,
+``facets``, returned witnesses, and JSON, where a face is ``vertices(mask)``.
 
 Two degenerate complexes are distinguished: the *void* complex (no faces at
 all) and the complex ``{()}`` whose only face is the empty one.
@@ -32,15 +32,19 @@ def _mask(vertices):
     return m
 
 
-def _unmask(mask):
+def vertex_bits(mask):
+    """The one-bit masks of the vertices of ``mask``, in increasing order."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def vertices(mask):
+    """The vertices of the face ``mask``, in increasing order."""
+    return [b.bit_length() for b in vertex_bits(mask)]
 
 
 def _checked_mask(vertices, m):
@@ -72,9 +76,13 @@ def _relabeled(masks, I):
     return frozenset(out)
 
 
-def face_order(face):
-    """Sort key of faces: by size, then by sorted vertices."""
-    return len(face), sorted(face)
+_FLIP = str.maketrans("01", "10")
+
+
+def face_order(mask):
+    """Sort key of face masks: by size, then by sorted vertices; the bits
+    read from vertex 1 up, 0 and 1 swapped, sort as the vertex lists do."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP)
 
 
 def _maximalize(masks):
@@ -141,7 +149,7 @@ class SimplicialComplex:
 
     @property
     def facets(self):
-        return [_unmask(f) for f in self.facet_masks]
+        return [frozenset(vertices(f)) for f in self.facet_masks]
 
     def is_void(self):
         return not self.facet_masks
@@ -171,7 +179,8 @@ class SimplicialComplex:
 
     def faces(self):
         """All faces as frozensets, by size and then by sorted vertices."""
-        return sorted(map(_unmask, self.face_masks), key=face_order)
+        return [frozenset(vertices(f))
+                for f in sorted(self.face_masks, key=face_order)]
 
     def f_vector(self):
         """(f_0, f_1, ...) counts of faces per dimension."""
@@ -255,18 +264,16 @@ def cone(K):
 
 def stellar_subdivision(K, sigma):
     """Stellar subdivision at the face sigma; the new vertex is m+1."""
-    sigma = frozenset(sigma)
-    if not sigma or not K.is_face(sigma):
+    sm = _checked_mask(sigma, K.m)
+    if not sm or not K.is_face_mask(sm):
         raise ValueError("sigma must be a nonempty face of K")
-    sm = _mask(sigma)
     new = 1 << K.m   # the new vertex m+1
     facets = []
     for f in K.facet_masks:
         if f & sm != sm:
             facets.append(f)
         else:
-            for v in sigma:
-                facets.append(f & ~(1 << (v - 1)) | new)
+            facets.extend(f ^ b | new for b in vertex_bits(sm))
     return SimplicialComplex._from_masks(K.m + 1, facets)
 
 
@@ -304,10 +311,7 @@ def sphere_sanity(K):
     if pure and d >= 0:
         ridge_count = {}
         for f in K.facet_masks:
-            rest = f
-            while rest:
-                b = rest & -rest   # each vertex of f in turn
-                rest ^= b
+            for b in vertex_bits(f):
                 ridge_count[f ^ b] = ridge_count.get(f ^ b, 0) + 1
         pm = all(c == 2 for c in ridge_count.values())
     else:

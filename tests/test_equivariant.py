@@ -14,7 +14,8 @@ from maq.equivariant import (PreconditionFailed, _sym_powers,
 from maq.homology import GradedAbGroup, limit_graded, sparse_product
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from maq.momentangle import sr_dimension
-from maq.simplicial import SimplicialComplex, boundary_simplex
+from maq.simplicial import (SimplicialComplex, _mask, boundary_simplex,
+                            vertex_bits, vertices)
 
 from conftest import mat_mul, random_complex, seeded
 
@@ -273,7 +274,7 @@ def _assert_fresh_sym_powers(K, H, max_degree):
     for (I, J, n), arrow in D.arrows.items():
         fresh = _sym_powers(H.restriction(I, J), len(H.characters(I)),
                             max_degree // step, 2 if H.d == 1 else None)
-        assert arrow == fresh[n // step], (sorted(I), sorted(J), n)
+        assert arrow == fresh[n // step], (vertices(I), vertices(J), n)
     return D
 
 
@@ -326,8 +327,8 @@ def test_classifying_arrows_match_per_cover_reference():
             fresh = TorusSubgroup(H.d, H.m, H.ann)
             expect = {}
             for J in D.faces:
-                for v in sorted(J):
-                    I = J - {v}
+                for b in vertex_bits(J):
+                    I = J ^ b
                     powers = _sym_powers(fresh.restriction(I, J),
                                          len(fresh.characters(I)), top // step,
                                          2 if d == 1 else None)
@@ -369,7 +370,7 @@ def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
 def _check_free_reference(K, H):
     """check_free through the meet presentation of every facet."""
     for I in sorted(K.facets, key=lambda f: (len(f), sorted(f))):
-        if not meet_coordinate(H, I).intersection.is_trivial():
+        if not meet_coordinate(H, _mask(I)).intersection.is_trivial():
             return False, I
     return True, None
 
@@ -412,9 +413,9 @@ def test_check_free_matches_meet_presentation():
 
 @dataclass(frozen=True)
 class _ChosenLattices(TorusSubgroup):
-    """Stand-in for a subgroup whose character lattice at a face is chosen
-    by hand: Z^I (d=2) or F2^I (d=1, as bitmasks) unless ``given`` names a
-    basis.  Only characters() is replaced, so restriction() reads the
+    """Stand-in for a subgroup whose character lattice at a face mask is
+    chosen by hand: Z^I (d=2) or F2^I (d=1, as bitmasks) unless ``given``
+    names a basis.  Only characters() is replaced, so restriction() reads the
     chosen bases.  Restricting characters along coordinate projections
     keeps the diagram functorial whenever every restriction lies in the
     smaller lattice."""
@@ -422,9 +423,9 @@ class _ChosenLattices(TorusSubgroup):
     given: dict = None
 
     def characters(self, I):
-        n = len(I)
-        if frozenset(I) in self.given:
-            return self.given[frozenset(I)]
+        n = I.bit_count()
+        if I in self.given:
+            return self.given[I]
         if self.d == 1:
             return tuple(1 << t for t in range(n))
         return tuple(tuple(int(s == t) for t in range(n)) for s in range(n))
@@ -435,12 +436,12 @@ def test_shared_sym_powers_keyed_on_row_count():
     # e_2 of the larger face to the second character of the smaller one,
     # so their columns agree, but the smaller faces have 2 and 3
     # characters: x_2^k sits at a different monomial index in each
-    H = _ChosenLattices(2, 4, (), {frozenset({1, 2, 4}): ((0, 1, 0),),
-                                   frozenset({1, 2, 3, 4}): ((0, 1, 0, 0),)})
+    H = _ChosenLattices(2, 4, (), {0b1011: ((0, 1, 0),),
+                                   0b1111: ((0, 1, 0, 0),)})
     K = SimplicialComplex(4, [(1, 2, 3, 4)])
     D = _assert_fresh_sym_powers(K, H, 6)
-    low = D.arrows[frozenset({1, 2}), frozenset({1, 2, 4}), 4]
-    high = D.arrows[frozenset({1, 2, 3}), frozenset({1, 2, 3, 4}), 4]
+    low = D.arrows[0b11, 0b1011, 4]
+    high = D.arrows[0b111, 0b1111, 4]
     assert low == {(2, 0): 1} and high == {(3, 0): 1}
 
 
@@ -450,7 +451,7 @@ def test_shared_sym_powers_reduced_mod_2():
     # has the even cross term 2 x_2 x_3, zero mod 2.  Compatible d=1
     # subgroups give one-entry columns only, so this needs lattices
     # chosen by hand.
-    I, J = frozenset({2, 3}), frozenset({1, 2, 3})
+    I, J = 0b110, 0b111   # {2, 3} < {1, 2, 3}
     H = _ChosenLattices(1, 3, (), {J: (0b101, 0b110)})
     D = _assert_fresh_sym_powers(SimplicialComplex(3, [(1, 2, 3)]), H, 2)
     integral = _sym_powers([{1: 1}, {0: 1, 1: 1}], 2, 2)[2]

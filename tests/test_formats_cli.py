@@ -247,7 +247,7 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     real = equivariant.PosetDiagram
 
     def planted(faces, ranks, arrows, max_degree, mod):
-        arrows[(frozenset({1}), frozenset({1, 2}), 2)] = {(0, 0): 2}
+        arrows[(0b1, 0b11, 2)] = {(0, 0): 2}   # {1} < {1, 2}
         return real(faces=faces, ranks=ranks, arrows=arrows,
                     max_degree=max_degree, mod=mod)
 
@@ -276,6 +276,32 @@ def test_cli_check(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["report"]["free"] is False
     assert doc["report"]["condition1"] is False
+
+
+def test_cli_witnesses_follow_the_face_order(capsys, tmp_path):
+    # on skeleton(6,2), by the d=1 span rows 100001 and 001100 and by the
+    # d=2 annihilator with the rows 100001, 010000, 001100 and 000010, the
+    # first failing facet in face order (by size, then vertex list) is
+    # [1, 2, 6], and the first failing covering pair is ([6], [1, 6]);
+    # the order of the masks as ints would give the facet [1, 3, 4]
+    span = tmp_path / "d1.txt"
+    span.write_text("d=1\nsubspace:\n1 0 0 0 0 1\n0 0 1 1 0 0\n")
+    ann = tmp_path / "d2.txt"
+    ann.write_text("d=2\nannihilator:\n1 0 0 0 0 1\n0 1 0 0 0 0\n"
+                   "0 0 1 1 0 0\n0 0 0 0 1 0\n")
+    for spath in (span, ann):
+        code, out, _ = run_cli(capsys, "check", "--complex",
+                               "builtin:skeleton(6,2)",
+                               "--subgroup", str(spath))
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["free_witness"] == [1, 2, 6]
+        assert report["condition1_witness"] == [[6], [1, 6]]
+        code, out, err = run_cli(capsys, "quotient-cohomology", "--complex",
+                                 "builtin:skeleton(6,2)",
+                                 "--subgroup", str(spath))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["witness"] == [1, 2, 6]
 
 
 def test_cli_contract(capsys):

@@ -6,6 +6,7 @@ import pytest
 from maq.exact import f2_rref, hnf_solve, row_hnf
 from maq.intlattice import (FinAbGroup, TorusSubgroup, join_coordinate,
                             meet_coordinate)
+from maq.simplicial import _mask, vertices
 
 from conftest import (mat_mul, random_complex, random_unimodular,
                       rational_rref, seeded)
@@ -39,10 +40,10 @@ def test_lattice_basics():
 def test_lattice_cokernel_and_project():
     L = row_hnf([[2, 0], [0, 3]])
     assert FinAbGroup.from_presentation(2, L) == FinAbGroup.make(0, (6,))
-    # characters({1, 2}) is the projection of ann H to the first two
-    # coordinates
+    # characters of the face {1, 2} (mask 0b11) are the projection of
+    # ann H to the first two coordinates
     H = TorusSubgroup.from_annihilator(3, [[1, 2, 5]])
-    assert H.characters({1, 2}) == ((1, 2),)
+    assert H.characters(0b11) == ((1, 2),)
 
 
 def test_hnf_canonical_under_unimodular_change():
@@ -88,36 +89,52 @@ def test_torus_subgroup_rejects_vertices_outside_range():
             TorusSubgroup.from_annihilator(3, [row])
 
 
+def test_face_masks_outside_the_vertices_are_rejected():
+    # a face mask with a bit at or above m, or a negative mask, is an
+    # error for characters, meet_coordinate and join_coordinate, d = 1, 2;
+    # the rejected mask is not memoized, so asking again fails again
+    for H in (TorusSubgroup.from_annihilator(3, [[1, 1, 1]]),
+              TorusSubgroup.from_f2_span(3, [0b111])):
+        for I in (1 << 3, 0b1011, -1):
+            for query in (H.characters, lambda I: meet_coordinate(H, I),
+                          lambda I: join_coordinate(H, I), H.characters):
+                with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+                    query(I)
+        # the masks inside 1..3 are answered: H meets G^{1} trivially but
+        # not G^{1,2,3}
+        assert H.is_full(0b1) and not H.is_full(0b111)
+
+
 def test_meet_join_coordinate_d2():
     # diagonal circle in T^2
     H = TorusSubgroup.from_annihilator(2, [[1, -1]])
-    full = meet_coordinate(H, frozenset({1, 2}))
+    full = meet_coordinate(H, 0b11)
     assert full.intersection == FinAbGroup.free(1)
-    one = meet_coordinate(H, frozenset({1}))
+    one = meet_coordinate(H, 0b1)
     assert one.intersection.is_trivial()
     # H together with the first coordinate circle generates all of T^2
-    assert join_coordinate(H, frozenset({1})).is_trivial()
-    assert H.characters(frozenset({1})) == ((1,),)
+    assert join_coordinate(H, 0b1).is_trivial()
+    assert H.characters(0b1) == ((1,),)
 
 
 def test_meet_coordinate_torsion():
     # H = {(t, t^2)}: meets the first coordinate circle in Z/2
     H = TorusSubgroup.from_annihilator(2, [[2, -1]])
-    r = meet_coordinate(H, frozenset({1}))
+    r = meet_coordinate(H, 0b1)
     assert r.intersection == FinAbGroup.make(0, (2,))
     # t -> t^2 is onto, so H . G^I is all of T^2
-    assert join_coordinate(H, frozenset({1})).is_trivial()
-    assert join_coordinate(H, frozenset({1, 2})).is_trivial()
+    assert join_coordinate(H, 0b1).is_trivial()
+    assert join_coordinate(H, 0b11).is_trivial()
 
 
 def test_meet_join_d1():
     # Z/2 diagonal inside (Z/2)^2
     W = TorusSubgroup.from_f2_span(2, [0b11])
-    assert meet_coordinate(W, frozenset({1})).intersection.is_trivial()
-    assert meet_coordinate(W, frozenset({1, 2})).intersection == \
+    assert meet_coordinate(W, 0b1).intersection.is_trivial()
+    assert meet_coordinate(W, 0b11).intersection == \
         FinAbGroup.make(0, (2,))
-    assert W.characters(frozenset({1})) == (0b1,)
-    assert join_coordinate(W, frozenset({1})).is_trivial()
+    assert W.characters(0b1) == (0b1,)
+    assert join_coordinate(W, 0b1).is_trivial()
 
 
 def test_d1_meet_and_characters_bruteforce():
@@ -136,18 +153,19 @@ def test_d1_meet_and_characters_bruteforce():
                 if all(bin(x & h).count("1") % 2 == 0 for h in W.span)]
         for r in range(m + 1):
             for I in combinations(range(1, m + 1), r):
-                mask = sum(1 << (v - 1) for v in I)
+                mask = _mask(I)
                 inside = sum(1 for h in elements if h & ~mask == 0)
                 k = inside.bit_length() - 1
-                meet = meet_coordinate(W, I)
+                meet = meet_coordinate(W, mask)
                 assert meet.intersection == FinAbGroup.make(0, (2,) * k)
                 assert meet.quotient == FinAbGroup.make(0, (2,) * (r - k))
                 projected = [sum(((x >> (v - 1)) & 1) << t
                                  for t, v in enumerate(I)) for x in perp]
-                assert W.characters(I) == tuple(f2_rref(projected))
+                assert W.characters(mask) == tuple(f2_rref(projected))
                 join = {h ^ s for h in elements for s in range(1 << m)
                         if s & ~mask == 0}
-                assert join_coordinate(W, I).order() == (1 << m) // len(join)
+                assert join_coordinate(W, mask).order() == \
+                    (1 << m) // len(join)
 
 
 def _kernel_q(rows, m):
@@ -178,7 +196,7 @@ def test_d2_join_coordinate_bruteforce():
             for I in combinations(range(1, m + 1), r):
                 units = [[int(j + 1 == v) for j in range(m)] for v in I]
                 dim = m - len(rational_rref(lie + units))
-                assert join_coordinate(H, I) == FinAbGroup.free(dim)
+                assert join_coordinate(H, _mask(I)) == FinAbGroup.free(dim)
 
 
 def test_subgroup_json():
@@ -216,13 +234,12 @@ def test_characters_memo_matches_fresh_subgroup():
                 H = TorusSubgroup.from_f2_span(
                     m, [rng.randrange(1 << m)
                         for _ in range(rng.randint(0, m))])
-            faces = [frozenset(c) for r in range(m + 1)
-                     for c in combinations(range(1, m + 1), r)]
+            faces = range(1 << m)
             first = {I: H.characters(I) for I in faces}
             for I in faces:
                 fresh = TorusSubgroup(d, m, H.ann)
-                assert H.characters(sorted(I)) is first[I]
-                assert first[I] == fresh.characters(I), (H, sorted(I))
+                assert H.characters(I) is first[I]
+                assert first[I] == fresh.characters(I), (H, vertices(I))
 
 
 def test_subgroup_round_trip():
@@ -233,8 +250,7 @@ def test_subgroup_round_trip():
     rng = seeded("round-trip")
     for _ in range(100):
         m = rng.randint(1, 6)
-        faces = [frozenset(c) for r in range(m + 1)
-                 for c in combinations(range(1, m + 1), r)]
+        faces = range(1 << m)
         H = TorusSubgroup.from_annihilator(
             m, [[rng.randint(-3, 3) for _ in range(m)]
                 for _ in range(rng.randint(0, m))])
@@ -265,8 +281,8 @@ def test_characters_match_the_projection_of_every_row():
                 H = TorusSubgroup.from_f2_span(
                     m, [rng.randrange(1 << m)
                         for _ in range(rng.randint(0, m))])
-            for I in random_complex(rng, m).faces():
-                Is = sorted(I)
+            for I in random_complex(rng, m).face_masks:
+                Is = vertices(I)
                 if d == 2:
                     want = row_hnf([[b[v - 1] for v in Is] for b in H.ann])
                     want = tuple(map(tuple, want))

@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
-from maq.equivariant import PreconditionFailed, check_condition1, check_free
+from maq.equivariant import (PreconditionFailed, action_report,
+                             check_condition1, check_free, equivariant_limit,
+                             require_condition1, require_free)
 from maq.homology import ChainComplex, GradedAbGroup
 from maq.intlattice import FinAbGroup, TorusSubgroup
 from maq.momentangle import BoundExceeded, buchstaber_real, hochster
@@ -48,6 +50,25 @@ def test_weighted_projective_space():
     with pytest.raises(PreconditionFailed, match="not free") as exc:
         koszul_cohomology(TWO_POINTS, H, 4)
     assert exc.value.witness == frozenset({2})
+
+
+def test_subgroup_on_other_vertices_is_rejected():
+    # a subgroup of G^m' with m' != m is no action on a complex on m
+    # vertices, whether m' is larger (the identity annihilator on T^4 over
+    # boundary_simplex(3) once gave Z, Z^3, Z^6 and a free verdict) or
+    # smaller; every checked entry point refuses it
+    K = boundary_simplex(3)
+    checks = [check_free, check_condition1, require_free, require_condition1,
+              action_report, lambda K, H: equivariant_limit(K, H, 4)]
+    for d, pathways in ((2, [koszul_cohomology]),
+                        (1, [CubicalQuotient, cw_census])):
+        assert check_free(K, TorusSubgroup.trivial(d, 3)) == (True, None)
+        for m in (4, 2):
+            H = TorusSubgroup.trivial(d, m)
+            for call in checks + pathways:
+                with pytest.raises(ValueError,
+                                   match="different vertex sets"):
+                    call(K, H)
 
 
 def test_koszul_trivial_subgroup_is_hochster():

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from maq.simplicial import (SimplicialComplex, _maximalize, boundary_simplex,
-                            cone, contraction, full_subcomplex,
+                            cone, contraction, face_order, full_subcomplex,
                             minimal_non_faces, skeleton, sphere_sanity,
-                            stellar_subdivision)
+                            stellar_subdivision, vertex_bits, vertices)
 
 from conftest import random_complex, seeded, stellar_reference
 
@@ -206,3 +206,26 @@ def test_vertex_sets_out_of_range_are_rejected():
                 op(bad)
     with pytest.raises(ValueError, match=r"out of range 1\.\.0"):
         full_subcomplex(SimplicialComplex.void(0), [1])
+
+
+def test_face_order_on_masks_is_the_order_of_vertex_lists():
+    # face_order sorts masks by size and then by the increasing vertex
+    # lists: on seeded random complexes (m <= 8) the sorted masks, turned
+    # into frozensets, are the faces listed from the facets as frozensets
+    # and sorted by (len(f), sorted(f)); faces() lists them that way
+    rng = seeded("face-order")
+    for _ in range(80):
+        K = random_complex(rng, rng.randint(1, 8))
+        faces = {frozenset(c) for F in K.facets for r in range(len(F) + 1)
+                 for c in itertools.combinations(F, r)}
+        want = sorted(faces, key=lambda f: (len(f), sorted(f)))
+        got = [frozenset(vertices(f))
+               for f in sorted(K.face_masks, key=face_order)]
+        assert got == want, K
+        assert K.faces() == want
+    # the vertex lists differ first at a low vertex, the ints at a high one
+    assert sorted([0b0110, 0b1001], key=face_order) == [0b1001, 0b0110]
+    assert sorted([0b100011, 0b001101], key=face_order) == \
+        [0b100011, 0b001101]
+    assert vertex_bits(0b101001) == [0b1, 0b1000, 0b100000]
+    assert vertices(0b101001) == [1, 4, 6]
