@@ -317,8 +317,10 @@ def coordinate_quotient_check(K, I0, max_degree, d=2):
     diagram is one of F2-modules, so the limit in degree n must be
     (Z/2)^sr_dimension: rank 0, every coefficient 2.  Whole groups are
     compared, so a free summand, or a summand of another order, fails
-    the check as a wrong count does.
+    the check as a wrong count does.  ``I0`` is read once, so any iterable
+    of vertices will do.
     """
+    I0 = tuple(I0)
     H = TorusSubgroup.coordinate(d, K.m, I0)
     lim = equivariant_limit(K, H, max_degree)
     Kc = contraction(K, I0)

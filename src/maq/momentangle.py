@@ -216,8 +216,8 @@ def skeleton_quotient_hrk(m, k):
     over the k-skeleton of the (m-1)-simplex by the diagonal circle
     {(t, ..., t)}, whose annihilator is spanned by e_i - e_(i+1), with the
     2^{m-k-1} bound.  The value equals the total rank of the computed
-    Koszul cohomology for every 3 <= m <= 8 and for m = 10, every
-    0 <= k <= m-2.
+    Koszul cohomology for every 3 <= m <= 8 and for m = 10 and m = 11,
+    every 0 <= k <= m-2.
 
     Returns (hrk, bound, verdict).
     """

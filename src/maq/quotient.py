@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .homology import ChainComplex, GradedAbGroup, sparse_product
+from .homology import ChainComplex, GradedAbGroup
 from .intlattice import TorusSubgroup, join_coordinate
 from .exact import f2_echelon, f2_solve
 from .equivariant import PreconditionFailed, _same_vertices, require_free
@@ -75,7 +75,16 @@ class KoszulComplex:
     ``linear_forms`` are integer row vectors of length m; d(u_j) is the
     corresponding linear combination of the degree-2 generators v_i,
     truncated by the face relations.  u-degree 1, v-degree 2, d of total
-    degree +1 and d^2 = 0 (checked on construction degreewise).
+    degree +1 and d^2 = 0.
+
+    The differentials d^n, n = 0..max_degree, are all assembled on
+    construction, from d^max_degree down to d^0 and one column at a time.
+    Each column is checked as soon as it is written: d^(n+1) d^n on it
+    is the sum of its stored entries times the stored columns of
+    d^(n+1), and it must vanish, or AssertionError("dd != 0 in degree
+    n") is raised.  So every pair of differentials that ``cohomology``
+    eliminates is checked exactly, on the entries it reads, and the
+    highest failing degree is the one reported.
 
     Each cell (S, v^mu) is stored as one int, its code: bit j, for j < l,
     is set when u_j is in S, and mu_i sits in the w-bit field at bit
@@ -130,12 +139,9 @@ class KoszulComplex:
             [[((1 << self._shift[i]) - (1 << j), sign * c)
               for i, c in enumerate(f) if c] for sign in (1, -1)]
             for j, f in enumerate(self.forms)]
-        self._terms = {}           # S -> self._steps(S)
-        self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
         self._build(cell_cap)
-        for n in range(self.max_degree):
-            if sparse_product(self.differential(n + 1), self.differential(n)):
-                raise AssertionError("dd != 0 in degree %d" % n)
+        self._differentials = {}   # n -> entries of d: C^n -> C^{n+1}
+        self._assemble()
 
     def decode(self, code):
         """The cell (S, mu) of a code: the forms in S as a sorted tuple and
@@ -190,34 +196,60 @@ class KoszulComplex:
             self.basis[n] = cells
 
     def differential(self, n):
-        """Sparse entries {(row, col): value} of d: C^n -> C^{n+1}.
+        """Sparse entries {(row, col): value} of d: C^n -> C^{n+1}, empty
+        outside n = 0..max_degree.
 
-        Built once per degree and shared by the dd-check and cohomology(),
-        so callers must not mutate it.
+        Built in ``__init__`` and shared by every caller, so callers must
+        not mutate it.
         """
-        if n < 0 or n + 1 > self.max_degree + 1:
-            return {}
-        if n not in self._differentials:
-            self._differentials[n] = self._assemble(n)
-        return self._differentials[n]
+        return self._differentials.get(n, {})
 
-    def _assemble(self, n):
-        cells = self.basis.get(n + 1, [])
-        get = dict(zip(cells, range(len(cells)))).get
+    def _assemble(self):
+        """d^n for n = max_degree down to 0, one column at a time, each
+        column checked against d^(n+1) as soon as it is written.
+
+        The (row, value) pairs of a column go into the stored d^n and into
+        a tuple kept for one degree: column col of d^(n+1) d^n is the sum of
+        value times column row of d^(n+1), and it must vanish.  A column
+        with a single entry fails exactly when that column of d^(n+1) is
+        nonempty, since no entry is zero.
+        """
         low = (1 << self.l) - 1
-        terms = self._terms
-        out = {}
-        for col, code in enumerate(self.basis.get(n, [])):
-            steps = terms.get(code & low)
-            if steps is None:
-                steps = terms[code & low] = self._steps(code & low)
-            # each term reaches a different cell, so no entry is written
-            # twice, and none is zero
-            for step, v in steps:
-                row = get(code + step)
-                if row is not None:
-                    out[row, col] = v
-        return out
+        terms = {}      # S -> self._steps(S)
+        above = None    # the columns of d^(n+1), as (row, value) tuples
+        for n in range(self.max_degree, -1, -1):
+            cells = self.basis[n + 1]
+            get = dict(zip(cells, range(len(cells)))).get
+            out = self._differentials[n] = {}
+            columns = []
+            for col, code in enumerate(self.basis[n]):
+                steps = terms.get(code & low)
+                if steps is None:
+                    steps = terms[code & low] = self._steps(code & low)
+                # each term reaches a different cell, so no entry is
+                # written twice, and none is zero
+                column = []
+                for step, v in steps:
+                    row = get(code + step)
+                    if row is not None:
+                        out[row, col] = v
+                        column.append((row, v))
+                # kept as a tuple, which the garbage collector stops
+                # tracking once it holds only ints and tuples of ints
+                columns.append(tuple(column))
+                if above is None or not column:
+                    continue
+                if len(column) == 1:
+                    bad = above[column[0][0]]
+                else:
+                    acc = {}
+                    for row, v in column:
+                        for r, w in above[row]:
+                            acc[r] = acc.get(r, 0) + v * w
+                    bad = any(acc.values())
+                if bad:
+                    raise AssertionError("dd != 0 in degree %d" % n)
+            above = columns
 
     def _steps(self, S):
         """(code step, value) of every term of d on the cells whose forms
@@ -379,29 +411,35 @@ def cw_census(K, H):
     if H.d != 1:
         raise PreconditionFailed("census requires finite orbits (d=1)")
     _same_vertices(K, H)
-    faces = K.face_masks
-    mult = {I: join_coordinate(H, I).order() for I in faces}
-    # count strictly increasing chains by dynamic programming over the
-    # face poset; chains ending at their maximal element
+    # a chain I = I_0 < ... < I_s = J of faces is an ordered partition of
+    # J - I into s nonempty blocks, so the chains of length s that start
+    # at I number sum over faces J >= I of surj(|J - I|, s), the
+    # surjections of |J - I| things onto s
+    surj = [[1]]
+    for r in range(1, K.m + 1):
+        prev = surj[-1] + [0]
+        surj.append([0] + [s * (prev[s - 1] + prev[s])
+                           for s in range(1, r + 1)])
     counts = {}
-    # strictly increasing chains in the inclusion DAG, grouped by minimum
-    longer = {I: [J for J in faces if I & ~J == 0 and I != J] for I in faces}
-    memo = {}
-
-    def paths_from(I):
-        # number of strictly increasing chains starting at I, by length
-        if I in memo:
-            return memo[I]
-        out = {0: 1}
-        for J in longer[I]:
-            for s, c in paths_from(J).items():
-                out[s + 1] = out.get(s + 1, 0) + c
-        memo[I] = out
-        return out
-
-    for I in faces:
-        for s, c in paths_from(I).items():
-            counts[s] = counts.get(s, 0) + c * mult[I]
+    for I in K.face_masks:
+        # the faces J >= I: I with every submask of F - I, for every facet
+        # F above I, a face in several facets kept once
+        above = {I}
+        for F in K.facet_masks:
+            if F & I == I:
+                rest = sub = F ^ I
+                while sub:
+                    above.add(I | sub)
+                    sub = (sub - 1) & rest
+        sizes = [0] * (K.m + 1)
+        size = I.bit_count()
+        for J in above:
+            sizes[J.bit_count() - size] += 1
+        mult = join_coordinate(H, I).order()
+        for r, n in enumerate(sizes):
+            if n:
+                for s in range(r + 1):
+                    counts[s] = counts.get(s, 0) + mult * n * surj[r][s]
     chi = sum((-1) ** s * c for s, c in counts.items())
     return counts, chi
 

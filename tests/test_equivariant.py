@@ -147,6 +147,15 @@ def test_coordinate_quotient_check():
     assert coordinate_quotient_check(path, frozenset({2}), 4, d=1)
 
 
+def test_coordinate_quotient_check_reads_its_vertices_once():
+    # a one-shot iterable must give the subgroup and the contraction the
+    # same vertices
+    K = boundary_simplex(4)
+    assert coordinate_quotient_check(K, {1}, 6)
+    assert coordinate_quotient_check(K, (v for v in [1]), 6)
+    assert coordinate_quotient_check(K, iter([1, 3]), 4, d=1)
+
+
 def test_coordinate_quotient_check_compares_whole_groups(monkeypatch):
     # a Z/3 planted in one degree of the limit leaves every rank and, for
     # d=2, every count as it was; so does a Z/2 turned into a Z/4 for

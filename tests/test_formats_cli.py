@@ -216,18 +216,15 @@ def test_cli_bound_exit_code(capsys, tmp_path):
 
 
 def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
-    # a planted entry in d^2 breaks the Koszul dd-check; the CLI reports
-    # an internal error, not a precondition failure or a traceback
-    assemble = KoszulComplex._assemble
+    # a sign flipped in d(u_1 u_2) breaks the Koszul dd-check; the CLI
+    # reports an internal error, not a precondition failure or a traceback
+    steps = KoszulComplex._steps
 
-    def planted(self, n):
-        d = assemble(self, n)
-        if n == 2:
-            row = next(r for r, _ in self.differential(1))
-            d[(0, row)] = d.get((0, row), 0) + 1
-        return d
+    def planted(self, S):
+        out = steps(self, S)
+        return [(out[0][0], -out[0][1])] + out[1:] if S == 0b11 else out
 
-    monkeypatch.setattr(KoszulComplex, "_assemble", planted)
+    monkeypatch.setattr(KoszulComplex, "_steps", planted)
     spath = tmp_path / "h.txt"
     spath.write_text("d=2\nannihilator:\n1 -1 0\n0 1 -1\n")
     code, out, err = run_cli(capsys, "quotient-cohomology", "--complex",

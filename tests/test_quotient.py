@@ -6,15 +6,15 @@ import pytest
 from maq.equivariant import (PreconditionFailed, action_report,
                              check_condition1, check_free, equivariant_limit,
                              require_condition1, require_free)
-from maq.homology import ChainComplex, GradedAbGroup
-from maq.intlattice import FinAbGroup, TorusSubgroup
+from maq.homology import ChainComplex, GradedAbGroup, sparse_product
+from maq.intlattice import FinAbGroup, TorusSubgroup, join_coordinate
 from maq.momentangle import BoundExceeded, buchstaber_real, hochster
 from maq.quotient import (CubicalQuotient, KoszulComplex,
                           _unit_coordinates, cubical_quotient_cohomology,
                           cw_census, koszul_cohomology, trc_report)
 from maq.simplicial import SimplicialComplex, boundary_simplex
 
-from conftest import (check_cohomology_uct, coboundary_ranks_mod_p,
+from conftest import (check_cohomology_uct, coboundary_ranks_mod_p, join,
                       mat_mul, random_complex, random_unimodular, rank_mod_p,
                       seeded)
 
@@ -370,26 +370,111 @@ def test_koszul_basis_independence():
         assert c1 == c2
 
 
+def _plant_steps(monkeypatch, S, edit):
+    """Make KoszulComplex._steps return edit(steps) for the forms S (a
+    bitmask), so the wrong terms reach the stored differentials and the
+    dd-check alike; returns the planted steps beside the real ones."""
+    steps = KoszulComplex._steps
+
+    def planted(self, forms):
+        out = steps(self, forms)
+        return edit(out) if forms == S else out
+
+    monkeypatch.setattr(KoszulComplex, "_steps", planted)
+    return steps, planted
+
+
 def test_koszul_dd_check_fires(monkeypatch):
-    # S^5 / diagonal circle; plant one extra entry in d^2, in a column that
-    # some row of d^1 hits, so d^2 d^1 != 0 while d^1 stays intact
-    K = boundary_simplex(3)
-    forms = [[1, -1, 0], [0, 1, -1]]
-    built = KoszulComplex(K, forms, 4)
-    assert built.differential(2) is built.differential(2)
-    assemble = KoszulComplex._assemble
-
-    def planted(self, n):
-        d = assemble(self, n)
-        if n == 2:
-            row = next(r for r, _ in self.differential(1))
-            d[(0, row)] = d.get((0, row), 0) + 1
-        return d
-
-    monkeypatch.setattr(KoszulComplex, "_assemble", planted)
+    # S^3 with the identity forms: d(u_1) gains a wrong term u_1 u_2.  A
+    # face {i} bans u_i beside v_i, so the term lands only on the cell
+    # u_1 of C^1, whose image u_1 u_2 has d nonzero: d^2 d^1 != 0, while
+    # every other pair, up to d^4 d^3, stays zero
+    forms = [[1, 0], [0, 1]]
+    built = KoszulComplex(TWO_POINTS, forms, 4)
+    steps, planted = _plant_steps(monkeypatch, 0b01,
+                                  lambda out: out + [(0b10, 1)])
     with pytest.raises(AssertionError, match="dd != 0 in degree 1"):
+        KoszulComplex(TWO_POINTS, forms, 4)
+    assert planted(built, 0b01) != steps(built, 0b01)
+
+
+def test_koszul_dd_check_fires_at_the_top_pair(monkeypatch):
+    # S^5 / Z_3 with weights 1, 1, 2: one sign flipped in d(u_1 u_2 u_3)
+    # breaks d^4 d^3 on the cell u_1 u_2 u_3 of C^3, the first pair the
+    # check multiplies.  Its cells of C^5 lie past the truncation
+    forms = [[3, 0, 0], [-1, 1, 0], [-2, 0, 1]]
+    K = boundary_simplex(3)
+    built = KoszulComplex(K, forms, 4)
+    steps, planted = _plant_steps(
+        monkeypatch, 0b111,
+        lambda out: [(out[0][0], -out[0][1])] + out[1:])
+    with pytest.raises(AssertionError, match="dd != 0 in degree 3"):
         KoszulComplex(K, forms, 4)
-    assert planted(built, 2) != built.differential(2)
+    assert planted(built, 0b111) != steps(built, 0b111)
+
+
+def test_koszul_dd_check_fires_on_a_single_entry_column(monkeypatch):
+    # S^5 with the identity forms: dropping the v_1 u_2 term of
+    # d(u_1 u_2) leaves the cell u_1 u_2 of C^2 one entry, -v_2 u_1, and
+    # d(v_2 u_1) = v_1 v_2 != 0.  The check must fail on that column
+    # alone: d^3 d^2 != 0
+    forms = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    K = boundary_simplex(3)
+    built = KoszulComplex(K, forms, 3)
+    col = built.basis[2].index(0b011)
+    assert sum(c == col for _, c in built.differential(2)) == 2
+    steps, planted = _plant_steps(monkeypatch, 0b011, lambda out: out[1:])
+    with pytest.raises(AssertionError, match="dd != 0 in degree 2"):
+        KoszulComplex(K, forms, 3)
+    assert len(planted(built, 0b011)) == len(steps(built, 0b011)) - 1
+
+
+def _free_koszul_cases(rng, count):
+    """(K, forms, max_degree) for free d=2 subgroups on m <= 6 vertices:
+    random annihilators on random complexes, lens spaces S^(2m-1)/Z_n and
+    products of two, each at the quotient's dimension."""
+    cases = []
+    while len(cases) < count:
+        shape = ("random", "lens", "lens_product")[len(cases) % 3]
+        if shape == "random":
+            m = rng.randint(3, 6)
+            K = random_complex(rng, m)
+            rows = [[rng.randint(-2, 2) for _ in range(m)]
+                    for _ in range(rng.randint(1, m))]
+        else:
+            sizes = ([rng.randint(2, 5)] if shape == "lens"
+                     else [rng.randint(2, 3), rng.randint(2, 3)])
+            m = sum(sizes)
+            K = boundary_simplex(sizes[0])
+            if len(sizes) == 2:
+                K = join(K, boundary_simplex(sizes[1]))
+            rows, at = [], 0
+            for size in sizes:
+                rows += [[0] * at + b + [0] * (m - at - size)
+                         for b in _pruning_rows(rng, "lens", size)]
+                at += size
+        if K.is_void() or not any(map(any, rows)):
+            continue
+        H = TorusSubgroup.from_annihilator(m, rows)
+        if not check_free(K, H)[0]:
+            continue
+        cases.append((K, [list(b) for b in H.ann],
+                      K.m + K.dim() + 1 - H.torus_rank()))
+    return cases
+
+
+def test_koszul_stored_differentials_compose_to_zero():
+    # the dd-check multiplies each column as it is written; the oracle
+    # multiplies every stored pair of differentials in full
+    nonzero = 0
+    for K, forms, max_degree in _free_koszul_cases(seeded("koszul-dd"), 24):
+        kc = KoszulComplex(K, forms, max_degree)
+        for n in range(max_degree):
+            assert sparse_product(kc.differential(n + 1),
+                                  kc.differential(n)) == {}, (K, forms, n)
+            nonzero += bool(kc.differential(n + 1) and kc.differential(n))
+        assert kc.differential(-1) == kc.differential(max_degree + 1) == {}
+    assert nonzero
 
 
 def test_cubical_circle():
@@ -449,6 +534,47 @@ def test_cw_census_euler_characteristic():
         chi_coh = sum((-1) ** d * g.group(d).free_rank for d in g.support())
         assert chi == chi_coh
         assert chi == sum((-1) ** d * c for d, c in counts.items())
+
+
+def _pairwise_census(K, W):
+    """cw_census by testing every pair of faces for inclusion and counting
+    the chains from each face by recursion: the reference."""
+    faces = K.face_masks
+    longer = {I: [J for J in faces if I & ~J == 0 and I != J] for I in faces}
+    memo = {}
+
+    def chains_from(I):
+        if I not in memo:
+            out = {0: 1}
+            for J in longer[I]:
+                for s, c in chains_from(J).items():
+                    out[s + 1] = out.get(s + 1, 0) + c
+            memo[I] = out
+        return memo[I]
+
+    counts = {}
+    for I in faces:
+        mult = join_coordinate(W, I).order()
+        for s, c in chains_from(I).items():
+            counts[s] = counts.get(s, 0) + c * mult
+    return counts, sum((-1) ** s * c for s, c in counts.items())
+
+
+def test_cw_census_matches_the_pairwise_construction():
+    rng = seeded("census-pairwise")
+    checked = 0
+    while checked < 30:
+        m = rng.randint(1, 7)
+        K = random_complex(rng, m)
+        if K.is_void():
+            continue
+        vecs = [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, m))]
+        W = TorusSubgroup.from_f2_span(m, vecs)
+        checked += 1
+        assert cw_census(K, W) == _pairwise_census(K, W), (K, vecs)
+    K = boundary_simplex(6)
+    W = TorusSubgroup.from_f2_span(6, [0b111111])
+    assert cw_census(K, W) == _pairwise_census(K, W)
 
 
 def test_cubical_boundaries_revalidate():
