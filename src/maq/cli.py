@@ -49,9 +49,19 @@ def _emit(report, args):
 
 # -- subcommand bodies -------------------------------------------------------
 
+def _nonnegative(value, option):
+    """``value`` of ``option``, ``--cell-cap`` or ``--max-degree``, which
+    bounds a count of cells or a degree, so it is not negative; None when
+    the option is not given."""
+    if value is not None and value < 0:
+        raise ParseError("%s must be nonnegative, got %d" % (option, value))
+    return value
+
+
 def _cmd_hochster(args):
+    max_degree = _nonnegative(args.max_degree, "--max-degree")
     K = load_complex(args.complex)
-    groups = hochster(K, max_degree=args.max_degree)
+    groups = hochster(K, max_degree=max_degree)
     return {
         "operation": "hochster",
         "input": {"m": K.m, "facets": list(map(vertices, K.facet_masks))},
@@ -63,21 +73,13 @@ def _cmd_hochster(args):
     }
 
 
-def _cell_cap(args):
-    """``--cell-cap``, which bounds a count of cells, so it is not
-    negative."""
-    if args.cell_cap < 0:
-        raise ParseError("--cell-cap must be nonnegative, got %d"
-                         % args.cell_cap)
-    return args.cell_cap
-
-
 def _cmd_quotient_cohomology(args):
-    cell_cap = _cell_cap(args)
+    cell_cap = _nonnegative(args.cell_cap, "--cell-cap")
+    max_degree = _nonnegative(args.max_degree, "--max-degree")
     K = load_complex(args.complex)
     H = load_subgroup(args.subgroup, K.m)
     if H.d == 2:
-        groups = koszul_cohomology(K, H, max_degree=args.max_degree,
+        groups = koszul_cohomology(K, H, max_degree=max_degree,
                                    cell_cap=cell_cap)
         prov = _provenance(
             "koszul complex over the quotient-torus polynomial ring",
@@ -88,9 +90,9 @@ def _cmd_quotient_cohomology(args):
         label = "associated graded"
     else:
         groups = cubical_quotient_cohomology(K, H, cell_cap=cell_cap)
-        if args.max_degree is not None:
+        if max_degree is not None:
             groups = GradedAbGroup.make({n: g for n, g in groups.groups
-                                         if n <= args.max_degree})
+                                         if n <= max_degree})
         prov = _provenance(
             "cubical cell model",
             "cellular cohomology of the orbit complex of the cubical "
@@ -106,12 +108,13 @@ def _cmd_quotient_cohomology(args):
 
 
 def _cmd_equivariant(args):
+    max_degree = _nonnegative(args.max_degree, "--max-degree")
     K = load_complex(args.complex)
     H = load_subgroup(args.subgroup, K.m)
-    groups = equivariant_limit(K, H, args.max_degree)
+    groups = equivariant_limit(K, H, max_degree)
     return {
         "operation": "equivariant",
-        "input": {"m": K.m, "d": H.d, "max_degree": args.max_degree},
+        "input": {"m": K.m, "d": H.d, "max_degree": max_degree},
         "provenance": _provenance(
             "inverse limit over the face poset",
             "equivariant cohomology of the quotient equals the degreewise "
@@ -211,7 +214,7 @@ def _cmd_buchstaber_real(args):
 
 
 def _cmd_torsion_build(args):
-    cell_cap = _cell_cap(args)
+    cell_cap = _nonnegative(args.cell_cap, "--cell-cap")
     K = load_complex(args.input)
     rep = torsion_pipeline(K, args.p)
     out = {

@@ -239,33 +239,40 @@ def build_classifying_diagram(K, H, max_degree):
     d=2: integral polynomial rings on the character lattices, even
     degrees, ``mod`` None.  d=1: mod-2 polynomial rings on degree-one
     classes, every degree, ``mod`` 2.  The value at I in degree k * step
-    is free of rank C(r + k - 1, k), r = len(H.characters(I)).
+    is free of rank C(r + k - 1, k), r = len(H.characters(I)), so the
+    faces with the same r share one rank profile.
 
-    Covers with the same character map share one table of symmetric
-    powers, so PosetDiagram's identity-keyed diamond memo sees repeated
-    keys.
-    The character map of a cover I = J - {v}, H.restriction(I, J), is a
-    function of the characters of I and J and of the position of v in J
-    (vertex_bits order), and is computed once per such triple.  The tables
-    are memoized under the key ``(len(characters(I)), columns)``, with
-    ``columns`` the sparse columns of the restriction as tuples of sorted
-    ``(row, value)`` items.  The row count belongs to the key because it
-    fixes the monomial index of the target; ``top_k`` and the modulus are
-    fixed within the call.  Every table reads one shared monomial index
-    per (rank, degree), as source and as target, built on first use.  The
-    memos and the indexes live for the call.
+    Covers with the same character map share one graded arrow, its table
+    of symmetric powers, so PosetDiagram's identity-keyed memos see
+    repeated keys.  The character map of a cover I = J - {v},
+    H.restriction(I, J), is a function of the characters of I and J and
+    of the position of v in J (vertex_bits order), and is computed once
+    per such triple.  The tables are memoized under the key
+    ``(len(characters(I)), columns)``, with ``columns`` the sparse
+    columns of the restriction as tuples of sorted ``(row, value)``
+    items.  The row count belongs to the key because it fixes the
+    monomial index of the target; ``top_k`` and the modulus are fixed
+    within the call.  The key also fixes the ranks of both ends, one per
+    column, so a table holds exactly the degrees in which both ends are
+    nonzero: every degree when both have characters, else degree 0.
+    Every table reads one shared monomial index per (rank, degree), as
+    source and as target, built on first use.  The memos and the indexes
+    live for the call.
     """
     faces = sorted(K.face_masks, key=face_order)
     step = 2 if H.d == 2 else 1
     mod = 2 if H.d == 1 else None
     top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}
+    profiles = {}   # character rank -> {degree: rank}
     ranks = {}
     for I in faces:
         r = len(chars[I])
-        for k in range(top_k + 1 if r else 1):
-            ranks[I, k * step] = comb(r + k - 1, k) if k else 1
-    maps = {}     # (chars[I], chars[J], position) -> table
+        if r not in profiles:
+            profiles[r] = {k * step: comb(r + k - 1, k) if k else 1
+                           for k in range(top_k + 1 if r else 1)}
+        ranks[I] = profiles[r]
+    maps = {}     # (chars[I], chars[J], position) -> graded arrow
     tables = {}
     indexes = {}  # (rank, k) -> {monomial code: position}
     arrows = {}
@@ -273,19 +280,21 @@ def build_classifying_diagram(K, H, max_degree):
         for t, b in enumerate(vertex_bits(J)):
             I = J ^ b
             key = chars[I], chars[J], t
-            powers = maps.get(key)
-            if powers is None:
+            graded = maps.get(key)
+            if graded is None:
                 columns = H.restriction(I, J)
                 table = (len(chars[I]),
                          tuple(tuple(sorted(col.items())) for col in columns))
-                powers = tables.get(table)
-                if powers is None:
-                    powers = tables[table] = _sym_powers(
-                        columns, len(chars[I]), top_k, mod, indexes)
-                maps[key] = powers
-            for k, arrow in enumerate(powers):
-                if (I, k * step) in ranks and (J, k * step) in ranks:
-                    arrows[(I, J, k * step)] = arrow
+                graded = tables.get(table)
+                if graded is None:
+                    powers = _sym_powers(columns, len(chars[I]), top_k, mod,
+                                         indexes)
+                    if not (chars[I] and columns):
+                        powers = powers[:1]
+                    graded = tables[table] = {
+                        k * step: arrow for k, arrow in enumerate(powers)}
+                maps[key] = graded
+            arrows[I, J] = graded
     try:
         return PosetDiagram(faces=tuple(faces), ranks=ranks, arrows=arrows,
                             max_degree=max_degree, mod=mod)

@@ -209,6 +209,9 @@ def reduced_homology(K):
 # diagrams of free modules over the face poset
 # ---------------------------------------------------------------------------
 
+_ZERO = {}   # the zero profile and the zero map, read and never written
+
+
 def _congruent(M, N, mod):
     """Whether M = N, modulo ``mod`` when it is given."""
     if not mod:
@@ -222,36 +225,43 @@ class PosetDiagram:
     """Contravariant diagram of graded free modules over face bitmasks.
 
     Every value is free over one ring: Z when ``mod`` is None, F2 when it
-    is 2.  ``ranks[(I, n)]`` is the rank of the value at face I in degree
-    n; missing keys mean the zero module.  ``arrows[(I, J, n)]`` for a
-    cover I < J (J is I plus one vertex) is the structure map value(J) ->
-    value(I) in degree n as a dict ``{(row, col): value}`` of its entries
+    is 2.  ``ranks[I]`` is the rank profile ``{n: rank}`` of the value at
+    face I; a missing face or degree means the zero module.
+    ``arrows[(I, J)]`` for a cover I < J (J is I plus one vertex) is the
+    graded structure map value(J) -> value(I), a dict ``{n: M}`` with M
+    its degree-n part as a dict ``{(row, col): value}`` of the entries
     that are nonzero in the ring, one row per generator of value(I) and
-    one column per generator of value(J); ``{}`` is the zero map.  Only
-    covers are stored; arrow() composes the rest, over Z, so a composite
-    is read modulo ``mod``.  The faces must contain every set that lies
-    between two of them, as the face poset of a simplicial complex does.
-    validate() checks on construction that the faces have no such gap,
-    that every stored arrow is a cover of the right shape, and
+    one column per generator of value(J); ``{}`` is the zero map.  It
+    must hold every degree in which both ends are nonzero.  An arrow with
+    no degree is no arrow.  Only covers are stored; arrow() composes the
+    rest, over Z, so a composite is read modulo ``mod``.  The faces must
+    contain every set that lies between two of them, as the face poset
+    of a simplicial complex does.  validate() checks on construction that
+    the faces have no such gap, that every stored arrow is a cover of the
+    right shape, that no cover between nonzero values lacks an arrow, and
     functoriality modulo ``mod`` in every degree of ``ranks``.
     limit_graded relies on all of it: it solves for the facet values alone
     and asks agreement only at faces with a disconnected link, so a
     diagram changed after construction is not checked again there.
 
-    One arrow dict may be stored under several keys, as
-    build_classifying_diagram does for covers with the same character map.
-    validate() turns that sharing into saved work with one memo keyed by
-    identity: its verdict on a diamond, by its four covering arrows, so
-    diamonds built from the same tables are decided once.  The ring is
-    one for the whole diagram, so the verdict reads nothing else.  The
-    memo holds the objects of its key, so no id is reused while it lives.
-    Everything else is recomputed when asked: products, composites, the
-    covering pairs, and the shape scan of every stored arrow.  arrow()
-    returns a stored cover itself, not a copy, so it must not be mutated.
-    The verdict memo saves a fifth or more of a large diagram such as the
-    boundary of the 9-simplex.  Upstream of this class,
-    build_classifying_diagram's ``maps`` and ``tables`` and
-    check_condition1's walk below the full facets pay on the same path.
+    One profile may be the value of several faces, and one graded arrow
+    the value of several covers, as build_classifying_diagram shares them
+    between faces with the same character rank and covers with the same
+    character table.  validate() turns that sharing into saved work with
+    memos keyed by identity.  It scans the shape of each distinct triple
+    (arrow, profile of I, profile of J) once, and looks for missing
+    degrees once per such triple.  It decides each diamond once per
+    distinct set of its four arrows, and within that keeps the verdict in
+    one degree by its four matrices.  The four arrows fix the verdict,
+    whatever the profiles, since the ring is one for the whole diagram
+    and every arrow has passed its shape scan at each of its covers: a
+    matrix with a zero end is the zero map, so in a degree where a face
+    of a diamond is zero, each path through that face has the zero
+    product, in every diamond that shares the four arrows.  Each memo
+    holds the objects of its keys, so no id is reused while it lives.
+    The covering pairs are listed once, on construction; products and
+    composites are recomputed when asked.  arrow() returns a stored
+    matrix itself, not a copy, so it must not be mutated.
     """
 
     faces: tuple
@@ -262,6 +272,9 @@ class PosetDiagram:
 
     def __post_init__(self):
         self.faces = tuple(sorted(set(self.faces), key=face_order))
+        face_set = set(self.faces)
+        self._covers = [(J ^ b, J) for J in self.faces
+                        for b in vertex_bits(J) if J ^ b in face_set]
         self.validate()
 
     def arrow(self, I, J, n):
@@ -275,24 +288,22 @@ class PosetDiagram:
 
     def _arrow(self, I, J, n):
         """arrow() for I <= J, which the caller guarantees."""
-        rank = self.ranks.get((I, n))
-        if not rank or not self.ranks.get((J, n)):
+        rank = self.ranks.get(I, _ZERO).get(n)
+        if not rank or not self.ranks.get(J, _ZERO).get(n):
             return {}
         if I == J:
             return {(k, k): 1 for k in range(rank)}
-        key = (I, J, n)
-        if key in self.arrows:
-            return self.arrows[key]
+        graded = self.arrows.get((I, J))
+        if graded:
+            return graded[n]
         # walk down one vertex at a time, the lowest of J - I first
         mid = J ^ vertex_bits(J & ~I)[0]
         return sparse_product(self._arrow(I, mid, n), self._arrow(mid, J, n))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
-        increasing."""
-        face_set = set(self.faces)
-        return [(J ^ b, J) for J in self.faces
-                for b in vertex_bits(J) if J ^ b in face_set]
+        increasing; the list is shared, so it must not be mutated."""
+        return self._covers
 
     def validate(self):
         faces = self.faces
@@ -305,36 +316,55 @@ class PosetDiagram:
                 if I not in face_set and any(F & ~I == 0 for F in faces):
                     raise ValueError("%s lies between two faces but is not "
                                      "one" % vertices(I))
-        for (I, J, n), M in arrows.items():
+        scanned = {}   # ids of (arrow, profile of I, profile of J) -> those
+        for (I, J), graded in arrows.items():
+            if not isinstance(graded, dict):
+                raise ValueError("arrow at %s <= %s is not a {degree: "
+                                 "{(row, col): value}} dict"
+                                 % (vertices(I), vertices(J)))
+            if not graded:
+                continue
             if I not in face_set or J not in face_set:
                 raise ValueError("arrow between objects not in the poset")
             if I & ~J or (I ^ J).bit_count() != 1:
                 raise ValueError("arrow from %s to %s, degree %d is not a "
-                                 "cover" % (vertices(I), vertices(J), n))
-            if not isinstance(M, dict):
-                raise ValueError("arrow at %s <= %s, degree %d is not a "
-                                 "{(row, col): value} dict"
-                                 % (vertices(I), vertices(J), n))
-            rows, cols = ranks.get((I, n), 0), ranks.get((J, n), 0)
-            for (r, c), x in M.items():
-                if not (0 <= r < rows and 0 <= c < cols
-                        and (x % mod if mod else x)):
-                    raise ValueError(
-                        "arrow shape mismatch at %s <= %s, degree %d: %s"
-                        % (vertices(I), vertices(J), n, {(r, c): x}))
+                                 "cover" % (vertices(I), vertices(J),
+                                            next(iter(graded))))
+            low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
+            key = id(graded), id(low), id(high)
+            if key in scanned:
+                continue
+            scanned[key] = graded, low, high
+            for n, M in graded.items():
+                if not isinstance(M, dict):
+                    raise ValueError("arrow at %s <= %s, degree %d is not a "
+                                     "{(row, col): value} dict"
+                                     % (vertices(I), vertices(J), n))
+                rows, cols = low.get(n, 0), high.get(n, 0)
+                for (r, c), x in M.items():
+                    if not (0 <= r < rows and 0 <= c < cols
+                            and (x % mod if mod else x)):
+                        raise ValueError(
+                            "arrow shape mismatch at %s <= %s, degree %d: %s"
+                            % (vertices(I), vertices(J), n, {(r, c): x}))
         # a covering arrow between nonzero values has no composite to
         # fall back on
-        degrees = sorted({n for (_, n) in ranks})
-        for I, J in self.covering_pairs():
-            for n in degrees:
-                if ((I, J, n) not in arrows and ranks.get((I, n))
-                        and ranks.get((J, n))):
+        complete = {}   # same keys as ``scanned``
+        for I, J in self._covers:
+            graded = arrows.get((I, J), _ZERO)
+            low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
+            key = id(graded), id(low), id(high)
+            if key in complete:
+                continue
+            complete[key] = graded, low, high
+            for n in sorted(low):
+                if low[n] and high.get(n) and n not in graded:
                     raise ValueError("missing arrow at %s <= %s, degree %d"
                                      % (vertices(I), vertices(J), n))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
-        zero = {}
-        verdicts = {}   # ids of the four covers -> those four objects
+        diamonds = {}   # ids of four graded arrows -> those
+        verdicts = {}   # ids of four matrices -> those
         for J in faces:
             for a, b in combinations(vertex_bits(J), 2):
                 I = J ^ a ^ b
@@ -345,14 +375,25 @@ class PosetDiagram:
                 # stored, as checked above, so the four covers are read
                 # directly
                 m1, m2 = J ^ a, J ^ b
-                for n in degrees:
-                    if not ranks.get((I, n)) or not ranks.get((J, n)):
+                parts = (arrows.get((I, m1), _ZERO),
+                         arrows.get((m1, J), _ZERO),
+                         arrows.get((I, m2), _ZERO),
+                         arrows.get((m2, J), _ZERO))
+                key = tuple(map(id, parts))
+                if key in diamonds:
+                    continue
+                diamonds[key] = parts
+                low1, high1, low2, high2 = parts
+                low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
+                mid1, mid2 = ranks.get(m1, _ZERO), ranks.get(m2, _ZERO)
+                for n in sorted(low):
+                    if not low[n] or not high.get(n):
                         continue
-                    lo1 = hi1 = lo2 = hi2 = zero
-                    if ranks.get((m1, n)):
-                        lo1, hi1 = arrows[I, m1, n], arrows[m1, J, n]
-                    if ranks.get((m2, n)):
-                        lo2, hi2 = arrows[I, m2, n], arrows[m2, J, n]
+                    lo1 = hi1 = lo2 = hi2 = _ZERO
+                    if mid1.get(n):
+                        lo1, hi1 = low1[n], high1[n]
+                    if mid2.get(n):
+                        lo2, hi2 = low2[n], high2[n]
                     key = id(lo1), id(hi1), id(lo2), id(hi2)
                     if key in verdicts:
                         continue
@@ -393,22 +434,24 @@ def limit_graded(D):
     submodule of a free Z-module is free, and every F2-module is free, so
     the kernel is Z^(a - rank psi) or (Z/2)^(a - rank psi): the rank is
     taken by rank_and_invariants over Z and as the length of the
-    f2_echelon basis of psi's rows over F2.
+    f2_echelon basis of psi's rows over F2.  The degrees are those of
+    the rank profiles, each shared profile read once.
     """
     ranks, mod = D.ranks, D.mod
     facets, blocks = _link_blocks(D)
+    profiles = {id(p): p for p in ranks.values()}.values()
     out = {}
-    for n in sorted({n for (_, n) in ranks if n <= D.max_degree}):
+    for n in sorted({n for p in profiles for n in p if n <= D.max_degree}):
         col = {}
         for F in facets:
-            for k in range(ranks.get((F, n), 0)):
+            for k in range(ranks.get(F, _ZERO).get(n, 0)):
                 col[F, k] = len(col)
         psi, b = {}, 0
         for I, P, Q in blocks:
             for sign, F in ((1, P), (-1, Q)):
                 for (r, c), v in D._arrow(I, F, n).items():
                     psi[b + r, col[F, c]] = sign * v
-            b += ranks.get((I, n), 0)
+            b += ranks.get(I, _ZERO).get(n, 0)
         if mod:
             rows = [0] * b
             for (r, j), v in psi.items():

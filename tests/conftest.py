@@ -214,9 +214,10 @@ def reference_limit(D):
     out = {}
 
     def gens(I, n):
-        return (D.mod or 0,) * D.ranks.get((I, n), 0)
+        return (D.mod or 0,) * D.ranks.get(I, {}).get(n, 0)
 
-    for n in sorted({n for (_, n) in D.ranks if n <= D.max_degree}):
+    for n in sorted({n for r in D.ranks.values() for n in r
+                     if n <= D.max_degree}):
         col, rel_a, d2 = {}, {}, {}
         for I in D.faces:
             for k, o in enumerate(gens(I, n)):

@@ -99,6 +99,27 @@ def test_cli_argument_errors_exit_as_parse_errors(capsys, tmp_path):
             assert "--cell-cap" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["hochster", "quotient-cohomology",
+                                     "equivariant"])
+def test_cli_negative_max_degree_is_a_parse_error(capsys, tmp_path,
+                                                  command):
+    # a negative degree bound would cut every group and print an empty
+    # answer; with the free diagonal circle on valid inputs it exits 2
+    # naming the option, and prints nothing on stdout
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n1 -1 0 0\n0 1 -1 0\n0 0 1 -1\n")
+    K = "builtin:boundary_simplex(4)"
+    args = ([K] if command == "hochster"
+            else ["--complex", K, "--subgroup", str(spath)])
+    code, out, err = run_cli(capsys, command, *args, "--max-degree", "0")
+    assert code == 0
+    code, out, err = run_cli(capsys, command, *args, "--max-degree", "-1")
+    assert code == 2 and not out
+    doc = json.loads(err)
+    assert doc["error"] == "parse"
+    assert doc["message"] == "--max-degree must be nonnegative, got -1"
+
+
 def test_cli_parser_reuse_leaks_no_state(capsys):
     # main reuses one parser per process; a sequence of calls must print
     # what each call prints through a freshly built parser
@@ -244,7 +265,9 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     real = equivariant.PosetDiagram
 
     def planted(faces, ranks, arrows, max_degree, mod):
-        arrows[(0b1, 0b11, 2)] = {(0, 0): 2}   # {1} < {1, 2}
+        # {1} < {1, 2}; the graded arrow is shared with other covers, so
+        # the planted degree goes into a copy
+        arrows[0b1, 0b11] = {**arrows[0b1, 0b11], 2: {(0, 0): 2}}
         return real(faces=faces, ranks=ranks, arrows=arrows,
                     max_degree=max_degree, mod=mod)
 

@@ -139,8 +139,8 @@ def test_euler_characteristic_consistency():
 def test_limit_constant_diagram():
     # constant diagram Z over the face poset of a simplex: limit is Z
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {(f, 0): 1 for f in faces}
-    arrows = {(I, J, 0): {(0, 0): 1} for I in faces for J in faces
+    ranks = {f: {0: 1} for f in faces}
+    arrows = {(I, J): {0: {(0, 0): 1}} for I in faces for J in faces
               if I & ~J == 0 and (J ^ I).bit_count() == 1}
     D = PosetDiagram(tuple(faces), ranks, arrows, 0)
     lim = limit_graded(D)
@@ -151,7 +151,7 @@ def test_limit_two_points():
     # values Z at each of two vertices, Z^2 at the edge is absent:
     # poset of two incomparable faces gives the product
     faces = [0b1, 0b10]   # {1}, {2}
-    ranks = {(f, 2): 1 for f in faces}
+    ranks = {f: {2: 1} for f in faces}
     D = PosetDiagram(tuple(faces), ranks, {}, 2)
     lim = limit_graded(D)
     assert lim.group(2) == FinAbGroup.free(2)
@@ -163,10 +163,10 @@ def test_limit_equalizer_with_torsion():
     # (Z/2)^2; the same shapes over Z with the arrow at {1} multiplying by
     # 2 give Z^2, pairs with 2 x_1 = 0
     e, a, b = 0, 0b1, 0b10   # {}, {1}, {2}
-    ranks = {(a, 0): 2, (b, 0): 1, (e, 0): 1}
+    ranks = {a: {0: 2}, b: {0: 1}, e: {0: 1}}
     for mod, x, want in ((2, 1, FinAbGroup.make(0, (2, 2))),
                          (None, 2, FinAbGroup.free(2))):
-        arrows = {(e, a, 0): {(0, 0): x}, (e, b, 0): {}}
+        arrows = {(e, a): {0: {(0, 0): x}}, (e, b): {0: {}}}
         D = PosetDiagram((e, a, b), ranks, arrows, 0, mod)
         assert limit_graded(D).group(0) == want
 
@@ -175,31 +175,31 @@ def test_limit_invariant_under_relabeling():
     # relabeling the poset vertices must not change the limit
     rng = seeded("relabel")
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {(0, 0): 1, (0b1, 0): 2, (0b10, 0): 1, (0b11, 0): 1}
+    ranks = {0: {0: 1}, 0b1: {0: 2}, 0b10: {0: 1}, 0b11: {0: 1}}
     arrows = {
-        (0, 0b1, 0): {(0, 0): 1, (0, 1): 1},
-        (0, 0b10, 0): {(0, 0): 1},
-        (0b1, 0b11, 0): {(0, 0): 1},
-        (0b10, 0b11, 0): {(0, 0): 1},
+        (0, 0b1): {0: {(0, 0): 1, (0, 1): 1}},
+        (0, 0b10): {0: {(0, 0): 1}},
+        (0b1, 0b11): {0: {(0, 0): 1}},
+        (0b10, 0b11): {0: {(0, 0): 1}},
     }
     D = PosetDiagram(tuple(faces), ranks, arrows, 0)
     base = limit_graded(D)
     perm = {1: 2, 2: 1}
     relabel = lambda f: _mask(perm[v] for v in vertices(f))
     D2 = PosetDiagram(tuple(relabel(f) for f in faces),
-                      {(relabel(f), n): r for (f, n), r in ranks.items()},
-                      {(relabel(I), relabel(J), n): M
-                       for (I, J, n), M in arrows.items()}, 0)
+                      {relabel(f): r for f, r in ranks.items()},
+                      {(relabel(I), relabel(J)): M
+                       for (I, J), M in arrows.items()}, 0)
     assert limit_graded(D2) == base
 
 
 def test_diagram_functoriality_rejected():
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {(f, 0): 1 for f in faces}
-    arrows = {(I, J, 0): {(0, 0): 1} for I in faces for J in faces
+    ranks = {f: {0: 1} for f in faces}
+    arrows = {(I, J): {0: {(0, 0): 1}} for I in faces for J in faces
               if I & ~J == 0 and (J ^ I).bit_count() == 1}
     # break one square: composite through {1} gives 1, through {2} gives 2
-    arrows[(0b10, 0b11, 0)] = {(0, 0): 2}
+    arrows[(0b10, 0b11)] = {0: {(0, 0): 2}}
     with pytest.raises(ValueError):
         PosetDiagram(tuple(faces), ranks, arrows, 0)
 
@@ -207,11 +207,11 @@ def test_diagram_functoriality_rejected():
 def _square(n, arrows, mod=None):
     # the face poset of an edge, Z (F2 for mod=2) in degree n at every face
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    covers = {(e, a, n): 1, (e, b, n): 1, (a, ab, n): 1, (b, ab, n): 1}
+    covers = {(e, a): 1, (e, b): 1, (a, ab): 1, (b, ab): 1}
     covers.update(arrows)
-    return PosetDiagram((e, a, b, ab), {(f, n): 1 for f in (e, a, b, ab)},
-                        {key: {(0, 0): v} for key, v in covers.items()}, 2,
-                        mod)
+    return PosetDiagram((e, a, b, ab), {f: {n: 1} for f in (e, a, b, ab)},
+                        {key: {n: {(0, 0): v}} for key, v in covers.items()},
+                        2, mod)
 
 
 def test_diagram_functoriality_checked_in_every_degree():
@@ -221,7 +221,7 @@ def test_diagram_functoriality_checked_in_every_degree():
     for n in (0, 4, -2):
         _square(n, {})
         with pytest.raises(ValueError, match="not functorial.*degree %d" % n):
-            _square(n, {(b, ab, n): 2})
+            _square(n, {(b, ab): 2})
 
 
 def test_diagram_functoriality_modulo_torsion():
@@ -229,10 +229,10 @@ def test_diagram_functoriality_modulo_torsion():
     # diagram with mod=2, with the limit of its top value, and not one
     # with mod=None
     b, ab = 0b10, 0b11   # {2}, {1, 2}
-    D = _square(0, {(b, ab, 0): 3}, mod=2)
+    D = _square(0, {(b, ab): 3}, mod=2)
     assert limit_graded(D).group(0) == FinAbGroup.cyclic(2)
     with pytest.raises(ValueError, match="not functorial"):
-        _square(0, {(b, ab, 0): 3})
+        _square(0, {(b, ab): 3})
 
 
 def test_diagram_stored_long_arrow_checked():
@@ -242,12 +242,11 @@ def test_diagram_stored_long_arrow_checked():
     # between faces that are not nested
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
     assert _square(0, {}).arrow(e, ab, 0) == {(0, 0): 1}
-    for key in ((e, ab, 0), (e, ab, 2), (a, b, 2), (ab, a, 2)):
-        I, J, n = key
+    for I, J, n in ((e, ab, 0), (e, ab, 2), (a, b, 2), (ab, a, 2)):
         with pytest.raises(ValueError, match=re.escape(
                 "from %s to %s, degree %d is not a cover"
                 % (vertices(I), vertices(J), n))):
-            _square(n, {key: 1})
+            _square(n, {(I, J): 1})
 
 
 def test_diagram_arrow_requires_a_subset():
@@ -263,11 +262,11 @@ def test_diagram_composes_through_a_zero_value():
     # value(I) = Z except at {1}, where it is 0 in degree 0: the square
     # (empty, {1, 2}) has one composite through a zero group
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    ranks = {(f, 0): 1 for f in (e, b, ab)}
+    ranks = {f: {0: 1} for f in (e, b, ab)}
 
     def diagram(to_b):
-        arrows = {(e, a, 0): {}, (a, ab, 0): {},
-                  (e, b, 0): to_b, (b, ab, 0): {(0, 0): 1}}
+        arrows = {(e, a): {0: {}}, (a, ab): {0: {}},
+                  (e, b): {0: to_b}, (b, ab): {0: {(0, 0): 1}}}
         return PosetDiagram((e, a, b, ab), ranks, arrows, 0)
 
     with pytest.raises(ValueError, match="not functorial"):
@@ -278,9 +277,9 @@ def test_diagram_composes_through_a_zero_value():
 def _edge_square(ea, a_ab, eb, b_ab, rank=2):
     # Z^rank at every face of an edge, with the four covers given
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    arrows = {(e, a, 0): ea, (a, ab, 0): a_ab, (e, b, 0): eb,
-              (b, ab, 0): b_ab}
-    return PosetDiagram((e, a, b, ab), {(f, 0): rank
+    arrows = {(e, a): {0: ea}, (a, ab): {0: a_ab}, (e, b): {0: eb},
+              (b, ab): {0: b_ab}}
+    return PosetDiagram((e, a, b, ab), {f: {0: rank}
                                         for f in (e, a, b, ab)}, arrows, 0)
 
 
@@ -303,14 +302,51 @@ def test_diagram_shared_arrows_still_checked():
     # objects and differ in the fourth: the first commutes and the
     # second, decided after it, does not; a verdict memo keyed on part
     # of the four covers would pass both
-    one, two = {(0, 0): 1}, {(0, 0): 2}
+    one, two = {0: {(0, 0): 1}}, {0: {(0, 0): 2}}
     faces = [_mask(f) for f in ((), (1,), (2,), (3,), (1, 2), (1, 3))]
     e, a, b, c, ab, ac = faces
-    arrows = {(e, a, 0): one, (e, b, 0): one, (e, c, 0): one,
-              (b, ab, 0): one, (c, ac, 0): one, (a, ab, 0): {(0, 0): 1},
-              (a, ac, 0): two}
+    arrows = {(e, a): one, (e, b): one, (e, c): one,
+              (b, ab): one, (c, ac): one, (a, ab): {0: {(0, 0): 1}},
+              (a, ac): two}
     with pytest.raises(ValueError, match=r"\[1, 3\], degree 0"):
-        PosetDiagram(tuple(faces), {(f, 0): 1 for f in faces}, arrows, 0)
+        PosetDiagram(tuple(faces), {f: {0: 1} for f in faces}, arrows, 0)
+
+
+def test_diagram_shape_scan_keyed_on_both_profiles():
+    # one graded arrow object at {} < {1} and at {} < {2}: it fits the
+    # rank 2 value at {1} and not the rank 1 value at {2}, so its shape is
+    # scanned again at the second cover; a scan memo keyed on the arrow
+    # alone would pass it
+    e, a, b = 0, 0b1, 0b10   # {}, {1}, {2}
+    ranks = {e: {0: 1}, a: {0: 2}, b: {0: 1}}
+    G = {0: {(0, 1): 1}}
+    PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): {0: {(0, 0): 1}}}, 0)
+    with pytest.raises(ValueError, match=re.escape(
+            "shape mismatch at [] <= [2], degree 0")):
+        PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): G}, 0)
+
+
+def test_diagram_shared_diamond_rejected_in_a_new_degree():
+    # the diamonds of the edges {1, 2} and {1, 3} share all four graded
+    # arrows, and {1, 3} is nonzero in degree 2, where {1, 2} is zero.
+    # A matrix that fits a zero end is the zero map, so no square of the
+    # second diamond can fail in degree 2; what that degree asks is an
+    # arrow at each cover of {1, 3}, which the shared arrows, fitted to
+    # the first diamond, lack.  A missing-degree memo keyed on the arrow
+    # alone would pass the second diamond on the first one's verdict
+    faces = [_mask(f) for f in ((), (1,), (2,), (3,), (1, 2), (1, 3))]
+    e, a, b, c, ab, ac = faces
+    both, low = {0: {(0, 0): 1}, 2: {(0, 0): 1}}, {0: {(0, 0): 1}}
+    arrows = {(e, a): both, (e, b): both, (e, c): both,
+              (b, ab): low, (c, ac): low, (a, ab): low, (a, ac): low}
+    ranks = {f: {0: 1, 2: 1} for f in faces}
+    ranks[ab] = {0: 1}
+    first = {key: G for key, G in arrows.items() if ac not in key}
+    assert PosetDiagram(tuple(faces[:5]), ranks, first, 2).arrow(
+        e, ab, 2) == {}
+    with pytest.raises(ValueError, match=re.escape(
+            "missing arrow at [3] <= [1, 3], degree 2")):
+        PosetDiagram(tuple(faces), ranks, arrows, 2)
 
 
 def _diagonal_diagram(rng, K):
@@ -321,9 +357,10 @@ def _diagonal_diagram(rng, K):
     s = {v: [rng.choice((-3, -2, -1, 2, 3)) for _ in range(r)]
          for v in range(1, K.m + 1)}
     faces = sorted(K.face_masks, key=face_order)
-    arrows = {(J ^ b, J, 0): {(g, g): s[b.bit_length()][g] for g in range(r)}
+    arrows = {(J ^ b, J): {0: {(g, g): s[b.bit_length()][g]
+                               for g in range(r)}}
               for J in faces for b in vertex_bits(J)}
-    return PosetDiagram(tuple(faces), {(f, 0): r for f in faces}, arrows, 0)
+    return PosetDiagram(tuple(faces), {f: {0: r} for f in faces}, arrows, 0)
 
 
 def test_diagram_composites_match_fresh_products():
@@ -339,10 +376,10 @@ def test_diagram_composites_match_fresh_products():
             for I in D.faces:
                 if I & ~J == 0 and (J ^ I).bit_count() >= 2:
                     chain = vertex_bits(J ^ I)
-                    expect = D.arrows[J ^ chain[0], J, 0]
+                    expect = D.arrows[J ^ chain[0], J][0]
                     top = J ^ chain[0]
                     for b in chain[1:]:
-                        expect = sparse_product(D.arrows[top ^ b, top, 0],
+                        expect = sparse_product(D.arrows[top ^ b, top][0],
                                                 expect)
                         top = top ^ b
                     assert D.arrow(I, J, 0) == expect, (vertices(I),
@@ -352,13 +389,13 @@ def test_diagram_composites_match_fresh_products():
 def test_diagram_validate_rejects_malformed_arrows():
     e, a, b = 0, 0b1, 0b10   # {}, {1}, {2}
 
-    def diagram(arrow, key=(e, a, 0), mod=None):
+    def diagram(arrow, key=(e, a), mod=None):
         # one arrow value(a) -> value(e), both of rank 1
-        return PosetDiagram((e, a), {(e, 0): 1, (a, 0): 1}, {key: arrow}, 0,
-                            mod)
+        return PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}}, {key: {0: arrow}},
+                            0, mod)
 
     with pytest.raises(ValueError, match="not in the poset"):
-        diagram({(0, 0): 1}, key=(e, b, 0))
+        diagram({(0, 0): 1}, key=(e, b))
     with pytest.raises(ValueError, match="shape mismatch"):
         diagram({(0, 1): 1})
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -374,8 +411,8 @@ def test_diagram_validate_rejects_malformed_arrows():
     # 1 value at {1}, not the zero value at {2}
     M = {(0, 0): 1}
     with pytest.raises(ValueError, match="shape mismatch"):
-        PosetDiagram((e, a, b), {(e, 0): 1, (a, 0): 1},
-                     {(e, a, 0): M, (e, b, 0): M}, 0)
+        PosetDiagram((e, a, b), {e: {0: 1}, a: {0: 1}},
+                     {(e, a): {0: M}, (e, b): {0: M}}, 0)
     # F2 -> F2 by 3 is the identity, and its limit is the source
     D = diagram({(0, 0): 3}, mod=2)
     assert limit_graded(D).group(0) == FinAbGroup.cyclic(2)
@@ -386,10 +423,10 @@ def test_limit_missing_covering_arrow():
     # value({1}) = 0 -> value(empty) = Z/2 is trivial; between two nonzero
     # values a missing covering arrow is rejected, naming the pair
     e, a = 0, 0b1   # {}, {1}
-    D = PosetDiagram((e, a), {(e, 0): 1}, {}, 0, 2)
+    D = PosetDiagram((e, a), {e: {0: 1}}, {}, 0, 2)
     assert limit_graded(D).is_trivial()
     with pytest.raises(ValueError, match=r"missing arrow at \[\] <= \[1\]"):
-        PosetDiagram((e, a), {(e, 0): 1, (a, 0): 1}, {}, 0)
+        PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}}, {}, 0)
 
 
 def _f2_apply(M, x):
@@ -410,16 +447,16 @@ def test_limit_torsion_matches_bruteforce():
     leaves = [1 << (v - 1) for v in (1, 2, 3)]
     for _ in range(300):
         rank = {F: rng.randint(1, 3) for F in [e] + leaves}
-        arrows = {(e, F, 0): {(r, c): 1 for r in range(rank[e])
-                              for c in range(rank[F]) if rng.randint(0, 1)}
+        arrows = {(e, F): {0: {(r, c): 1 for r in range(rank[e])
+                               for c in range(rank[F]) if rng.randint(0, 1)}}
                   for F in leaves}
-        D = PosetDiagram((e, *leaves), {(F, 0): n for F, n in rank.items()},
+        D = PosetDiagram((e, *leaves), {F: {0: n} for F, n in rank.items()},
                          arrows, 0, 2)
         lim = limit_graded(D).group(0)
         assert lim.free_rank == 0 and set(lim.torsion) <= {2}
         families = 0
         for x in product(*(range(1 << rank[F]) for F in leaves)):
-            families += len({_f2_apply(arrows[e, F, 0], xv)
+            families += len({_f2_apply(arrows[e, F][0], xv)
                              for F, xv in zip(leaves, x)}) == 1
         assert families == 2 ** len(lim.torsion), (rank, arrows, lim)
 
@@ -448,7 +485,7 @@ def _classifying_diagrams(d, count, name):
         if not check_condition1(K, H)[0]:
             continue
         D = build_classifying_diagram(K, H, top)
-        if d == 1 and sum(D.ranks.get((I, top), 0) for I in D.faces) > 150:
+        if d == 1 and sum(D.ranks[I].get(top, 0) for I in D.faces) > 150:
             continue
         count -= 1
         yield D
@@ -468,17 +505,14 @@ def _torsion_diagram(rng, K):
     faces = sorted(K.face_masks, key=face_order)
     ranks, arrows = {}, {}
     for I in faces:
-        for n in (0, 1):
-            if n == 0 or I.bit_count() >= low:
-                ranks[I, n] = r
+        ranks[I] = {n: r for n in (0, 1) if n == 0 or I.bit_count() >= low}
     for J in faces:
         for b in vertex_bits(J):
             I = J ^ b
-            for n in (0, 1):
-                if (I, n) in ranks:
-                    arrows[I, J, n] = {(k, k): x for k, x
-                                       in enumerate(s[b.bit_length()])
-                                       if (x % mod if mod else x)}
+            arrows[I, J] = {n: {(k, k): x for k, x
+                                in enumerate(s[b.bit_length()])
+                                if (x % mod if mod else x)}
+                            for n in ranks[I]}
     return PosetDiagram(tuple(faces), ranks, arrows, 1, mod)
 
 
@@ -548,7 +582,7 @@ def _presentation_shapes(monkeypatch, limit, D):
             return real(dims, *args, **kwargs)
 
         monkeypatch.setattr(homology, "ChainComplex", recorded)
-    for n in sorted({n for (_, n) in D.ranks}):
+    for n in sorted({n for r in D.ranks.values() for n in r}):
         shapes.clear()
         limit(_in_degree(D, n))
         assert len(shapes) <= 1
@@ -559,8 +593,8 @@ def _presentation_shapes(monkeypatch, limit, D):
 
 def _in_degree(D, n):
     return PosetDiagram(
-        D.faces, {key: r for key, r in D.ranks.items() if key[1] == n},
-        {key: M for key, M in D.arrows.items() if key[2] == n}, n, D.mod)
+        D.faces, {I: {n: r[n]} for I, r in D.ranks.items() if n in r},
+        {key: {n: M[n]} for key, M in D.arrows.items() if n in M}, n, D.mod)
 
 
 def test_limit_presentation_never_exceeds_the_reference(monkeypatch):
@@ -593,8 +627,8 @@ def test_limit_over_one_facet_is_its_value(monkeypatch):
                                                    limit_graded, D)]
         assert rows == [0] * len(rows)
         lim = limit_graded(D)
-        for n in {n for (_, n) in D.ranks}:
-            rank = D.ranks.get((facet, n), 0)
+        for n in {n for r in D.ranks.values() for n in r}:
+            rank = D.ranks[facet].get(n, 0)
             assert lim.group(n) == (FinAbGroup.make(0, (2,) * rank) if D.mod
                                     else FinAbGroup.free(rank)), (D.ranks, n)
 
@@ -654,14 +688,14 @@ def test_limit_reads_composites_modulo_2():
     # and the limit is the whole product (Z/2)^2 of the facet values
     K = SimplicialComplex(5, [{1, 2, 3}, {3, 4, 5}])
     faces = K.face_masks
-    ranks = {(I, 0): 2 if I == 0b110 else 1 for I in faces}
+    ranks = {I: {0: 2 if I == 0b110 else 1} for I in faces}
     row, col = {(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}
     special = {((3,), (2, 3)): row, ((2,), (2, 3)): row,
                ((2, 3), (1, 2, 3)): col, ((1, 3), (1, 2, 3)): {},
                ((1, 2), (1, 2, 3)): {}, ((3, 4), (3, 4, 5)): {},
                ((3, 5), (3, 4, 5)): {}, ((4, 5), (3, 4, 5)): {}}
     special = {(_mask(I), _mask(J)): M for (I, J), M in special.items()}
-    arrows = {(J ^ b, J, 0): special.get((J ^ b, J), {(0, 0): 1})
+    arrows = {(J ^ b, J): {0: special.get((J ^ b, J), {(0, 0): 1})}
               for J in faces for b in vertex_bits(J)}
     D = PosetDiagram(tuple(faces), ranks, arrows, 0, 2)
     assert D.arrow(0b100, 0b111, 0) == {(0, 0): 2}
@@ -695,10 +729,10 @@ def test_limit_rejects_a_poset_with_a_gap():
     # the facet presentation needs every such set to be one, so the
     # diagram is rejected on construction, with or without arrows
     e, ab = 0, 0b11   # {}, {1, 2}
-    for arrows in ({(e, ab, 0): {(0, 0): 1}}, {}):
+    for arrows in ({(e, ab): {0: {(0, 0): 1}}}, {}):
         with pytest.raises(ValueError,
                            match=r"\[[12]\] lies between two faces"):
-            PosetDiagram((e, ab), {(e, 0): 1, (ab, 0): 1}, arrows, 0)
+            PosetDiagram((e, ab), {e: {0: 1}, ab: {0: 1}}, arrows, 0)
 
 
 def test_homology_matches_bruteforce_ranks():
