@@ -8,11 +8,13 @@ reconciled against it where both apply.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
+from operator import and_, or_
 
 from .homology import GradedAbGroup, face_chain_complex
 from .intlattice import FinAbGroup
-from .simplicial import _relabeled
+from .simplicial import _relabeled, full_subcomplex, vertices
 
 # the most vertices hochster and buchstaber_real accept
 HOCHSTER_M_BOUND = 14
@@ -57,11 +59,51 @@ def sr_dimension(K, n, d=2):
 def hochster(K, max_degree=None):
     """Integral cohomology of the moment-angle complex of K (d=2).
 
+    A cone vertex of K (one in every facet) and a ghost vertex (one in no
+    facet) are split off first.  With c cone vertices, g ghosts and the
+    core the full subcomplex on the other vertices, K is the join of the
+    core, a (c-1)-simplex and the complex {()} on the g ghosts, and the
+    moment-angle complex of a join is the product of its factors', so
+    Z_K = Z_core x (D^2)^c x (S^1)^g (Buchstaber and Panov, *Toric
+    Topology*, AMS 2015).  H*((S^1)^g) is free, an exterior algebra on g
+    generators of degree 1, so by Kunneth degree p of Z_K holds C(g, k)
+    copies of each group of degree p - k of Z_core, torsion included.
+    The core has neither kind of vertex: its facets are those of K cut
+    down to it, one for each facet of K.  ``_subset_walk`` then visits
+    the 2^|core| vertex subsets of the core, not the 2^m of K; the bound
+    ``HOCHSTER_M_BOUND`` still counts m.
+
+    With ``max_degree`` = d, the core is walked to degree d and no degree
+    above d is reported.  Each degree gathers its free rank and torsion
+    coefficients and is normalized once, at the end.
+    """
+    if K.m > HOCHSTER_M_BOUND:
+        raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
+            K.m, HOCHSTER_M_BOUND), "hochster", K.m, HOCHSTER_M_BOUND)
+    used = reduce(or_, K.facet_masks, 0)
+    cone = reduce(and_, K.facet_masks, used)   # 0 for the void complex
+    ghosts = K.m - used.bit_count()
+    core = full_subcomplex(K, vertices(used & ~cone))
+    out = {}
+    for p, (rank, torsion) in _subset_walk(core, max_degree).items():
+        for k in range(ghosts + 1):
+            if max_degree is not None and p + k > max_degree:
+                break
+            copies = comb(ghosts, k)
+            acc = out.setdefault(p + k, [0, []])
+            acc[0] += copies * rank
+            acc[1] += copies * torsion
+    return GradedAbGroup.make({p: FinAbGroup.make(rank, torsion)
+                               for p, (rank, torsion) in out.items()})
+
+
+def _subset_walk(K, max_degree):
+    """{p: [free rank, torsion coefficients]} of degree p of the
+    cohomology of Z_K, unnormalized, from Hochster's formula.
+
     Degree p collects H-tilde^{p-|I|-1} of the full subcomplex K_I on I
-    over all vertex subsets I (Hochster's formula).  The faces of K_I are
-    the face masks of K inside I, kept on K's own vertex labels.  Each
-    degree gathers its free rank and torsion coefficients over the
-    subsets and is normalized once, at the end.
+    over all vertex subsets I.  The faces of K_I are the face masks of K
+    inside I, kept on K's own vertex labels.
 
     Subsets are visited in increasing integer order, so I \\ v is done
     before I, and the unshifted H-tilde(K_I) is kept per I.  It is copied
@@ -97,9 +139,6 @@ def hochster(K, max_degree=None):
     (I all ghosts).  Each I \\ v read from the memo has |I| - 1 vertices,
     so it was visited.
     """
-    if K.m > HOCHSTER_M_BOUND:
-        raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
-            K.m, HOCHSTER_M_BOUND), "hochster", K.m, HOCHSTER_M_BOUND)
     faces = K.face_masks
     ghosts, up, through = _vertex_tables(K)
     memo = []
@@ -132,8 +171,7 @@ def hochster(K, max_degree=None):
             acc = out.setdefault(p, [0, []])
             acc[0] += g.free_rank
             acc[1] += g.torsion
-    return GradedAbGroup.make({p: FinAbGroup.make(rank, torsion)
-                               for p, (rank, torsion) in out.items()})
+    return out
 
 
 def _vertex_tables(K):

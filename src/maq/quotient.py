@@ -10,8 +10,10 @@ finite complex with no algebra in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
 from .homology import ChainComplex, GradedAbGroup
 from .intlattice import TorusSubgroup, join_coordinate
@@ -41,13 +43,15 @@ def _unit_coordinates(forms):
     return unit
 
 
-def _face_monomials(K, unit, shift, top):
-    """{k: [(F, codes)]} for k = 0..top//2: for each face F, in the order of
-    ``K.face_masks``, the codes of the monomials v^mu of total v-degree k
-    with support F and exponent exactly 1 at every coordinate of F in
-    ``unit``; mu_i is added at bit shift[i]."""
+def _face_monomials(K, unit, pinned, shift, top):
+    """{k: [(F, codes)]} for k = 0..top//2: for each face F that misses
+    ``pinned``, in the order of ``K.face_masks``, the codes of the monomials
+    v^mu of total v-degree k with support F and exponent exactly 1 at every
+    coordinate of F in ``unit``; mu_i is added at bit shift[i]."""
     out = {k: [] for k in range(top // 2 + 1)}
     for F in K.face_masks:
+        if F & pinned:
+            continue
         vs = [i for i in range(K.m) if F >> i & 1]
         free = [shift[i] for i in vs if i not in unit]
         base = sum(1 << shift[i] for i in vs if i in unit)
@@ -119,6 +123,25 @@ class KoszulComplex:
     coefficient 2 at k, or a second form touching k, makes k no unit
     coordinate.
 
+    A unit coordinate k of u_j that is a cone vertex of K, one in every
+    facet, keeps only the cells with a_k = 0: no face through k, and u_j
+    beside no face.  Those cells span a subcomplex of F, since d never
+    raises a_k.  On the piece a_k = 1 of F, the cells with j not in S and
+    mu_k = 1 span a subcomplex B: u_j is not in S, and the other forms
+    do not touch k, so their terms keep mu_k and leave j out of S.  The
+    other cells A of the piece have j in S and mu_k = 0; the terms of
+    u_j away from k lower a_k, so in the piece d maps A to A by the other
+    forms' terms and to B by the term of u_j at k, (S, mu) -> (S - j,
+    mu + e_k) with coefficient +-1.  That map is a bijection on cells:
+    supp(mu) + k is a face whenever supp(mu) is, because k lies in every
+    facet; the inverse removes k from a support; and neither changes the
+    exponent at another unit coordinate or whether its form lies in S.
+    It takes a cell of degree n, |S| + 2|mu|, to one of degree n + 1, as
+    the cone for a_k >= 2 does.  So the piece is the cone of an
+    isomorphism, acyclic over Z, and the cells with a_k = 0 have the
+    cohomology of F in degrees 0..max_degree.  Were k to miss a facet G,
+    a cell of A with support G would have no partner in B.
+
     ``cell_cap`` bounds the number of cells built, counted cumulatively
     over the degrees, and is checked as cells are appended.
     """
@@ -154,16 +177,20 @@ class KoszulComplex:
         top = self.max_degree + 1
         l = self.l
         unit = _unit_coordinates(self.forms)
+        # the unit coordinates in every facet, kept at a_k = 0
+        cone = reduce(and_, self.K.facet_masks, (1 << self.K.m) - 1)
+        pinned = sum(1 << k for k in unit if cone >> k & 1)
         # the monomials of each face with the bits of the forms that S may
         # contain beside them, and the sums of their p-subsets by p, shared
         # by the faces that allow the same forms
         subsets = {}
         monos = {}
-        for k, faces in _face_monomials(self.K, unit, self._shift,
+        for k, faces in _face_monomials(self.K, unit, pinned, self._shift,
                                         top).items():
             monos[k] = []
             for F, codes in faces:
-                banned = {j for i, j in unit.items() if F >> i & 1}
+                banned = {j for i, j in unit.items()
+                          if (F | pinned) >> i & 1}
                 bits = tuple(1 << j for j in range(l) if j not in banned)
                 monos[k].append((codes, bits, subsets.setdefault(bits, {})))
         self.basis = {}

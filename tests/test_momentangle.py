@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from maq import momentangle
@@ -58,6 +60,70 @@ def _hochster_bruteforce(K, max_degree=None):
             if max_degree is None or n <= max_degree:
                 total[n] = total.get(n, FinAbGroup.trivial()).direct_sum(g)
     return GradedAbGroup.make(total)
+
+
+def _with_cone_and_ghosts(K, cone, ghosts, rng):
+    """K joined with a simplex on ``cone`` new vertices, plus ``ghosts``
+    vertices in no face, with all labels shuffled."""
+    labels = list(range(1, K.m + cone + ghosts + 1))
+    rng.shuffle(labels)
+    apex = set(labels[K.m:K.m + cone])
+    return SimplicialComplex(len(labels), [{labels[v - 1] for v in F} | apex
+                                           for F in K.facets])
+
+
+def test_hochster_splits_cone_and_ghost_vertices():
+    # Z_K = Z_core x (D^2)^c x (S^1)^g, against every K_I built, as whole
+    # groups with torsion at every degree cut; _hochster_bruteforce cuts
+    # its degrees after summing, so its truncation at d is its value at d
+    rng = seeded("hochster-split")
+    cases = [_with_cone_and_ghosts(random_complex(rng, rng.randint(1, 4)),
+                                   rng.randint(1, 3), rng.randint(0, 3), rng)
+             for _ in range(10)]
+    edge = join(rp2_6(), SimplicialComplex.simplex(2))
+    cases += [SimplicialComplex(edge.m + g, edge.facets) for g in (0, 2)]
+    cases += [SimplicialComplex.simplex(4),
+              SimplicialComplex.empty_face_only(3),
+              SimplicialComplex.void(3)]
+    for K in cases:
+        full = _hochster_bruteforce(K)
+        for d in range(-1, 2 * K.m + 2):
+            assert hochster(K, max_degree=d) == _truncated(full, d), (K, d)
+    # the Z/2 of rp2_6 in degree 9 moves up with the ghosts: C(2, k)
+    # copies in degree 9 + k
+    for k in range(3):
+        assert hochster(cases[11]).group(9 + k).torsion == (2,) * (1 + k % 2)
+    # {()} with three ghosts is the 3-torus; the void complex gives zero
+    assert hochster(cases[13]) == GradedAbGroup.make(
+        {k: FinAbGroup.free(c) for k, c in enumerate((1, 3, 3, 1))})
+    assert hochster(cases[14]) == GradedAbGroup.make({})
+
+
+def test_hochster_walks_only_the_core_vertices(monkeypatch):
+    # rp2_6 with two cone vertices and six ghosts has m = 14, at the
+    # bound, but only the 2^6 subsets of its core are visited
+    calls = []
+    original = momentangle._removable_vertex
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(momentangle, "_removable_vertex", counted)
+    K = _with_cone_and_ghosts(rp2_6(), 2, 6, seeded("hochster-core"))
+    assert K.m == 14
+    h = hochster(K)
+    assert len(calls) == 64
+    calls.clear()
+    core = hochster(rp2_6())
+    assert len(calls) == 64
+    want = {}
+    for p, g in core.groups:
+        for k in range(7):
+            want[p + k] = want.get(p + k, FinAbGroup.trivial()).direct_sum(
+                FinAbGroup.make(comb(6, k) * g.free_rank,
+                                comb(6, k) * g.torsion))
+    assert h == GradedAbGroup.make(want)
 
 
 def test_hochster_memo_matches_bruteforce(monkeypatch):

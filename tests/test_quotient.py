@@ -12,11 +12,11 @@ from maq.momentangle import BoundExceeded, buchstaber_real, hochster
 from maq.quotient import (CubicalQuotient, KoszulComplex,
                           _unit_coordinates, cubical_quotient_cohomology,
                           cw_census, koszul_cohomology, trc_report)
-from maq.simplicial import SimplicialComplex, boundary_simplex
+from maq.simplicial import SimplicialComplex, boundary_simplex, cone
 
 from conftest import (check_cohomology_uct, coboundary_ranks_mod_p, join,
                       mat_mul, random_complex, random_unimodular, rank_mod_p,
-                      seeded)
+                      seeded, swap_vertices)
 
 TWO_POINTS = SimplicialComplex(2, [(1,), (2,)])
 
@@ -279,22 +279,41 @@ def _pruning_rows(rng, family, m):
 
 
 @pytest.mark.parametrize("family", ["trivial", "mixed", "double", "shared",
-                                    "pivot", "lens"])
+                                    "pivot", "lens", "cone"])
 def test_koszul_pruning_matches_unpruned_reference(family):
     rng = seeded("koszul-pruning-" + family)
-    done = wide = 0
+    done = wide = pinned = 0
     while done < 8:
         m = rng.randint(2, 5)
-        K = (boundary_simplex(m) if family == "lens" and done % 2
-             else random_complex(rng, m))
+        if family == "cone":
+            # a random complex coned over one or two vertices, relabeled
+            # so that an apex can sit at any coordinate
+            K = random_complex(rng, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2)):
+                K = cone(K)
+            m = K.m
+            K = swap_vertices(K, m, rng.randint(1, m))
+        elif family == "lens" and done % 2:
+            K = boundary_simplex(m)
+        else:
+            K = random_complex(rng, m)
         if K.is_void() or K.dim() < 0:
             continue
         done += 1
-        rows = _pruning_rows(rng, family, m)
-        wide += any(sum(map(bool, rows[j])) > 1
-                    for j in _unit_coordinates(rows).values())
+        rows = _pruning_rows(rng, rng.choice(("trivial", "pivot", "lens"))
+                             if family == "cone" else family, m)
+        unit = _unit_coordinates(rows)
+        wide += any(sum(map(bool, rows[j])) > 1 for j in unit.values())
         max_degree = m + K.dim() + 1
         kc = KoszulComplex(K, rows, max_degree)
+        # no kept cell has a_k = mu_k + [j in S] = 1 at a unit coordinate
+        # k of u_j in every facet
+        apexes = frozenset.intersection(*K.facets)
+        cone_units = [(k, j) for k, j in unit.items() if k + 1 in apexes]
+        pinned += bool(cone_units)
+        for codes in kc.basis.values():
+            for S, mu in map(kc.decode, codes):
+                assert not any(mu[k] or j in S for k, j in cone_units)
         assert kc.cohomology() == \
             unpruned_koszul_cohomology(K, rows, max_degree)
         # the kept cells span a subcomplex: d leaves the basis only
@@ -311,6 +330,9 @@ def test_koszul_pruning_matches_unpruned_reference(family):
     if family == "pivot":
         # some unit form touches coordinates besides its own
         assert wide
+    if family == "cone":
+        # some unit coordinate lies in every facet
+        assert pinned
 
 
 @pytest.mark.parametrize("max_degree", [2, 3, 5, 6, 13])
