@@ -57,7 +57,8 @@ def sr_dimension(K, n, d=2):
 
 
 def hochster(K, max_degree=None):
-    """Integral cohomology of the moment-angle complex of K (d=2).
+    """Integral cohomology of the moment-angle complex of K (d=2), as the
+    one fold of ``_subset_walk``.
 
     A cone vertex of K (one in every facet) and a ghost vertex (one in no
     facet) are split off first.  With c cone vertices, g ghosts and the
@@ -69,13 +70,16 @@ def hochster(K, max_degree=None):
     generators of degree 1, so by Kunneth degree p of Z_K holds C(g, k)
     copies of each group of degree p - k of Z_core, torsion included.
     The core has neither kind of vertex: its facets are those of K cut
-    down to it, one for each facet of K.  ``_subset_walk`` then visits
-    the 2^|core| vertex subsets of the core, not the 2^m of K; the bound
+    down to it, one for each facet of K.  The walk then visits the
+    2^|core| vertex subsets of the core, not the 2^m of K; the bound
     ``HOCHSTER_M_BOUND`` still counts m.
 
-    With ``max_degree`` = d, the core is walked to degree d and no degree
-    above d is reported.  Each degree gathers its free rank and torsion
-    coefficients and is normalized once, at the end.
+    The fold is Hochster's formula: degree p of Z_core collects
+    H-tilde^{p-|I|-1}(K_I) over the vertex subsets I of the core.  Each
+    degree gathers its free rank and torsion coefficients, the C(g, k)
+    ghost copies are added once per degree, and with ``max_degree`` = d
+    the walk stops at |I| <= d, no degree above d is reported, and each
+    degree is normalized once, at the end.
     """
     if K.m > HOCHSTER_M_BOUND:
         raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
@@ -84,8 +88,15 @@ def hochster(K, max_degree=None):
     cone = reduce(and_, K.facet_masks, used)   # 0 for the void complex
     ghosts = K.m - used.bit_count()
     core = full_subcomplex(K, vertices(used & ~cone))
+    walked = {}   # degree -> [free rank, torsion coefficients] of Z_core
+    for I, groups in _subset_walk(
+            core, core.m if max_degree is None else max_degree):
+        for j, g in groups:
+            acc = walked.setdefault(j + I.bit_count() + 1, [0, []])
+            acc[0] += g.free_rank
+            acc[1] += g.torsion
     out = {}
-    for p, (rank, torsion) in _subset_walk(core, max_degree).items():
+    for p, (rank, torsion) in walked.items():
         for k in range(ghosts + 1):
             if max_degree is not None and p + k > max_degree:
                 break
@@ -97,26 +108,23 @@ def hochster(K, max_degree=None):
                                for p, (rank, torsion) in out.items()})
 
 
-def _subset_walk(K, max_degree):
-    """{p: [free rank, torsion coefficients]} of degree p of the
-    cohomology of Z_K, unnormalized, from Hochster's formula.
+def _subset_walk(K, top):
+    """Yield (I, H-tilde(K_I)) for every vertex subset I of K with
+    |I| <= top, in increasing integer order; the groups are a
+    ``GradedAbGroup.groups`` tuple, unshifted.  The faces of K_I, the
+    full subcomplex on I, are the face masks of K inside I, kept on K's
+    own vertex labels.
 
-    Degree p collects H-tilde^{p-|I|-1} of the full subcomplex K_I on I
-    over all vertex subsets I.  The faces of K_I are the face masks of K
-    inside I, kept on K's own vertex labels.
-
-    Subsets are visited in increasing integer order, so I \\ v is done
-    before I, and the unshifted H-tilde(K_I) is kept per I.  It is copied
-    from I \\ v, and K_I is never built, when v in I is
-
-    - a ghost vertex ({v} not in K): K_I and K_{I \\ v} have the same
-      faces;
-    - dominated in K_I: some other vertex w lies in every facet of K_I
-      that contains v.  Then K_I strong-collapses onto the deletion of
-      v, which is K_{I \\ v} (Barmak and Minian, "Strong homotopy types,
-      nerves and collapses", Discrete Comput. Geom. 47 (2012), 301-328),
-      so the two are homotopy equivalent and have the same integral
-      cohomology, torsion included.  Every cone is such a K_I.
+    Since I \\ v comes before I, the groups are kept per I, and they are
+    copied from I \\ v, with K_I never built, when v in I is dominated in
+    K_I: some other vertex w lies in every facet of K_I that contains v.
+    Then K_I strong-collapses onto the deletion of v, which is K_{I \\ v}
+    (Barmak and Minian, "Strong homotopy types, nerves and collapses",
+    Discrete Comput. Geom. 47 (2012), 301-328), so the two are homotopy
+    equivalent and have the same integral cohomology, torsion included.
+    Every cone is such a K_I, and so is every K_I with a ghost vertex v
+    ({v} not in K): v lies in no facet of K_I, so it is vacuously
+    dominated, and K_I and K_{I \\ v} have the same faces.
 
     The facets of K_I are kept per I, derived from those of K_{I \\ u}
     with u the highest vertex of I: a facet of K_I without u is a facet
@@ -132,27 +140,27 @@ def _subset_walk(K, max_degree):
     isomorphic, with the same integral cohomology, torsion included; so
     each full subcomplex is built once up to relabeling.  On skeleta and
     boundaries of simplices every K_I with the same |I| gives one key.
-    The memo lives for one call.
+    The memo lives for one walk.
 
-    With ``max_degree`` = d, a subset with |I| > d is skipped: its lowest
-    degree is |I|, reached by H-tilde^{-1} = Z when K_I = {empty face}
-    (I all ghosts).  Each I \\ v read from the memo has |I| - 1 vertices,
-    so it was visited.
+    A subset with |I| > top is skipped.  Each I \\ v read from the memo
+    has |I| - 1 vertices, so it was visited.  Shifted by |I| + 1, the
+    groups of K_I start in degree |I| or above, reached by H-tilde^{-1} =
+    Z when K_I = {empty face} (I empty or all-ghost); so a sum cut at
+    degree d needs only top = d.
     """
     faces = K.face_masks
-    ghosts, up, through = _vertex_tables(K)
+    up, through = _vertex_tables(K)
     memo = []
-    # facet masks of K_I per subset I, as tuples, None when I holds a
-    # ghost; tops_of[J] is read only as the I ^ u of a superset I, which
-    # leaves it without the top vertex m, so only those J are kept
+    # facet masks of K_I per visited subset I; tops_of[J] is read only as
+    # the I ^ u of a superset I, which leaves it without the top vertex m,
+    # so only those J are kept
     tops_of = [None] * ((1 << K.m) >> 1)
     built = {}   # relabeled facets of K_I -> its cohomology groups
-    out = {}
     for I in range(1 << K.m):
-        if max_degree is not None and I.bit_count() > max_degree:
+        if I.bit_count() > top:
             memo.append(None)   # read only by supersets, skipped too
             continue
-        v, tops = _removable_vertex(I, ghosts, tops_of, through, up)
+        v, tops = _removable_vertex(I, tops_of, through, up)
         if I < len(tops_of):
             tops_of[I] = tops
         if v:
@@ -164,23 +172,14 @@ def _subset_walk(K, max_degree):
                 groups = built[key] = face_chain_complex(
                     [f for f in faces if f & I == f]).cohomology().groups
         memo.append(groups)
-        for j, g in groups:
-            p = j + I.bit_count() + 1
-            if max_degree is not None and p > max_degree:
-                continue
-            acc = out.setdefault(p, [0, []])
-            acc[0] += g.free_rank
-            acc[1] += g.torsion
-    return out
+        yield I, groups
 
 
 def _vertex_tables(K):
-    """(ghosts, up, through) for K: the bits of the vertices v with {v}
-    not in K; for each face f the bits of the vertices w outside f with
-    f + w a face; and for each vertex bit u the facet masks of K through
-    u."""
+    """(up, through) for K: for each face f the bits of the vertices w
+    outside f with f + w a face; and for each vertex bit u the facet masks
+    of K through u."""
     faces = K.face_masks
-    ghosts = ((1 << K.m) - 1) & ~sum(f for f in faces if f.bit_count() == 1)
     up = dict.fromkeys(faces, 0)
     for g in faces:
         s = g
@@ -190,19 +189,14 @@ def _vertex_tables(K):
             s ^= low
     through = {1 << i: [F for F in K.facet_masks if F >> i & 1]
                for i in range(K.m)}
-    return ghosts, up, through
+    return up, through
 
 
-def _removable_vertex(I, ghosts, tops_of, through, up):
-    """(v, tops): v a vertex bit of I that is a ghost or dominated in K_I,
-    else 0; tops the facet masks of K_I as a tuple, or None when I holds
-    a ghost.
-
-    The tops of I are derived from ``tops_of[I ^ u]``, u the highest
-    vertex bit of I, which must hold the tops of I ^ u; I ^ u holds no
-    ghost when I holds none."""
-    if I & ghosts:
-        return I & ghosts & -(I & ghosts), None
+def _removable_vertex(I, tops_of, through, up):
+    """(v, tops): v a vertex bit of I that is dominated in K_I, else 0; a
+    vertex in no facet of K_I counts as dominated.  tops is the facet
+    masks of K_I as a tuple, derived from ``tops_of[I ^ u]``, u the
+    highest vertex bit of I, which must hold the tops of I ^ u."""
     if not I:
         tops = (0,) if 0 in up else ()   # the empty face, unless K is void
     else:

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from maq import homology
-from maq.simplicial import SimplicialComplex
+from maq.simplicial import (SimplicialComplex, boundary_simplex,
+                            stellar_subdivision, vertices)
 
 
 def random_complex(rng, m, max_facets=None):
@@ -20,6 +21,22 @@ def join(A, B):
     return SimplicialComplex(A.m + B.m, [f | {v + A.m for v in g}
                                          for f in A.facets
                                          for g in B.facets])
+
+
+def random_sphere(rng):
+    """A simplicial sphere on 2..7 vertices: the boundary of a simplex or
+    the join of two, then 0-2 stellar subdivisions at random faces, each
+    adding one vertex.  Joins and stellar subdivisions of spheres are
+    spheres, so every complex drawn is one by construction."""
+    if rng.random() < 0.5:
+        K = boundary_simplex(rng.randint(2, 7))
+    else:
+        a = rng.randint(2, 5)
+        K = join(boundary_simplex(a), boundary_simplex(rng.randint(2, 7 - a)))
+    for _ in range(rng.randint(0, min(2, 7 - K.m))):
+        F = vertices(rng.choice(K.facet_masks))
+        K = stellar_subdivision(K, rng.sample(F, rng.randint(1, len(F))))
+    return K
 
 
 def stellar_reference(K, sigma):

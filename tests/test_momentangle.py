@@ -10,7 +10,7 @@ from maq.momentangle import (BoundExceeded, buchstaber_real, hochster,
                              skeleton_quotient_hrk, skeleton_wedge,
                              sr_dimension)
 from maq.simplicial import (SimplicialComplex, boundary_simplex, cone,
-                            full_subcomplex, skeleton)
+                            full_subcomplex, skeleton, vertices)
 
 from conftest import join, random_complex, seeded
 
@@ -126,6 +126,27 @@ def test_hochster_walks_only_the_core_vertices(monkeypatch):
     assert h == GradedAbGroup.make(want)
 
 
+def test_subset_walk_yields_each_full_subcomplex():
+    # the walk alone, with no sum: every I with |I| <= top once, in
+    # increasing order, with H-tilde(K_I) of the re-indexed full
+    # subcomplex, as whole groups with torsion; ghosts sit at shuffled
+    # labels, so the domination test meets them below other vertices
+    rng = seeded("subset-walk")
+    cases = [_with_cone_and_ghosts(random_complex(rng, rng.randint(1, 6)),
+                                   0, rng.randint(0, 3), rng)
+             for _ in range(24)]
+    cases += [_with_cone_and_ghosts(rp2_6(), 0, 2, rng),
+              SimplicialComplex.empty_face_only(3), SimplicialComplex.void(2)]
+    for K in cases:
+        for top in (K.m, rng.randint(-1, K.m)):
+            walked = list(momentangle._subset_walk(K, top))
+            assert [I for I, _ in walked] == [
+                I for I in range(1 << K.m) if I.bit_count() <= top], (K, top)
+            for I, groups in walked:
+                assert groups == reduced_cohomology(
+                    full_subcomplex(K, vertices(I))).groups, (K, I)
+
+
 def test_hochster_memo_matches_bruteforce(monkeypatch):
     # K_I looked up by its relabeled facets, against every K_I built, as
     # whole groups with torsion: random complexes with ghost vertices,
@@ -149,11 +170,10 @@ def test_hochster_memo_matches_bruteforce(monkeypatch):
               for _ in range(2)]
     undominated = builds = 0
     for K in cases:
-        ghosts, up, through = momentangle._vertex_tables(K)
+        up, through = momentangle._vertex_tables(K)
         tops_of = []
         for I in range(1 << K.m):
-            v, tops = momentangle._removable_vertex(I, ghosts, tops_of,
-                                                    through, up)
+            v, tops = momentangle._removable_vertex(I, tops_of, through, up)
             tops_of.append(tops)
             undominated += not v
         built.clear()
@@ -173,14 +193,14 @@ def test_hochster_reuse_is_exercised():
                  (SimplicialComplex(7, rp2_6().facets + [(1, 7)]), 7)):
         assert not any(all(w in F for F in K.facets)
                        for w in range(1, K.m + 1))
-        ghosts, up, through = momentangle._vertex_tables(K)
+        up, through = momentangle._vertex_tables(K)
         full = (1 << K.m) - 1
         tops_of = []
         for I in range(full):
             tops_of.append(momentangle._removable_vertex(
-                I, ghosts, tops_of, through, up)[1])
+                I, tops_of, through, up)[1])
         assert momentangle._removable_vertex(
-            full, ghosts, tops_of, through, up)[0] == 1 << (v - 1)
+            full, tops_of, through, up)[0] == 1 << (v - 1)
     # the Z/2 of K_[7] in degree 2 + 7 + 1 is copied from K_[6] = rp2_6
     assert hochster(SimplicialComplex(7, rp2_6().facets + [(1, 7)])) \
         .group(10) == FinAbGroup.cyclic(2)
@@ -221,8 +241,9 @@ def test_hochster_max_degree_skips_subsets_above_it(monkeypatch):
     h = hochster(K, max_degree=4)
     assert built and max(_union(masks).bit_count() for masks in built) <= 4
     assert h == _truncated(hochster(K), 4)
-    # a ghost vertex alone gives K_I = {empty face}, whose H-tilde^{-1}
-    # lands in degree |I| = max_degree
+    # vertex 3 is a ghost, split off as an (S^1) factor: the degree-1
+    # class is its copy of the core's unit in degree 0, not an
+    # H-tilde^{-1} that the walk finds
     ghost = SimplicialComplex(3, [{1, 2}])
     assert hochster(ghost, max_degree=1).group(1) == FinAbGroup.free(1)
 
@@ -254,9 +275,10 @@ def _truncated(G, d):
 
 
 def test_domination_test_matches_bruteforce():
-    # _removable_vertex finds a vertex of I exactly when I holds a ghost
-    # or a vertex dominated in K_I, and the one it finds is such a vertex;
-    # the brute force reads the facets of the re-indexed full subcomplex
+    # _removable_vertex finds a vertex of I exactly when I holds a vertex
+    # dominated in K_I, a ghost (in no facet) included, and the one it
+    # finds is such a vertex; the brute force reads the facets of the
+    # re-indexed full subcomplex
     rng = seeded("domination")
     checked = dominated = 0
     for _ in range(60):
@@ -264,7 +286,7 @@ def test_domination_test_matches_bruteforce():
         K = random_complex(rng, m)
         if rng.random() < 0.3:
             K = SimplicialComplex(m + 1, K.facets)   # vertex m + 1 a ghost
-        ghosts, up, through_u = momentangle._vertex_tables(K)
+        up, through_u = momentangle._vertex_tables(K)
         tops_of = {}   # mask -> tops, filled before its supersets
         for I in _all_subsets(K.m):
             labels = sorted(I)
@@ -277,20 +299,17 @@ def test_domination_test_matches_bruteforce():
                 if through and frozenset.intersection(*through) - {v}:
                     removable.add(v)
             mask = sum(1 << (v - 1) for v in I)
-            got, tops = momentangle._removable_vertex(mask, ghosts, tops_of,
+            got, tops = momentangle._removable_vertex(mask, tops_of,
                                                       through_u, up)
             tops_of[mask] = tops
             if removable:
                 assert got.bit_length() in removable, (K, I)
             else:
                 assert got == 0, (K, I)
-            # the facets it hands to the memo are those of K_I, unless I
-            # holds a ghost
-            if all(K.is_face([v]) for v in I):
-                assert sorted(tops) == sorted(sum(1 << (v - 1) for v in F)
-                                              for F in facets), (K, I)
-            else:
-                assert tops is None, (K, I)
+            # the facets it hands to the memo are those of K_I, for every
+            # I: (0,), the empty face, when I holds only ghosts
+            assert sorted(tops) == sorted(sum(1 << (v - 1) for v in F)
+                                          for F in facets), (K, I)
             checked += 1
             dominated += bool(removable)
     assert dominated and checked - dominated

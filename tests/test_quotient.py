@@ -15,8 +15,8 @@ from maq.quotient import (CubicalQuotient, KoszulComplex,
 from maq.simplicial import SimplicialComplex, boundary_simplex, cone
 
 from conftest import (check_cohomology_uct, coboundary_ranks_mod_p, join,
-                      mat_mul, random_complex, random_unimodular, rank_mod_p,
-                      seeded, swap_vertices)
+                      mat_mul, random_complex, random_sphere,
+                      random_unimodular, rank_mod_p, seeded, swap_vertices)
 
 TWO_POINTS = SimplicialComplex(2, [(1,), (2,)])
 
@@ -760,3 +760,58 @@ def test_cubical_projective_space_mod_2():
         check_cohomology_uct(dims, coboundary_ranks_mod_p(C, 2), groups, 2,
                              dims)
         assert groups.group(2) == FinAbGroup.cyclic(2)
+
+
+def test_koszul_answers_satisfy_poincare_duality():
+    # K an (n-1)-sphere on m vertices makes Z_K a closed (m + n)-manifold,
+    # and a free H in the connected torus gives an orientable closed
+    # quotient of dimension N = m + n - torus rank; Poincare duality with
+    # universal coefficients then asks rank H^k = rank H^(N-k) and tors
+    # H^k = tors H^(N+1-k), an oracle that shares nothing with the Koszul
+    # model it checks
+    rng = seeded("duality-koszul")
+    cases = torsion = 0
+    while cases < 90:
+        K = random_sphere(rng)
+        m, n = K.m, K.dim() + 1
+        rows = [[rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(m - rng.randint(0, min(2, m - n)))]
+        H = TorusSubgroup.from_annihilator(m, rows)
+        if not check_free(K, H)[0]:
+            continue
+        cases += 1
+        N = m + n - H.torus_rank()
+        G = koszul_cohomology(K, H)
+        torsion += any(g.torsion for _, g in G.groups)
+        for k in range(N + 2):
+            assert G.group(k).free_rank == G.group(N - k).free_rank, (K, H, k)
+            assert G.group(k).torsion == G.group(N + 1 - k).torsion, (K, H, k)
+    assert torsion >= 20
+
+
+def test_cubical_answers_satisfy_poincare_duality_mod_2():
+    # K an (n-1)-sphere makes the real moment-angle complex a closed
+    # n-manifold, and a free d=1 H a closed quotient, perhaps not
+    # orientable, so only F2 duality holds: dim H^k(-; F2) = dim
+    # H^(n-k)(-; F2), each read from the integral groups by universal
+    # coefficients, rank H^k + t_2(H^k) + t_2(H^(k+1))
+    def dim_f2(G, k):
+        return G.group(k).free_rank + sum(
+            1 for t in G.group(k).torsion + G.group(k + 1).torsion
+            if t % 2 == 0)
+
+    rng = seeded("duality-cubical")
+    cases = non_orientable = 0
+    while cases < 160:
+        K = random_sphere(rng)
+        m, n = K.m, K.dim() + 1
+        H = TorusSubgroup.from_f2_span(
+            m, [rng.randrange(1, 1 << m) for _ in range(rng.randint(1, 2))])
+        if not check_free(K, H)[0]:
+            continue
+        cases += 1
+        G = cubical_quotient_cohomology(K, H)
+        non_orientable += G.group(n).free_rank == 0
+        for k in range(n + 1):
+            assert dim_f2(G, k) == dim_f2(G, n - k), (K, H, k)
+    assert non_orientable >= 20
