@@ -2,10 +2,11 @@
 
 Every subcommand prints a single JSON report with a provenance block
 describing the computation that produced the result.  Exit codes: 0 on
-success, 2 for parse errors, 3 for failed preconditions (with a witness
-in the report), 4 for exceeded size bounds (the layer, size, cap and
-degree of the bound in the report), 5 for an internal consistency
-check that failed (a bug in maq, never a property of the input).
+success, 2 for a parse error, an unreadable input or an unwritable
+output, 3 for PreconditionFailed (witness null when there is none), 4
+for BoundExceeded (its layer, size, cap and degree in the report), and
+5 for an AssertionError or any other ValueError: a bug in maq, never a
+property of the input.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import functools
 import json
 import sys
 
-from .constructions import (PipelineIntegrityError, torsion_pipeline)
-from .equivariant import PreconditionFailed, action_report, equivariant_limit
+from .constructions import torsion_pipeline
+from .equivariant import action_report, equivariant_limit
 from .formats import ParseError, complex_to_text, load_complex, load_subgroup
 from .homology import GradedAbGroup
-from .momentangle import (BoundExceeded, buchstaber_real, hochster,
-                          skeleton_quotient_hrk, skeleton_wedge)
+from .momentangle import (BoundExceeded, PreconditionFailed, buchstaber_real,
+                          hochster, skeleton_quotient_hrk, skeleton_wedge)
 from .quotient import (CELL_CAP, cubical_quotient_cohomology,
                        koszul_cohomology, trc_report)
 from .simplicial import contraction, face_order, vertices
@@ -317,7 +318,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        _emit(args.fn(args), args)
     except (ParseError, OSError) as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}),
               file=sys.stderr)
@@ -331,21 +332,16 @@ def main(argv=None):
         print(json.dumps({"error": "precondition", "message": str(exc),
                           "witness": witness}), file=sys.stderr)
         return EXIT_PRECONDITION
-    except (PipelineIntegrityError, ValueError) as exc:
-        print(json.dumps({"error": "precondition", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_PRECONDITION
     except BoundExceeded as exc:
         print(json.dumps({"error": "bound", "message": str(exc),
                           "layer": exc.layer, "size": exc.size,
                           "cap": exc.cap, "degree": exc.degree}),
               file=sys.stderr)
         return EXIT_BOUND
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(json.dumps({"error": "internal", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(report, args)
     return EXIT_OK
 
 

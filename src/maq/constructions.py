@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .equivariant import check_free
 from .intlattice import TorusSubgroup
+from .momentangle import PreconditionFailed
 from .simplicial import (SimplicialComplex, SphereSanityReport,
                          boundary_simplex, full_subcomplex, minimal_non_faces,
                          sphere_sanity, stellar_subdivision, vertices)
@@ -26,10 +27,6 @@ def rp2_6():
     return SimplicialComplex(6, [frozenset(f) for f in facets])
 
 
-class PipelineIntegrityError(Exception):
-    """A structural guarantee of the construction failed."""
-
-
 def truncate_face(S, sigma, presanitized=False):
     """Truncate the face of the simple polytope dual to the face sigma of
     its nerve sphere S; combinatorially, the stellar subdivision at sigma.
@@ -38,13 +35,13 @@ def truncate_face(S, sigma, presanitized=False):
     """
     sigma = frozenset(sigma)
     if not S.is_face(sigma) or not sigma:
-        raise PipelineIntegrityError(
+        raise ValueError(
             "cannot truncate at %s: not a face of the sphere" % sorted(sigma))
     if not presanitized and not sphere_sanity(S).passed:
-        raise PipelineIntegrityError("input fails the sphere sanity battery")
+        raise ValueError("input fails the sphere sanity battery")
     out = stellar_subdivision(S, sigma)
     if out.m != S.m + 1 or out.is_face(sigma):
-        raise PipelineIntegrityError("truncation postcondition violated")
+        raise AssertionError("truncation postcondition violated")
     return out
 
 
@@ -65,10 +62,10 @@ def bosio_meersseman_nerve(Kp):
     for sigma in mf:
         S = truncate_face(S, sigma, presanitized=True)
     if S.m != m + len(mf):
-        raise PipelineIntegrityError("vertex count is off after the fold")
+        raise AssertionError("vertex count is off after the fold")
     for sigma in mf:
         if S.is_face(sigma):
-            raise PipelineIntegrityError(
+            raise AssertionError(
                 "%s survived the fold as a face" % sorted(sigma))
     return S
 
@@ -132,13 +129,14 @@ def torsion_pipeline(K, p):
     and the predicted torsion degree and quotient dimension.  Integral
     torsion of K sits only in degrees 2..dim K, as H^1 is free.
     """
-    if K.m < 3:
-        raise ValueError("need at least 3 vertices")
+    if K.m < 3 or K.is_void():
+        raise PreconditionFailed("need at least 3 vertices and a facet")
     if not 2 <= p <= K.dim():
-        raise ValueError("p=%d: integral torsion of K sits only in "
-                         "degrees 2..%d" % (p, K.dim()))
+        raise PreconditionFailed("p=%d: integral torsion of K sits only in "
+                                 "degrees 2..%d" % (p, K.dim()))
     # subdividing a maximal simplex creates a vertex pair spanning a
-    # non-edge: the new vertex and any vertex outside that facet
+    # non-edge: the new vertex and any vertex outside that facet, which
+    # exists unless K is the full simplex
     Kp = stellar_subdivision(K, min(map(vertices, K.facet_masks)))
     m = Kp.m
     pair = None
@@ -150,21 +148,21 @@ def torsion_pipeline(K, p):
         if pair:
             break
     if pair is None:
-        raise PipelineIntegrityError("no disjoint vertex pair after the "
-                                     "subdivision")
+        raise PreconditionFailed("K is a simplex: no disjoint vertex pair "
+                                 "after the subdivision")
     nerve = bosio_meersseman_nerve(Kp)
     if full_subcomplex(nerve, range(1, m + 1)) != Kp:
-        raise PipelineIntegrityError("the nerve's full subcomplex on 1..%d "
-                                     "is not the subdivided input" % m)
+        raise AssertionError("the nerve's full subcomplex on 1..%d is not "
+                             "the subdivided input" % m)
     M = nerve.m
     mf_count = M - m   # the nerve checked M == m + |MF(K')|
     sphere = sphere_sanity(nerve)
     if not sphere.passed:
-        raise PipelineIntegrityError("nerve sphere fails the sanity battery")
+        raise AssertionError("nerve sphere fails the sanity battery")
     H = lambda_alpha_subgroup(M, pair)
     free, witness = check_free(nerve, H)
     if not free:
-        raise PipelineIntegrityError(
+        raise AssertionError(
             "the circle is not free on the nerve (witness facet %s)"
             % sorted(witness))
     return TorsionPipelineReport(

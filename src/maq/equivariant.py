@@ -18,16 +18,8 @@ from math import comb
 
 from .homology import PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
-from .momentangle import sr_dimension
+from .momentangle import PreconditionFailed, sr_dimension
 from .simplicial import contraction, face_order, vertex_bits, vertices
-
-
-class PreconditionFailed(Exception):
-    """An enforced precondition failed; ``witness`` explains where."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,14 @@ class BoundExceeded(Exception):
         self.degree = degree
 
 
+class PreconditionFailed(ValueError):
+    """An enforced precondition failed; ``witness`` explains where."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 def sr_dimension(K, n, d=2):
     """Number of monomials of total degree n whose support is a face of K,
     in the face ring with generators v_i of degree d (2 complex, 1 real)."""
@@ -78,8 +86,8 @@ def hochster(K, max_degree=None):
     H-tilde^{p-|I|-1}(K_I) over the vertex subsets I of the core.  Each
     degree gathers its free rank and torsion coefficients, the C(g, k)
     ghost copies are added once per degree, and with ``max_degree`` = d
-    the walk stops at |I| <= d, no degree above d is reported, and each
-    degree is normalized once, at the end.
+    the walk stops at |I| <= max(d - 1, 0), no degree above d is
+    reported, and each degree is normalized once, at the end.
     """
     if K.m > HOCHSTER_M_BOUND:
         raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
@@ -90,7 +98,7 @@ def hochster(K, max_degree=None):
     core = full_subcomplex(K, vertices(used & ~cone))
     walked = {}   # degree -> [free rank, torsion coefficients] of Z_core
     for I, groups in _subset_walk(
-            core, core.m if max_degree is None else max_degree):
+            core, core.m if max_degree is None else max(max_degree - 1, 0)):
         for j, g in groups:
             acc = walked.setdefault(j + I.bit_count() + 1, [0, []])
             acc[0] += g.free_rank
@@ -144,9 +152,9 @@ def _subset_walk(K, top):
 
     A subset with |I| > top is skipped.  Each I \\ v read from the memo
     has |I| - 1 vertices, so it was visited.  Shifted by |I| + 1, the
-    groups of K_I start in degree |I| or above, reached by H-tilde^{-1} =
-    Z when K_I = {empty face} (I empty or all-ghost); so a sum cut at
-    degree d needs only top = d.
+    groups of K_I start in degree |I| + 1 but for H-tilde^{-1}(K_I) = Z
+    in degree |I| when K_I = {empty face}, on a K without ghosts only for
+    I empty; so a sum cut at degree d needs only top = max(d - 1, 0).
     """
     faces = K.face_masks
     up, through = _vertex_tables(K)
@@ -276,7 +284,7 @@ def buchstaber_real(K):
                             % (K.m, BUCHSTABER_REAL_M_BOUND),
                             "buchstaber-real", K.m, BUCHSTABER_REAL_M_BOUND)
     if K.is_void() or K.dim() < 0:
-        raise ValueError("need a complex with at least one vertex")
+        raise PreconditionFailed("need a complex with at least one vertex")
     m = K.m
     upper = m - max(f.bit_count() for f in K.facet_masks)
     forbidden = set(K.face_masks)

@@ -18,8 +18,8 @@ from operator import and_
 from .homology import ChainComplex, GradedAbGroup
 from .intlattice import TorusSubgroup, join_coordinate
 from .exact import f2_echelon, f2_solve
-from .equivariant import PreconditionFailed, _same_vertices, require_free
-from .momentangle import BoundExceeded
+from .equivariant import _same_vertices, require_free
+from .momentangle import BoundExceeded, PreconditionFailed
 from .simplicial import SimplicialComplex
 
 # the default bound on the cells a Koszul or cubical complex may build
@@ -317,7 +317,7 @@ def koszul_cohomology(K, H, max_degree=None, cell_cap=CELL_CAP):
     it is zero.
     """
     if H.d != 2:
-        raise ValueError("koszul pathway needs a d=2 subgroup")
+        raise PreconditionFailed("koszul pathway needs a d=2 subgroup")
     require_free(K, H)
     if max_degree is None:
         # Z_K of the void complex is empty: every degree is zero
@@ -356,7 +356,7 @@ class CubicalQuotient:
 
     def __post_init__(self):
         if self.H.d != 1:
-            raise ValueError("cubical model needs a d=1 subgroup")
+            raise PreconditionFailed("cubical model needs a d=1 subgroup")
         require_free(self.K, self.H)
         count = sum(1 << (self.K.m - bin(fm).count("1"))
                     for fm in self.K.face_masks) >> len(self.H.span)
@@ -496,6 +496,8 @@ def trc_report(K, H):
 
     Z_K of the void complex is empty, so it has no quotient to bound;
     that is a failed precondition, not a verdict."""
+    if H.d != 2:
+        raise PreconditionFailed("trc needs a d=2 subgroup, got d=%d" % H.d)
     if K.is_void():
         raise PreconditionFailed("trc: the void complex has an empty "
                                  "moment-angle complex, so the total-rank "

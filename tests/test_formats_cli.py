@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from maq import constructions, equivariant
+from maq import constructions, equivariant, momentangle
 from maq.cli import main
 from maq.formats import (ParseError, builtin_complex, complex_to_text,
                          parse_complex, parse_subgroup)
+from maq.homology import ChainComplex
 from maq.quotient import KoszulComplex
 from maq.simplicial import boundary_simplex
 
@@ -211,6 +212,51 @@ def test_cli_precondition_exit_code(capsys, tmp_path):
     assert "witness" in doc
 
 
+# (command line with the placeholders K and H for the complex and subgroup
+# files, complex file, subgroup file, text the message must hold)
+INPUT_FAILURES = [
+    pytest.param(("buchstaber-real", "K"), "m=3\n", None,
+                 "at least one vertex", id="buchstaber-real-void"),
+    pytest.param(("torsion-build", "--input", "K", "--p", "2"),
+                 "m=2\n1 2\n", None, "at least 3 vertices",
+                 id="torsion-build-two-vertices"),
+    pytest.param(("torsion-build", "--input", "K", "--p", "2"), "m=3\n",
+                 None, "at least 3 vertices and a facet",
+                 id="torsion-build-void"),
+    pytest.param(("torsion-build", "--input", "K", "--p", "2"),
+                 "m=3\n1 2 3\n", None, "K is a simplex",
+                 id="torsion-build-simplex"),
+    pytest.param(("torsion-build", "--input", "builtin:rp2_6", "--p", "3"),
+                 None, None, "degrees 2..2", id="torsion-build-degree"),
+    pytest.param(("trc", "--complex", "K", "--subgroup", "H"),
+                 "m=3\n1 2\n2 3\n", "d=1\nsubspace:\n1 0 1\n",
+                 "trc needs a d=2 subgroup, got d=1", id="trc-d1"),
+    pytest.param(("trc", "--complex", "K", "--subgroup", "H"), "m=3\n",
+                 "d=2\nannihilator:\n1 0 0\n0 1 0\n0 0 1\n",
+                 "void complex", id="trc-void"),
+]
+
+
+@pytest.mark.parametrize("argv, complex_text, subgroup_text, message",
+                         INPUT_FAILURES)
+def test_cli_input_failures_exit_3_with_the_same_keys(
+        capsys, tmp_path, argv, complex_text, subgroup_text, message):
+    # every failed precondition exits 3, and its JSON on stderr has the
+    # keys error, message and witness, the witness null when there is none
+    files = {"K": complex_text, "H": subgroup_text}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if files.get(a) is not None else a
+            for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert sorted(doc) == ["error", "message", "witness"]
+    assert doc["error"] == "precondition"
+    assert message in doc["message"]
+
+
 def test_cli_bound_exit_code(capsys, tmp_path):
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"
@@ -283,6 +329,29 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     doc = json.loads(err)
     assert doc["error"] == "internal"
     assert "not functorial" in doc["message"]
+
+
+def test_cli_engine_value_error_is_internal(capsys, monkeypatch):
+    # a ValueError that leaves the engine is a bug in maq, not a failed
+    # precondition: hochster's chain complexes, rebuilt with check=True and
+    # the sign of one edge's boundary flipped, fail the dd-check, exit 5
+    build = momentangle.face_chain_complex
+
+    def planted(masks):
+        C = build(masks)
+        boundaries = [dict(b) for b in C.boundaries[1:]]
+        if len(boundaries) > 1:
+            key = min(boundaries[1])
+            boundaries[1][key] = -boundaries[1][key]
+        return ChainComplex(C.dims, boundaries, min_degree=C.min_degree,
+                            check=True)
+
+    monkeypatch.setattr(momentangle, "face_chain_complex", planted)
+    code, out, err = run_cli(capsys, "hochster", "builtin:boundary_simplex(3)")
+    assert (code, out) == (5, "")
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert "dd != 0" in doc["message"]
 
 
 def test_cli_check(capsys, tmp_path):
@@ -416,15 +485,18 @@ def test_cli_torsion_build(capsys):
 
 def test_cli_torsion_build_checks_the_nerve_holds_the_input(capsys,
                                                           monkeypatch):
-    # a nerve with the labels 1 and m + 1 swapped is not K' on 1..m, a
-    # failed precondition (exit 3)
+    # a nerve with the labels 1 and m + 1 swapped is not K' on 1..m; the
+    # nerve is built by maq, so that is a bug in maq (exit 5), not a
+    # property of the input
     build = constructions.bosio_meersseman_nerve
     monkeypatch.setattr(constructions, "bosio_meersseman_nerve",
                         lambda Kp: swap_vertices(build(Kp), 1, Kp.m + 1))
     code, out, err = run_cli(capsys, "torsion-build", "--input",
                              "builtin:rp2_6", "--p", "2")
-    assert (code, out) == (3, "")
-    assert "is not the subdivided input" in json.loads(err)["message"]
+    assert (code, out) == (5, "")
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert "is not the subdivided input" in doc["message"]
 
 
 def test_cli_torsion_build_rejects_degrees_without_torsion(capsys):
@@ -478,3 +550,20 @@ def test_cli_output_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["operation"] == "hochster"
+
+
+def test_cli_output_to_a_missing_directory_is_a_parse_error(capsys,
+                                                            tmp_path):
+    # a report that cannot be written exits 2 with the parse-error JSON,
+    # as an input file that cannot be read does, not with a traceback
+    missing = tmp_path / "missing"
+    for argv in (("--output", str(missing / "x.json"), "hochster",
+                  "builtin:boundary_simplex(3)"),
+                 ("hochster", str(missing / "k.txt"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert sorted(doc) == ["error", "message"]
+        assert doc["error"] == "parse"
+        assert "No such file or directory" in doc["message"]
+    assert not missing.exists()

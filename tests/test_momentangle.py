@@ -227,8 +227,10 @@ def test_hochster_builds_only_the_undominated_full_subcomplexes(monkeypatch):
 
 
 def test_hochster_max_degree_skips_subsets_above_it(monkeypatch):
-    # |I| > max_degree cannot reach max_degree: on skeleton(9, 2) with
-    # max_degree 4, no K_I on five or more vertices is built
+    # a nonempty K_I without ghost vertices lands in degree |I| + 1 or
+    # above, so |I| >= max_degree cannot reach max_degree: on
+    # skeleton(9, 2) with max_degree 4, no K_I on four or more vertices
+    # is built
     built = []
     original = momentangle.face_chain_complex
 
@@ -239,7 +241,7 @@ def test_hochster_max_degree_skips_subsets_above_it(monkeypatch):
     monkeypatch.setattr(momentangle, "face_chain_complex", counted)
     K = skeleton(9, 2)
     h = hochster(K, max_degree=4)
-    assert built and max(_union(masks).bit_count() for masks in built) <= 4
+    assert built and max(_union(masks).bit_count() for masks in built) <= 3
     assert h == _truncated(hochster(K), 4)
     # vertex 3 is a ghost, split off as an (S^1) factor: the degree-1
     # class is its copy of the core's unit in degree 0, not an

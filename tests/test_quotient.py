@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+import maq
+from maq import momentangle
 from maq.equivariant import (PreconditionFailed, action_report,
                              check_condition1, check_free, equivariant_limit,
                              require_condition1, require_free)
@@ -130,8 +132,15 @@ def test_koszul_requires_condition1():
     diag = TorusSubgroup.from_annihilator(2, [[1, -1]])
     with pytest.raises(PreconditionFailed):
         koszul_cohomology(seg, diag, 4)
-    with pytest.raises(ValueError):
+    # each pathway names the flavor it needs; a failed precondition is
+    # still a ValueError to a library caller
+    with pytest.raises(PreconditionFailed, match="needs a d=2 subgroup"):
         koszul_cohomology(seg, TorusSubgroup.trivial(1, 2), 4)
+    with pytest.raises(PreconditionFailed, match="needs a d=1 subgroup"):
+        cubical_quotient_cohomology(seg, diag)
+    assert issubclass(PreconditionFailed, ValueError)
+    assert maq.PreconditionFailed is PreconditionFailed
+    assert momentangle.PreconditionFailed is PreconditionFailed
 
 
 def test_koszul_cell_cap():
