@@ -27,17 +27,18 @@ def rp2_6():
     return SimplicialComplex(6, [frozenset(f) for f in facets])
 
 
-def truncate_face(S, sigma, presanitized=False):
+def truncate_face(S, sigma):
     """Truncate the face of the simple polytope dual to the face sigma of
     its nerve sphere S; combinatorially, the stellar subdivision at sigma.
 
-    Adds one vertex; sigma stops being a face.
+    Adds one vertex; sigma stops being a face.  S must pass the sphere
+    sanity battery.
     """
     sigma = frozenset(sigma)
     if not S.is_face(sigma) or not sigma:
         raise ValueError(
             "cannot truncate at %s: not a face of the sphere" % sorted(sigma))
-    if not presanitized and not sphere_sanity(S).passed:
+    if not sphere_sanity(S).passed:
         raise ValueError("input fails the sphere sanity battery")
     out = stellar_subdivision(S, sigma)
     if out.m != S.m + 1 or out.is_face(sigma):
@@ -50,7 +51,11 @@ def bosio_meersseman_nerve(Kp):
     the faces dual to the minimal non-faces of Kp, in lexicographic order.
 
     The result is an (m-2)-dimensional sphere on m + |MF(Kp)| vertices, and
-    every minimal non-face of Kp stays a non-face.
+    every minimal non-face of Kp stays a non-face.  The fold is of
+    stellar subdivisions.  A truncation at tau removes only the faces
+    that contain tau, which no other minimal non-face does, so each sigma
+    but the vertex set of Kp is still a face when it is cut, and a
+    non-face after; the checks after the fold imply those of each step.
     """
     m = Kp.m
     if m < 3:
@@ -58,9 +63,12 @@ def bosio_meersseman_nerve(Kp):
     mf = sorted(minimal_non_faces(Kp), key=sorted)
     if not mf:
         raise ValueError("the input has no minimal non-face (full simplex)")
+    if len(mf[0]) == m:   # Kp is the boundary of the simplex
+        raise ValueError("cannot truncate at %s: not a face of the sphere"
+                         % sorted(mf[0]))
     S = boundary_simplex(m)
     for sigma in mf:
-        S = truncate_face(S, sigma, presanitized=True)
+        S = stellar_subdivision(S, sigma)
     if S.m != m + len(mf):
         raise AssertionError("vertex count is off after the fold")
     for sigma in mf:

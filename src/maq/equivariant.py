@@ -251,7 +251,7 @@ def build_classifying_diagram(K, H, max_degree):
     source and as target, built on first use.  The memos and the indexes
     live for the call.
     """
-    faces = sorted(K.face_masks, key=face_order)
+    faces = K.face_masks
     step = 2 if H.d == 2 else 1
     mod = 2 if H.d == 1 else None
     top_k = max_degree // step
@@ -288,7 +288,7 @@ def build_classifying_diagram(K, H, max_degree):
                 maps[key] = graded
             arrows[I, J] = graded
     try:
-        return PosetDiagram(faces=tuple(faces), ranks=ranks, arrows=arrows,
+        return PosetDiagram(faces=faces, ranks=ranks, arrows=arrows,
                             max_degree=max_degree, mod=mod)
     except ValueError as exc:
         # every arrow is a restriction of characters, so the diagram is

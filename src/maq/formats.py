@@ -85,8 +85,6 @@ def parse_complex(text):
             raise ParseError("bad facet line %r" % line)
         if any(v < 1 or v > m for v in vs):
             raise ParseError("vertex out of range in %r" % line)
-        if not vs:
-            continue
         facets.append(frozenset(vs))
     if not facets:
         return SimplicialComplex.void(m)

@@ -131,13 +131,7 @@ class ChainComplex:
         return self._eliminated.get(i, (0, []))
 
     def homology(self):
-        out = {}
-        for i, dim in enumerate(self.dims):
-            r_in, inv_in = self._rank_inv(i + 1)
-            r_out, _ = self._rank_inv(i)
-            rank = dim - r_out - r_in
-            out[self.min_degree + i] = FinAbGroup.make(rank, inv_in)
-        return GradedAbGroup.make(out)
+        return self._groups(1)
 
     def cohomology(self):
         """Integral cohomology of the dual complex Hom(C, Z).
@@ -145,12 +139,17 @@ class ChainComplex:
         Free part matches homology in the same degree; torsion in degree n
         comes from the invariant factors of the boundary out of degree n.
         """
+        return self._groups(0)
+
+    def _groups(self, torsion_from):
+        """Degree index i has rank dims[i] - rank d_i - rank d_{i+1} and
+        the invariant factors of d_{i + torsion_from}: 1 for homology, the
+        boundary into degree i, and 0 for cohomology, the one out of it."""
         out = {}
         for i, dim in enumerate(self.dims):
-            r_in, _ = self._rank_inv(i + 1)
-            r_out, inv_out = self._rank_inv(i)
-            rank = dim - r_out - r_in
-            out[self.min_degree + i] = FinAbGroup.make(rank, inv_out)
+            rank = dim - self._rank_inv(i)[0] - self._rank_inv(i + 1)[0]
+            out[self.min_degree + i] = FinAbGroup.make(
+                rank, self._rank_inv(i + torsion_from)[1])
         return GradedAbGroup.make(out)
 
 
@@ -248,11 +247,12 @@ class PosetDiagram:
     the value of several covers, as build_classifying_diagram shares them
     between faces with the same character rank and covers with the same
     character table.  validate() turns that sharing into saved work with
-    memos keyed by identity.  It scans the shape of each distinct triple
-    (arrow, profile of I, profile of J) once, and looks for missing
-    degrees once per such triple.  It decides each diamond once per
-    distinct set of its four arrows, and within that keeps the verdict in
-    one degree by its four matrices.  The four arrows fix the verdict,
+    memos keyed by identity.  One pass over ``arrows``, with no memo,
+    checks the type and the place of each arrow; then one memo over the
+    covers scans each distinct triple (arrow, profile of I, profile of J)
+    once, for its shape and for missing degrees.  It decides each
+    diamond once per distinct set of its four arrows, and within that
+    keeps the verdict in one degree by its four matrices.  The four arrows fix the verdict,
     whatever the profiles, since the ring is one for the whole diagram
     and every arrow has passed its shape scan at each of its covers: a
     matrix with a zero end is the zero map, so in a degree where a face
@@ -284,10 +284,6 @@ class PosetDiagram:
         if I & ~J:
             raise ValueError("no arrow from %s to %s: not a subset"
                              % (vertices(I), vertices(J)))
-        return self._arrow(I, J, n)
-
-    def _arrow(self, I, J, n):
-        """arrow() for I <= J, which the caller guarantees."""
         rank = self.ranks.get(I, _ZERO).get(n)
         if not rank or not self.ranks.get(J, _ZERO).get(n):
             return {}
@@ -298,7 +294,7 @@ class PosetDiagram:
             return graded[n]
         # walk down one vertex at a time, the lowest of J - I first
         mid = J ^ vertex_bits(J & ~I)[0]
-        return sparse_product(self._arrow(I, mid, n), self._arrow(mid, J, n))
+        return sparse_product(self.arrow(I, mid, n), self.arrow(mid, J, n))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
@@ -316,7 +312,6 @@ class PosetDiagram:
                 if I not in face_set and any(F & ~I == 0 for F in faces):
                     raise ValueError("%s lies between two faces but is not "
                                      "one" % vertices(I))
-        scanned = {}   # ids of (arrow, profile of I, profile of J) -> those
         for (I, J), graded in arrows.items():
             if not isinstance(graded, dict):
                 raise ValueError("arrow at %s <= %s is not a {degree: "
@@ -330,6 +325,12 @@ class PosetDiagram:
                 raise ValueError("arrow from %s to %s, degree %d is not a "
                                  "cover" % (vertices(I), vertices(J),
                                             next(iter(graded))))
+        # every arrow with a degree is now known to sit at a cover, so one
+        # scan of the covers reads each of them; a covering arrow between
+        # nonzero values has no composite to fall back on
+        scanned = {}   # ids of (arrow, profile of I, profile of J) -> those
+        for I, J in self._covers:
+            graded = arrows.get((I, J), _ZERO)
             low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
             key = id(graded), id(low), id(high)
             if key in scanned:
@@ -347,16 +348,6 @@ class PosetDiagram:
                         raise ValueError(
                             "arrow shape mismatch at %s <= %s, degree %d: %s"
                             % (vertices(I), vertices(J), n, {(r, c): x}))
-        # a covering arrow between nonzero values has no composite to
-        # fall back on
-        complete = {}   # same keys as ``scanned``
-        for I, J in self._covers:
-            graded = arrows.get((I, J), _ZERO)
-            low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
-            key = id(graded), id(low), id(high)
-            if key in complete:
-                continue
-            complete[key] = graded, low, high
             for n in sorted(low):
                 if low[n] and high.get(n) and n not in graded:
                     raise ValueError("missing arrow at %s <= %s, degree %d"
@@ -449,7 +440,7 @@ def limit_graded(D):
         psi, b = {}, 0
         for I, P, Q in blocks:
             for sign, F in ((1, P), (-1, Q)):
-                for (r, c), v in D._arrow(I, F, n).items():
+                for (r, c), v in D.arrow(I, F, n).items():
                     psi[b + r, col[F, c]] = sign * v
             b += ranks.get(I, _ZERO).get(n, 0)
         if mod:

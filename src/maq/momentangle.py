@@ -84,10 +84,11 @@ def hochster(K, max_degree=None):
 
     The fold is Hochster's formula: degree p of Z_core collects
     H-tilde^{p-|I|-1}(K_I) over the vertex subsets I of the core.  Each
-    degree gathers its free rank and torsion coefficients, the C(g, k)
-    ghost copies are added once per degree, and with ``max_degree`` = d
-    the walk stops at |I| <= max(d - 1, 0), no degree above d is
-    reported, and each degree is normalized once, at the end.
+    group is read once, as the walk yields it, and adds its free rank and
+    torsion coefficients C(g, k) times to degree p + k of Z_K.  With
+    ``max_degree`` = d the walk stops at |I| <= max(d - 1, 0) and no
+    degree above d is reported; each degree is normalized once, at the
+    end.
     """
     if K.m > HOCHSTER_M_BOUND:
         raise BoundExceeded("hochster: m=%d exceeds bound %d" % (
@@ -96,22 +97,18 @@ def hochster(K, max_degree=None):
     cone = reduce(and_, K.facet_masks, used)   # 0 for the void complex
     ghosts = K.m - used.bit_count()
     core = full_subcomplex(K, vertices(used & ~cone))
-    walked = {}   # degree -> [free rank, torsion coefficients] of Z_core
+    copies = [comb(ghosts, k) for k in range(ghosts + 1)]
+    out = {}   # degree -> [free rank, torsion coefficients] of Z_K
     for I, groups in _subset_walk(
             core, core.m if max_degree is None else max(max_degree - 1, 0)):
         for j, g in groups:
-            acc = walked.setdefault(j + I.bit_count() + 1, [0, []])
-            acc[0] += g.free_rank
-            acc[1] += g.torsion
-    out = {}
-    for p, (rank, torsion) in walked.items():
-        for k in range(ghosts + 1):
-            if max_degree is not None and p + k > max_degree:
-                break
-            copies = comb(ghosts, k)
-            acc = out.setdefault(p + k, [0, []])
-            acc[0] += copies * rank
-            acc[1] += copies * torsion
+            p = j + I.bit_count() + 1
+            for k, c in enumerate(copies):
+                if max_degree is not None and p + k > max_degree:
+                    break
+                acc = out.setdefault(p + k, [0, []])
+                acc[0] += c * g.free_rank
+                acc[1] += c * g.torsion
     return GradedAbGroup.make({p: FinAbGroup.make(rank, torsion)
                                for p, (rank, torsion) in out.items()})
 

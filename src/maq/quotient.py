@@ -447,21 +447,18 @@ def cw_census(K, H):
         prev = surj[-1] + [0]
         surj.append([0] + [s * (prev[s - 1] + prev[s])
                            for s in range(1, r + 1)])
+    # above[I][r]: the faces J >= I with |J - I| = r, from one walk over
+    # the pairs I <= J of faces, as every submask of a face is a face
+    above = {I: [0] * (K.m + 1) for I in K.face_masks}
+    for J in K.face_masks:
+        I = J
+        while True:
+            above[I][(J ^ I).bit_count()] += 1
+            if not I:
+                break
+            I = (I - 1) & J
     counts = {}
-    for I in K.face_masks:
-        # the faces J >= I: I with every submask of F - I, for every facet
-        # F above I, a face in several facets kept once
-        above = {I}
-        for F in K.facet_masks:
-            if F & I == I:
-                rest = sub = F ^ I
-                while sub:
-                    above.add(I | sub)
-                    sub = (sub - 1) & rest
-        sizes = [0] * (K.m + 1)
-        size = I.bit_count()
-        for J in above:
-            sizes[J.bit_count() - size] += 1
+    for I, sizes in above.items():
         mult = join_coordinate(H, I).order()
         for r, n in enumerate(sizes):
             if n:

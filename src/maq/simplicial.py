@@ -307,15 +307,11 @@ def sphere_sanity(K):
     pure = sizes == {d + 1}
 
     # pseudomanifold: every ridge (d-1 face) lies in exactly two facets
-    pm = True
-    if pure and d >= 0:
-        ridge_count = {}
-        for f in K.facet_masks:
-            for b in vertex_bits(f):
-                ridge_count[f ^ b] = ridge_count.get(f ^ b, 0) + 1
-        pm = all(c == 2 for c in ridge_count.values())
-    else:
-        pm = False
+    ridge_count = {}
+    for f in K.facet_masks:
+        for b in vertex_bits(f):
+            ridge_count[f ^ b] = ridge_count.get(f ^ b, 0) + 1
+    pm = pure and all(c == 2 for c in ridge_count.values())
 
     euler_ok = K.euler_characteristic() == 1 + (-1) ** d
 

@@ -257,6 +257,71 @@ def test_cli_input_failures_exit_3_with_the_same_keys(
     assert message in doc["message"]
 
 
+def test_cli_pair_witness_is_two_vertex_lists(capsys, tmp_path):
+    # the annihilator row 1 1 0 on the boundary of the 2-simplex fails
+    # projection compatibility first at the covering pair ([2], [1, 2]),
+    # and the JSON on stderr writes that pair as two sorted vertex lists
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n1 1 0\n")
+    code, out, err = run_cli(capsys, "equivariant", "--complex",
+                             "builtin:boundary_simplex(3)", "--subgroup",
+                             str(spath), "--max-degree", "2")
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["error"] == "precondition"
+    assert doc["witness"] == [[2], [1, 2]]
+
+
+# (command line with the placeholders K and H for the complex and subgroup
+# files, complex file, subgroup file, the message of the parse error)
+CHECK_H = ("check", "--complex", "builtin:boundary_simplex(3)",
+           "--subgroup", "H")
+PARSE_FAILURES = [
+    pytest.param(("hochster", "builtin:nope("), None, None,
+                 "unrecognized builtin 'builtin:nope('", id="builtin-syntax"),
+    pytest.param(("hochster", "builtin:skeleton(a,b)"), None, None,
+                 "builtin arguments must be integers: "
+                 "'builtin:skeleton(a,b)'", id="builtin-arguments"),
+    pytest.param(("hochster", "builtin:rp2_6(1)"), None, None,
+                 "rp2_6 takes no arguments", id="builtin-rp2_6-arity"),
+    pytest.param(("hochster", "builtin:skeleton(5)"), None, None,
+                 "skeleton needs (m, k)", id="builtin-skeleton-arity"),
+    pytest.param(("hochster", "builtin:boundary_simplex(3,1)"), None, None,
+                 "boundary_simplex needs (m)",
+                 id="builtin-boundary-simplex-arity"),
+    pytest.param(("hochster", "K"), "m=-1\n", None,
+                 "vertex count must be nonnegative", id="complex-negative-m"),
+    pytest.param(("hochster", "K"), "m=3\n1 x\n", None,
+                 "bad facet line '1 x'", id="complex-facet-line"),
+    pytest.param(CHECK_H, None, "annihilator:\n1 0 0\n",
+                 "subgroup file must start with a d=<1|2> line",
+                 id="subgroup-no-header"),
+    pytest.param(CHECK_H, None, "d=x\nannihilator:\n1 0 0\n",
+                 "bad d value 'd=x'", id="subgroup-bad-d"),
+    pytest.param(CHECK_H, None, "d=2\n1 0 0\n",
+                 "expected a 'annihilator:' line", id="subgroup-no-keyword"),
+    pytest.param(CHECK_H, None, "d=2\nannihilator:\n1 y 0\n",
+                 "bad generator row '1 y 0'", id="subgroup-bad-row"),
+    pytest.param(CHECK_H, None, "d=1\nsubspace:\n1 2 0\n",
+                 "F2 generator rows must be 0/1", id="subgroup-f2-entry"),
+]
+
+
+@pytest.mark.parametrize("argv, complex_text, subgroup_text, message",
+                         PARSE_FAILURES)
+def test_cli_parse_errors_exit_2_with_their_message(
+        capsys, tmp_path, argv, complex_text, subgroup_text, message):
+    files = {"K": complex_text, "H": subgroup_text}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if files.get(a) is not None else a
+            for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
 def test_cli_bound_exit_code(capsys, tmp_path):
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"

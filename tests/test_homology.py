@@ -418,6 +418,16 @@ def test_diagram_validate_rejects_malformed_arrows():
     assert limit_graded(D).group(0) == FinAbGroup.cyclic(2)
 
 
+def test_diagram_shape_scan_bounds_every_index():
+    # an entry of a rank 1 -> rank 1 arrow lies in row 0 and column 0: a
+    # row past the end and a negative row or column are shape mismatches
+    e, a = 0, 0b1   # {}, {1}
+    for entry in ((1, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}},
+                         {(e, a): {0: {entry: 1}}}, 0)
+
+
 def test_limit_missing_covering_arrow():
     # a cover with a zero end needs no stored arrow: the limit of
     # value({1}) = 0 -> value(empty) = Z/2 is trivial; between two nonzero

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from maq.exact import f2_rref, hnf_solve, row_hnf
+from maq.formats import parse_subgroup
 from maq.intlattice import (FinAbGroup, TorusSubgroup, join_coordinate,
                             meet_coordinate)
 from maq.simplicial import _mask, vertices
@@ -203,6 +204,17 @@ def test_subgroup_json():
     H = TorusSubgroup.from_annihilator(3, [[1, 1, 1]])
     j = H.to_json()
     assert j["d"] == 2 and j["m"] == 3
+
+
+def test_subgroup_json_d1_reads_back():
+    # the span rows of a d=1 subgroup's JSON, written as a subgroup file,
+    # read back to the same subgroup
+    H = TorusSubgroup.from_f2_span(4, [[1, 1, 0, 0], [0, 1, 1, 1]])
+    j = H.to_json()
+    assert (j["d"], j["m"]) == (1, 4)
+    text = "d=1\nsubspace:\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in j["span"])
+    assert parse_subgroup(text, 4) == H
 
 
 def test_annihilator_basis_invariance():

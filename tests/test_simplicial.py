@@ -95,6 +95,22 @@ def test_sphere_sanity_disconnected_link():
     assert not rep.passed
 
 
+def test_sphere_sanity_non_pure_and_empty_face_only():
+    # the boundaries of a triangle and of a tetrahedron, side by side: every
+    # facet minus a vertex lies in exactly two facets, but the facets have
+    # two sizes, so the complex is no pseudomanifold
+    facets = [(1, 2), (2, 3), (1, 3)]
+    facets += list(itertools.combinations((4, 5, 6, 7), 3))
+    rep = sphere_sanity(SimplicialComplex(7, facets))
+    assert (rep.dimension, rep.pure, rep.pseudomanifold) == (2, False, False)
+    assert rep.euler_ok and not rep.passed
+    # {()} has dimension -1 and fails every check
+    rep = sphere_sanity(SimplicialComplex.empty_face_only(3))
+    assert rep.to_json() == {"dimension": -1, "pure": False,
+                             "pseudomanifold": False, "euler_ok": False,
+                             "links_connected": False, "passed": False}
+
+
 def test_face_enumeration_matches_bruteforce():
     rng = seeded("simp-faces")
     cases = [random_complex(rng, rng.randint(2, 5)) for _ in range(25)]
