@@ -16,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .homology import PosetDiagram, limit_graded
+from .homology import GradedAbGroup, PosetDiagram, limit_graded
 from .intlattice import FinAbGroup, TorusSubgroup
-from .momentangle import PreconditionFailed, sr_dimension
+from .momentangle import BoundExceeded, PreconditionFailed, sr_dimension
 from .simplicial import contraction, face_order, vertex_bits, vertices
+
+# the most facet generators in the top degree that equivariant_limit
+# presents: on boundary_simplex(9) with the trivial subgroup a limit costs
+# about 40 us and 1.6 KB per facet generator (2 vCPUs, Python 3.11), so
+# a run at the cap takes on the order of 40 s and 1.6 GB
+LIMIT_GENERATOR_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -144,152 +150,41 @@ def action_report(K, H):
 # the diagram I -> H*(BS(I)) and its limit
 # ---------------------------------------------------------------------------
 
-def _monomial_index(indexes, rank, k, width):
-    """{code: position} over the degree-k monomials in ``rank`` factors,
-    kept in ``indexes`` under (rank, k).
+def build_classifying_diagram(K, H):
+    """PosetDiagram of the characters of S(I) over the faces of K, whose
+    symmetric algebras are H*(BS(I)).
 
-    Positions follow combinations_with_replacement(range(rank), k).  A
-    monomial's code holds the exponent of factor r in the ``width``-bit
-    field at bit r * width, so multiplying by factor r adds 1 << r * width,
-    and the highest set bit lies in the field of the last factor.  Degree k
-    extends each monomial of degree k-1, in order, by every factor from its
-    last one on, which is that order.
-    """
-    found = indexes.get((rank, k))
-    if found is None:
-        if k == 0:
-            found = {0: 0}
-        else:
-            steps = [1 << r * width for r in range(rank)]
-            lower = _monomial_index(indexes, rank, k - 1, width)
-            found = {}
-            for code in lower:
-                for j in range((code.bit_length() - 1) // width if code else 0,
-                               rank):
-                    found[code + steps[j]] = len(found)
-        indexes[rank, k] = found
-    return found
+    The value at I is free on the characters of S(I), of rank
+    len(H.characters(I)), and the arrow of a cover I < J is the
+    restriction of characters H.restriction(I, J).  d=2: over Z, the
+    characters in degree 2, ``mod`` None.  d=1: over F2, the characters
+    in degree 1, ``mod`` 2.  limit_graded takes Sym^k of the diagram, the
+    part of H*(BS(I)) in degree k times that step.
 
-
-def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
-    """Symmetric powers 0..top_k of the linear map whose j-th column is the
-    sparse dict ``columns[j]`` ({row: value}) with ``rows`` rows.
-
-    Degree k uses the monomial basis combinations_with_replacement(range(n),
-    k) on both sides.  Each power is a dict {(row, col): value} of its
-    nonzero entries, reduced mod ``mod`` when given.  Degree k is built from
-    degree k-1: a monomial's image is the image of its first k-1 factors
-    times the column of its last factor, which is no smaller than any of
-    the others.  Only the nonzero images of degree k-1 are extended, since
-    a zero image has only zero extensions.
-
-    Monomials are coded as ints, as in ``_monomial_index`` with a field
-    width of top_k.bit_length() bits, wide enough for any exponent up to
-    top_k; a code is turned into its position by the index of its rank
-    and degree.  ``indexes`` maps (rank, k) to that index and is filled as
-    needed; a caller may share one dict between calls with the same top_k.
-    """
-    width = top_k.bit_length()
-    if indexes is None:
-        indexes = {}
-    cols = [[(1 << r * width, x) for r, x in col.items()] for col in columns]
-    steps = [1 << j * width for j in range(len(columns))]
-    images = [(0, 0, {0: 1})]   # (source code, last factor, nonzero image)
-    powers = [{(0, 0): 1}]
-    for k in range(1, top_k + 1):
-        source = _monomial_index(indexes, len(columns), k, width)
-        target = _monomial_index(indexes, rows, k, width)
-        nxt = []
-        arrow = {}
-        for code, last, image in images:
-            for j in range(last, len(columns)):
-                col = cols[j]
-                if not col:
-                    continue
-                out = {}
-                for t, c in image.items():
-                    for step, x in col:
-                        out[t + step] = out.get(t + step, 0) + c * x
-                if mod:
-                    out = {t: c % mod for t, c in out.items() if c % mod}
-                else:
-                    out = {t: c for t, c in out.items() if c}
-                if out:
-                    mono = code + steps[j]
-                    nxt.append((mono, j, out))
-                    pos = source[mono]
-                    for t, c in out.items():
-                        arrow[target[t], pos] = c
-        images = nxt
-        powers.append(arrow)
-    return powers
-
-
-def build_classifying_diagram(K, H, max_degree):
-    """PosetDiagram of H*(BS(I)) over the faces of K.
-
-    d=2: integral polynomial rings on the character lattices, even
-    degrees, ``mod`` None.  d=1: mod-2 polynomial rings on degree-one
-    classes, every degree, ``mod`` 2.  The value at I in degree k * step
-    is free of rank C(r + k - 1, k), r = len(H.characters(I)), so the
-    faces with the same r share one rank profile.
-
-    Covers with the same character map share one graded arrow, its table
-    of symmetric powers, so PosetDiagram's identity-keyed memos see
-    repeated keys.  The character map of a cover I = J - {v},
-    H.restriction(I, J), is a function of the characters of I and J and
-    of the position of v in J (vertex_bits order), and is computed once
-    per such triple.  The tables are memoized under the key
-    ``(len(characters(I)), columns)``, with ``columns`` the sparse
-    columns of the restriction as tuples of sorted ``(row, value)``
-    items.  The row count belongs to the key because it fixes the
-    monomial index of the target; ``top_k`` and the modulus are fixed
-    within the call.  The key also fixes the ranks of both ends, one per
-    column, so a table holds exactly the degrees in which both ends are
-    nonzero: every degree when both have characters, else degree 0.
-    Every table reads one shared monomial index per (rank, degree), as
-    source and as target, built on first use.  The memos and the indexes
-    live for the call.
+    The character map of a cover I = J - {v} is a function of the
+    characters of I and J and of the position of v in J (vertex_bits
+    order), so it is computed once per such triple, and the covers that
+    share the triple share one matrix; PosetDiagram's identity-keyed
+    memos see the repeated keys.  The memo lives for the call.
     """
     faces = K.face_masks
-    step = 2 if H.d == 2 else 1
-    mod = 2 if H.d == 1 else None
-    top_k = max_degree // step
     chars = {I: H.characters(I) for I in faces}
-    profiles = {}   # character rank -> {degree: rank}
-    ranks = {}
-    for I in faces:
-        r = len(chars[I])
-        if r not in profiles:
-            profiles[r] = {k * step: comb(r + k - 1, k) if k else 1
-                           for k in range(top_k + 1 if r else 1)}
-        ranks[I] = profiles[r]
-    maps = {}     # (chars[I], chars[J], position) -> graded arrow
-    tables = {}
-    indexes = {}  # (rank, k) -> {monomial code: position}
+    maps = {}     # (chars[I], chars[J], position) -> character map
     arrows = {}
     for J in faces:
         for t, b in enumerate(vertex_bits(J)):
             I = J ^ b
             key = chars[I], chars[J], t
-            graded = maps.get(key)
-            if graded is None:
-                columns = H.restriction(I, J)
-                table = (len(chars[I]),
-                         tuple(tuple(sorted(col.items())) for col in columns))
-                graded = tables.get(table)
-                if graded is None:
-                    powers = _sym_powers(columns, len(chars[I]), top_k, mod,
-                                         indexes)
-                    if not (chars[I] and columns):
-                        powers = powers[:1]
-                    graded = tables[table] = {
-                        k * step: arrow for k, arrow in enumerate(powers)}
-                maps[key] = graded
-            arrows[I, J] = graded
+            M = maps.get(key)
+            if M is None:
+                M = maps[key] = {
+                    (r, c): v for c, col in enumerate(H.restriction(I, J))
+                    for r, v in col.items()}
+            arrows[I, J] = M
     try:
-        return PosetDiagram(faces=faces, ranks=ranks, arrows=arrows,
-                            max_degree=max_degree, mod=mod)
+        return PosetDiagram(faces=faces,
+                            ranks={I: len(chars[I]) for I in faces},
+                            arrows=arrows, mod=2 if H.d == 1 else None)
     except ValueError as exc:
         # every arrow is a restriction of characters, so the diagram is
         # functorial by construction; a failure here is a bug, not input
@@ -298,14 +193,29 @@ def build_classifying_diagram(K, H, max_degree):
 
 def equivariant_limit(K, H, max_degree):
     """Equivariant cohomology of the quotient of the polyhedral product,
-    as the degreewise limit of H*(BS(I)) over the face poset.
+    as the degreewise limit of H*(BS(I)) over the face poset: Sym^k of
+    the classifying diagram, placed in degree k * step, step 2 for d=2
+    and 1 for d=1.
 
     Enforces the projection-compatibility condition and reports the first
-    failing covering pair on violation.
+    failing covering pair on violation.  Before the diagram is built, the
+    generators of the facet values in the top degree, the unknowns of
+    limit_graded's largest presentation, are counted against
+    LIMIT_GENERATOR_CAP; past it, BoundExceeded names the layer "limit",
+    the count and the degree.
     """
     require_condition1(K, H)
-    D = build_classifying_diagram(K, H, max_degree)
-    return limit_graded(D)
+    step = 2 if H.d == 2 else 1
+    top_k = max_degree // step
+    count = sum(comb(len(H.characters(F)) + top_k - 1, top_k) if top_k > 0
+                else 1 for F in K.facet_masks)
+    if count > LIMIT_GENERATOR_CAP:
+        raise BoundExceeded(
+            "limit: %d facet generators in degree %d exceed cap %d"
+            % (count, top_k * step, LIMIT_GENERATOR_CAP), "limit", count,
+            LIMIT_GENERATOR_CAP, degree=top_k * step)
+    lim = limit_graded(build_classifying_diagram(K, H), top_k)
+    return GradedAbGroup.make({k * step: g for k, g in lim.groups})
 
 
 def coordinate_quotient_check(K, I0, max_degree, d=2):

@@ -1,14 +1,16 @@
 """Exact (co)homology of finite chain complexes and degreewise limits.
 
 Homology and cohomology are integral and come out of Smith normal form,
-torsion included.  Limits are taken of diagrams of free modules over one
-ring, Z or F2, so each degree of a limit is a kernel, read off one rank.
+torsion included.  Limits are taken of the symmetric powers of a diagram
+of free modules over one ring, Z or F2, so each degree of a limit is a
+kernel, read off one rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .exact import f2_echelon, rank_and_invariants
 from .intlattice import FinAbGroup
@@ -208,7 +210,7 @@ def reduced_homology(K):
 # diagrams of free modules over the face poset
 # ---------------------------------------------------------------------------
 
-_ZERO = {}   # the zero profile and the zero map, read and never written
+_ZERO = {}   # the zero map, read and never written
 
 
 def _congruent(M, N, mod):
@@ -221,53 +223,52 @@ def _congruent(M, N, mod):
 
 @dataclass
 class PosetDiagram:
-    """Contravariant diagram of graded free modules over face bitmasks.
+    """Contravariant diagram of free modules over face bitmasks.
 
     Every value is free over one ring: Z when ``mod`` is None, F2 when it
-    is 2.  ``ranks[I]`` is the rank profile ``{n: rank}`` of the value at
-    face I; a missing face or degree means the zero module.
-    ``arrows[(I, J)]`` for a cover I < J (J is I plus one vertex) is the
-    graded structure map value(J) -> value(I), a dict ``{n: M}`` with M
-    its degree-n part as a dict ``{(row, col): value}`` of the entries
-    that are nonzero in the ring, one row per generator of value(I) and
-    one column per generator of value(J); ``{}`` is the zero map.  It
-    must hold every degree in which both ends are nonzero.  An arrow with
-    no degree is no arrow.  Only covers are stored; arrow() composes the
-    rest, over Z, so a composite is read modulo ``mod``.  The faces must
-    contain every set that lies between two of them, as the face poset
-    of a simplicial complex does.  validate() checks on construction that
-    the faces have no such gap, that every stored arrow is a cover of the
-    right shape, that no cover between nonzero values lacks an arrow, and
-    functoriality modulo ``mod`` in every degree of ``ranks``.
-    limit_graded relies on all of it: it solves for the facet values alone
-    and asks agreement only at faces with a disconnected link, so a
-    diagram changed after construction is not checked again there.
+    is 2.  ``ranks[I]`` is the rank of the value at face I; a missing face
+    has rank 0.  ``arrows[(I, J)]`` for a cover I < J (J is I plus one
+    vertex) is the structure map value(J) -> value(I), a dict
+    ``{(row, col): value}`` of the entries that are nonzero in the ring,
+    one row per generator of value(I) and one column per generator of
+    value(J); ``{}`` is the zero map.  Only covers are stored; arrow()
+    composes the rest, over Z, so a composite is read modulo ``mod``.  The
+    faces must contain every set that lies between two of them, as the
+    face poset of a simplicial complex does.  validate() checks on
+    construction that the faces have no such gap, that every stored
+    arrow is a dict and every nonzero one sits at a cover, that no cover
+    between nonzero values lacks an arrow, that every covering arrow has
+    the shape of its ends, and that every diamond commutes modulo
+    ``mod``.  limit_graded relies on all of it: it solves for the facet
+    values alone and asks agreement only at faces with a disconnected
+    link, so a diagram changed after construction is not checked again
+    there.
 
-    One profile may be the value of several faces, and one graded arrow
-    the value of several covers, as build_classifying_diagram shares them
-    between faces with the same character rank and covers with the same
-    character table.  validate() turns that sharing into saved work with
-    memos keyed by identity.  One pass over ``arrows``, with no memo,
-    checks the type and the place of each arrow; then one memo over the
-    covers scans each distinct triple (arrow, profile of I, profile of J)
-    once, for its shape and for missing degrees.  It decides each
-    diamond once per distinct set of its four arrows, and within that
-    keeps the verdict in one degree by its four matrices.  The four arrows fix the verdict,
-    whatever the profiles, since the ring is one for the whole diagram
-    and every arrow has passed its shape scan at each of its covers: a
-    matrix with a zero end is the zero map, so in a degree where a face
-    of a diamond is zero, each path through that face has the zero
-    product, in every diamond that shares the four arrows.  Each memo
-    holds the objects of its keys, so no id is reused while it lives.
-    The covering pairs are listed once, on construction; products and
-    composites are recomputed when asked.  arrow() returns a stored
-    matrix itself, not a copy, so it must not be mutated.
+    The diagram is ungraded; limit_graded grades it by Sym^k, and the one
+    degree checked here covers every degree.  Sym^k is a functor:
+    Sym^k(AB) = Sym^k(A) Sym^k(B) and Sym^k(1) = 1, for matrices of any
+    shape, a zero end included.  Each entry of Sym^k(A) is a polynomial
+    with integer coefficients in the entries of A, so A = B modulo 2
+    gives Sym^k(A) = Sym^k(B) modulo 2.  So if every diamond commutes
+    modulo ``mod``, Sym^k of the diagram is a diagram for every k, and
+    the argument of limit_graded holds in each degree.
+
+    One matrix may be the arrow of several covers, as
+    build_classifying_diagram shares it between covers with the same
+    character map.  validate() turns that sharing into saved work with
+    memos keyed by identity: it scans each distinct (matrix, rank of I,
+    rank of J) once for its shape, and decides each diamond once per
+    distinct set of its four matrices, which fix the verdict, since the
+    ring is one for the whole diagram.  Each memo holds the objects of its
+    keys, so no id is reused while it lives.  The covering pairs are
+    listed once, on construction; products and composites are recomputed
+    when asked.  arrow() returns a stored matrix itself, not a copy, so
+    it must not be mutated.
     """
 
     faces: tuple
     ranks: dict
     arrows: dict
-    max_degree: int
     mod: int = None
 
     def __post_init__(self):
@@ -277,24 +278,24 @@ class PosetDiagram:
                         for b in vertex_bits(J) if J ^ b in face_set]
         self.validate()
 
-    def arrow(self, I, J, n):
-        """Structure map for I subset of J in degree n (composite of
-        covering arrows when not stored directly; ``{}`` when either value
-        is zero)."""
+    def arrow(self, I, J):
+        """Structure map for I subset of J: the identity for I = J, the
+        stored matrix for a cover, else the composite of covering arrows;
+        ``{}`` when either value is zero."""
         if I & ~J:
             raise ValueError("no arrow from %s to %s: not a subset"
                              % (vertices(I), vertices(J)))
-        rank = self.ranks.get(I, _ZERO).get(n)
-        if not rank or not self.ranks.get(J, _ZERO).get(n):
+        rank = self.ranks.get(I, 0)
+        if not rank or not self.ranks.get(J, 0):
             return {}
         if I == J:
             return {(k, k): 1 for k in range(rank)}
-        graded = self.arrows.get((I, J))
-        if graded:
-            return graded[n]
+        gap = J ^ I
+        if not gap & (gap - 1):
+            return self.arrows[I, J]
         # walk down one vertex at a time, the lowest of J - I first
-        mid = J ^ vertex_bits(J & ~I)[0]
-        return sparse_product(self.arrow(I, mid, n), self.arrow(mid, J, n))
+        mid = J ^ (gap & -gap)
+        return sparse_product(self.arrow(I, mid), self.arrow(mid, J))
 
     def covering_pairs(self):
         """The pairs (J - {v}, J) of faces, J in ``faces`` order and v
@@ -312,50 +313,41 @@ class PosetDiagram:
                 if I not in face_set and any(F & ~I == 0 for F in faces):
                     raise ValueError("%s lies between two faces but is not "
                                      "one" % vertices(I))
-        for (I, J), graded in arrows.items():
-            if not isinstance(graded, dict):
-                raise ValueError("arrow at %s <= %s is not a {degree: "
-                                 "{(row, col): value}} dict"
-                                 % (vertices(I), vertices(J)))
-            if not graded:
+        for (I, J), M in arrows.items():
+            if not isinstance(M, dict):
+                raise ValueError("arrow at %s <= %s is not a {(row, col): "
+                                 "value} dict" % (vertices(I), vertices(J)))
+            if not M:
                 continue
             if I not in face_set or J not in face_set:
                 raise ValueError("arrow between objects not in the poset")
             if I & ~J or (I ^ J).bit_count() != 1:
-                raise ValueError("arrow from %s to %s, degree %d is not a "
-                                 "cover" % (vertices(I), vertices(J),
-                                            next(iter(graded))))
-        # every arrow with a degree is now known to sit at a cover, so one
-        # scan of the covers reads each of them; a covering arrow between
+                raise ValueError("arrow from %s to %s is not a cover"
+                                 % (vertices(I), vertices(J)))
+        # every nonzero arrow is now known to sit at a cover, so one scan
+        # of the covers reads each of them; a covering arrow between
         # nonzero values has no composite to fall back on
-        scanned = {}   # ids of (arrow, profile of I, profile of J) -> those
+        scanned = {}   # (id of a matrix, rows, columns) -> that matrix
         for I, J in self._covers:
-            graded = arrows.get((I, J), _ZERO)
-            low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
-            key = id(graded), id(low), id(high)
+            rows, cols = ranks.get(I, 0), ranks.get(J, 0)
+            M = arrows.get((I, J))
+            if M is None:
+                if rows and cols:
+                    raise ValueError("missing arrow at %s <= %s"
+                                     % (vertices(I), vertices(J)))
+                continue
+            key = id(M), rows, cols
             if key in scanned:
                 continue
-            scanned[key] = graded, low, high
-            for n, M in graded.items():
-                if not isinstance(M, dict):
-                    raise ValueError("arrow at %s <= %s, degree %d is not a "
-                                     "{(row, col): value} dict"
-                                     % (vertices(I), vertices(J), n))
-                rows, cols = low.get(n, 0), high.get(n, 0)
-                for (r, c), x in M.items():
-                    if not (0 <= r < rows and 0 <= c < cols
-                            and (x % mod if mod else x)):
-                        raise ValueError(
-                            "arrow shape mismatch at %s <= %s, degree %d: %s"
-                            % (vertices(I), vertices(J), n, {(r, c): x}))
-            for n in sorted(low):
-                if low[n] and high.get(n) and n not in graded:
-                    raise ValueError("missing arrow at %s <= %s, degree %d"
-                                     % (vertices(I), vertices(J), n))
+            scanned[key] = M
+            for (r, c), x in M.items():
+                if not (0 <= r < rows and 0 <= c < cols
+                        and (x % mod if mod else x)):
+                    raise ValueError("arrow shape mismatch at %s <= %s: %s"
+                                     % (vertices(I), vertices(J), {(r, c): x}))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
-        diamonds = {}   # ids of four graded arrows -> those
-        verdicts = {}   # ids of four matrices -> those
+        diamonds = {}   # ids of four matrices -> those
         for J in faces:
             for a, b in combinations(vertex_bits(J), 2):
                 I = J ^ a ^ b
@@ -364,7 +356,7 @@ class PosetDiagram:
                 # both sets between I and J are faces, since the faces
                 # have no gap, and every cover between nonzero values is
                 # stored, as checked above, so the four covers are read
-                # directly
+                # directly; a cover with a zero end holds the zero map
                 m1, m2 = J ^ a, J ^ b
                 parts = (arrows.get((I, m1), _ZERO),
                          arrows.get((m1, J), _ZERO),
@@ -374,31 +366,105 @@ class PosetDiagram:
                 if key in diamonds:
                     continue
                 diamonds[key] = parts
-                low1, high1, low2, high2 = parts
-                low, high = ranks.get(I, _ZERO), ranks.get(J, _ZERO)
-                mid1, mid2 = ranks.get(m1, _ZERO), ranks.get(m2, _ZERO)
-                for n in sorted(low):
-                    if not low[n] or not high.get(n):
-                        continue
-                    lo1 = hi1 = lo2 = hi2 = _ZERO
-                    if mid1.get(n):
-                        lo1, hi1 = low1[n], high1[n]
-                    if mid2.get(n):
-                        lo2, hi2 = low2[n], high2[n]
-                    key = id(lo1), id(hi1), id(lo2), id(hi2)
-                    if key in verdicts:
-                        continue
-                    verdicts[key] = lo1, hi1, lo2, hi2
-                    if not _congruent(sparse_product(lo1, hi1),
-                                      sparse_product(lo2, hi2), mod):
-                        raise ValueError(
-                            "diagram not functorial at %s <= %s, degree %d"
-                            % (vertices(I), vertices(J), n))
+                lo1, hi1, lo2, hi2 = parts
+                if not _congruent(sparse_product(lo1, hi1),
+                                  sparse_product(lo2, hi2), mod):
+                    raise ValueError("diagram not functorial at %s <= %s"
+                                     % (vertices(I), vertices(J)))
 
 
-def limit_graded(D):
-    """Degreewise inverse limit of a PosetDiagram over its face poset, in
-    the degrees up to ``D.max_degree``.
+def _monomial_index(indexes, rank, k, width):
+    """{code: position} over the degree-k monomials in ``rank`` factors,
+    kept in ``indexes`` under (rank, k).
+
+    Positions follow combinations_with_replacement(range(rank), k).  A
+    monomial's code holds the exponent of factor r in the ``width``-bit
+    field at bit r * width, so multiplying by factor r adds 1 << r * width,
+    and the highest set bit lies in the field of the last factor.  Degree k
+    extends each monomial of degree k-1, in order, by every factor from its
+    last one on, which is that order.
+    """
+    found = indexes.get((rank, k))
+    if found is None:
+        if k == 0:
+            found = {0: 0}
+        else:
+            steps = [1 << r * width for r in range(rank)]
+            lower = _monomial_index(indexes, rank, k - 1, width)
+            found = {}
+            for code in lower:
+                for j in range((code.bit_length() - 1) // width if code else 0,
+                               rank):
+                    found[code + steps[j]] = len(found)
+        indexes[rank, k] = found
+    return found
+
+
+def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
+    """Symmetric powers 0..top_k of the linear map whose j-th column is the
+    sparse dict ``columns[j]`` ({row: value}) with ``rows`` rows.
+
+    Degree k uses the monomial basis combinations_with_replacement(range(n),
+    k) on both sides.  Each power is a dict {(row, col): value} of its
+    nonzero entries, reduced mod ``mod`` when given.  Degree k is built from
+    degree k-1: a monomial's image is the image of its first k-1 factors
+    times the column of its last factor, which is no smaller than any of
+    the others.  Only the nonzero images of degree k-1 are extended, since
+    a zero image has only zero extensions.
+
+    Monomials are coded as ints, as in ``_monomial_index`` with a field
+    width of top_k.bit_length() bits, wide enough for any exponent up to
+    top_k; a code is turned into its position by the index of its rank
+    and degree.  ``indexes`` maps (rank, k) to that index and is filled as
+    needed; a caller may share one dict between calls with the same top_k.
+    """
+    width = top_k.bit_length()
+    if indexes is None:
+        indexes = {}
+    cols = [[(1 << r * width, x) for r, x in col.items()] for col in columns]
+    steps = [1 << j * width for j in range(len(columns))]
+    images = [(0, 0, {0: 1})]   # (source code, last factor, nonzero image)
+    powers = [{(0, 0): 1}]
+    for k in range(1, top_k + 1):
+        source = _monomial_index(indexes, len(columns), k, width)
+        target = _monomial_index(indexes, rows, k, width)
+        nxt = []
+        arrow = {}
+        for code, last, image in images:
+            for j in range(last, len(columns)):
+                col = cols[j]
+                if not col:
+                    continue
+                out = {}
+                for t, c in image.items():
+                    for step, x in col:
+                        out[t + step] = out.get(t + step, 0) + c * x
+                if mod:
+                    out = {t: c % mod for t, c in out.items() if c % mod}
+                else:
+                    out = {t: c for t, c in out.items() if c}
+                if out:
+                    mono = code + steps[j]
+                    nxt.append((mono, j, out))
+                    pos = source[mono]
+                    for t, c in out.items():
+                        arrow[target[t], pos] = c
+        images = nxt
+        powers.append(arrow)
+    return powers
+
+
+def limit_graded(D, top_k):
+    """The inverse limits of Sym^k of a PosetDiagram over its face poset,
+    for k = 0..top_k, as a GradedAbGroup with lim Sym^k(D) in degree k.
+
+    In degree k the value at I is Sym^k of value(I), free on the
+    C(r + k - 1, k) monomials of degree k in its r = ``D.ranks[I]``
+    generators (one, the ring itself, for k = 0, also when r = 0), and
+    the arrow for I <= J is Sym^k(D.arrow(I, J)) on those monomials.
+    Sym^k(D) is functorial modulo ``D.mod`` because D is, as the
+    PosetDiagram docstring proves, so the argument below holds in every
+    degree.
 
     A compatible family (x_I) is determined by its values at the facets,
     x_I = arrow(I, F) x_F for any facet F above I, so the unknowns are
@@ -406,10 +472,10 @@ def limit_graded(D):
     each face I, every facet F above I gives the same arrow(I, F) x_F.
     Facets F, G that share a face J strictly above I give it once they
     agree at J, since arrow(I, F) = arrow(I, J) arrow(J, F) modulo
-    ``D.mod``, as validate() checks on construction.  Going down from the
-    facets, agreement at I is thus forced within each component of lk(I),
-    whose vertices a, b are joined when I + a + b is a face.  A face whose
-    link has c components asks c - 1 blocks
+    ``D.mod``.  Going down from the facets, agreement at I is thus forced
+    within each component of lk(I), whose vertices a, b are joined when
+    I + a + b is a face.  A face whose link has c components asks c - 1
+    blocks
 
         arrow(I, P) x_P - arrow(I, Q) x_Q = 0,
 
@@ -420,39 +486,61 @@ def limit_graded(D):
     simplicial complex; PosetDiagram rejects a poset without that
     property on construction.
 
-    In degree n the blocks make one constraint map psi from the product
-    of the facet values, free of rank a, and the limit is its kernel.  A
+    Each block arrow is composed once, and its powers 0..top_k are built
+    by _sym_powers once per distinct (rank of I, columns), shared between
+    blocks, over one monomial index per (rank, k); the rank of I belongs
+    to the key because it fixes the monomial index of the target.  In
+    degree k the blocks make one constraint map psi from the product of
+    the facet values, free of rank a, and the limit is its kernel.  A
     submodule of a free Z-module is free, and every F2-module is free, so
     the kernel is Z^(a - rank psi) or (Z/2)^(a - rank psi): the rank is
     taken by rank_and_invariants over Z and as the length of the
-    f2_echelon basis of psi's rows over F2.  The degrees are those of
-    the rank profiles, each shared profile read once.
+    f2_echelon basis of psi's rows over F2.
     """
     ranks, mod = D.ranks, D.mod
     facets, blocks = _link_blocks(D)
-    profiles = {id(p): p for p in ranks.values()}.values()
+    tables = {}    # (rank of I, columns) -> powers 0..top_k
+    indexes = {}   # (rank, k) -> {monomial code: position}
+    powers = {}    # (I, facet) -> its table
+    for I, P, Q in blocks:
+        for F in (P, Q):
+            if (I, F) in powers:
+                continue
+            columns = [{} for _ in range(ranks.get(F, 0))]
+            for (r, c), v in D.arrow(I, F).items():
+                columns[c][r] = v
+            key = (ranks.get(I, 0),
+                   tuple(tuple(sorted(col.items())) for col in columns))
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = _sym_powers(columns, key[0], top_k,
+                                                  mod, indexes)
+            powers[I, F] = table
     out = {}
-    for n in sorted({n for p in profiles for n in p if n <= D.max_degree}):
-        col = {}
+    for k in range(top_k + 1):
+        def gens(I):
+            return comb(ranks.get(I, 0) + k - 1, k) if k else 1
+
+        offset, a = {}, 0
         for F in facets:
-            for k in range(ranks.get(F, _ZERO).get(n, 0)):
-                col[F, k] = len(col)
+            offset[F] = a
+            a += gens(F)
         psi, b = {}, 0
         for I, P, Q in blocks:
             for sign, F in ((1, P), (-1, Q)):
-                for (r, c), v in D.arrow(I, F, n).items():
-                    psi[b + r, col[F, c]] = sign * v
-            b += ranks.get(I, _ZERO).get(n, 0)
+                for (r, c), v in powers[I, F][k].items():
+                    psi[b + r, offset[F] + c] = sign * v
+            b += gens(I)
         if mod:
             rows = [0] * b
             for (r, j), v in psi.items():
                 rows[r] |= (v & 1) << j
             rank = len(f2_echelon((row, 0) for row in rows)[0])
-            out[n] = FinAbGroup(0, (2,) * (len(col) - rank))
+            out[k] = FinAbGroup(0, (2,) * (a - rank))
         else:
             rank, _ = rank_and_invariants(
                 (r, j, v) for (r, j), v in psi.items())
-            out[n] = FinAbGroup.free(len(col) - rank)
+            out[k] = FinAbGroup.free(a - rank)
     return GradedAbGroup.make(out)
 
 

@@ -24,10 +24,10 @@ BUCHSTABER_REAL_M_BOUND = 12
 class BoundExceeded(Exception):
     """Input size beyond the configured enumeration bound.
 
-    ``layer`` names where the bound was crossed (koszul, cubical, hochster
-    or buchstaber-real), ``size`` is the size that crossed it and ``cap``
-    the bound; ``degree`` is the degree reached when the size is counted
-    degree by degree (koszul), else None.
+    ``layer`` names where the bound was crossed (koszul, cubical, limit,
+    hochster or buchstaber-real), ``size`` is the size that crossed it
+    and ``cap`` the bound; ``degree`` is the degree whose size is counted
+    (koszul, limit), else None.
     """
 
     def __init__(self, message, layer, size, cap, degree=None):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 from maq import homology
 from maq.simplicial import (SimplicialComplex, boundary_simplex,
@@ -210,9 +212,41 @@ def complexes_isomorphic(K1, K2):
     return extend(0, {}, set())
 
 
-def reference_limit(D):
-    """Limit of a PosetDiagram over every face and every covering pair.
+def sym_power_reference(M, rows, cols, k, mod=None):
+    """Sym^k of the rows x cols matrix M, a dict {(row, col): value}, on
+    the monomials combinations_with_replacement(range(n), k) of both
+    sides: column alpha is the product of the column polynomials
+    sum_i M[i, j] x_i over the factors j of alpha, expanded as a dict
+    from sorted factor tuples to coefficients, reduced mod ``mod`` when
+    given."""
+    polys = [{} for _ in range(cols)]
+    for (i, j), v in M.items():
+        polys[j][i,] = v
+    row_of = {mono: t for t, mono in
+              enumerate(combinations_with_replacement(range(rows), k))}
+    out = {}
+    for col, alpha in enumerate(combinations_with_replacement(range(cols),
+                                                              k)):
+        poly = {(): 1}
+        for j in alpha:
+            nxt = {}
+            for mono, c in poly.items():
+                for (i,), v in polys[j].items():
+                    key = tuple(sorted(mono + (i,)))
+                    nxt[key] = nxt.get(key, 0) + c * v
+            poly = nxt
+        for mono, c in poly.items():
+            c = c % mod if mod else c
+            if c:
+                out[row_of[mono], col] = c
+    return out
 
+
+def reference_limit(D, top_k):
+    """lim Sym^k(D) for k = 0..top_k, over every face and every covering
+    pair.
+
+    Every arrow is Sym^k of the cover's matrix, by sym_power_reference.
     One unknown block per face and one constraint block
     arrow(I, J) x_J - x_I per covering pair I < J.  A value of rank r is
     read as Z^r / diag(o) with every generator of order o = 0 over Z and
@@ -225,46 +259,45 @@ def reference_limit(D):
     with chi[t, k] = -o_j psi[r_t, j] / o_t for the k-th relation o_j e_j
     of A and the t-th relation o_t e_{r_t} of B, so that R_B chi =
     -psi R_A.  It shares no step with the facet kernel of
-    ``homology.limit_graded``, which it checks.
+    ``homology.limit_graded`` or with its symmetric powers, which it
+    checks.
     """
     covers = D.covering_pairs()
     out = {}
+    for k in range(top_k + 1):
+        def gens(I):
+            n = comb(D.ranks.get(I, 0) + k - 1, k) if k else 1
+            return (D.mod or 0,) * n
 
-    def gens(I, n):
-        return (D.mod or 0,) * D.ranks.get(I, {}).get(n, 0)
-
-    for n in sorted({n for r in D.ranks.values() for n in r
-                     if n <= D.max_degree}):
         col, rel_a, d2 = {}, {}, {}
         for I in D.faces:
-            for k, o in enumerate(gens(I, n)):
-                j = col[I, k] = len(col)
+            for t, o in enumerate(gens(I)):
+                j = col[I, t] = len(col)
                 if o:
                     d2[j, len(rel_a)] = o
                     rel_a[j] = (len(rel_a), o)
         a = len(col)
-        if not a:
-            continue
         d1, b, nb = {}, 0, 0
         for I, J in covers:
-            gi = gens(I, n)
+            gi = gens(I)
             y = {}
             for r, ot in enumerate(gi):
                 if ot:
                     y[r] = a + nb
                     d1[b + r, a + nb] = ot
                     nb += 1
+            power = sym_power_reference(D.arrow(I, J), D.ranks.get(I, 0),
+                                        D.ranks.get(J, 0), k, D.mod)
             psi = [((r, col[I, r]), -1) for r in range(len(gi))]
-            psi += [((r, col[J, c]), v)
-                    for (r, c), v in D.arrow(I, J, n).items()]
+            psi += [((r, col[J, c]), v) for (r, c), v in power.items()]
             for (r, j), v in psi:
                 d1[b + r, j] = v
                 if j in rel_a:
-                    k, oj = rel_a[j]
+                    t, oj = rel_a[j]
                     assert gi[r] and oj * v % gi[r] == 0
-                    d2[y[r], k] = -oj * v // gi[r]
+                    d2[y[r], t] = -oj * v // gi[r]
             b += len(gi)
         C = homology.ChainComplex([b, a + nb, len(rel_a)], [d1, d2],
                                   check=False)
-        out[n] = C.homology().group(1)
+        out[k] = C.homology().group(1)
     return homology.GradedAbGroup.make(out)

@@ -5,19 +5,21 @@ from math import comb, prod
 
 import pytest
 
-from maq import equivariant
+from maq import equivariant, homology
 from maq.constructions import lambda_alpha_subgroup, rp2_6, torsion_pipeline
-from maq.equivariant import (PreconditionFailed, _sym_powers,
-                             action_report, build_classifying_diagram,
-                             check_condition1, check_free,
-                             coordinate_quotient_check, equivariant_limit)
-from maq.homology import GradedAbGroup, limit_graded, sparse_product
+from maq.equivariant import (PreconditionFailed, action_report,
+                             build_classifying_diagram, check_condition1,
+                             check_free, coordinate_quotient_check,
+                             equivariant_limit)
+from maq.homology import (GradedAbGroup, PosetDiagram, _sym_powers,
+                          limit_graded, sparse_product)
 from maq.intlattice import FinAbGroup, TorusSubgroup, meet_coordinate
 from maq.momentangle import sr_dimension
 from maq.simplicial import (SimplicialComplex, _mask, boundary_simplex,
                             vertex_bits, vertices)
 
-from conftest import mat_mul, random_complex, seeded
+from conftest import (mat_mul, random_complex, reference_limit, seeded,
+                      sym_power_reference)
 
 
 def test_check_free_coordinate_and_diagonal():
@@ -180,16 +182,23 @@ def test_coordinate_quotient_check_compares_whole_groups(monkeypatch):
 
 
 def test_diagram_limit_agrees_with_direct_call():
+    # equivariant_limit is Sym^k of the classifying diagram in degree 2k
     K = boundary_simplex(3)
     H = TorusSubgroup.trivial(2, 3)
-    D = build_classifying_diagram(K, H, 6)
-    assert limit_graded(D) == equivariant_limit(K, H, 6)
+    lim = limit_graded(build_classifying_diagram(K, H), 3)
+    assert GradedAbGroup.make({2 * k: g for k, g in lim.groups}) == \
+        equivariant_limit(K, H, 6)
 
 
 def _columns(M, ncols):
     """Dense matrix as the sparse columns _sym_powers takes."""
     return [{i: row[j] for i, row in enumerate(M) if row[j]}
             for j in range(ncols)]
+
+
+def _matrix(columns):
+    """Sparse columns as the matrix {(row, col): value}."""
+    return {(r, c): v for c, col in enumerate(columns) for r, v in col.items()}
 
 
 def test_sym_power_is_functorial():
@@ -214,34 +223,6 @@ def test_sym_power_is_functorial():
                     (i, i): 1 for i in range(comb(p + k - 1, k))}
 
 
-def _sym_power_reference(M, rows, cols, k, mod):
-    """Entry (beta, alpha) is the coefficient of x^beta in
-    prod_j (sum_i M[i][j] x_i)^alpha_j, by plain polynomial expansion over
-    exponent vectors."""
-    def exponents(n):
-        return [tuple(mono.count(i) for i in range(n))
-                for mono in combinations_with_replacement(range(n), k)]
-
-    row_of = {beta: i for i, beta in enumerate(exponents(rows))}
-    out = {}
-    for j, alpha in enumerate(exponents(cols)):
-        poly = {(0,) * rows: 1}
-        for var, e in enumerate(alpha):
-            for _ in range(e):
-                nxt = {}
-                for mono, c in poly.items():
-                    for i in range(rows):
-                        bumped = tuple(x + (t == i) for t, x in
-                                       enumerate(mono))
-                        nxt[bumped] = nxt.get(bumped, 0) + c * M[i][var]
-                poly = nxt
-        for beta, c in poly.items():
-            c = c % mod if mod else c
-            if c:
-                out[row_of[beta], j] = c
-    return out
-
-
 def test_sym_powers_match_polynomial_expansion():
     # top_k 0, 1, 3, 4, 7 and 8 sit at the edges of the exponent field,
     # 0, 1, 2, 3, 3 and 4 bits wide: one bit less and the codes of 1, 3
@@ -261,11 +242,12 @@ def test_sym_powers_match_polynomial_expansion():
                 for i, row in enumerate(M):
                     row[b] = -row[a] if i == flip else row[a]
             for mod in (None, 2, 3):
-                powers = _sym_powers(_columns(M, cols), rows, top_k, mod)
+                columns = _columns(M, cols)
+                powers = _sym_powers(columns, rows, top_k, mod)
                 assert len(powers) == top_k + 1
                 for k in range(top_k + 1):
-                    assert powers[k] == _sym_power_reference(M, rows, cols,
-                                                             k, mod)
+                    assert powers[k] == sym_power_reference(
+                        _matrix(columns), rows, cols, k, mod)
     # (x_0 + x_1)(x_0 - x_1) = x_0^2 - x_1^2 has no x_0 x_1 term
     square = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (2, 1): -1,
               (0, 2): 1, (1, 2): -2, (2, 2): 1}
@@ -273,19 +255,6 @@ def test_sym_powers_match_polynomial_expansion():
     assert _sym_powers(columns, 2, 2)[2] == square
     assert _sym_powers(columns, 2, 2, 2)[2] == {
         key: 1 for key, v in square.items() if v % 2}
-
-
-def _assert_fresh_sym_powers(K, H, max_degree):
-    """Every stored arrow of the classifying diagram equals a symmetric
-    power built afresh for its own cover; returns the diagram."""
-    D = build_classifying_diagram(K, H, max_degree)
-    step = 2 if H.d == 2 else 1
-    for (I, J), graded in D.arrows.items():
-        fresh = _sym_powers(H.restriction(I, J), len(H.characters(I)),
-                            max_degree // step, 2 if H.d == 1 else None)
-        for n, arrow in graded.items():
-            assert arrow == fresh[n // step], (vertices(I), vertices(J), n)
-    return D
 
 
 def _compatible_cases(rng, d, count):
@@ -311,70 +280,95 @@ def _compatible_cases(rng, d, count):
         yield K, H
 
 
-def test_shared_sym_powers_match_fresh_ones():
-    # the tables shared between covers with the same character map are
-    # the tables each cover would build on its own, for d = 2 and d = 1
+def _recorded_sym_powers(monkeypatch):
+    """Replace homology._sym_powers by a recorder; returns the list of
+    (columns, rows, mod, powers) it fills, one per call."""
+    calls = []
+    real = homology._sym_powers
+
+    def recorded(columns, rows, top_k, mod=None, indexes=None):
+        powers = real(columns, rows, top_k, mod, indexes)
+        calls.append((columns, rows, mod, powers))
+        return powers
+
+    monkeypatch.setattr(homology, "_sym_powers", recorded)
+    return calls
+
+
+def test_shared_sym_powers_match_fresh_ones(monkeypatch):
+    # limit_graded builds the powers of its block arrows once per
+    # distinct (rank of I, columns) and shares them between blocks: each
+    # table it builds is the naive expansion of its own columns, and some
+    # blocks share, for d = 2 and d = 1
+    calls = _recorded_sym_powers(monkeypatch)
     rng = seeded("shared-sym-powers")
     shared = 0
-    for d, top in ((2, 6), (1, 4)):
+    for d in (2, 1):
         for K, H in _compatible_cases(rng, d, 40):
-            D = _assert_fresh_sym_powers(K, H, top)
-            shared += len(D.arrows) - len({id(a) for a in D.arrows.values()})
-    assert shared
+            D = build_classifying_diagram(K, H)
+            calls.clear()
+            limit_graded(D, 3)
+            blocks = homology._link_blocks(D)[1]
+            shared += len({(I, F) for I, P, Q in blocks
+                           for F in (P, Q)}) - len(calls)
+            for columns, rows, mod, powers in calls:
+                assert mod == D.mod
+                for k in range(4):
+                    assert powers[k] == sym_power_reference(
+                        _matrix(columns), rows, len(columns), k, mod)
+    assert shared > 0
 
 
 def test_classifying_arrows_match_per_cover_reference():
-    # the whole arrow dict, every cover and degree with nonzero ends, is
-    # the symmetric power of each cover's own character map, solved
-    # against a fresh subgroup, so neither the character-map memo nor
-    # the memoized characters can hand a cover another cover's map; the
-    # diagram is over F2 for d=1 and over Z for d=2
+    # every cover stores its own character map, solved against a fresh
+    # subgroup, so neither the character-map memo nor the memoized
+    # characters can hand a cover another cover's map; the ranks are the
+    # character counts, and the diagram is over F2 for d=1 and over Z
+    # for d=2
     rng = seeded("classifying-per-cover")
-    for d, top in ((2, 6), (1, 4)):
-        step = 2 if d == 2 else 1
+    for d in (2, 1):
         for K, H in _compatible_cases(rng, d, 30):
-            D = build_classifying_diagram(K, H, top)
+            D = build_classifying_diagram(K, H)
             fresh = TorusSubgroup(H.d, H.m, H.ann)
-            expect = {}
-            for J in D.faces:
-                for b in vertex_bits(J):
-                    I = J ^ b
-                    powers = _sym_powers(fresh.restriction(I, J),
-                                         len(fresh.characters(I)), top // step,
-                                         2 if d == 1 else None)
-                    for k, arrow in enumerate(powers):
-                        n = k * step
-                        if n in D.ranks[I] and n in D.ranks[J]:
-                            expect.setdefault((I, J), {})[n] = arrow
-            assert D.arrows == expect, K
+            assert D.ranks == {I: len(fresh.characters(I)) for I in D.faces}
+            assert D.arrows == {
+                (J ^ b, J): _matrix(fresh.restriction(J ^ b, J))
+                for J in D.faces for b in vertex_bits(J)}, K
             assert D.mod == (2 if d == 1 else None)
 
 
-def test_planted_wrong_power_is_reported_at_the_same_pair(monkeypatch):
-    # one wrong entry in degree 4 of the table that the covers dropping
-    # the higher vertex of an edge share: the build still fails as
-    # internal, at the first failing diamond in ``faces`` order: below
-    # [1, 2, 3], the diamond from [3] has no such cover, and the one from
-    # [2] has {2} < {2, 3}
-    original = equivariant._sym_powers
-    planted = []
+def test_planted_wrong_power_changes_the_limit(monkeypatch):
+    # one wrong entry in Sym^2, then in Sym^3, of every table that
+    # _sym_powers builds: the diagram itself passes validate(), which
+    # checks the one degree, so the limit must show the plant in that
+    # degree and in no other, over Z and over F2.  On the path 1-2-3,
+    # both blocks at {2} read the all-ones 2 x 2 matrix J, and Sym^k(J)
+    # has rank 1 for every k; the plant raises it to 2
+    path = [_mask(f) for f in ((), (1,), (2,), (3,), (1, 2), (2, 3))]
+    e, a, b, c, ab, bc = path
+    ones = {(r, s): 1 for r in range(2) for s in range(2)}
+    real = homology._sym_powers
+    for mod in (None, 2):
+        D = PosetDiagram(tuple(path), {b: 2, ab: 2, bc: 2},
+                         {(b, ab): ones, (b, bc): ones}, mod)
+        want = reference_limit(D, 3)
+        assert limit_graded(D, 3) == want
+        for k in (2, 3):
+            def wrong(columns, rows, top_k, mod=None, indexes=None):
+                powers = real(columns, rows, top_k, mod, indexes)
+                key = min(powers[k])
+                if mod:
+                    powers[k] = {t: v for t, v in powers[k].items()
+                                 if t != key}
+                else:
+                    powers[k] = {**powers[k], key: powers[k][key] + 1}
+                return powers
 
-    def wrong(columns, rows, top_k, mod=None, indexes=None):
-        powers = original(columns, rows, top_k, mod, indexes)
-        if rows == 1 and columns == [{0: 1}, {}]:
-            planted.append(columns)
-            powers[2] = {**powers[2], (0, 0): 2}
-        return powers
-
-    monkeypatch.setattr(equivariant, "_sym_powers", wrong)
-    for K in (SimplicialComplex(4, [(1, 2, 3, 4)]), boundary_simplex(5)):
-        planted.clear()
-        with pytest.raises(AssertionError,
-                           match=r"^classifying diagram: diagram not "
-                                 r"functorial at \[2\] <= \[1, 2, 3\], "
-                                 r"degree 4$"):
-            build_classifying_diagram(K, TorusSubgroup.trivial(2, K.m), 6)
-        assert len(planted) == 1
+            monkeypatch.setattr(homology, "_sym_powers", wrong)
+            got = limit_graded(D, 3)
+            monkeypatch.undo()
+            assert [n for n in range(4) if got.group(n) != want.group(n)] \
+                == [k], (mod, k)
 
 
 def _check_free_reference(K, H):
@@ -441,33 +435,47 @@ class _ChosenLattices(TorusSubgroup):
         return tuple(tuple(int(s == t) for t in range(n)) for s in range(n))
 
 
-def test_shared_sym_powers_keyed_on_row_count():
-    # {1,2} < {1,2,4} and {1,2,3} < {1,2,3,4} both send the one character
-    # e_2 of the larger face to the second character of the smaller one,
-    # so their columns agree, but the smaller faces have 2 and 3
-    # characters: x_2^k sits at a different monomial index in each
-    H = _ChosenLattices(2, 4, (), {0b1011: ((0, 1, 0),),
-                                   0b1111: ((0, 1, 0, 0),)})
-    K = SimplicialComplex(4, [(1, 2, 3, 4)])
-    D = _assert_fresh_sym_powers(K, H, 6)
-    low = D.arrows[0b11, 0b1011][4]
-    high = D.arrows[0b111, 0b1111][4]
-    assert low == {(2, 0): 1} and high == {(3, 0): 1}
+def test_shared_sym_powers_keyed_on_row_count(monkeypatch):
+    # the paths 1-2-3 and 4-5-6: the links of {2} and {5} are two points,
+    # so each carries a block, and the blocks read {1, 2} -> {2} and
+    # {4, 5} -> {5}, the same one column e_1, into values of rank 2 and
+    # 3: x_1^k sits at a different monomial index in each, so their
+    # powers are built apart
+    calls = _recorded_sym_powers(monkeypatch)
+    faces = [_mask(f) for f in ((), (1,), (2,), (3,), (4,), (5,), (6,),
+                                (1, 2), (2, 3), (4, 5), (5, 6))]
+    ranks = {f: 1 for f in faces if f.bit_count() == 2}
+    ranks.update({_mask((2,)): 2, _mask((5,)): 3})
+    arrows = {(_mask((2,)), _mask((1, 2))): {(1, 0): 1},
+              (_mask((2,)), _mask((2, 3))): {(0, 0): 1},
+              (_mask((5,)), _mask((4, 5))): {(1, 0): 1},
+              (_mask((5,)), _mask((5, 6))): {(0, 0): 1}}
+    D = PosetDiagram(tuple(faces), ranks, arrows)
+    lim = limit_graded(D, 3)
+    assert sorted(rows for columns, rows, _, _ in calls
+                  if columns == [{1: 1}]) == [2, 3]
+    assert lim == reference_limit(D, 3)
 
 
-def test_shared_sym_powers_reduced_mod_2():
+def test_shared_sym_powers_reduced_mod_2(monkeypatch):
     # F2 characters x_1 + x_3 and x_2 + x_3 on {1,2,3}: dropping vertex 1
     # sends the second to x_2 + x_3 = e_0 + e_1 on {2,3}, whose square
-    # has the even cross term 2 x_2 x_3, zero mod 2.  Compatible d=1
-    # subgroups give one-entry columns only, so this needs lattices
-    # chosen by hand.
-    I, J = 0b110, 0b111   # {2, 3} < {1, 2, 3}
-    H = _ChosenLattices(1, 3, (), {J: (0b101, 0b110)})
-    D = _assert_fresh_sym_powers(SimplicialComplex(3, [(1, 2, 3)]), H, 2)
-    integral = _sym_powers([{1: 1}, {0: 1, 1: 1}], 2, 2)[2]
+    # has the even cross term 2 x_2 x_3, zero mod 2.  The link of {2, 3}
+    # in the two triangles {1,2,3} and {2,3,4} is two points, so the
+    # limit reads that arrow.  Compatible d=1 subgroups give one-entry
+    # columns only, so this needs lattices chosen by hand.
+    calls = _recorded_sym_powers(monkeypatch)
+    H = _ChosenLattices(1, 4, (), {0b111: (0b101, 0b110)})
+    K = SimplicialComplex(4, [(1, 2, 3), (2, 3, 4)])
+    D = build_classifying_diagram(K, H)
+    columns = [{1: 1}, {0: 1, 1: 1}]
+    assert D.arrows[0b110, 0b111] == _matrix(columns)
+    lim = limit_graded(D, 2)
+    integral = _sym_powers(columns, 2, 2)[2]
     assert integral[1, 2] == 2
-    assert D.arrows[I, J][2] == {key: v for key, v in integral.items()
-                                 if v % 2}
+    assert [powers[2] for c, _, mod, powers in calls if c == columns] == [
+        {key: v for key, v in integral.items() if v % 2}]
+    assert lim == reference_limit(D, 2)
 
 
 def _condition1_bruteforce(K, H, all_pairs):

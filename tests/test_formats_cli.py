@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from maq import constructions, equivariant, momentangle
+from maq import constructions, equivariant, intlattice, momentangle
 from maq.cli import main
 from maq.formats import (ParseError, builtin_complex, complex_to_text,
                          parse_complex, parse_subgroup)
@@ -372,17 +372,20 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch, tmp_path):
 def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
                                                      tmp_path):
     # a non-functorial arrow in the diagram the engine builds itself is a
-    # bug, not a failed precondition: exit 5, not 3
-    real = equivariant.PosetDiagram
+    # bug, not a failed precondition: exit 5, not 3.  One wrong entry in
+    # the restriction {1} < {1, 2} (the map is shared with the covers of
+    # the same characters that drop the higher vertex of an edge) breaks
+    # the diamond from {2} to {1, 2, 3}
+    real = intlattice.TorusSubgroup.restriction
 
-    def planted(faces, ranks, arrows, max_degree, mod):
-        # {1} < {1, 2}; the graded arrow is shared with other covers, so
-        # the planted degree goes into a copy
-        arrows[0b1, 0b11] = {**arrows[0b1, 0b11], 2: {(0, 0): 2}}
-        return real(faces=faces, ranks=ranks, arrows=arrows,
-                    max_degree=max_degree, mod=mod)
+    def planted(self, I, J):
+        columns = real(self, I, J)
+        if (I, J) == (0b1, 0b11):
+            columns = [{r: 2 * v for r, v in columns[0].items()},
+                       *columns[1:]]
+        return columns
 
-    monkeypatch.setattr(equivariant, "PosetDiagram", planted)
+    monkeypatch.setattr(intlattice.TorusSubgroup, "restriction", planted)
     cpath = tmp_path / "k.txt"
     spath = tmp_path / "h.txt"
     cpath.write_text("m=3\n1 2 3\n")
@@ -394,6 +397,35 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     doc = json.loads(err)
     assert doc["error"] == "internal"
     assert "not functorial" in doc["message"]
+
+
+def test_cli_limit_bound_exit_code(capsys, monkeypatch, tmp_path):
+    # the identity annihilator on boundary_simplex(9) at degree 40: 9
+    # facets of rank 8 each have C(27, 20) = 888030 generators in Sym^20,
+    # 7992270 in all, counted before any power is built; at a cap equal
+    # to the count the limit runs, one below it stops with exit 4
+    spath = tmp_path / "h.txt"
+    spath.write_text("d=2\nannihilator:\n" + "".join(
+        " ".join(str(int(i == j)) for j in range(9)) + "\n"
+        for i in range(9)))
+    argv = ["equivariant", "--complex", "builtin:boundary_simplex(9)",
+            "--subgroup", str(spath)]
+    cap = equivariant.LIMIT_GENERATOR_CAP
+    code, out, err = run_cli(capsys, *argv, "--max-degree", "40")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "bound", "message": "limit: 7992270 facet generators in "
+        "degree 40 exceed cap %d" % cap,
+        "layer": "limit", "size": 7992270, "cap": cap, "degree": 40}
+    # degree 4: 9 * C(9, 2) = 324 facet generators
+    monkeypatch.setattr(equivariant, "LIMIT_GENERATOR_CAP", 324)
+    code, out, _ = run_cli(capsys, *argv, "--max-degree", "4")
+    assert code == 0
+    assert json.loads(out)["groups"]["4"] == {"rank": 45, "torsion": []}
+    monkeypatch.setattr(equivariant, "LIMIT_GENERATOR_CAP", 323)
+    code, out, err = run_cli(capsys, *argv, "--max-degree", "5")
+    assert (code, out) == (4, "")
+    assert json.loads(err)["size"] == 324
 
 
 def test_cli_engine_value_error_is_internal(capsys, monkeypatch):

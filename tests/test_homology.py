@@ -1,6 +1,6 @@
 import re
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import comb, gcd
 
 import pytest
 
@@ -139,22 +139,22 @@ def test_euler_characteristic_consistency():
 def test_limit_constant_diagram():
     # constant diagram Z over the face poset of a simplex: limit is Z
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {f: {0: 1} for f in faces}
-    arrows = {(I, J): {0: {(0, 0): 1}} for I in faces for J in faces
+    ranks = {f: 1 for f in faces}
+    arrows = {(I, J): {(0, 0): 1} for I in faces for J in faces
               if I & ~J == 0 and (J ^ I).bit_count() == 1}
-    D = PosetDiagram(tuple(faces), ranks, arrows, 0)
-    lim = limit_graded(D)
-    assert lim.group(0) == FinAbGroup.free(1)
+    D = PosetDiagram(tuple(faces), ranks, arrows)
+    lim = limit_graded(D, 1)
+    assert lim.group(1) == FinAbGroup.free(1)
 
 
 def test_limit_two_points():
     # values Z at each of two vertices, Z^2 at the edge is absent:
     # poset of two incomparable faces gives the product
     faces = [0b1, 0b10]   # {1}, {2}
-    ranks = {f: {2: 1} for f in faces}
-    D = PosetDiagram(tuple(faces), ranks, {}, 2)
-    lim = limit_graded(D)
-    assert lim.group(2) == FinAbGroup.free(2)
+    ranks = {f: 1 for f in faces}
+    D = PosetDiagram(tuple(faces), ranks, {})
+    lim = limit_graded(D, 1)
+    assert lim.group(1) == FinAbGroup.free(2)
 
 
 def test_limit_equalizer_with_torsion():
@@ -163,65 +163,103 @@ def test_limit_equalizer_with_torsion():
     # (Z/2)^2; the same shapes over Z with the arrow at {1} multiplying by
     # 2 give Z^2, pairs with 2 x_1 = 0
     e, a, b = 0, 0b1, 0b10   # {}, {1}, {2}
-    ranks = {a: {0: 2}, b: {0: 1}, e: {0: 1}}
+    ranks = {a: 2, b: 1, e: 1}
     for mod, x, want in ((2, 1, FinAbGroup.make(0, (2, 2))),
                          (None, 2, FinAbGroup.free(2))):
-        arrows = {(e, a): {0: {(0, 0): x}}, (e, b): {0: {}}}
-        D = PosetDiagram((e, a, b), ranks, arrows, 0, mod)
-        assert limit_graded(D).group(0) == want
+        arrows = {(e, a): {(0, 0): x}, (e, b): {}}
+        D = PosetDiagram((e, a, b), ranks, arrows, mod)
+        assert limit_graded(D, 1).group(1) == want
 
 
 def test_limit_invariant_under_relabeling():
     # relabeling the poset vertices must not change the limit
-    rng = seeded("relabel")
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {0: {0: 1}, 0b1: {0: 2}, 0b10: {0: 1}, 0b11: {0: 1}}
+    ranks = {0: 1, 0b1: 2, 0b10: 1, 0b11: 1}
     arrows = {
-        (0, 0b1): {0: {(0, 0): 1, (0, 1): 1}},
-        (0, 0b10): {0: {(0, 0): 1}},
-        (0b1, 0b11): {0: {(0, 0): 1}},
-        (0b10, 0b11): {0: {(0, 0): 1}},
+        (0, 0b1): {(0, 0): 1, (0, 1): 1},
+        (0, 0b10): {(0, 0): 1},
+        (0b1, 0b11): {(0, 0): 1},
+        (0b10, 0b11): {(0, 0): 1},
     }
-    D = PosetDiagram(tuple(faces), ranks, arrows, 0)
-    base = limit_graded(D)
+    D = PosetDiagram(tuple(faces), ranks, arrows)
+    base = limit_graded(D, 3)
     perm = {1: 2, 2: 1}
     relabel = lambda f: _mask(perm[v] for v in vertices(f))
     D2 = PosetDiagram(tuple(relabel(f) for f in faces),
                       {relabel(f): r for f, r in ranks.items()},
                       {(relabel(I), relabel(J)): M
-                       for (I, J), M in arrows.items()}, 0)
-    assert limit_graded(D2) == base
+                       for (I, J), M in arrows.items()})
+    assert limit_graded(D2, 3) == base
 
 
 def test_diagram_functoriality_rejected():
     faces = [0, 0b1, 0b10, 0b11]   # {}, {1}, {2}, {1, 2}
-    ranks = {f: {0: 1} for f in faces}
-    arrows = {(I, J): {0: {(0, 0): 1}} for I in faces for J in faces
+    ranks = {f: 1 for f in faces}
+    arrows = {(I, J): {(0, 0): 1} for I in faces for J in faces
               if I & ~J == 0 and (J ^ I).bit_count() == 1}
     # break one square: composite through {1} gives 1, through {2} gives 2
-    arrows[(0b10, 0b11)] = {0: {(0, 0): 2}}
+    arrows[(0b10, 0b11)] = {(0, 0): 2}
     with pytest.raises(ValueError):
-        PosetDiagram(tuple(faces), ranks, arrows, 0)
+        PosetDiagram(tuple(faces), ranks, arrows)
 
 
-def _square(n, arrows, mod=None):
-    # the face poset of an edge, Z (F2 for mod=2) in degree n at every face
+def _square(arrows, mod=None):
+    # the face poset of an edge, Z (F2 for mod=2) at every face
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
     covers = {(e, a): 1, (e, b): 1, (a, ab): 1, (b, ab): 1}
     covers.update(arrows)
-    return PosetDiagram((e, a, b, ab), {f: {n: 1} for f in (e, a, b, ab)},
-                        {key: {n: {(0, 0): v}} for key, v in covers.items()},
-                        2, mod)
+    return PosetDiagram((e, a, b, ab), {f: 1 for f in (e, a, b, ab)},
+                        {key: {(0, 0): v} for key, v in covers.items()},
+                        mod)
+
+
+def _columns_of(M, cols):
+    """The matrix {(row, col): value} as the sparse columns _sym_powers
+    takes."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in M.items():
+        columns[c][r] = v
+    return columns
 
 
 def test_diagram_functoriality_checked_in_every_degree():
-    # a broken square above max_degree or in a negative degree is
-    # rejected like one in degree 0
+    # validate() checks the one degree of a diagram, and its docstring
+    # proves that Sym^k of a diagram that passes is a diagram; here every
+    # diamond of diagrams that pass commutes under Sym^k for k <= 3,
+    # modulo the ring, with the powers that limit_graded reads, and a
+    # square broken in that one degree is rejected
     b, ab = 0b10, 0b11   # {2}, {1, 2}
-    for n in (0, 4, -2):
-        _square(n, {})
-        with pytest.raises(ValueError, match="not functorial.*degree %d" % n):
-            _square(n, {(b, ab): 2})
+    with pytest.raises(ValueError, match=re.escape(
+            "diagram not functorial at [] <= [1, 2]")):
+        _square({(b, ab): 2})
+    rng = seeded("sym-diamonds")
+    diagrams = [*_classifying_diagrams(2, 15, "sym-diamonds-2"),
+                *_classifying_diagrams(1, 15, "sym-diamonds-1"),
+                *(_polynomial_diagram(rng, random_complex(rng, 4))
+                  for _ in range(15))]
+    checked = 0
+    for D in diagrams:
+        powers = {}
+
+        def sym(I, J):
+            if (I, J) not in powers:
+                powers[I, J] = homology._sym_powers(
+                    _columns_of(D.arrow(I, J), D.ranks.get(J, 0)),
+                    D.ranks.get(I, 0), 3, D.mod)
+            return powers[I, J]
+
+        for J in D.faces:
+            for x, y in combinations(vertex_bits(J), 2):
+                I = J ^ x ^ y
+                if I not in D.faces:
+                    continue
+                for k in range(4):
+                    left = sparse_product(sym(I, J ^ x)[k], sym(J ^ x, J)[k])
+                    right = sparse_product(sym(I, J ^ y)[k],
+                                           sym(J ^ y, J)[k])
+                    assert homology._congruent(left, right, D.mod)
+                    checked += bool(left)
+    assert checked
 
 
 def test_diagram_functoriality_modulo_torsion():
@@ -229,58 +267,57 @@ def test_diagram_functoriality_modulo_torsion():
     # diagram with mod=2, with the limit of its top value, and not one
     # with mod=None
     b, ab = 0b10, 0b11   # {2}, {1, 2}
-    D = _square(0, {(b, ab): 3}, mod=2)
-    assert limit_graded(D).group(0) == FinAbGroup.cyclic(2)
+    D = _square({(b, ab): 3}, mod=2)
+    assert limit_graded(D, 1).group(1) == FinAbGroup.cyclic(2)
     with pytest.raises(ValueError, match="not functorial"):
-        _square(0, {(b, ab): 3})
+        _square({(b, ab): 3})
 
 
 def test_diagram_stored_long_arrow_checked():
     # only covers are stored: an arrow across the diamond is rejected on
-    # construction, naming the pair and the degree, even when it equals
-    # the cover composite that arrow() gives in its place; so is an arrow
-    # between faces that are not nested
+    # construction, naming the pair, even when it equals the cover
+    # composite that arrow() gives in its place; so is an arrow between
+    # faces that are not nested
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    assert _square(0, {}).arrow(e, ab, 0) == {(0, 0): 1}
-    for I, J, n in ((e, ab, 0), (e, ab, 2), (a, b, 2), (ab, a, 2)):
+    assert _square({}).arrow(e, ab) == {(0, 0): 1}
+    for I, J in ((e, ab), (a, b), (ab, a)):
         with pytest.raises(ValueError, match=re.escape(
-                "from %s to %s, degree %d is not a cover"
-                % (vertices(I), vertices(J), n))):
-            _square(n, {(I, J): 1})
+                "from %s to %s is not a cover"
+                % (vertices(I), vertices(J)))):
+            _square({(I, J): 1})
 
 
 def test_diagram_arrow_requires_a_subset():
-    D = _square(0, {})
+    D = _square({})
     with pytest.raises(ValueError, match=r"\[1\] to \[2\]"):
-        D.arrow(0b1, 0b10, 0)
+        D.arrow(0b1, 0b10)
     with pytest.raises(ValueError, match=r"\[1, 2\] to \[1\]"):
-        D.arrow(0b11, 0b1, 0)
-    assert D.arrow(0b1, 0b1, 0) == {(0, 0): 1}
+        D.arrow(0b11, 0b1)
+    assert D.arrow(0b1, 0b1) == {(0, 0): 1}
 
 
 def test_diagram_composes_through_a_zero_value():
-    # value(I) = Z except at {1}, where it is 0 in degree 0: the square
-    # (empty, {1, 2}) has one composite through a zero group
+    # value(I) = Z except at {1}, where it is 0: the square (empty,
+    # {1, 2}) has one composite through a zero group
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    ranks = {f: {0: 1} for f in (e, b, ab)}
+    ranks = {f: 1 for f in (e, b, ab)}
 
     def diagram(to_b):
-        arrows = {(e, a): {0: {}}, (a, ab): {0: {}},
-                  (e, b): {0: to_b}, (b, ab): {0: {(0, 0): 1}}}
-        return PosetDiagram((e, a, b, ab), ranks, arrows, 0)
+        arrows = {(e, a): {}, (a, ab): {},
+                  (e, b): to_b, (b, ab): {(0, 0): 1}}
+        return PosetDiagram((e, a, b, ab), ranks, arrows)
 
     with pytest.raises(ValueError, match="not functorial"):
         diagram({(0, 0): 1})
-    assert diagram({}).arrow(e, ab, 0) == {}
+    assert diagram({}).arrow(e, ab) == {}
 
 
 def _edge_square(ea, a_ab, eb, b_ab, rank=2):
     # Z^rank at every face of an edge, with the four covers given
     e, a, b, ab = 0, 0b1, 0b10, 0b11   # {}, {1}, {2}, {1, 2}
-    arrows = {(e, a): {0: ea}, (a, ab): {0: a_ab}, (e, b): {0: eb},
-              (b, ab): {0: b_ab}}
-    return PosetDiagram((e, a, b, ab), {f: {0: rank}
-                                        for f in (e, a, b, ab)}, arrows, 0)
+    arrows = {(e, a): ea, (a, ab): a_ab, (e, b): eb, (b, ab): b_ab}
+    return PosetDiagram((e, a, b, ab), {f: rank for f in (e, a, b, ab)},
+                        arrows)
 
 
 def test_diagram_shared_arrows_still_checked():
@@ -294,7 +331,7 @@ def test_diagram_shared_arrows_still_checked():
         _edge_square(S, T, T, S)
     # one object at all four covers is functorial
     D = _edge_square(S, S, S, S)
-    assert D.arrow(0, 0b11, 0) == sparse_product(S, S)
+    assert D.arrow(0, 0b11) == sparse_product(S, S)
     # one object at three covers, a different map at the fourth
     with pytest.raises(ValueError, match="not functorial"):
         _edge_square(S, S, S, T)
@@ -302,51 +339,28 @@ def test_diagram_shared_arrows_still_checked():
     # objects and differ in the fourth: the first commutes and the
     # second, decided after it, does not; a verdict memo keyed on part
     # of the four covers would pass both
-    one, two = {0: {(0, 0): 1}}, {0: {(0, 0): 2}}
+    one, two = {(0, 0): 1}, {(0, 0): 2}
     faces = [_mask(f) for f in ((), (1,), (2,), (3,), (1, 2), (1, 3))]
     e, a, b, c, ab, ac = faces
     arrows = {(e, a): one, (e, b): one, (e, c): one,
-              (b, ab): one, (c, ac): one, (a, ab): {0: {(0, 0): 1}},
+              (b, ab): one, (c, ac): one, (a, ab): {(0, 0): 1},
               (a, ac): two}
-    with pytest.raises(ValueError, match=r"\[1, 3\], degree 0"):
-        PosetDiagram(tuple(faces), {f: {0: 1} for f in faces}, arrows, 0)
+    with pytest.raises(ValueError, match=re.escape("at [] <= [1, 3]")):
+        PosetDiagram(tuple(faces), {f: 1 for f in faces}, arrows)
 
 
 def test_diagram_shape_scan_keyed_on_both_profiles():
-    # one graded arrow object at {} < {1} and at {} < {2}: it fits the
-    # rank 2 value at {1} and not the rank 1 value at {2}, so its shape is
-    # scanned again at the second cover; a scan memo keyed on the arrow
+    # one matrix object at {} < {1} and at {} < {2}: it fits the rank 2
+    # value at {1} and not the rank 1 value at {2}, so its shape is
+    # scanned again at the second cover; a scan memo keyed on the matrix
     # alone would pass it
     e, a, b = 0, 0b1, 0b10   # {}, {1}, {2}
-    ranks = {e: {0: 1}, a: {0: 2}, b: {0: 1}}
-    G = {0: {(0, 1): 1}}
-    PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): {0: {(0, 0): 1}}}, 0)
+    ranks = {e: 1, a: 2, b: 1}
+    G = {(0, 1): 1}
+    PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): {(0, 0): 1}})
     with pytest.raises(ValueError, match=re.escape(
-            "shape mismatch at [] <= [2], degree 0")):
-        PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): G}, 0)
-
-
-def test_diagram_shared_diamond_rejected_in_a_new_degree():
-    # the diamonds of the edges {1, 2} and {1, 3} share all four graded
-    # arrows, and {1, 3} is nonzero in degree 2, where {1, 2} is zero.
-    # A matrix that fits a zero end is the zero map, so no square of the
-    # second diamond can fail in degree 2; what that degree asks is an
-    # arrow at each cover of {1, 3}, which the shared arrows, fitted to
-    # the first diamond, lack.  A missing-degree memo keyed on the arrow
-    # alone would pass the second diamond on the first one's verdict
-    faces = [_mask(f) for f in ((), (1,), (2,), (3,), (1, 2), (1, 3))]
-    e, a, b, c, ab, ac = faces
-    both, low = {0: {(0, 0): 1}, 2: {(0, 0): 1}}, {0: {(0, 0): 1}}
-    arrows = {(e, a): both, (e, b): both, (e, c): both,
-              (b, ab): low, (c, ac): low, (a, ab): low, (a, ac): low}
-    ranks = {f: {0: 1, 2: 1} for f in faces}
-    ranks[ab] = {0: 1}
-    first = {key: G for key, G in arrows.items() if ac not in key}
-    assert PosetDiagram(tuple(faces[:5]), ranks, first, 2).arrow(
-        e, ab, 2) == {}
-    with pytest.raises(ValueError, match=re.escape(
-            "missing arrow at [3] <= [1, 3], degree 2")):
-        PosetDiagram(tuple(faces), ranks, arrows, 2)
+            "shape mismatch at [] <= [2]")):
+        PosetDiagram((e, a, b), ranks, {(e, a): G, (e, b): G})
 
 
 def _diagonal_diagram(rng, K):
@@ -357,10 +371,9 @@ def _diagonal_diagram(rng, K):
     s = {v: [rng.choice((-3, -2, -1, 2, 3)) for _ in range(r)]
          for v in range(1, K.m + 1)}
     faces = sorted(K.face_masks, key=face_order)
-    arrows = {(J ^ b, J): {0: {(g, g): s[b.bit_length()][g]
-                               for g in range(r)}}
+    arrows = {(J ^ b, J): {(g, g): s[b.bit_length()][g] for g in range(r)}
               for J in faces for b in vertex_bits(J)}
-    return PosetDiagram(tuple(faces), {f: {0: r} for f in faces}, arrows, 0)
+    return PosetDiagram(tuple(faces), {f: r for f in faces}, arrows)
 
 
 def test_diagram_composites_match_fresh_products():
@@ -376,14 +389,14 @@ def test_diagram_composites_match_fresh_products():
             for I in D.faces:
                 if I & ~J == 0 and (J ^ I).bit_count() >= 2:
                     chain = vertex_bits(J ^ I)
-                    expect = D.arrows[J ^ chain[0], J][0]
+                    expect = D.arrows[J ^ chain[0], J]
                     top = J ^ chain[0]
                     for b in chain[1:]:
-                        expect = sparse_product(D.arrows[top ^ b, top][0],
+                        expect = sparse_product(D.arrows[top ^ b, top],
                                                 expect)
                         top = top ^ b
-                    assert D.arrow(I, J, 0) == expect, (vertices(I),
-                                                        vertices(J))
+                    assert D.arrow(I, J) == expect, (vertices(I),
+                                                     vertices(J))
 
 
 def test_diagram_validate_rejects_malformed_arrows():
@@ -391,8 +404,7 @@ def test_diagram_validate_rejects_malformed_arrows():
 
     def diagram(arrow, key=(e, a), mod=None):
         # one arrow value(a) -> value(e), both of rank 1
-        return PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}}, {key: {0: arrow}},
-                            0, mod)
+        return PosetDiagram((e, a), {e: 1, a: 1}, {key: arrow}, mod)
 
     with pytest.raises(ValueError, match="not in the poset"):
         diagram({(0, 0): 1}, key=(e, b))
@@ -400,7 +412,7 @@ def test_diagram_validate_rejects_malformed_arrows():
         diagram({(0, 1): 1})
     with pytest.raises(ValueError, match="shape mismatch"):
         diagram({(0, 0): 0})
-    with pytest.raises(ValueError, match=r"\[\] <= \[1\], degree 0 is not a"):
+    with pytest.raises(ValueError, match=r"\[\] <= \[1\] is not a"):
         diagram([[1]])
     # an entry that vanishes in F2 is a stored zero; the ring is Z or F2
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -411,11 +423,10 @@ def test_diagram_validate_rejects_malformed_arrows():
     # 1 value at {1}, not the zero value at {2}
     M = {(0, 0): 1}
     with pytest.raises(ValueError, match="shape mismatch"):
-        PosetDiagram((e, a, b), {e: {0: 1}, a: {0: 1}},
-                     {(e, a): {0: M}, (e, b): {0: M}}, 0)
+        PosetDiagram((e, a, b), {e: 1, a: 1}, {(e, a): M, (e, b): M})
     # F2 -> F2 by 3 is the identity, and its limit is the source
     D = diagram({(0, 0): 3}, mod=2)
-    assert limit_graded(D).group(0) == FinAbGroup.cyclic(2)
+    assert limit_graded(D, 1).group(1) == FinAbGroup.cyclic(2)
 
 
 def test_diagram_shape_scan_bounds_every_index():
@@ -424,8 +435,7 @@ def test_diagram_shape_scan_bounds_every_index():
     e, a = 0, 0b1   # {}, {1}
     for entry in ((1, 0), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="shape mismatch"):
-            PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}},
-                         {(e, a): {0: {entry: 1}}}, 0)
+            PosetDiagram((e, a), {e: 1, a: 1}, {(e, a): {entry: 1}})
 
 
 def test_limit_missing_covering_arrow():
@@ -433,10 +443,10 @@ def test_limit_missing_covering_arrow():
     # value({1}) = 0 -> value(empty) = Z/2 is trivial; between two nonzero
     # values a missing covering arrow is rejected, naming the pair
     e, a = 0, 0b1   # {}, {1}
-    D = PosetDiagram((e, a), {e: {0: 1}}, {}, 0, 2)
-    assert limit_graded(D).is_trivial()
+    D = PosetDiagram((e, a), {e: 1}, {}, 2)
+    assert limit_graded(D, 1).group(1).is_trivial()
     with pytest.raises(ValueError, match=r"missing arrow at \[\] <= \[1\]"):
-        PosetDiagram((e, a), {e: {0: 1}, a: {0: 1}}, {}, 0)
+        PosetDiagram((e, a), {e: 1, a: 1}, {})
 
 
 def _f2_apply(M, x):
@@ -457,16 +467,15 @@ def test_limit_torsion_matches_bruteforce():
     leaves = [1 << (v - 1) for v in (1, 2, 3)]
     for _ in range(300):
         rank = {F: rng.randint(1, 3) for F in [e] + leaves}
-        arrows = {(e, F): {0: {(r, c): 1 for r in range(rank[e])
-                               for c in range(rank[F]) if rng.randint(0, 1)}}
+        arrows = {(e, F): {(r, c): 1 for r in range(rank[e])
+                           for c in range(rank[F]) if rng.randint(0, 1)}
                   for F in leaves}
-        D = PosetDiagram((e, *leaves), {F: {0: n} for F, n in rank.items()},
-                         arrows, 0, 2)
-        lim = limit_graded(D).group(0)
+        D = PosetDiagram((e, *leaves), rank, arrows, 2)
+        lim = limit_graded(D, 1).group(1)
         assert lim.free_rank == 0 and set(lim.torsion) <= {2}
         families = 0
         for x in product(*(range(1 << rank[F]) for F in leaves)):
-            families += len({_f2_apply(arrows[e, F][0], xv)
+            families += len({_f2_apply(arrows[e, F], xv)
                              for F, xv in zip(leaves, x)}) == 1
         assert families == 2 ** len(lim.torsion), (rank, arrows, lim)
 
@@ -474,11 +483,10 @@ def test_limit_torsion_matches_bruteforce():
 def _classifying_diagrams(d, count, name):
     """Classifying diagrams of ``count`` seeded compatible (K, H), m <= 6:
     random annihilators (d=2) or F2 spans (d=1), the trivial subgroup
-    among them.  d=1 diagrams with more than 150 generators in their top
-    degree are passed over: the reference's dense Smith residue takes
-    seconds on them."""
+    among them.  d=1 diagrams with more than 150 generators over all
+    faces in Sym^3 are passed over: the reference's dense Smith residue
+    takes seconds on them."""
     rng = seeded(name)
-    top = 6 if d == 2 else 2
     while count:
         m = rng.randint(2, 6)
         K = random_complex(rng, m)
@@ -494,36 +502,54 @@ def _classifying_diagrams(d, count, name):
                 m, [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, 2))])
         if not check_condition1(K, H)[0]:
             continue
-        D = build_classifying_diagram(K, H, top)
-        if d == 1 and sum(D.ranks[I].get(top, 0) for I in D.faces) > 150:
+        D = build_classifying_diagram(K, H)
+        if d == 1 and sum(comb(r + 2, 3) for r in D.ranks.values()) > 150:
             continue
         count -= 1
         yield D
 
 
 def _torsion_diagram(rng, K):
-    """A random diagonal diagram over the faces of K, in degrees 0 and 1,
-    over Z or over F2, one drawn at random.  Every value has the same rank
-    r <= 2 and the cover I < I + v multiplies generator g by s_v[g], zero
-    allowed, so every diamond commutes.  In degree 1 the faces below a
-    size threshold carry the zero module."""
+    """A random diagonal diagram over the faces of K, over Z or over F2,
+    one drawn at random.  Every value has the same rank r <= 2, except
+    that the faces below a size threshold carry the zero module, and the
+    cover I < I + v multiplies generator g by s_v[g], zero allowed, so
+    every diamond commutes."""
     mod = rng.choice((None, 2))
     r = rng.randint(1, 2)
     s = {v: [rng.choice((0, 1, 1, -1, 2, 3)) for _ in range(r)]
          for v in range(1, K.m + 1)}
     low = rng.randint(0, 2)
     faces = sorted(K.face_masks, key=face_order)
-    ranks, arrows = {}, {}
-    for I in faces:
-        ranks[I] = {n: r for n in (0, 1) if n == 0 or I.bit_count() >= low}
+    ranks = {I: r if I.bit_count() >= low else 0 for I in faces}
+    arrows = {}
     for J in faces:
         for b in vertex_bits(J):
             I = J ^ b
-            arrows[I, J] = {n: {(k, k): x for k, x
-                                in enumerate(s[b.bit_length()])
-                                if (x % mod if mod else x)}
-                            for n in ranks[I]}
-    return PosetDiagram(tuple(faces), ranks, arrows, 1, mod)
+            arrows[I, J] = {(k, k): x for k, x in enumerate(s[b.bit_length()])
+                            if ranks[I] and (x % mod if mod else x)}
+    return PosetDiagram(tuple(faces), ranks, arrows, mod)
+
+
+def _polynomial_diagram(rng, K):
+    """A random diagram over the faces of K, over Z or over F2, whose
+    arrows are not diagonal: Z^r at every face, r <= 2, and the cover
+    I < I + v multiplies by c_v + e_v B for one random r x r matrix B;
+    polynomials in B commute, so every diamond does."""
+    mod = rng.choice((None, 2))
+    r = rng.randint(1, 2)
+    B = {(i, j): rng.randint(-1, 1) for i in range(r) for j in range(r)}
+    faces = sorted(K.face_masks, key=face_order)
+    arrows = {}
+    for v in range(1, K.m + 1):
+        c, e = rng.choice((0, 1, -1, 2)), rng.choice((1, 1, -1, 2))
+        M = {(i, j): e * x + c * (i == j) for (i, j), x in B.items()}
+        M = {key: x for key, x in M.items() if (x % mod if mod else x)}
+        b = 1 << (v - 1)
+        for J in faces:
+            if J & b:
+                arrows[J ^ b, J] = M
+    return PosetDiagram(tuple(faces), {I: r for I in faces}, arrows, mod)
 
 
 def _torsion_diagrams(count, name):
@@ -538,34 +564,40 @@ def _torsion_diagrams(count, name):
 
 
 def test_limit_matches_reference_on_classifying_diagrams():
-    # the facet presentation against the one over every face and cover,
-    # as whole groups, torsion included (d=1 values are 2-torsion)
+    # the facet presentation of Sym^k, k <= 3, against the one over
+    # every face and cover with its own symmetric powers, as whole
+    # groups, torsion included (d=1 values are 2-torsion)
     for d in (2, 1):
         for D in _classifying_diagrams(d, 200, "limit-reference-%d" % d):
-            assert limit_graded(D) == reference_limit(D), (d, D.faces)
+            assert limit_graded(D, 3) == reference_limit(D, 3), (d, D.faces)
 
 
 def test_limit_matches_reference_with_torsion():
-    # diagonal diagrams over Z and over F2 on complexes with two or more
-    # facets, so that covers meet in diamonds; both rings give nonzero
-    # limits
+    # diagonal and polynomial diagrams over Z and over F2 on complexes
+    # with two or more facets, so that covers meet in diamonds; both
+    # rings give nonzero limits
+    rng = seeded("limit-reference-polynomial")
+    polynomial = []
+    while len(polynomial) < 100:
+        K = random_complex(rng, rng.randint(2, 5))
+        if len(K.facets) >= 2 and K.dim() >= 1:
+            polynomial.append(_polynomial_diagram(rng, K))
     seen = set()
-    for D in _torsion_diagrams(150, "limit-reference-torsion"):
-        lim = limit_graded(D)
-        assert lim == reference_limit(D), (D.faces, D.ranks, D.mod)
+    for D in [*_torsion_diagrams(150, "limit-reference-torsion"),
+              *polynomial]:
+        lim = limit_graded(D, 3)
+        assert lim == reference_limit(D, 3), (D.faces, D.ranks, D.mod)
         if not lim.is_trivial():
             seen.add(D.mod)
     assert seen == {None, 2}
 
 
-def _presentation_shapes(monkeypatch, limit, D):
-    """(rows, columns) of the matrix that ``limit`` presents D by in each
-    degree of D, (0, 0) where it builds none: for limit_graded the
-    constraint map psi at its rank call, whose rows are the pairs
-    f2_echelon gets (the highest row and column seen for
-    rank_and_invariants), and for reference_limit the middle term of its
-    ChainComplex."""
-    out = []
+def _presentation_shapes(monkeypatch, limit, D, top_k):
+    """(rows, columns) of the matrix that ``limit`` presents Sym^k(D) by,
+    for k = 0..top_k: for limit_graded the constraint map psi at its rank
+    call, whose rows are the pairs f2_echelon gets (the highest row and
+    column seen for rank_and_invariants), and for reference_limit the
+    middle term of its ChainComplex."""
     shapes = []
     if limit is limit_graded:
         rank, echelon = homology.rank_and_invariants, homology.f2_echelon
@@ -592,19 +624,10 @@ def _presentation_shapes(monkeypatch, limit, D):
             return real(dims, *args, **kwargs)
 
         monkeypatch.setattr(homology, "ChainComplex", recorded)
-    for n in sorted({n for r in D.ranks.values() for n in r}):
-        shapes.clear()
-        limit(_in_degree(D, n))
-        assert len(shapes) <= 1
-        out.append(shapes[0] if shapes else (0, 0))
+    limit(D, top_k)
     monkeypatch.undo()
-    return out
-
-
-def _in_degree(D, n):
-    return PosetDiagram(
-        D.faces, {I: {n: r[n]} for I, r in D.ranks.items() if n in r},
-        {key: {n: M[n]} for key, M in D.arrows.items() if n in M}, n, D.mod)
+    assert len(shapes) == top_k + 1
+    return shapes
 
 
 def test_limit_presentation_never_exceeds_the_reference(monkeypatch):
@@ -613,8 +636,8 @@ def test_limit_presentation_never_exceeds_the_reference(monkeypatch):
                 *_torsion_diagrams(40, "limit-shape-torsion")]
     smaller = 0
     for D in diagrams:
-        new = _presentation_shapes(monkeypatch, limit_graded, D)
-        old = _presentation_shapes(monkeypatch, reference_limit, D)
+        new = _presentation_shapes(monkeypatch, limit_graded, D, 3)
+        old = _presentation_shapes(monkeypatch, reference_limit, D, 3)
         for (rows, cols), (ref_rows, ref_cols) in zip(new, old):
             assert rows <= ref_rows and cols <= ref_cols, D.faces
         smaller += new != old
@@ -627,20 +650,20 @@ def test_limit_over_one_facet_is_its_value(monkeypatch):
     rng = seeded("limit-one-facet")
     top = SimplicialComplex.simplex(3)
     H = TorusSubgroup.from_annihilator(3, [[1, 2, 0], [0, 1, -1]])
-    diagrams = [build_classifying_diagram(top, H, 6),
+    diagrams = [build_classifying_diagram(top, H),
                 build_classifying_diagram(
-                    top, TorusSubgroup.from_f2_span(3, [0b011]), 3)]
+                    top, TorusSubgroup.from_f2_span(3, [0b011]))]
     diagrams += [_torsion_diagram(rng, top) for _ in range(10)]
     facet = 0b111
     for D in diagrams:
         rows = [r for r, _ in _presentation_shapes(monkeypatch,
-                                                   limit_graded, D)]
+                                                   limit_graded, D, 3)]
         assert rows == [0] * len(rows)
-        lim = limit_graded(D)
-        for n in {n for r in D.ranks.values() for n in r}:
-            rank = D.ranks[facet].get(n, 0)
-            assert lim.group(n) == (FinAbGroup.make(0, (2,) * rank) if D.mod
-                                    else FinAbGroup.free(rank)), (D.ranks, n)
+        lim = limit_graded(D, 3)
+        for k in range(4):
+            rank = comb(D.ranks[facet] + k - 1, k) if k else 1
+            assert lim.group(k) == (FinAbGroup.make(0, (2,) * rank) if D.mod
+                                    else FinAbGroup.free(rank)), (D.ranks, k)
 
 
 def _link_components(facets, I):
@@ -684,7 +707,7 @@ def test_link_blocks_of_a_sphere_sit_at_its_ridges():
     # a simplex, connected unless it is two points
     for m in range(2, 8):
         D = build_classifying_diagram(boundary_simplex(m),
-                                      TorusSubgroup.trivial(2, m), 2)
+                                      TorusSubgroup.trivial(2, m))
         facets, blocks = homology._link_blocks(D)
         assert len(facets) == m
         assert sorted(vertices(I) for I, _, _ in blocks) == sorted(
@@ -698,19 +721,19 @@ def test_limit_reads_composites_modulo_2():
     # and the limit is the whole product (Z/2)^2 of the facet values
     K = SimplicialComplex(5, [{1, 2, 3}, {3, 4, 5}])
     faces = K.face_masks
-    ranks = {I: {0: 2 if I == 0b110 else 1} for I in faces}
+    ranks = {I: 2 if I == 0b110 else 1 for I in faces}
     row, col = {(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}
     special = {((3,), (2, 3)): row, ((2,), (2, 3)): row,
                ((2, 3), (1, 2, 3)): col, ((1, 3), (1, 2, 3)): {},
                ((1, 2), (1, 2, 3)): {}, ((3, 4), (3, 4, 5)): {},
                ((3, 5), (3, 4, 5)): {}, ((4, 5), (3, 4, 5)): {}}
     special = {(_mask(I), _mask(J)): M for (I, J), M in special.items()}
-    arrows = {(J ^ b, J): {0: special.get((J ^ b, J), {(0, 0): 1})}
+    arrows = {(J ^ b, J): special.get((J ^ b, J), {(0, 0): 1})
               for J in faces for b in vertex_bits(J)}
-    D = PosetDiagram(tuple(faces), ranks, arrows, 0, 2)
-    assert D.arrow(0b100, 0b111, 0) == {(0, 0): 2}
-    assert limit_graded(D).group(0) == FinAbGroup.make(0, (2, 2))
-    assert limit_graded(D) == reference_limit(D)
+    D = PosetDiagram(tuple(faces), ranks, arrows, 2)
+    assert D.arrow(0b100, 0b111) == {(0, 0): 2}
+    assert limit_graded(D, 1).group(1) == FinAbGroup.make(0, (2, 2))
+    assert limit_graded(D, 3) == reference_limit(D, 3)
 
 
 def test_limit_over_a_bowtie_matches_the_reference(monkeypatch):
@@ -724,14 +747,15 @@ def test_limit_over_a_bowtie_matches_the_reference(monkeypatch):
         [0b100]
     seen = set()
     for D in diagrams:
-        lim = limit_graded(D)
-        assert lim == reference_limit(D), (D.ranks, D.mod)
+        lim = limit_graded(D, 3)
+        assert lim == reference_limit(D, 3), (D.ranks, D.mod)
         seen.update(t for _, g in lim.groups for t in g.torsion)
     assert seen
     real = homology._link_blocks
     monkeypatch.setattr(homology, "_link_blocks",
                         lambda D: (real(D)[0], []))
-    assert any(limit_graded(D) != reference_limit(D) for D in diagrams)
+    assert any(limit_graded(D, 3) != reference_limit(D, 3)
+               for D in diagrams)
 
 
 def test_limit_rejects_a_poset_with_a_gap():
@@ -739,10 +763,10 @@ def test_limit_rejects_a_poset_with_a_gap():
     # the facet presentation needs every such set to be one, so the
     # diagram is rejected on construction, with or without arrows
     e, ab = 0, 0b11   # {}, {1, 2}
-    for arrows in ({(e, ab): {0: {(0, 0): 1}}}, {}):
+    for arrows in ({(e, ab): {(0, 0): 1}}, {}):
         with pytest.raises(ValueError,
                            match=r"\[[12]\] lies between two faces"):
-            PosetDiagram((e, ab), {e: {0: 1}, ab: {0: 1}}, arrows, 0)
+            PosetDiagram((e, ab), {e: 1, ab: 1}, arrows)
 
 
 def test_homology_matches_bruteforce_ranks():
