@@ -23,8 +23,8 @@ from .simplicial import contraction, face_order, vertex_bits, vertices
 
 # the most facet generators in the top degree that equivariant_limit
 # presents: on boundary_simplex(9) with the trivial subgroup a limit costs
-# about 40 us and 1.6 KB per facet generator (2 vCPUs, Python 3.11), so
-# a run at the cap takes on the order of 40 s and 1.6 GB
+# about 35 us and 1.2 KB per facet generator (2 vCPUs, Python 3.11), so
+# a run at the cap takes on the order of 35 s and 1.2 GB
 LIMIT_GENERATOR_CAP = 1_000_000
 
 
@@ -177,9 +177,7 @@ def build_classifying_diagram(K, H):
             key = chars[I], chars[J], t
             M = maps.get(key)
             if M is None:
-                M = maps[key] = {
-                    (r, c): v for c, col in enumerate(H.restriction(I, J))
-                    for r, v in col.items()}
+                M = maps[key] = H.restriction(I, J)
             arrows[I, J] = M
     try:
         return PosetDiagram(faces=faces,

@@ -123,12 +123,11 @@ class ChainComplex:
             self._eliminated = {}
             cleared = set()
             for k in range(len(self.dims) - 1, 0, -1):
-                entries = [(r, c, v) for (r, c), v
-                           in self.boundaries[k].items() if c not in cleared]
-                pivot_rows = []
-                if entries:
-                    self._eliminated[k] = rank_and_invariants(entries,
-                                                              pivot_rows)
+                B, pivot_rows = self.boundaries[k], []
+                if B:
+                    self._eliminated[k] = rank_and_invariants(
+                        ((r, c, v) for (r, c), v in B.items()
+                         if c not in cleared), pivot_rows)
                 cleared = set(pivot_rows)
         return self._eliminated.get(i, (0, []))
 
@@ -259,11 +258,12 @@ class PosetDiagram:
     memos keyed by identity: it scans each distinct (matrix, rank of I,
     rank of J) once for its shape, and decides each diamond once per
     distinct set of its four matrices, which fix the verdict, since the
-    ring is one for the whole diagram.  Each memo holds the objects of its
-    keys, so no id is reused while it lives.  The covering pairs are
-    listed once, on construction; products and composites are recomputed
-    when asked.  arrow() returns a stored matrix itself, not a copy, so
-    it must not be mutated.
+    ring is one for the whole diagram.  ``arrows``, or the shared zero
+    map, holds every keyed matrix for the whole call, so no id is reused
+    while a memo lives.  The covering pairs are listed once, on
+    construction; products and composites are recomputed when asked.
+    arrow() returns a stored matrix itself, not a copy, so it must not be
+    mutated.
     """
 
     faces: tuple
@@ -327,7 +327,7 @@ class PosetDiagram:
         # every nonzero arrow is now known to sit at a cover, so one scan
         # of the covers reads each of them; a covering arrow between
         # nonzero values has no composite to fall back on
-        scanned = {}   # (id of a matrix, rows, columns) -> that matrix
+        scanned = set()   # (id of a matrix, rows, columns)
         for I, J in self._covers:
             rows, cols = ranks.get(I, 0), ranks.get(J, 0)
             M = arrows.get((I, J))
@@ -339,7 +339,7 @@ class PosetDiagram:
             key = id(M), rows, cols
             if key in scanned:
                 continue
-            scanned[key] = M
+            scanned.add(key)
             for (r, c), x in M.items():
                 if not (0 <= r < rows and 0 <= c < cols
                         and (x % mod if mod else x)):
@@ -347,7 +347,7 @@ class PosetDiagram:
                                      % (vertices(I), vertices(J), {(r, c): x}))
         # functoriality: the diamonds I < J with |J - I| = 2 generate all
         # coherence constraints for cover-generated arrows
-        diamonds = {}   # ids of four matrices -> those
+        diamonds = set()   # ids of four matrices
         for J in faces:
             for a, b in combinations(vertex_bits(J), 2):
                 I = J ^ a ^ b
@@ -365,7 +365,7 @@ class PosetDiagram:
                 key = tuple(map(id, parts))
                 if key in diamonds:
                     continue
-                diamonds[key] = parts
+                diamonds.add(key)
                 lo1, hi1, lo2, hi2 = parts
                 if not _congruent(sparse_product(lo1, hi1),
                                   sparse_product(lo2, hi2), mod):
@@ -400,9 +400,9 @@ def _monomial_index(indexes, rank, k, width):
     return found
 
 
-def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
-    """Symmetric powers 0..top_k of the linear map whose j-th column is the
-    sparse dict ``columns[j]`` ({row: value}) with ``rows`` rows.
+def _sym_powers(M, rows, cols, top_k, mod=None, indexes=None):
+    """Symmetric powers 0..top_k of the rows x cols matrix M, a dict
+    {(row, col): value}; ``cols`` counts trailing zero columns too.
 
     Degree k uses the monomial basis combinations_with_replacement(range(n),
     k) on both sides.  Each power is a dict {(row, col): value} of its
@@ -421,18 +421,20 @@ def _sym_powers(columns, rows, top_k, mod=None, indexes=None):
     width = top_k.bit_length()
     if indexes is None:
         indexes = {}
-    cols = [[(1 << r * width, x) for r, x in col.items()] for col in columns]
-    steps = [1 << j * width for j in range(len(columns))]
+    columns = [[] for _ in range(cols)]   # per column, (row step, value)
+    for (r, c), x in M.items():
+        columns[c].append((1 << r * width, x))
+    steps = [1 << j * width for j in range(cols)]
     images = [(0, 0, {0: 1})]   # (source code, last factor, nonzero image)
     powers = [{(0, 0): 1}]
     for k in range(1, top_k + 1):
-        source = _monomial_index(indexes, len(columns), k, width)
+        source = _monomial_index(indexes, cols, k, width)
         target = _monomial_index(indexes, rows, k, width)
         nxt = []
         arrow = {}
         for code, last, image in images:
-            for j in range(last, len(columns)):
-                col = cols[j]
+            for j in range(last, cols):
+                col = columns[j]
                 if not col:
                     continue
                 out = {}
@@ -487,33 +489,30 @@ def limit_graded(D, top_k):
     property on construction.
 
     Each block arrow is composed once, and its powers 0..top_k are built
-    by _sym_powers once per distinct (rank of I, columns), shared between
-    blocks, over one monomial index per (rank, k); the rank of I belongs
-    to the key because it fixes the monomial index of the target.  In
-    degree k the blocks make one constraint map psi from the product of
-    the facet values, free of rank a, and the limit is its kernel.  A
-    submodule of a free Z-module is free, and every F2-module is free, so
-    the kernel is Z^(a - rank psi) or (Z/2)^(a - rank psi): the rank is
-    taken by rank_and_invariants over Z and as the length of the
-    f2_echelon basis of psi's rows over F2.
+    by _sym_powers once per distinct (rank of I, rank of F, entries),
+    shared between blocks, over one monomial index per (rank, k); the
+    ranks fix the monomial indexes of both sides.  In degree k the blocks
+    make one constraint map psi from the product of the facet values,
+    free of rank a, and the limit is its kernel.  A submodule of a free
+    Z-module is free, and every F2-module is free, so the kernel is
+    Z^(a - rank psi) or (Z/2)^(a - rank psi): the rank is taken by
+    rank_and_invariants over Z and as the length of the f2_echelon basis
+    of psi's rows over F2, psi's entries streaming from the tables.
     """
     ranks, mod = D.ranks, D.mod
     facets, blocks = _link_blocks(D)
-    tables = {}    # (rank of I, columns) -> powers 0..top_k
+    tables = {}    # (rank of I, rank of F, entries) -> powers 0..top_k
     indexes = {}   # (rank, k) -> {monomial code: position}
     powers = {}    # (I, facet) -> its table
     for I, P, Q in blocks:
         for F in (P, Q):
             if (I, F) in powers:
                 continue
-            columns = [{} for _ in range(ranks.get(F, 0))]
-            for (r, c), v in D.arrow(I, F).items():
-                columns[c][r] = v
-            key = (ranks.get(I, 0),
-                   tuple(tuple(sorted(col.items())) for col in columns))
+            M = D.arrow(I, F)
+            key = ranks.get(I, 0), ranks.get(F, 0), frozenset(M.items())
             table = tables.get(key)
             if table is None:
-                table = tables[key] = _sym_powers(columns, key[0], top_k,
+                table = tables[key] = _sym_powers(M, key[0], key[1], top_k,
                                                   mod, indexes)
             powers[I, F] = table
     out = {}
@@ -525,21 +524,24 @@ def limit_graded(D, top_k):
         for F in facets:
             offset[F] = a
             a += gens(F)
-        psi, b = {}, 0
-        for I, P, Q in blocks:
-            for sign, F in ((1, P), (-1, Q)):
-                for (r, c), v in powers[I, F][k].items():
-                    psi[b + r, offset[F] + c] = sign * v
-            b += gens(I)
+
+        def psi():
+            b = 0
+            for I, P, Q in blocks:
+                for sign, F in ((1, P), (-1, Q)):
+                    c0 = offset[F]
+                    for (r, c), v in powers[I, F][k].items():
+                        yield b + r, c0 + c, sign * v
+                b += gens(I)
+
         if mod:
-            rows = [0] * b
-            for (r, j), v in psi.items():
+            rows = [0] * sum(gens(I) for I, _, _ in blocks)
+            for r, j, v in psi():
                 rows[r] |= (v & 1) << j
             rank = len(f2_echelon((row, 0) for row in rows)[0])
             out[k] = FinAbGroup(0, (2,) * (a - rank))
         else:
-            rank, _ = rank_and_invariants(
-                (r, j, v) for (r, j), v in psi.items())
+            rank, _ = rank_and_invariants(psi())
             out[k] = FinAbGroup.free(a - rank)
     return GradedAbGroup.make(out)
 

@@ -244,13 +244,13 @@ class TorusSubgroup:
 
     def restriction(self, I, J):
         """Restriction of characters from S(J) to S(I), for faces I <= J,
-        in the bases of characters(J) and characters(I), as sparse
-        columns: column j is the j-th character of J written in the basis
-        of I, a dict {row: value} of its nonzero coordinates."""
+        in the bases of characters(J) and characters(I), as the matrix
+        {(row, col): value} of its nonzero entries: column j is the j-th
+        character of J written in the basis of I."""
         basis = self.characters(I)
         pos = _positions(I, J)
-        columns = []
-        for b in self.characters(J):
+        M = {}
+        for j, b in enumerate(self.characters(J)):
             if self.d == 2:
                 coeff = hnf_solve(basis, [b[p] for p in pos])
             else:
@@ -263,8 +263,8 @@ class TorusSubgroup:
                 # proj_J(ann H) restricted to I is proj_I(ann H)
                 raise AssertionError("character restriction not defined at "
                                      "(%s, %s)" % (vertices(I), vertices(J)))
-            columns.append({i: c for i, c in enumerate(coeff) if c})
-        return columns
+            M.update(((i, j), c) for i, c in enumerate(coeff) if c)
+        return M
 
     def to_json(self):
         if self.d == 2:

@@ -251,8 +251,7 @@ def boundary_simplex(m):
 def contraction(K, I0):
     """K/I0 = {I \\ I0 : I in K} on the remaining vertices, re-indexed."""
     rest = ((1 << K.m) - 1) & ~_checked_mask(I0, K.m)
-    return SimplicialComplex._from_masks(
-        rest.bit_count(), _relabeled([F & rest for F in K.facet_masks], rest))
+    return full_subcomplex(K, vertices(rest))
 
 
 def cone(K):

@@ -190,15 +190,10 @@ def test_diagram_limit_agrees_with_direct_call():
         equivariant_limit(K, H, 6)
 
 
-def _columns(M, ncols):
-    """Dense matrix as the sparse columns _sym_powers takes."""
-    return [{i: row[j] for i, row in enumerate(M) if row[j]}
-            for j in range(ncols)]
-
-
-def _matrix(columns):
-    """Sparse columns as the matrix {(row, col): value}."""
-    return {(r, c): v for c, col in enumerate(columns) for r, v in col.items()}
+def _sparse(M):
+    """Dense matrix as the matrix {(row, col): value} _sym_powers takes."""
+    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
+            if v}
 
 
 def test_sym_power_is_functorial():
@@ -212,14 +207,14 @@ def test_sym_power_is_functorial():
         for k in range(4):
             for mod in (None, 2):
                 prod = sparse_product(
-                    _sym_powers(_columns(A, q), p, k, mod)[k],
-                    _sym_powers(_columns(B, r), q, k, mod)[k])
+                    _sym_powers(_sparse(A), p, q, k, mod)[k],
+                    _sym_powers(_sparse(B), q, r, k, mod)[k])
                 if mod:
                     prod = {key: v % mod for key, v in prod.items()
                             if v % mod}
-                assert prod == _sym_powers(_columns(AB, r), p, k, mod)[k]
+                assert prod == _sym_powers(_sparse(AB), p, r, k, mod)[k]
                 one = [[int(i == j) for j in range(p)] for i in range(p)]
-                assert _sym_powers(_columns(one, p), p, k, mod)[k] == {
+                assert _sym_powers(_sparse(one), p, p, k, mod)[k] == {
                     (i, i): 1 for i in range(comb(p + k - 1, k))}
 
 
@@ -242,18 +237,26 @@ def test_sym_powers_match_polynomial_expansion():
                 for i, row in enumerate(M):
                     row[b] = -row[a] if i == flip else row[a]
             for mod in (None, 2, 3):
-                columns = _columns(M, cols)
-                powers = _sym_powers(columns, rows, top_k, mod)
+                powers = _sym_powers(_sparse(M), rows, cols, top_k, mod)
                 assert len(powers) == top_k + 1
                 for k in range(top_k + 1):
                     assert powers[k] == sym_power_reference(
-                        _matrix(columns), rows, cols, k, mod)
+                        _sparse(M), rows, cols, k, mod)
+    # the column count is given, not read off the entries: x_1^2 sits at
+    # position 2 over two columns and at 3 or 4 over three or four, so
+    # trailing zero columns move it, and the zero map {} keeps its shape
+    for M, rows, cols in (({(1, 1): 1, (0, 0): -2}, 2, 4),
+                          ({(2, 1): 3, (0, 1): 1}, 3, 3),
+                          ({}, 2, 3), ({}, 1, 1)):
+        for mod in (None, 2):
+            assert _sym_powers(M, rows, cols, 3, mod) == [
+                sym_power_reference(M, rows, cols, k, mod) for k in range(4)]
     # (x_0 + x_1)(x_0 - x_1) = x_0^2 - x_1^2 has no x_0 x_1 term
     square = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (2, 1): -1,
               (0, 2): 1, (1, 2): -2, (2, 2): 1}
-    columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-    assert _sym_powers(columns, 2, 2)[2] == square
-    assert _sym_powers(columns, 2, 2, 2)[2] == {
+    M = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1}
+    assert _sym_powers(M, 2, 2, 2)[2] == square
+    assert _sym_powers(M, 2, 2, 2, 2)[2] == {
         key: 1 for key, v in square.items() if v % 2}
 
 
@@ -282,13 +285,13 @@ def _compatible_cases(rng, d, count):
 
 def _recorded_sym_powers(monkeypatch):
     """Replace homology._sym_powers by a recorder; returns the list of
-    (columns, rows, mod, powers) it fills, one per call."""
+    (M, rows, cols, mod, powers) it fills, one per call."""
     calls = []
     real = homology._sym_powers
 
-    def recorded(columns, rows, top_k, mod=None, indexes=None):
-        powers = real(columns, rows, top_k, mod, indexes)
-        calls.append((columns, rows, mod, powers))
+    def recorded(M, rows, cols, top_k, mod=None, indexes=None):
+        powers = real(M, rows, cols, top_k, mod, indexes)
+        calls.append((M, rows, cols, mod, powers))
         return powers
 
     monkeypatch.setattr(homology, "_sym_powers", recorded)
@@ -311,11 +314,11 @@ def test_shared_sym_powers_match_fresh_ones(monkeypatch):
             blocks = homology._link_blocks(D)[1]
             shared += len({(I, F) for I, P, Q in blocks
                            for F in (P, Q)}) - len(calls)
-            for columns, rows, mod, powers in calls:
+            for M, rows, cols, mod, powers in calls:
                 assert mod == D.mod
                 for k in range(4):
                     assert powers[k] == sym_power_reference(
-                        _matrix(columns), rows, len(columns), k, mod)
+                        M, rows, cols, k, mod)
     assert shared > 0
 
 
@@ -332,7 +335,7 @@ def test_classifying_arrows_match_per_cover_reference():
             fresh = TorusSubgroup(H.d, H.m, H.ann)
             assert D.ranks == {I: len(fresh.characters(I)) for I in D.faces}
             assert D.arrows == {
-                (J ^ b, J): _matrix(fresh.restriction(J ^ b, J))
+                (J ^ b, J): fresh.restriction(J ^ b, J)
                 for J in D.faces for b in vertex_bits(J)}, K
             assert D.mod == (2 if d == 1 else None)
 
@@ -354,8 +357,8 @@ def test_planted_wrong_power_changes_the_limit(monkeypatch):
         want = reference_limit(D, 3)
         assert limit_graded(D, 3) == want
         for k in (2, 3):
-            def wrong(columns, rows, top_k, mod=None, indexes=None):
-                powers = real(columns, rows, top_k, mod, indexes)
+            def wrong(M, rows, cols, top_k, mod=None, indexes=None):
+                powers = real(M, rows, cols, top_k, mod, indexes)
                 key = min(powers[k])
                 if mod:
                     powers[k] = {t: v for t, v in powers[k].items()
@@ -452,8 +455,8 @@ def test_shared_sym_powers_keyed_on_row_count(monkeypatch):
               (_mask((5,)), _mask((5, 6))): {(0, 0): 1}}
     D = PosetDiagram(tuple(faces), ranks, arrows)
     lim = limit_graded(D, 3)
-    assert sorted(rows for columns, rows, _, _ in calls
-                  if columns == [{1: 1}]) == [2, 3]
+    assert sorted(rows for M, rows, cols, _, _ in calls
+                  if (M, cols) == ({(1, 0): 1}, 1)) == [2, 3]
     assert lim == reference_limit(D, 3)
 
 
@@ -468,12 +471,13 @@ def test_shared_sym_powers_reduced_mod_2(monkeypatch):
     H = _ChosenLattices(1, 4, (), {0b111: (0b101, 0b110)})
     K = SimplicialComplex(4, [(1, 2, 3), (2, 3, 4)])
     D = build_classifying_diagram(K, H)
-    columns = [{1: 1}, {0: 1, 1: 1}]
-    assert D.arrows[0b110, 0b111] == _matrix(columns)
+    M = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert D.arrows[0b110, 0b111] == M
     lim = limit_graded(D, 2)
-    integral = _sym_powers(columns, 2, 2)[2]
+    integral = _sym_powers(M, 2, 2, 2)[2]
     assert integral[1, 2] == 2
-    assert [powers[2] for c, _, mod, powers in calls if c == columns] == [
+    assert [powers[2] for c, _, cols, mod, powers in calls
+            if (c, cols) == (M, 2)] == [
         {key: v for key, v in integral.items() if v % 2}]
     assert lim == reference_limit(D, 2)
 

@@ -379,11 +379,10 @@ def test_cli_classifying_diagram_failure_is_internal(capsys, monkeypatch,
     real = intlattice.TorusSubgroup.restriction
 
     def planted(self, I, J):
-        columns = real(self, I, J)
+        M = real(self, I, J)
         if (I, J) == (0b1, 0b11):
-            columns = [{r: 2 * v for r, v in columns[0].items()},
-                       *columns[1:]]
-        return columns
+            M = {(r, c): 2 * v if c == 0 else v for (r, c), v in M.items()}
+        return M
 
     monkeypatch.setattr(intlattice.TorusSubgroup, "restriction", planted)
     cpath = tmp_path / "k.txt"

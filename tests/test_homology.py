@@ -213,15 +213,6 @@ def _square(arrows, mod=None):
                         mod)
 
 
-def _columns_of(M, cols):
-    """The matrix {(row, col): value} as the sparse columns _sym_powers
-    takes."""
-    columns = [{} for _ in range(cols)]
-    for (r, c), v in M.items():
-        columns[c][r] = v
-    return columns
-
-
 def test_diagram_functoriality_checked_in_every_degree():
     # validate() checks the one degree of a diagram, and its docstring
     # proves that Sym^k of a diagram that passes is a diagram; here every
@@ -244,8 +235,8 @@ def test_diagram_functoriality_checked_in_every_degree():
         def sym(I, J):
             if (I, J) not in powers:
                 powers[I, J] = homology._sym_powers(
-                    _columns_of(D.arrow(I, J), D.ranks.get(J, 0)),
-                    D.ranks.get(I, 0), 3, D.mod)
+                    D.arrow(I, J), D.ranks.get(I, 0), D.ranks.get(J, 0), 3,
+                    D.mod)
             return powers[I, J]
 
         for J in D.faces:

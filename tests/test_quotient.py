@@ -14,7 +14,8 @@ from maq.momentangle import BoundExceeded, buchstaber_real, hochster
 from maq.quotient import (CubicalQuotient, KoszulComplex,
                           _unit_coordinates, cubical_quotient_cohomology,
                           cw_census, koszul_cohomology, trc_report)
-from maq.simplicial import SimplicialComplex, boundary_simplex, cone
+from maq.simplicial import (SimplicialComplex, boundary_simplex, cone,
+                            stellar_subdivision)
 
 from conftest import (check_cohomology_uct, coboundary_ranks_mod_p, join,
                       mat_mul, random_complex, random_sphere,
@@ -824,3 +825,27 @@ def test_cubical_answers_satisfy_poincare_duality_mod_2():
         for k in range(n + 1):
             assert dim_f2(G, k) == dim_f2(G, n - k), (K, H, k)
     assert non_orientable >= 20
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ChainComplex([1, 1], []), ValueError,
+     "boundary count inconsistent with dims"),
+    (lambda: TorusSubgroup(3, 2, ()), ValueError, "d must be 1 or 2"),
+    (lambda: momentangle.sr_dimension(boundary_simplex(3), -1), ValueError,
+     "degree must be nonnegative"),
+    (lambda: KoszulComplex(boundary_simplex(3), [[1, 0]], 2), ValueError,
+     "linear form length != m"),
+    (lambda: cw_census(boundary_simplex(3), TorusSubgroup.trivial(2, 3)),
+     PreconditionFailed, "census requires finite orbits (d=1)"),
+    (lambda: SimplicialComplex(2, [(1, 3)]), ValueError,
+     "facet vertex out of range 1..2"),
+    (lambda: stellar_subdivision(TWO_POINTS, {1, 2}), ValueError,
+     "sigma must be a nonempty face of K"),
+], ids=["boundary-count", "subgroup-d", "sr-degree", "form-length",
+        "census-d", "facet-vertex", "subdivide-non-face"])
+def test_input_rejections(build, error, message):
+    # each bad input is refused with its own exception type and message
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
